@@ -51,6 +51,7 @@ from .montecarlo import (
     estimate_success,
     ks_distance,
     simulate_gains,
+    simulate_group,
 )
 from .specfun import bessel_j0, ln_gamma, reg_lower_incomplete_gamma
 from .surface import (
@@ -75,7 +76,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DegenerateFitError", "DomainError",
     "FriscovError", "NotPSDError",
     "EstimateWithCI", "MCConfig", "empirical_cdf", "estimate_cop", "estimate_op",
-    "estimate_success", "ks_distance", "simulate_gains",
+    "estimate_success", "ks_distance", "simulate_gains", "simulate_group",
     "bessel_j0", "ln_gamma", "reg_lower_incomplete_gamma",
     "PortSelection", "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",
     "inter_element_distance", "psd_sqrt", "reduce",

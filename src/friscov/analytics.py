@@ -203,18 +203,12 @@ def cop(cfg: ScenarioConfig, p_fa: float, p_md: float, zeta: float) -> float:
     Unconditionally over the two hypotheses this is
     ``p0 * (1 - p_fa) + p1 * (1 - p_md)``.  With the deterministic
     false-alarm behaviour at threshold ``zeta`` it collapses to p1 for
-    zeta <= sigma2_w and to p0 + p1 * (1 - p_md) otherwise; the
-    collapse is asserted whenever the supplied error probabilities
-    match the deterministic false-alarm value for ``zeta``.
+    zeta <= sigma2_w and to p0 + p1 * (1 - p_md) otherwise.
     """
     for name, value in (("p_fa", p_fa), ("p_md", p_md)):
         if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
             raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    detect = cfg.p0 * (1.0 - p_fa) + cfg.p1 * (1.0 - p_md)
-    if p_fa == fa_probability(cfg, zeta) and (zeta > cfg.sigma2_w or p_md == 0.0):
-        collapsed = cfg.p1 if zeta <= cfg.sigma2_w else cfg.p0 + cfg.p1 * (1.0 - p_md)
-        assert math.isclose(detect, collapsed, rel_tol=1e-12, abs_tol=1e-15)
-    return detect
+    return cfg.p0 * (1.0 - p_fa) + cfg.p1 * (1.0 - p_md)
 
 
 def outage_probability(fit: GammaFit, cfg: ScenarioConfig) -> float:

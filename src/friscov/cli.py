@@ -3,8 +3,8 @@
 The configuration file is flat ``section.key = value`` text (``#``
 starts a comment, unknown keys warn rather than fail); every key has a
 default, so an empty file or no file at all runs the reference
-scenario.  See the README for the full schema and the fixed CSV column
-order.
+scenario.  ``_SCHEMA`` lists every key with its default, and
+``CSV_COLUMNS`` fixes the CSV column order.
 
 Subcommands: ``sweep`` runs the configured sweep and writes
 ``<out>/sweep.csv`` (optionally ``<out>/plot.svg``); ``validate`` runs
@@ -30,7 +30,7 @@ from . import analytics, montecarlo
 from .analytics import ScenarioConfig, dbm_to_watt
 from .channel import PhaseMode, SelectionMode
 from .errors import ConfigError, DomainError, FriscovError
-from .montecarlo import MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_gains
+from .montecarlo import MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, reduce
 
 _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
@@ -248,6 +248,16 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
         points=resolved["sweep.points"],
         scale=resolved["sweep.scale"],
     )
+    if spec.variable == "m_o":
+        # The rounded grid is non-decreasing, so its ends are its extremes.
+        swept = spec.values()
+        for field, m in (("sweep.start", swept[0]), ("sweep.stop", swept[-1])):
+            if not 1 <= m <= geom.num_elements:
+                raise ConfigError(
+                    f"swept m_o = {m:g} must lie in [1, {geom.num_elements}] "
+                    f"(the surface has m_x * m_z = {geom.num_elements} ports)",
+                    field=field,
+                )
     return scenario, geom, mc, spec
 
 
@@ -312,21 +322,39 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate closed forms and enabled empirical modes at each sweep point.
 
-    Deterministic given the master seed; Monte Carlo gains are reused
-    across sweep points that share a configuration (the swept link
-    parameters only re-threshold the same draws).
+    Deterministic given the master seed.  Every Monte Carlo config the
+    sweep needs, over all points and modes, is collected first; the
+    configs on one surface then run as one group, so each block is drawn
+    once for all of them (see :func:`montecarlo.simulate_group`).  The
+    swept link parameters only re-threshold those gains.  The sweep holds
+    every config's gains, 16 bytes per trial each, until it returns.
     """
     for mode in modes:
         if mode not in _MODES:
             raise DomainError(f"unknown mode {mode!r}; expected subset of {_MODES}")
-    corr = correlation_matrix(geom)
     values = spec.values()
-    rows: list[dict[str, float | None]] = []
-    for index, value in enumerate(values):
+    points = []
+    groups: dict[SurfaceGeometry, dict[MCConfig, None]] = {}
+    for value in values:
         cfg, m_o_point = _point_scenario(scenario, spec, value)
         m_o = mc.m_o if m_o_point < 0 else m_o_point
         if not 1 <= m_o <= geom.num_elements:
             raise DomainError(f"swept m_o={m_o} out of range [1, {geom.num_elements}]")
+        configs = {mode: _mode_config(mc, mode, geom, m_o, ris_m_hat) for mode in modes}
+        for mc_mode, geom_mode in configs.values():
+            groups.setdefault(geom_mode, {})[mc_mode] = None
+        points.append((value, cfg, m_o, configs))
+    gains = {}
+    for number, (geom_mode, members) in enumerate(groups.items(), start=1):
+        for mc_mode, sample in zip(members, simulate_group(list(members), geom_mode)):
+            gains[mc_mode, geom_mode] = sample
+        if progress:
+            print(f"[{number}/{len(groups)}] {len(members)} Monte Carlo configs on the "
+                  f"{geom_mode.m_x}x{geom_mode.m_z} surface done", file=sys.stderr)
+
+    corr = correlation_matrix(geom)
+    rows: list[dict[str, float | None]] = []
+    for value, cfg, m_o, configs in points:
         fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
         zeta = analytics.optimal_threshold(cfg)
         p_fa = analytics.fa_probability(cfg, zeta)
@@ -341,19 +369,17 @@ def run_sweep(
             analytic_pfa=p_fa, analytic_pmd=p_md, analytic_op=a_op,
             analytic_cop=a_cop, analytic_xi=a_xi, analytic_psuc=a_psuc,
         )
-        for mode in modes:
-            mc_mode, geom_mode = _mode_config(mc, mode, geom, m_o, ris_m_hat)
-            op = estimate_op(mc_mode, cfg, geom_mode)
-            cop_est = estimate_cop(mc_mode, cfg, geom_mode, zeta)
-            psuc = estimate_success(mc_mode, cfg, geom_mode, zeta)
+        for mode, key in configs.items():
+            sample = gains[key]
+            op = estimate_op(sample, cfg)
+            cop_est = estimate_cop(sample, cfg, zeta)
+            psuc = estimate_success(sample, cfg, zeta)
             row[f"{mode}_op"], row[f"{mode}_op_lo"], row[f"{mode}_op_hi"] = op.value, op.ci_low, op.ci_high
             row[f"{mode}_cop"], row[f"{mode}_cop_lo"], row[f"{mode}_cop_hi"] = (
                 cop_est.value, cop_est.ci_low, cop_est.ci_high)
             row[f"{mode}_psuc"], row[f"{mode}_psuc_lo"], row[f"{mode}_psuc_hi"] = (
                 psuc.value, psuc.ci_low, psuc.ci_high)
         rows.append(row)
-        if progress:
-            print(f"[{index + 1}/{len(values)}] {spec.variable}={value:.6g} done", file=sys.stderr)
     return SweepResult(variable=spec.variable, rows=rows)
 
 
@@ -474,25 +500,35 @@ def _gate(label: str, measured: float, tolerance: float, ok: bool) -> bool:
 
 
 def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec) -> None:
-    """Closed-form versus Monte Carlo oracle comparisons, reported per gate."""
-    corr = correlation_matrix(geom)
-    for m_o in (16, 36):
-        if m_o > geom.num_elements:
-            continue
-        preset = default_fixed_preset(geom, m_o)
-        fit = analytics.gamma_moment_match(reduce(corr, preset))
-        mc_fixed = dataclasses.replace(
+    """Closed-form versus Monte Carlo oracle comparisons, reported per gate.
+
+    Every config the gates need runs as one group on ``geom``.
+    """
+    gate_m_os = [m_o for m_o in (16, 36) if m_o <= geom.num_elements]
+    mc_gate = {
+        m_o: dataclasses.replace(
             mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED,
             m_o=m_o, fixed_preset=None,
         )
-        gains = simulate_gains(mc_fixed, geom)
+        for m_o in gate_m_os
+    }
+    mc_fixed = dataclasses.replace(mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED)
+    mc_best = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.BEST_PRODUCT)
+    mc_lattice = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.FIXED)
+    configs = list(dict.fromkeys([*mc_gate.values(), mc_fixed, mc_best, mc_lattice]))
+    gains_of = dict(zip(configs, simulate_group(configs, geom)))
+
+    corr = correlation_matrix(geom)
+    for m_o in gate_m_os:
+        fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
+        gains = gains_of[mc_gate[m_o]]
         rel = abs(float(np.mean(gains.g_b)) - fit.mean) / fit.mean
         _gate(f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02)
         sample = gains.g_b[: min(100_000, gains.g_b.size)]
         ks = ks_distance(sample, fit)
         _gate(f"KS distance to Gamma fit (m_o={m_o})", ks, 0.05, ks <= 0.05)
 
-    mc_fixed = dataclasses.replace(mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED)
+    fixed = gains_of[mc_fixed]
     fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, mc.m_o)))
     gaps = {"op": 0.0, "cop": 0.0, "psuc": 0.0}
     for value in spec.values():
@@ -503,17 +539,15 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
         a_op = analytics.outage_probability(fit, cfg)
         a_cop = analytics.cop(cfg, p_fa, p_md, zeta)
         a_psuc = analytics.success_probability(cfg, a_op, analytics.error_probability_xi(cfg, p_fa, p_md))
-        gaps["op"] = max(gaps["op"], abs(a_op - estimate_op(mc_fixed, cfg, geom).value))
-        gaps["cop"] = max(gaps["cop"], abs(a_cop - estimate_cop(mc_fixed, cfg, geom, zeta).value))
-        gaps["psuc"] = max(gaps["psuc"], abs(a_psuc - estimate_success(mc_fixed, cfg, geom, zeta).value))
+        gaps["op"] = max(gaps["op"], abs(a_op - estimate_op(fixed, cfg).value))
+        gaps["cop"] = max(gaps["cop"], abs(a_cop - estimate_cop(fixed, cfg, zeta).value))
+        gaps["psuc"] = max(gaps["psuc"], abs(a_psuc - estimate_success(fixed, cfg, zeta).value))
     _gate("max |analytic - empirical| outage over sweep", gaps["op"], 0.02, gaps["op"] <= 0.02)
     _gate("max |analytic - empirical| covertness outage over sweep", gaps["cop"], 0.02, gaps["cop"] <= 0.02)
     _gate("max |analytic - empirical| success over sweep", gaps["psuc"], 0.02, gaps["psuc"] <= 0.02)
 
-    mc_best = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.BEST_PRODUCT)
-    mc_lattice = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.FIXED)
-    best = simulate_gains(mc_best, geom)
-    lattice = simulate_gains(mc_lattice, geom)
+    best = gains_of[mc_best]
+    lattice = gains_of[mc_lattice]
     dominance = float(np.mean(best.g_b >= lattice.g_b))
     _gate("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0)
     print("note: the KS and curve-agreement gates quantify the accuracy limit of the "

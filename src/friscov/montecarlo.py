@@ -11,6 +11,13 @@ trials, configs)`` produce bit-identical estimates regardless of worker
 count.  Blocks are dispatched to a thread pool; the heavy lifting is
 BLAS matrix multiplication, which releases the GIL.
 
+Configs that share ``(master_seed, trials)`` and a surface form a
+group (:func:`simulate_group`): each block is drawn and correlated once
+for the whole group, and each config takes its own ports and phases
+from it.  A config's gains are the same whatever else is in its group.
+Nothing is cached: the caller keeps the returned :class:`GainSample`
+and passes it to the estimators.
+
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
 probabilities live).
@@ -18,8 +25,8 @@ probabilities live).
 
 from __future__ import annotations
 
-import functools
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -116,6 +123,10 @@ class GainSample:
     g_b: np.ndarray
     g_w: np.ndarray
 
+    @property
+    def trials(self) -> int:
+        return int(self.g_b.size)
+
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
@@ -133,96 +144,130 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _cascade(phase_mode: PhaseMode, a_sel, b_sel, c_sel) -> tuple[np.ndarray, np.ndarray]:
+    terms_b = np.conj(b_sel) * a_sel
+    terms_w = np.conj(c_sel) * a_sel
+    if phase_mode is PhaseMode.COHERENT:
+        g_b = np.abs(terms_b).sum(axis=0) ** 2
+        g_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
+    elif phase_mode is PhaseMode.STATIC:
+        g_b = np.abs(terms_b.sum(axis=0)) ** 2
+        g_w = np.abs(terms_w.sum(axis=0)) ** 2
+    else:
+        raise DomainError(f"unknown phase mode {phase_mode!r}")
+    return g_b, g_w
+
+
 def _block_gains(
     sqrt_corr: np.ndarray,
-    mc: MCConfig,
-    preset: PortSelection | None,
+    members: list[tuple[MCConfig, np.ndarray | None]],
+    master_seed: int,
     block_index: int,
     block_trials: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     size = sqrt_corr.shape[0]
-    rng = np.random.default_rng(mix64(mc.master_seed, block_index))
+    rng = np.random.default_rng(mix64(master_seed, block_index))
     # Fixed draw layout: [link, re/im, port, trial] with links ordered
     # transmitter side, receiver side, warden side.
     z = rng.standard_normal((3, 2, size, block_trials))
     scale = 1.0 / math.sqrt(2.0)
+    a, b, c = [sqrt_corr @ ((z[k, 0] + 1j * z[k, 1]) * scale) for k in range(3)]
+    del z
 
-    if mc.selection_mode is SelectionMode.BEST_PRODUCT:
-        a = sqrt_corr @ ((z[0, 0] + 1j * z[0, 1]) * scale)
-        b = sqrt_corr @ ((z[1, 0] + 1j * z[1, 1]) * scale)
-        c = sqrt_corr @ ((z[2, 0] + 1j * z[2, 1]) * scale)
-        products = np.abs(a) * np.abs(b)
-        order = np.argsort(-products, axis=0, kind="stable")[: mc.m_o]
-        a_sel = np.take_along_axis(a, order, axis=0)
-        b_sel = np.take_along_axis(b, order, axis=0)
-        c_sel = np.take_along_axis(c, order, axis=0)
-    elif mc.selection_mode is SelectionMode.FIXED:
-        # Only the selected rows of the correlated vectors are ever
-        # used, so correlate with the row-sliced square root.
-        rows = sqrt_corr[preset.as_array()]
-        a_sel = rows @ ((z[0, 0] + 1j * z[0, 1]) * scale)
-        b_sel = rows @ ((z[1, 0] + 1j * z[1, 1]) * scale)
-        c_sel = rows @ ((z[2, 0] + 1j * z[2, 1]) * scale)
-    elif mc.selection_mode is SelectionMode.RIS_FULL:
-        a_sel = sqrt_corr @ ((z[0, 0] + 1j * z[0, 1]) * scale)
-        b_sel = sqrt_corr @ ((z[1, 0] + 1j * z[1, 1]) * scale)
-        c_sel = sqrt_corr @ ((z[2, 0] + 1j * z[2, 1]) * scale)
-    else:
-        raise DomainError(f"unknown selection mode {mc.selection_mode!r}")
-
-    terms_b = np.conj(b_sel) * a_sel
-    terms_w = np.conj(c_sel) * a_sel
-    if mc.phase_mode is PhaseMode.COHERENT:
-        g_b = np.abs(terms_b).sum(axis=0) ** 2
-        g_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
-    elif mc.phase_mode is PhaseMode.STATIC:
-        g_b = np.abs(terms_b.sum(axis=0)) ** 2
-        g_w = np.abs(terms_w.sum(axis=0)) ** 2
-    else:
-        raise DomainError(f"unknown phase mode {mc.phase_mode!r}")
-    return g_b, g_w
+    order = None
+    gains = []
+    for mc, preset in members:
+        if mc.selection_mode is SelectionMode.BEST_PRODUCT:
+            if order is None:
+                # One stable sort serves every m_o: its first m_o rows
+                # are the m_o best ports in the order a sort would give.
+                order = np.argsort(-(np.abs(a) * np.abs(b)), axis=0, kind="stable")
+            top = order[: mc.m_o]
+            sel = [np.take_along_axis(v, top, axis=0) for v in (a, b, c)]
+        elif preset is not None:
+            sel = [a[preset], b[preset], c[preset]]
+        else:
+            sel = [a, b, c]
+        gains.append(_cascade(mc.phase_mode, *sel))
+    return gains
 
 
-@functools.lru_cache(maxsize=8)
-def _simulated_gains(mc: MCConfig, geom: SurfaceGeometry) -> GainSample:
+def _group_members(mcs: list[MCConfig], geom: SurfaceGeometry) -> list[tuple[MCConfig, np.ndarray | None]]:
+    """Each config with the port rows it reads (None: chosen per draw, or all)."""
     total = geom.num_elements
-    if mc.m_o > total:
-        raise DomainError(f"m_o={mc.m_o} exceeds the surface's {total} ports")
-    preset = mc.fixed_preset
-    if mc.selection_mode is SelectionMode.FIXED and preset is None:
-        preset = default_fixed_preset(geom, mc.m_o)
-    if preset is not None and preset.indices[-1] >= total:
-        raise DomainError(f"preset index {preset.indices[-1]} out of range for {total} ports")
+    members = []
+    for mc in mcs:
+        if mc.m_o > total:
+            raise DomainError(f"m_o={mc.m_o} exceeds the surface's {total} ports")
+        if not isinstance(mc.selection_mode, SelectionMode):
+            raise DomainError(f"unknown selection mode {mc.selection_mode!r}")
+        rows = None
+        if mc.selection_mode is SelectionMode.FIXED:
+            preset = mc.fixed_preset if mc.fixed_preset is not None else default_fixed_preset(geom, mc.m_o)
+            if preset.indices[-1] >= total:
+                raise DomainError(f"preset index {preset.indices[-1]} out of range for {total} ports")
+            rows = preset.as_array()
+        members.append((mc, rows))
+    return members
+
+
+def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainSample]:
+    """Per-trial cascaded gains for a group of configurations, one per config.
+
+    The configs must share ``master_seed`` and ``trials``; they run on
+    ``geom``.  Each block is drawn once and correlated over every port
+    once; then each config takes its own ports (a per-draw sort, a row
+    gather, or all rows) and phases from it.  So the group costs one RNG
+    pass and one correlating product per block, and a config's gains do
+    not depend on the other configs in its group.  Nor do they depend on
+    the worker count (the largest ``workers`` in the group is used).
+    """
+    mcs = list(mcs)
+    if not mcs:
+        return []
+    first = mcs[0]
+    for mc in mcs[1:]:
+        if (mc.master_seed, mc.trials) != (first.master_seed, first.trials):
+            raise DomainError("a group's configs must share master_seed and trials")
+    members = _group_members(mcs, geom)
     sqrt_corr = psd_sqrt(correlation_matrix(geom))
 
-    n_blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    trials = first.trials
+    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    outputs = [(np.empty(trials), np.empty(trials)) for _ in mcs]
 
-    def run(block_index: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(block_index: int) -> None:
         start = block_index * BLOCK_TRIALS
-        count = min(BLOCK_TRIALS, mc.trials - start)
-        return _block_gains(sqrt_corr, mc, preset, block_index, count)
+        count = min(BLOCK_TRIALS, trials - start)
+        block = _block_gains(sqrt_corr, members, first.master_seed, block_index, count)
+        for (g_b, g_w), (out_b, out_w) in zip(block, outputs):
+            out_b[start : start + count] = g_b
+            out_w[start : start + count] = g_w
 
-    if mc.workers == 1 or n_blocks == 1:
-        pieces = [run(k) for k in range(n_blocks)]
+    workers = max(mc.workers for mc in mcs)
+    if workers == 1 or n_blocks == 1:
+        for k in range(n_blocks):
+            run(k)
     else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            pieces = list(pool.map(run, range(n_blocks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(n_blocks)))
 
-    g_b = np.concatenate([p[0] for p in pieces])
-    g_w = np.concatenate([p[1] for p in pieces])
-    g_b.flags.writeable = False
-    g_w.flags.writeable = False
-    return GainSample(g_b=g_b, g_w=g_w)
+    samples = []
+    for g_b, g_w in outputs:
+        g_b.flags.writeable = False
+        g_w.flags.writeable = False
+        samples.append(GainSample(g_b=g_b, g_w=g_w))
+    return samples
 
 
 def simulate_gains(mc: MCConfig, geom: SurfaceGeometry) -> GainSample:
-    """Per-trial cascaded gains for the given configuration.
+    """Per-trial cascaded gains for one configuration: a group of one.
 
     Deterministic in ``(mc.master_seed, mc.trials)`` and independent of
-    ``mc.workers``; results are cached, so repeated estimator calls over
-    a parameter sweep reuse one simulation.
+    ``mc.workers``.  Each call simulates afresh; callers that evaluate
+    several estimators keep the returned sample.
     """
-    return _simulated_gains(mc, geom)
+    return simulate_group([mc], geom)[0]
 
 
 def _affine_estimate(offset: float, scale: float, successes: int, trials: int) -> EstimateWithCI:
@@ -246,14 +291,13 @@ def _detection_flags(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> np.
     return observed >= zeta
 
 
-def estimate_op(mc: MCConfig, cfg: ScenarioConfig, geom: SurfaceGeometry) -> EstimateWithCI:
+def estimate_op(gains: GainSample, cfg: ScenarioConfig) -> EstimateWithCI:
     """Empirical outage probability: capacity below the target rate."""
-    gains = simulate_gains(mc, geom)
     outage = int(np.count_nonzero(_outage_flags(gains, cfg)))
-    return _affine_estimate(0.0, 1.0, outage, mc.trials)
+    return _affine_estimate(0.0, 1.0, outage, gains.trials)
 
 
-def estimate_cop(mc: MCConfig, cfg: ScenarioConfig, geom: SurfaceGeometry, zeta: float) -> EstimateWithCI:
+def estimate_cop(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
     """Empirical covertness outage probability at threshold ``zeta``.
 
     Scores correct warden decisions: under silence the observed power is
@@ -261,30 +305,28 @@ def estimate_cop(mc: MCConfig, cfg: ScenarioConfig, geom: SurfaceGeometry, zeta:
     ``zeta > sigma2_w``; under transmission the per-draw detection
     events are averaged.
     """
-    gains = simulate_gains(mc, geom)
     detected = int(np.count_nonzero(_detection_flags(gains, cfg, zeta)))
     h0_correct = 1.0 if zeta > cfg.sigma2_w else 0.0
-    return _affine_estimate(cfg.p0 * h0_correct, cfg.p1, detected, mc.trials)
+    return _affine_estimate(cfg.p0 * h0_correct, cfg.p1, detected, gains.trials)
 
 
-def estimate_success(mc: MCConfig, cfg: ScenarioConfig, geom: SurfaceGeometry, zeta: float) -> EstimateWithCI:
+def estimate_success(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
     """Empirical success probability at threshold ``zeta``.
 
     Per-draw joint score: (no outage) * (p0 * false-alarm + p1 *
     missed-detection), with both gains taken from the same draw -- no
     independence between the decode and detection events is assumed.
     """
-    gains = simulate_gains(mc, geom)
     no_outage = ~_outage_flags(gains, cfg)
     false_alarm = cfg.sigma2_w >= zeta
     if false_alarm:
         # Detection is then certain under transmission (observed power
         # >= sigma2_w >= zeta), so only the false-alarm term survives.
         joint = int(np.count_nonzero(no_outage))
-        return _affine_estimate(0.0, cfg.p0, joint, mc.trials)
+        return _affine_estimate(0.0, cfg.p0, joint, gains.trials)
     missed = ~_detection_flags(gains, cfg, zeta)
     joint = int(np.count_nonzero(no_outage & missed))
-    return _affine_estimate(0.0, cfg.p1, joint, mc.trials)
+    return _affine_estimate(0.0, cfg.p1, joint, gains.trials)
 
 
 class EmpiricalCDF:

@@ -180,6 +180,20 @@ class TestCop:
         with pytest.raises(DomainError):
             cop(cfg, 1.5, 0.0, optimal_threshold(cfg))
 
+    @pytest.mark.parametrize("p0, p1", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.1)])
+    def test_collapse_under_deterministic_false_alarm(self, p0, p1):
+        # With p_fa = fa_probability(cfg, zeta), cop is p1 at or below the
+        # noise floor (where the warden never misses) and p0 + p1 * (1 - p_md)
+        # above it.
+        cfg = scenario(p0=p0, p1=p1)
+        for zeta in (0.5 * cfg.sigma2_w, cfg.sigma2_w):
+            assert math.isclose(cop(cfg, fa_probability(cfg, zeta), 0.0, zeta), cfg.p1,
+                                rel_tol=1e-12, abs_tol=1e-15)
+        zeta = optimal_threshold(cfg)
+        for p_md in np.linspace(0.0, 1.0, 11):
+            assert math.isclose(cop(cfg, fa_probability(cfg, zeta), float(p_md), zeta),
+                                cfg.p0 + cfg.p1 * (1.0 - p_md), rel_tol=1e-12, abs_tol=1e-15)
+
 
 class TestOutage:
     def test_zero_rate_is_exactly_zero(self, ref_corr, ref_geom):

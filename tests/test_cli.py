@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from friscov import (
     optimal_threshold,
     outage_probability,
     reduce,
+    simulate_gains,
 )
 from friscov.cli import (
     CSV_COLUMNS,
@@ -134,14 +136,14 @@ class TestRunSweep:
         scenario, geom, mc, spec, result = small_run
         corr_fit = gamma_moment_match(
             reduce(__import__("friscov").correlation_matrix(geom), default_fixed_preset(geom, mc.m_o)))
+        mc_fixed = dataclasses.replace(mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED)
+        gains = simulate_gains(mc_fixed, geom)
         for row, value in zip(result.rows, spec.values()):
             cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
             assert row["swept_value"] == value
             assert row["zeta"] == optimal_threshold(cfg)
             assert row["analytic_op"] == outage_probability(corr_fit, cfg)
-            mc_fixed = dataclasses.replace(mc, phase_mode=PhaseMode.STATIC,
-                                           selection_mode=SelectionMode.FIXED)
-            assert row["fixed_op"] == estimate_op(mc_fixed, cfg, geom).value
+            assert row["fixed_op"] == estimate_op(gains, cfg).value
 
     def test_probability_cells_in_unit_interval(self, small_run):
         *_, result = small_run
@@ -174,6 +176,17 @@ class TestRunSweep:
         spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=2, scale="linear")
         result = run_sweep(scenario, geom, mc, spec, modes=("fixed",))
         assert [row["swept_value"] for row in result.rows] == [16.0, 36.0]
+
+    def test_progress_reports_each_group(self, capsys):
+        # m_o = 4 pairs its RIS grid with the fluid surface's draws; m_o = 7
+        # needs a grid of its own, so the sweep runs two groups.
+        scenario, geom, mc, _ = load_config(None)
+        mc = dataclasses.replace(mc, trials=1_000)
+        spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2, scale="linear")
+        run_sweep(scenario, geom, mc, spec, modes=("fris", "ris"), progress=True)
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in lines] == ["[1/2]", "[2/2]"]
+        assert lines[0].endswith(f"3 Monte Carlo configs on the {geom.m_x}x{geom.m_z} surface done")
 
     def test_unknown_mode_rejected(self, small_run):
         scenario, geom, mc, spec, _ = small_run
@@ -265,6 +278,16 @@ class TestMain:
         assert (out_dir / "plot.svg").exists()
         assert len((out_dir / "sweep.csv").read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("start, stop, field", [(0, 16, "sweep.start"), (4, 200, "sweep.stop")])
+    def test_swept_m_o_out_of_range_is_a_config_error(self, tmp_path, capsys, start, stop, field):
+        cfg = write_config(tmp_path, f"sweep.variable = m_o\nsweep.start = {start}\nsweep.stop = {stop}\n")
+        with pytest.raises(ConfigError, match=field):
+            load_config(cfg)
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "scenario.p0 = 0.9\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
@@ -278,6 +301,22 @@ class TestMain:
                          "--workers", str(workers), "--out", str(out_dir)]) == 0
             outputs.append((out_dir / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    # sha256 of sweep.csv at seed 1 and 5,000 trials (one full block and
+    # a partial one).  The m_o sweep covers RIS points paired with the
+    # fluid surface's draws (4, 16) and unpaired grids (7, 10, 13).
+    @pytest.mark.parametrize("config, digest", [
+        ("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
+         "edc7ecf810c513b65a0cb6c017899a378078393379982c91a05871c367a35d1a"),
+        ("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
+         "scenario.p_a_dbm = -50\n",
+         "0cd8965abceb050aa26376a12a4963e1c552fec0220d5644fae43d84cc128f1d"),
+    ])
+    def test_golden_csv_bytes(self, tmp_path, config, digest):
+        cfg = write_config(tmp_path, config + "mc.trials = 5000\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert hashlib.sha256((out_dir / "sweep.csv").read_bytes()).hexdigest() == digest
 
     def test_validate_runs_and_reports(self, capsys):
         assert main(["validate", "--trials", "3000"]) == 0

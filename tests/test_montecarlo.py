@@ -25,12 +25,22 @@ from friscov import (
     reg_lower_incomplete_gamma,
     simulate_gains,
 )
-from friscov.montecarlo import mix64, wilson_interval
+from friscov.montecarlo import GainSample, mix64, simulate_group, wilson_interval
 
 
 def fixed_static(trials=20_000, seed=1, m_o=36, workers=1) -> MCConfig:
     return MCConfig(trials=trials, master_seed=seed, phase_mode=PhaseMode.STATIC,
                     selection_mode=SelectionMode.FIXED, m_o=m_o, workers=workers)
+
+
+@pytest.fixture(scope="module")
+def gains_5k(ref_geom) -> GainSample:
+    return simulate_gains(fixed_static(trials=5_000), ref_geom)
+
+
+@pytest.fixture(scope="module")
+def gains_200k(ref_geom) -> GainSample:
+    return simulate_gains(fixed_static(trials=200_000), ref_geom)
 
 
 class TestSubstreams:
@@ -92,66 +102,65 @@ class TestWilson:
 
 
 class TestEstimators:
-    def test_op_zero_rate_is_exactly_zero(self, ref_geom):
+    def test_op_zero_rate_is_exactly_zero(self, gains_5k):
         cfg = dataclasses.replace(ScenarioConfig(), r_b=0.0)
-        est = estimate_op(fixed_static(trials=5_000), cfg, ref_geom)
+        est = estimate_op(gains_5k, cfg)
         assert est.value == 0.0
 
-    def test_op_saturates_at_high_power(self, ref_geom):
+    def test_op_saturates_at_high_power(self, gains_5k):
         cfg = dataclasses.replace(ScenarioConfig(), p_a=1e3)
-        est = estimate_op(fixed_static(trials=5_000), cfg, ref_geom)
+        est = estimate_op(gains_5k, cfg)
         assert est.value == 0.0
 
-    def test_op_matches_analytic_at_reference_point(self, ref_geom, ref_corr):
+    def test_op_matches_analytic_at_reference_point(self, ref_geom, ref_corr, gains_200k):
         # both sides effectively saturate at 0 dBm transmit power
         cfg = ScenarioConfig()
         fit = gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
-        est = estimate_op(fixed_static(trials=200_000), cfg, ref_geom)
+        est = estimate_op(gains_200k, cfg)
         assert abs(est.value - outage_probability(fit, cfg)) <= 0.02
 
-    def test_cop_below_noise_floor_is_exactly_p1(self, ref_geom):
+    def test_cop_below_noise_floor_is_exactly_p1(self, gains_5k):
         cfg = ScenarioConfig()
-        est = estimate_cop(fixed_static(trials=5_000), cfg, ref_geom, cfg.sigma2_w)
+        est = estimate_cop(gains_5k, cfg, cfg.sigma2_w)
         assert est.value == cfg.p1
 
-    def test_cop_at_huge_threshold_is_exactly_p0(self, ref_geom):
+    def test_cop_at_huge_threshold_is_exactly_p0(self, gains_5k):
         cfg = ScenarioConfig()
-        est = estimate_cop(fixed_static(trials=5_000), cfg, ref_geom, 1.0)
+        est = estimate_cop(gains_5k, cfg, 1.0)
         assert est.value == cfg.p0
 
-    def test_cop_matches_analytic_at_reference_point(self, ref_geom, ref_corr):
+    def test_cop_matches_analytic_at_reference_point(self, ref_geom, ref_corr, gains_200k):
         from friscov import cop, fa_probability, md_probability
 
         cfg = dataclasses.replace(ScenarioConfig(), mu_offset=ScenarioConfig().sigma2_w)
         zeta = optimal_threshold(cfg)
         fit = gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
         analytic = cop(cfg, fa_probability(cfg, zeta), md_probability(fit, cfg, zeta), zeta)
-        est = estimate_cop(fixed_static(trials=200_000), cfg, ref_geom, zeta)
+        est = estimate_cop(gains_200k, cfg, zeta)
         assert abs(est.value - analytic) <= 0.02
 
-    def test_success_degenerate_corner(self, ref_geom):
+    def test_success_degenerate_corner(self, gains_5k):
         # zero rate and a threshold at the noise floor: the only error
         # the warden can make is the certain false alarm
         cfg = dataclasses.replace(ScenarioConfig(), r_b=0.0)
-        est = estimate_success(fixed_static(trials=5_000), cfg, ref_geom, cfg.sigma2_w)
+        est = estimate_success(gains_5k, cfg, cfg.sigma2_w)
         assert est.value == cfg.p0
 
-    def test_success_vanishes_at_power_extremes(self, ref_geom):
+    def test_success_vanishes_at_power_extremes(self, gains_5k):
         low = dataclasses.replace(ScenarioConfig(), p_a=1e-15)
         high = dataclasses.replace(ScenarioConfig(), p_a=1e3)
-        mc = fixed_static(trials=5_000)
         for cfg in (low, high):
             zeta = optimal_threshold(cfg)
-            assert estimate_success(mc, cfg, ref_geom, zeta).value <= 1e-3
+            assert estimate_success(gains_5k, cfg, zeta).value <= 1e-3
 
     def test_ci_brackets_and_range(self, ref_geom):
-        mc = fixed_static(trials=2_000)
+        gains = simulate_gains(fixed_static(trials=2_000), ref_geom)
         for dbm in (-50.0, -40.0, -30.0):
             cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm))
             zeta = optimal_threshold(cfg)
-            for est in (estimate_op(mc, cfg, ref_geom),
-                        estimate_cop(mc, cfg, ref_geom, zeta),
-                        estimate_success(mc, cfg, ref_geom, zeta)):
+            for est in (estimate_op(gains, cfg),
+                        estimate_cop(gains, cfg, zeta),
+                        estimate_success(gains, cfg, zeta)):
                 assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
                 assert est.trials == 2_000
 
@@ -160,11 +169,60 @@ class TestEstimators:
         zeta = optimal_threshold(cfg)
         values = []
         for workers in (1, 3):
-            mc = fixed_static(trials=30_000, seed=99, workers=workers)
-            values.append((estimate_op(mc, cfg, ref_geom).value,
-                           estimate_cop(mc, cfg, ref_geom, zeta).value,
-                           estimate_success(mc, cfg, ref_geom, zeta).value))
+            gains = simulate_gains(fixed_static(trials=30_000, seed=99, workers=workers), ref_geom)
+            values.append((estimate_op(gains, cfg).value,
+                           estimate_cop(gains, cfg, zeta).value,
+                           estimate_success(gains, cfg, zeta).value))
         assert values[0] == values[1]
+
+
+def group_configs(trials, m_os=(1, 2, 16, 144)) -> list[MCConfig]:
+    """Every selection and phase mode at each ``m_o``, plus the full grid."""
+    common = dict(trials=trials, master_seed=5)
+    configs = [
+        MCConfig(phase_mode=phase, selection_mode=selection, m_o=m_o, **common)
+        for m_o in m_os
+        for selection in (SelectionMode.BEST_PRODUCT, SelectionMode.FIXED)
+        for phase in (PhaseMode.COHERENT, PhaseMode.STATIC)
+    ]
+    return configs + [MCConfig(phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.RIS_FULL,
+                               m_o=144, **common)]
+
+
+class TestGroups:
+    def test_gains_do_not_depend_on_the_group(self, ref_geom):
+        # 4097 trials: one full block and a one-trial block, whose products
+        # take numpy's matrix-vector path.
+        configs = group_configs(trials=4_097)
+        alone = [simulate_gains(mc, ref_geom) for mc in configs]
+        fixed = [j for j, mc in enumerate(configs) if mc.selection_mode is SelectionMode.FIXED]
+        for workers in (1, 2):
+            members = [dataclasses.replace(mc, workers=workers) for mc in configs]
+            for picks in (range(len(configs)), fixed, fixed[::-1]):
+                group = [members[j] for j in picks]
+                for j, gains in zip(picks, simulate_group(group, ref_geom)):
+                    assert np.array_equal(gains.g_b, alone[j].g_b), configs[j]
+                    assert np.array_equal(gains.g_w, alone[j].g_w), configs[j]
+
+    def test_explicit_preset_matches_default_preset(self, ref_geom):
+        base = fixed_static(trials=3_000, m_o=16)
+        explicit = dataclasses.replace(base, fixed_preset=default_fixed_preset(ref_geom, 16))
+        default, given = simulate_group([base, explicit], ref_geom)
+        assert np.array_equal(default.g_b, given.g_b)
+        assert np.array_equal(default.g_w, given.g_w)
+
+    def test_empty_group(self, ref_geom):
+        assert simulate_group([], ref_geom) == []
+
+    @pytest.mark.parametrize("field, value", [("master_seed", 2), ("trials", 3_001)])
+    def test_members_must_share_seed_and_trials(self, ref_geom, field, value):
+        base = fixed_static(trials=3_000)
+        with pytest.raises(DomainError):
+            simulate_group([base, dataclasses.replace(base, **{field: value})], ref_geom)
+
+    def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
+        with pytest.raises(DomainError):
+            simulate_group([fixed_static(trials=10), fixed_static(trials=10, m_o=145)], ref_geom)
 
 
 class TestEmpiricalCDF:
