@@ -23,17 +23,7 @@ from .analytics import (
     success_probability,
     watt_to_dbm,
 )
-from .channel import (
-    ChannelDraw,
-    PhaseMode,
-    SelectionMode,
-    cascaded_gain,
-    draw_channel,
-    ris_baseline_draw,
-    sample_correlated_fading,
-    select_ports,
-    willie_gain,
-)
+from .channel import PhaseMode, SelectionMode
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -45,7 +35,6 @@ from .errors import (
 from .montecarlo import (
     EstimateWithCI,
     MCConfig,
-    empirical_cdf,
     estimate_cop,
     estimate_op,
     estimate_success,
@@ -71,11 +60,10 @@ __all__ = [
     "fa_probability", "gamma_cdf", "gamma_moment_match", "md_probability",
     "optimal_threshold", "outage_probability", "path_loss", "success_probability",
     "watt_to_dbm",
-    "ChannelDraw", "PhaseMode", "SelectionMode", "cascaded_gain", "draw_channel",
-    "ris_baseline_draw", "sample_correlated_fading", "select_ports", "willie_gain",
+    "PhaseMode", "SelectionMode",
     "ConfigError", "ConvergenceError", "DegenerateFitError", "DomainError",
     "FriscovError", "NotPSDError",
-    "EstimateWithCI", "MCConfig", "empirical_cdf", "estimate_cop", "estimate_op",
+    "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
     "estimate_success", "ks_distance", "simulate_gains", "simulate_group",
     "bessel_j0", "ln_gamma", "reg_lower_incomplete_gamma",
     "PortSelection", "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",

@@ -1,10 +1,10 @@
-"""Monte Carlo realization of the cascaded fading channel.
+"""Channel physics of the cascaded fading link, batched over trials.
 
-One draw consists of three i.i.d. circularly-symmetric complex normal
-vectors (transmitter-to-surface, surface-to-receiver,
-surface-to-warden), correlated through the surface's PSD square root,
-an active-port selection, a per-port phase configuration, and the
-resulting cascaded power gains toward the receiver and the warden.
+Arrays hold one column per trial: fading vectors are ``(ports, trials)``
+and gains ``(trials,)``.  A block is three correlated fading vectors
+per trial (:func:`correlated_fading`), an active-port selection, and
+the cascaded power gains toward the receiver and the warden
+(:func:`cascade`).
 
 Two phase modes are first-class:
 
@@ -20,26 +20,21 @@ Two phase modes are first-class:
 Selection modes: ``BEST_PRODUCT`` activates the ports with the largest
 per-port magnitude products toward the receiver (exact top-k -- under
 per-port coherent phasing the cascade magnitude is the sum of selected
-products, so top-k is globally optimal); ``FIXED`` uses a caller-supplied
-preset; ``RIS_FULL`` activates every port of a fixed-grid baseline
-surface.
+products, so top-k is globally optimal), read off the port ranking of
+:func:`best_product_order`; ``FIXED`` uses a preset; ``RIS_FULL``
+activates every port of a fixed-grid baseline surface
+(:func:`ris_grid_geometry`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .surface import (
-    PortSelection,
-    SurfaceGeometry,
-    correlation_matrix,
-    psd_sqrt,
-)
+from .surface import SurfaceGeometry
 
 
 class PhaseMode(enum.Enum):
@@ -53,161 +48,57 @@ class SelectionMode(enum.Enum):
     RIS_FULL = "ris_full"
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One Monte Carlo channel realization.
+def correlated_fading(
+    sqrt_corr: np.ndarray, rng: np.random.Generator, trials: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fading vectors ``(a, b, c)`` of one block, each ``(ports, trials)``.
 
-    ``h_af``, ``h_fb``, ``h_fw`` are the pre-correlation unit-variance
-    fading vectors; ``g_b`` / ``g_w`` are the cascaded power gains under
-    the draw's selection and phase configuration (shared between the
-    receiver and the warden).
+    Fixed draw layout: standard normals indexed [link, re/im, port,
+    trial], links ordered transmitter, receiver, warden side.  Each link
+    is ``sqrt_corr @ h`` with ``h`` i.i.d. circularly-symmetric complex
+    normal of unit variance, so its covariance is ``sqrt_corr @
+    sqrt_corr^H``.  The same generator state gives bit-identical vectors.
     """
-
-    h_af: np.ndarray
-    h_fb: np.ndarray
-    h_fw: np.ndarray
-    selection: PortSelection
-    g_b: float
-    g_w: float
-
-
-def _complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    z = rng.standard_normal((2, size))
-    return (z[0] + 1j * z[1]) / math.sqrt(2.0)
-
-
-def sample_correlated_fading(sqrt_corr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one spatially correlated fading vector.
-
-    Returns ``sqrt_corr @ h`` with ``h`` i.i.d. circularly-symmetric
-    complex normal of unit variance per entry (real/imaginary parts of
-    variance 1/2 each), so the sample covariance converges to the
-    correlation matrix whose PSD square root was supplied.
-    """
-    sqrt_corr = np.asarray(sqrt_corr)
     if sqrt_corr.ndim != 2 or sqrt_corr.shape[0] != sqrt_corr.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {sqrt_corr.shape}")
-    return sqrt_corr @ _complex_normal(rng, sqrt_corr.shape[0])
+    z = rng.standard_normal((3, 2, sqrt_corr.shape[0], trials))
+    scale = 1.0 / math.sqrt(2.0)
+    a, b, c = [sqrt_corr @ ((z[k, 0] + 1j * z[k, 1]) * scale) for k in range(3)]
+    return a, b, c
 
 
-def select_ports(
-    a: np.ndarray,
-    b: np.ndarray,
-    m_o: int,
-    mode: SelectionMode,
-    preset: PortSelection | None = None,
-) -> PortSelection:
-    """Choose the active ports for one draw.
+def best_product_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ports of each trial ranked by ``|a_i| * |b_i|``, largest first.
 
-    ``a`` is the correlated transmitter-side vector and ``b`` the
-    correlated receiver-side vector.  ``BEST_PRODUCT`` returns the
-    ``m_o`` indices with the largest ``|a_i| * |b_i|`` (ties broken by
-    lower index); ``FIXED`` returns the supplied preset; ``RIS_FULL``
-    returns every port.
+    Stable, so ties go to the lower index and the first ``m_o`` rows are
+    the ``m_o`` best ports of every trial, for every ``m_o`` at once.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DomainError(f"a and b must be 1-D vectors of equal length, got {a.shape} and {b.shape}")
-    total = a.shape[0]
-    if not 1 <= m_o <= total:
-        raise DomainError(f"m_o={m_o} out of range [1, {total}]")
-    if mode is SelectionMode.BEST_PRODUCT:
-        products = np.abs(a) * np.abs(b)
-        order = np.argsort(-products, kind="stable")[:m_o]
-        return PortSelection(tuple(int(k) for k in np.sort(order)))
-    if mode is SelectionMode.FIXED:
-        if preset is None:
-            raise DomainError("FIXED selection requires a preset")
-        if preset.size != m_o:
-            raise DomainError(f"preset has {preset.size} ports, expected m_o={m_o}")
-        if preset.indices[-1] >= total:
-            raise DomainError(f"preset index {preset.indices[-1]} out of range for {total} ports")
-        return preset
-    if mode is SelectionMode.RIS_FULL:
-        if m_o != total:
-            raise DomainError(f"RIS_FULL activates all {total} ports; got m_o={m_o}")
-        return PortSelection.all_ports(total)
-    raise DomainError(f"unknown selection mode {mode!r}")
+    return np.argsort(-(np.abs(a) * np.abs(b)), axis=0, kind="stable")
 
 
-def _selected_products(a: np.ndarray, u: np.ndarray, sel: PortSelection) -> np.ndarray:
-    a = np.asarray(a)
-    u = np.asarray(u)
-    if a.shape != u.shape or a.ndim != 1:
-        raise DomainError(f"vectors must be 1-D of equal length, got {a.shape} and {u.shape}")
-    if sel.indices[-1] >= a.shape[0]:
-        raise DomainError(f"selection index {sel.indices[-1]} out of range for {a.shape[0]} ports")
-    idx = sel.as_array()
-    return np.conj(u[idx]) * a[idx]
+def cascade(
+    phase_mode: PhaseMode, a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gains ``(g_b, g_w)`` over the selected rows ``a``, ``b``, ``c`` of each trial.
 
-
-def cascaded_gain(a: np.ndarray, b: np.ndarray, sel: PortSelection, mode: PhaseMode) -> float:
-    """Cascaded power gain toward the receiver for one draw.
-
-    STATIC: ``|sum_i conj(b_i) a_i|**2``.  COHERENT: per-port phases
-    ``-arg(conj(b_i) a_i)`` align every selected term, giving
-    ``(sum_i |b_i| |a_i|)**2`` -- never smaller than STATIC by the
-    triangle inequality.
+    STATIC sums ``conj(u_i) a_i`` as is.  COHERENT applies the phases
+    ``-arg(conj(b_i) a_i)`` that align every receiver term -- so ``g_b``
+    is never smaller than under STATIC -- and the warden sees the same
+    phases.
     """
-    terms = _selected_products(a, b, sel)
-    if mode is PhaseMode.COHERENT:
-        return float(np.sum(np.abs(terms)) ** 2)
-    if mode is PhaseMode.STATIC:
-        return float(np.abs(np.sum(terms)) ** 2)
-    raise DomainError(f"unknown phase mode {mode!r}")
-
-
-def bob_phases(a: np.ndarray, b: np.ndarray, sel: PortSelection, mode: PhaseMode) -> np.ndarray:
-    """Per-selected-port phases applied by the receiver-serving surface."""
-    terms = _selected_products(a, b, sel)
-    if mode is PhaseMode.COHERENT:
-        return -np.angle(terms)
-    if mode is PhaseMode.STATIC:
-        return np.zeros(terms.shape[0])
-    raise DomainError(f"unknown phase mode {mode!r}")
-
-
-def willie_gain(a: np.ndarray, c: np.ndarray, sel: PortSelection, phases: np.ndarray) -> float:
-    """Cascaded power gain toward the warden under the receiver's configuration.
-
-    ``c`` is the correlated warden-side vector; ``phases`` are the
-    per-selected-port phases produced for the same draw's receiver
-    cascade.  The warden sees ``|sum_i exp(j phi_i) conj(c_i) a_i|**2``.
-    """
-    phases = np.asarray(phases, dtype=float)
-    terms = _selected_products(a, c, sel)
-    if phases.shape != terms.shape:
-        raise DomainError(f"got {phases.shape[0] if phases.ndim else 0} phases for {sel.size} selected ports")
-    return float(np.abs(np.sum(np.exp(1j * phases) * terms)) ** 2)
-
-
-def draw_channel(
-    sqrt_corr: np.ndarray,
-    m_o: int,
-    phase_mode: PhaseMode,
-    selection_mode: SelectionMode,
-    rng: np.random.Generator,
-    preset: PortSelection | None = None,
-) -> ChannelDraw:
-    """Generate one full channel realization.
-
-    The three fading vectors are drawn in a fixed order (transmitter
-    side, receiver side, warden side), so an identical generator state
-    yields a bit-identical draw.
-    """
-    sqrt_corr = np.asarray(sqrt_corr)
-    size = sqrt_corr.shape[0]
-    h_af = _complex_normal(rng, size)
-    h_fb = _complex_normal(rng, size)
-    h_fw = _complex_normal(rng, size)
-    a = sqrt_corr @ h_af
-    b = sqrt_corr @ h_fb
-    c = sqrt_corr @ h_fw
-    sel = select_ports(a, b, m_o, selection_mode, preset)
-    g_b = cascaded_gain(a, b, sel, phase_mode)
-    g_w = willie_gain(a, c, sel, bob_phases(a, b, sel, phase_mode))
-    return ChannelDraw(h_af=h_af, h_fb=h_fb, h_fw=h_fw, selection=sel, g_b=g_b, g_w=g_w)
+    if not a.shape == b.shape == c.shape:
+        raise DomainError(f"selected vectors must share a shape, got {a.shape}, {b.shape}, {c.shape}")
+    terms_b = np.conj(b) * a
+    terms_w = np.conj(c) * a
+    if phase_mode is PhaseMode.COHERENT:
+        g_b = np.abs(terms_b).sum(axis=0) ** 2
+        g_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
+    elif phase_mode is PhaseMode.STATIC:
+        g_b = np.abs(terms_b.sum(axis=0)) ** 2
+        g_w = np.abs(terms_w.sum(axis=0)) ** 2
+    else:
+        raise DomainError(f"unknown phase mode {phase_mode!r}")
+    return g_b, g_w
 
 
 def ris_grid_geometry(geom: SurfaceGeometry, m_hat: int) -> SurfaceGeometry:
@@ -231,30 +122,3 @@ def ris_grid_geometry(geom: SurfaceGeometry, m_hat: int) -> SurfaceGeometry:
             best = (penalty, gx, gz)
     _, gx, gz = best
     return SurfaceGeometry(m_x=gx, m_z=gz, w_x=geom.w_x, w_z=geom.w_z, wavelength=geom.wavelength)
-
-
-def ris_baseline_draw(
-    geom: SurfaceGeometry,
-    m_hat: int,
-    rng: np.random.Generator,
-    density_cap: int | None = None,
-) -> ChannelDraw:
-    """One draw of the fixed-grid baseline: all ports active, coherent phases.
-
-    The baseline surface spans the same aperture as ``geom`` with
-    ``m_hat`` uniformly spaced elements and its own correlation matrix.
-    ``density_cap`` (default: the reference surface's port count)
-    bounds ``m_hat``.
-    """
-    cap = geom.num_elements if density_cap is None else density_cap
-    if m_hat > cap:
-        raise DomainError(f"m_hat={m_hat} exceeds the density cap {cap}")
-    ris_geom = ris_grid_geometry(geom, m_hat)
-    sqrt_corr = psd_sqrt(correlation_matrix(ris_geom))
-    return draw_channel(
-        sqrt_corr,
-        m_o=m_hat,
-        phase_mode=PhaseMode.COHERENT,
-        selection_mode=SelectionMode.RIS_FULL,
-        rng=rng,
-    )

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, montecarlo
-from .analytics import ScenarioConfig, dbm_to_watt
-from .channel import PhaseMode, SelectionMode
+from .analytics import GammaFit, ScenarioConfig, dbm_to_watt
+from .channel import PhaseMode, SelectionMode, ris_grid_geometry
 from .errors import ConfigError, DomainError, FriscovError
 from .montecarlo import MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, reduce
@@ -237,7 +237,6 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             selection_mode=SelectionMode.FIXED,
             workers=resolved["mc.workers"],
             m_o=m_o,
-            ris_m_hat=ris_m_hat,
         )
     except DomainError as exc:
         raise ConfigError(str(exc), field="mc") from exc
@@ -292,8 +291,6 @@ def _mode_config(
                 base, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.FIXED,
                 m_o=m_hat, fixed_preset=preset,
             ), geom
-        from .channel import ris_grid_geometry
-
         ris_geom = ris_grid_geometry(geom, m_hat)
         return dataclasses.replace(
             base, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.RIS_FULL,
@@ -309,6 +306,20 @@ def _point_scenario(scenario: ScenarioConfig, spec: SweepSpec, value: float) -> 
     if spec.variable == "mu_factor":
         return dataclasses.replace(scenario, mu_offset=value * scenario.sigma2_w), -1
     return scenario, int(round(value))
+
+
+def _analytic_cells(cfg: ScenarioConfig, fit: GammaFit) -> dict[str, float]:
+    """The closed-form cells of one sweep point: ``zeta`` and every ``analytic_*`` column."""
+    zeta = analytics.optimal_threshold(cfg)
+    p_fa = analytics.fa_probability(cfg, zeta)
+    p_md = analytics.md_probability(fit, cfg, zeta)
+    a_op = analytics.outage_probability(fit, cfg)
+    a_xi = analytics.error_probability_xi(cfg, p_fa, p_md)
+    return dict(
+        zeta=zeta, analytic_pfa=p_fa, analytic_pmd=p_md, analytic_op=a_op,
+        analytic_cop=analytics.cop(cfg, p_fa, p_md, zeta), analytic_xi=a_xi,
+        analytic_psuc=analytics.success_probability(cfg, a_op, a_xi),
+    )
 
 
 def run_sweep(
@@ -356,19 +367,9 @@ def run_sweep(
     rows: list[dict[str, float | None]] = []
     for value, cfg, m_o, configs in points:
         fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
-        zeta = analytics.optimal_threshold(cfg)
-        p_fa = analytics.fa_probability(cfg, zeta)
-        p_md = analytics.md_probability(fit, cfg, zeta)
-        a_op = analytics.outage_probability(fit, cfg)
-        a_cop = analytics.cop(cfg, p_fa, p_md, zeta)
-        a_xi = analytics.error_probability_xi(cfg, p_fa, p_md)
-        a_psuc = analytics.success_probability(cfg, a_op, a_xi)
         row: dict[str, float | None] = {name: None for name in CSV_COLUMNS}
-        row.update(
-            swept_value=value, zeta=zeta,
-            analytic_pfa=p_fa, analytic_pmd=p_md, analytic_op=a_op,
-            analytic_cop=a_cop, analytic_xi=a_xi, analytic_psuc=a_psuc,
-        )
+        row.update(swept_value=value, **_analytic_cells(cfg, fit))
+        zeta = row["zeta"]
         for mode, key in configs.items():
             sample = gains[key]
             op = estimate_op(sample, cfg)
@@ -505,15 +506,9 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     Every config the gates need runs as one group on ``geom``.
     """
     gate_m_os = [m_o for m_o in (16, 36) if m_o <= geom.num_elements]
-    mc_gate = {
-        m_o: dataclasses.replace(
-            mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED,
-            m_o=m_o, fixed_preset=None,
-        )
-        for m_o in gate_m_os
-    }
-    mc_fixed = dataclasses.replace(mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED)
-    mc_best = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.BEST_PRODUCT)
+    mc_gate = {m_o: _mode_config(mc, "fixed", geom, m_o, 0)[0] for m_o in gate_m_os}
+    mc_fixed = _mode_config(mc, "fixed", geom, mc.m_o, 0)[0]
+    mc_best = _mode_config(mc, "fris", geom, mc.m_o, 0)[0]
     mc_lattice = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.FIXED)
     configs = list(dict.fromkeys([*mc_gate.values(), mc_fixed, mc_best, mc_lattice]))
     gains_of = dict(zip(configs, simulate_group(configs, geom)))
@@ -533,15 +528,11 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     gaps = {"op": 0.0, "cop": 0.0, "psuc": 0.0}
     for value in spec.values():
         cfg, _ = _point_scenario(scenario, spec, value)
-        zeta = analytics.optimal_threshold(cfg)
-        p_fa = analytics.fa_probability(cfg, zeta)
-        p_md = analytics.md_probability(fit, cfg, zeta)
-        a_op = analytics.outage_probability(fit, cfg)
-        a_cop = analytics.cop(cfg, p_fa, p_md, zeta)
-        a_psuc = analytics.success_probability(cfg, a_op, analytics.error_probability_xi(cfg, p_fa, p_md))
-        gaps["op"] = max(gaps["op"], abs(a_op - estimate_op(fixed, cfg).value))
-        gaps["cop"] = max(gaps["cop"], abs(a_cop - estimate_cop(fixed, cfg, zeta).value))
-        gaps["psuc"] = max(gaps["psuc"], abs(a_psuc - estimate_success(fixed, cfg, zeta).value))
+        cells = _analytic_cells(cfg, fit)
+        zeta = cells["zeta"]
+        gaps["op"] = max(gaps["op"], abs(cells["analytic_op"] - estimate_op(fixed, cfg).value))
+        gaps["cop"] = max(gaps["cop"], abs(cells["analytic_cop"] - estimate_cop(fixed, cfg, zeta).value))
+        gaps["psuc"] = max(gaps["psuc"], abs(cells["analytic_psuc"] - estimate_success(fixed, cfg, zeta).value))
     _gate("max |analytic - empirical| outage over sweep", gaps["op"], 0.02, gaps["op"] <= 0.02)
     _gate("max |analytic - empirical| covertness outage over sweep", gaps["cop"], 0.02, gaps["cop"] <= 0.02)
     _gate("max |analytic - empirical| success over sweep", gaps["psuc"], 0.02, gaps["psuc"] <= 0.02)
@@ -552,7 +543,7 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     _gate("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0)
     print("note: the KS and curve-agreement gates quantify the accuracy limit of the "
           "Gamma moment match (it pins the mean, not the shape, of the simulated "
-          "two-hop gain); see README for the analysis.")
+          "two-hop gain).")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -610,7 +601,7 @@ def main(argv=None) -> int:
         modes = _MODES if args.mode == "all" else (args.mode,)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        result = run_sweep(scenario, geom, mc, spec, modes=modes, ris_m_hat=mc.ris_m_hat, progress=True)
+        result = run_sweep(scenario, geom, mc, spec, modes=modes, ris_m_hat=resolved["ris.m_hat"], progress=True)
         emit_csv(result, out_dir / "sweep.csv")
         if args.plot:
             emit_plot(result, out_dir / "plot.svg", log_y=args.log_y)

@@ -1,15 +1,18 @@
 """Trial orchestration and statistical estimation.
 
+The channel physics lives in :mod:`friscov.channel`; this module runs
+its blocks for groups of configs and turns the gains into estimates.
+
 Trials are generated in fixed-size blocks of ``BLOCK_TRIALS`` draws.
 Block ``k`` uses an independent substream whose 64-bit seed is
 ``mix64(master_seed, k)`` (a splitmix64-style finalizer, documented at
-:func:`mix64`); inside a block the fading vectors are drawn in a fixed
-layout and order.  A trial's randomness therefore depends only on the
-master seed and its trial index -- never on the worker pool -- and
-results are reduced in block order, so identical ``(master_seed,
-trials, configs)`` produce bit-identical estimates regardless of worker
-count.  Blocks are dispatched to a thread pool; the heavy lifting is
-BLAS matrix multiplication, which releases the GIL.
+:func:`mix64`), drawn in the fixed layout of the channel module.  A
+trial's randomness therefore depends only on the master seed and its
+trial index -- never on the worker pool -- and results are reduced in
+block order, so identical ``(master_seed, trials, configs)`` produce
+bit-identical estimates regardless of worker count.  Blocks are
+dispatched to a thread pool; the heavy lifting is BLAS matrix
+multiplication, which releases the GIL.
 
 Configs that share ``(master_seed, trials)`` and a surface form a
 group (:func:`simulate_group`): each block is drawn and correlated once
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import ScenarioConfig, GammaFit, gamma_cdf
-from .channel import PhaseMode, SelectionMode
+from .channel import PhaseMode, SelectionMode, best_product_order, cascade, correlated_fading
 from .errors import DomainError
 from .surface import (
     PortSelection,
@@ -73,8 +76,7 @@ class MCConfig:
 
     ``m_o`` is the number of active ports per draw; ``fixed_preset``
     (used by FIXED selection) defaults to the surface's uniform
-    sublattice preset when left as None.  ``ris_m_hat`` is the
-    fixed-grid baseline's element count (0 follows ``m_o``).
+    sublattice preset when left as None.
     """
 
     trials: int
@@ -84,7 +86,6 @@ class MCConfig:
     workers: int = 1
     m_o: int = 36
     fixed_preset: PortSelection | None = None
-    ris_m_hat: int = 0
 
     def __post_init__(self):
         if not (isinstance(self.trials, int) and self.trials >= 1):
@@ -95,8 +96,6 @@ class MCConfig:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
         if not (isinstance(self.m_o, int) and self.m_o >= 1):
             raise DomainError(f"m_o must be a positive integer, got {self.m_o!r}")
-        if not (isinstance(self.ris_m_hat, int) and self.ris_m_hat >= 0):
-            raise DomainError(f"ris_m_hat must be a non-negative integer, got {self.ris_m_hat!r}")
 
 
 @dataclass(frozen=True)
@@ -144,20 +143,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _cascade(phase_mode: PhaseMode, a_sel, b_sel, c_sel) -> tuple[np.ndarray, np.ndarray]:
-    terms_b = np.conj(b_sel) * a_sel
-    terms_w = np.conj(c_sel) * a_sel
-    if phase_mode is PhaseMode.COHERENT:
-        g_b = np.abs(terms_b).sum(axis=0) ** 2
-        g_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
-    elif phase_mode is PhaseMode.STATIC:
-        g_b = np.abs(terms_b.sum(axis=0)) ** 2
-        g_w = np.abs(terms_w.sum(axis=0)) ** 2
-    else:
-        raise DomainError(f"unknown phase mode {phase_mode!r}")
-    return g_b, g_w
-
-
 def _block_gains(
     sqrt_corr: np.ndarray,
     members: list[tuple[MCConfig, np.ndarray | None]],
@@ -165,30 +150,21 @@ def _block_gains(
     block_index: int,
     block_trials: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    size = sqrt_corr.shape[0]
     rng = np.random.default_rng(mix64(master_seed, block_index))
-    # Fixed draw layout: [link, re/im, port, trial] with links ordered
-    # transmitter side, receiver side, warden side.
-    z = rng.standard_normal((3, 2, size, block_trials))
-    scale = 1.0 / math.sqrt(2.0)
-    a, b, c = [sqrt_corr @ ((z[k, 0] + 1j * z[k, 1]) * scale) for k in range(3)]
-    del z
-
+    a, b, c = correlated_fading(sqrt_corr, rng, block_trials)
     order = None
     gains = []
-    for mc, preset in members:
+    for mc, rows in members:
         if mc.selection_mode is SelectionMode.BEST_PRODUCT:
             if order is None:
-                # One stable sort serves every m_o: its first m_o rows
-                # are the m_o best ports in the order a sort would give.
-                order = np.argsort(-(np.abs(a) * np.abs(b)), axis=0, kind="stable")
+                order = best_product_order(a, b)
             top = order[: mc.m_o]
             sel = [np.take_along_axis(v, top, axis=0) for v in (a, b, c)]
-        elif preset is not None:
-            sel = [a[preset], b[preset], c[preset]]
+        elif rows is not None:
+            sel = [a[rows], b[rows], c[rows]]
         else:
             sel = [a, b, c]
-        gains.append(_cascade(mc.phase_mode, *sel))
+        gains.append(cascade(mc.phase_mode, *sel))
     return gains
 
 
@@ -204,9 +180,13 @@ def _group_members(mcs: list[MCConfig], geom: SurfaceGeometry) -> list[tuple[MCC
         rows = None
         if mc.selection_mode is SelectionMode.FIXED:
             preset = mc.fixed_preset if mc.fixed_preset is not None else default_fixed_preset(geom, mc.m_o)
+            if preset.size != mc.m_o:
+                raise DomainError(f"preset has {preset.size} ports, expected m_o={mc.m_o}")
             if preset.indices[-1] >= total:
                 raise DomainError(f"preset index {preset.indices[-1]} out of range for {total} ports")
             rows = preset.as_array()
+        elif mc.selection_mode is SelectionMode.RIS_FULL and mc.m_o != total:
+            raise DomainError(f"RIS_FULL activates all {total} ports; got m_o={mc.m_o}")
         members.append((mc, rows))
     return members
 
@@ -327,29 +307,6 @@ def estimate_success(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> Est
     missed = ~_detection_flags(gains, cfg, zeta)
     joint = int(np.count_nonzero(no_outage & missed))
     return _affine_estimate(0.0, cfg.p1, joint, gains.trials)
-
-
-class EmpiricalCDF:
-    """Right-continuous empirical CDF of a sample."""
-
-    def __init__(self, samples):
-        data = np.asarray(samples, dtype=float).ravel()
-        if data.size == 0:
-            raise DomainError("empirical CDF requires a non-empty sample")
-        self._sorted = np.sort(data)
-
-    @property
-    def size(self) -> int:
-        return int(self._sorted.size)
-
-    def __call__(self, x):
-        ranks = np.searchsorted(self._sorted, x, side="right")
-        return ranks / self._sorted.size
-
-
-def empirical_cdf(samples) -> EmpiricalCDF:
-    """Build the right-continuous empirical CDF of a non-empty sample."""
-    return EmpiricalCDF(samples)
 
 
 def ks_distance(samples, fit: GammaFit) -> float:

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,155 +10,170 @@ from friscov import (
     PortSelection,
     SelectionMode,
     SurfaceGeometry,
-    cascaded_gain,
     correlation_matrix,
     default_fixed_preset,
-    draw_channel,
     psd_sqrt,
     reduce,
-    ris_baseline_draw,
-    sample_correlated_fading,
-    select_ports,
     simulate_gains,
-    willie_gain,
 )
-from friscov.channel import bob_phases, ris_grid_geometry
+from friscov.channel import best_product_order, cascade, correlated_fading, ris_grid_geometry
+from friscov.montecarlo import mix64
+
+# Six ports, small enough to check a config's rows by hand.
+SMALL = SurfaceGeometry(3, 2, 1.0, 1.0, 0.125)
+
+
+def col(*values) -> np.ndarray:
+    """One trial: a ``(ports, 1)`` complex column."""
+    return np.array(values, dtype=complex)[:, None]
+
+
+def top(a: np.ndarray, b: np.ndarray, m_o: int) -> tuple[int, ...]:
+    """Sorted indices of the ``m_o`` best ports of the first trial."""
+    return tuple(sorted(best_product_order(a, b)[:m_o, 0].tolist()))
+
+
+def random_block(seed: int, ports: int, trials: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((ports, trials)) + 1j * rng.standard_normal((ports, trials)) for _ in range(3)]
+
+
+def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> tuple[np.ndarray, ...]:
+    """The fading vectors ``simulate_gains`` draws for its first block."""
+    rng = np.random.default_rng(mix64(master_seed, 0))
+    return correlated_fading(psd_sqrt(correlation_matrix(geom)), rng, trials)
 
 
 class TestSampleCorrelatedFading:
     def test_identity_covariance(self):
-        rng = np.random.default_rng(42)
         n, dim = 50_000, 8
-        draws = np.array([sample_correlated_fading(np.eye(dim), rng) for _ in range(n)])
-        cov = draws.T.conj() @ draws / n
-        assert np.max(np.abs(cov - np.eye(dim))) <= 0.05
+        for v in correlated_fading(np.eye(dim), np.random.default_rng(42), n):
+            cov = v @ v.conj().T / n
+            assert np.max(np.abs(cov - np.eye(dim))) <= 0.05
 
     def test_general_covariance(self):
         geom = SurfaceGeometry(6, 6, 1.0, 1.0, 0.125)
         corr = correlation_matrix(geom)
-        root = psd_sqrt(corr)
-        rng = np.random.default_rng(43)
         n = 50_000
-        draws = np.array([sample_correlated_fading(root, rng) for _ in range(n)])
-        cov = draws.T.conj() @ draws / n
-        assert np.linalg.norm(cov - corr) <= 0.05 * corr.shape[0]
+        for v in correlated_fading(psd_sqrt(corr), np.random.default_rng(43), n):
+            cov = v @ v.conj().T / n
+            assert np.linalg.norm(cov - corr) <= 0.05 * corr.shape[0]
 
     def test_zero_mean(self):
-        rng = np.random.default_rng(44)
-        draws = np.array([sample_correlated_fading(np.eye(4), rng) for _ in range(100_000)])
-        assert np.max(np.abs(draws.mean(axis=0))) <= 0.02
+        for v in correlated_fading(np.eye(4), np.random.default_rng(44), 100_000):
+            assert np.max(np.abs(v.mean(axis=1))) <= 0.02
 
     def test_dimension_validation(self):
         with pytest.raises(DomainError):
-            sample_correlated_fading(np.ones((3, 2)), np.random.default_rng(0))
+            correlated_fading(np.ones((3, 2)), np.random.default_rng(0), 1)
 
 
 class TestSelectPorts:
     def test_all_ports_when_m_o_equals_size(self):
-        a = np.ones(5, dtype=complex)
-        sel = select_ports(a, a, 5, SelectionMode.BEST_PRODUCT)
-        assert sel.indices == (0, 1, 2, 3, 4)
+        a = col(1, 1, 1, 1, 1)
+        assert top(a, a, 5) == (0, 1, 2, 3, 4)
 
     def test_single_port_argmax(self):
-        a = np.array([1.0, 3.0, 2.0], dtype=complex)
-        b = np.array([1.0, 1.0, 2.0], dtype=complex)
-        assert select_ports(a, b, 1, SelectionMode.BEST_PRODUCT).indices == (2,)
+        # two trials ranked independently: products (1, 3, 4) and (4, 3, 1)
+        a = np.array([[1.0, 2.0], [3.0, 3.0], [2.0, 1.0]], dtype=complex)
+        b = np.array([[1.0, 2.0], [1.0, 1.0], [2.0, 1.0]], dtype=complex)
+        assert best_product_order(a, b)[0].tolist() == [2, 0]
 
     def test_top_two_by_product(self):
         # |a| = (1, 3, 2), |b| = (1, 1, 2): products (1, 3, 4)
-        a = np.array([1.0, 3.0j, -2.0], dtype=complex)
-        b = np.array([-1.0, 1.0, 2.0j], dtype=complex)
-        assert select_ports(a, b, 2, SelectionMode.BEST_PRODUCT).indices == (1, 2)
+        a = col(1.0, 3.0j, -2.0)
+        b = col(-1.0, 1.0, 2.0j)
+        assert top(a, b, 2) == (1, 2)
 
     def test_ties_break_toward_lower_index(self):
-        a = np.ones(4, dtype=complex)
-        assert select_ports(a, a, 2, SelectionMode.BEST_PRODUCT).indices == (0, 1)
+        a = col(1, 1, 1, 1)
+        assert top(a, a, 2) == (0, 1)
+        assert best_product_order(a, a)[:, 0].tolist() == [0, 1, 2, 3]
 
     def test_fixed_passthrough_and_validation(self):
-        a = np.ones(6, dtype=complex)
         preset = PortSelection((1, 4))
-        assert select_ports(a, a, 2, SelectionMode.FIXED, preset) is preset
-        with pytest.raises(DomainError):
-            select_ports(a, a, 3, SelectionMode.FIXED, preset)
-        with pytest.raises(DomainError):
-            select_ports(a, a, 2, SelectionMode.FIXED, None)
+        mc = MCConfig(trials=50, master_seed=4, phase_mode=PhaseMode.STATIC,
+                      selection_mode=SelectionMode.FIXED, m_o=2, fixed_preset=preset)
+        a, b, c = first_block(SMALL, 4, 50)
+        rows = preset.as_array()
+        g_b, g_w = cascade(PhaseMode.STATIC, a[rows], b[rows], c[rows])
+        gains = simulate_gains(mc, SMALL)
+        assert np.array_equal(gains.g_b, g_b)
+        assert np.array_equal(gains.g_w, g_w)
+        with pytest.raises(DomainError, match="preset has 2 ports"):
+            simulate_gains(dataclasses.replace(mc, m_o=3), SMALL)
 
     def test_m_o_out_of_range(self):
-        a = np.ones(3, dtype=complex)
+        mc = MCConfig(trials=10, master_seed=1, phase_mode=PhaseMode.COHERENT,
+                      selection_mode=SelectionMode.BEST_PRODUCT, m_o=7)
         with pytest.raises(DomainError):
-            select_ports(a, a, 4, SelectionMode.BEST_PRODUCT)
+            simulate_gains(mc, SMALL)
 
     def test_ris_full_requires_all(self):
-        a = np.ones(3, dtype=complex)
-        assert select_ports(a, a, 3, SelectionMode.RIS_FULL).indices == (0, 1, 2)
-        with pytest.raises(DomainError):
-            select_ports(a, a, 2, SelectionMode.RIS_FULL)
+        mc = MCConfig(trials=50, master_seed=6, phase_mode=PhaseMode.COHERENT,
+                      selection_mode=SelectionMode.RIS_FULL, m_o=6)
+        g_b, g_w = cascade(PhaseMode.COHERENT, *first_block(SMALL, 6, 50))
+        gains = simulate_gains(mc, SMALL)
+        assert np.array_equal(gains.g_b, g_b)
+        assert np.array_equal(gains.g_w, g_w)
+        with pytest.raises(DomainError, match="RIS_FULL activates all 6 ports"):
+            simulate_gains(dataclasses.replace(mc, m_o=2), SMALL)
 
 
 class TestCascadedGain:
     def test_single_port(self):
-        a = np.array([2.0 + 1.0j, 0.5], dtype=complex)
-        b = np.array([1.0 - 3.0j, 0.5], dtype=complex)
-        sel = PortSelection((0,))
-        expected = abs(a[0]) ** 2 * abs(b[0]) ** 2
-        assert cascaded_gain(a, b, sel, PhaseMode.STATIC) == pytest.approx(expected, rel=1e-12)
-        assert cascaded_gain(a, b, sel, PhaseMode.COHERENT) == pytest.approx(expected, rel=1e-12)
+        a = col(2.0 + 1.0j)
+        b = col(1.0 - 3.0j)
+        expected = abs(a[0, 0]) ** 2 * abs(b[0, 0]) ** 2
+        for mode in PhaseMode:
+            assert cascade(mode, a, b, b)[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_two_port_hand_case(self):
-        a = np.array([1.0, 1.0j])
-        b = np.array([1.0, 1.0])
-        sel = PortSelection((0, 1))
-        assert cascaded_gain(a, b, sel, PhaseMode.STATIC) == pytest.approx(2.0, rel=1e-12)
-        assert cascaded_gain(a, b, sel, PhaseMode.COHERENT) == pytest.approx(4.0, rel=1e-12)
+        a = col(1.0, 1.0j)
+        b = col(1.0, 1.0)
+        assert cascade(PhaseMode.STATIC, a, b, b)[0][0] == pytest.approx(2.0, rel=1e-12)
+        assert cascade(PhaseMode.COHERENT, a, b, b)[0][0] == pytest.approx(4.0, rel=1e-12)
 
     def test_coherent_dominates_static(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            dim = int(rng.integers(1, 12))
-            a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            sel = PortSelection(tuple(range(dim)))
-            coherent = cascaded_gain(a, b, sel, PhaseMode.COHERENT)
-            static = cascaded_gain(a, b, sel, PhaseMode.STATIC)
-            assert coherent >= static - 1e-12 * max(coherent, 1.0)
+        for dim in range(1, 12):
+            a, b, c = random_block(9 + dim, dim, 200)
+            coherent = cascade(PhaseMode.COHERENT, a, b, c)[0]
+            static = cascade(PhaseMode.STATIC, a, b, c)[0]
+            assert np.all(coherent >= static - 1e-12 * np.maximum(coherent, 1.0))
 
     def test_global_phase_rotation_invariance(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        sel = PortSelection((0, 2, 5))
+        a, b, c = (v[[0, 2, 5]] for v in random_block(10, 6, 50))
         for mode in PhaseMode:
-            base = cascaded_gain(a, b, sel, mode)
-            rotated = cascaded_gain(np.exp(0.73j) * a, b, sel, mode)
-            assert rotated == pytest.approx(base, rel=1e-12)
+            for base, rotated in zip(cascade(mode, a, b, c), cascade(mode, np.exp(0.73j) * a, b, c)):
+                assert rotated == pytest.approx(base, rel=1e-12)
 
     def test_selection_out_of_range(self):
-        a = np.ones(3, dtype=complex)
+        mc = MCConfig(trials=10, master_seed=1, phase_mode=PhaseMode.STATIC,
+                      selection_mode=SelectionMode.FIXED, m_o=2, fixed_preset=PortSelection((0, 6)))
         with pytest.raises(DomainError):
-            cascaded_gain(a, a, PortSelection((0, 3)), PhaseMode.STATIC)
+            simulate_gains(mc, SMALL)
 
 
 class TestWillieGain:
     def test_zero_phases_reduce_to_static(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        sel = PortSelection((1, 3, 4, 7))
-        assert willie_gain(a, c, sel, np.zeros(4)) == pytest.approx(
-            cascaded_gain(a, c, sel, PhaseMode.STATIC), rel=1e-12)
+        # under STATIC the warden's gain is the receiver formula with c for b
+        a, b, c = (v[[1, 3, 4, 7]] for v in random_block(12, 8, 20))
+        assert cascade(PhaseMode.STATIC, a, b, c)[1] == pytest.approx(
+            cascade(PhaseMode.STATIC, a, c, c)[0], rel=1e-12)
 
     def test_single_port_phase_invariant(self):
-        a = np.array([1.5 - 0.5j, 1.0])
-        c = np.array([0.2 + 2.0j, 1.0])
-        sel = PortSelection((0,))
-        expected = abs(a[0]) ** 2 * abs(c[0]) ** 2
+        a = col(1.5 - 0.5j)
+        c = col(0.2 + 2.0j)
+        expected = abs(a[0, 0]) ** 2 * abs(c[0, 0]) ** 2
         for phase in (0.0, 1.0, -2.5):
-            assert willie_gain(a, c, sel, np.array([phase])) == pytest.approx(expected, rel=1e-12)
+            b = col(np.exp(1j * phase))
+            assert cascade(PhaseMode.COHERENT, a, b, c)[1][0] == pytest.approx(expected, rel=1e-12)
 
     def test_phase_length_mismatch(self):
-        a = np.ones(4, dtype=complex)
+        # the warden's rows must be the receiver's: one phase per selected port
+        ones = np.ones((2, 1), dtype=complex)
         with pytest.raises(DomainError):
-            willie_gain(a, a, PortSelection((0, 1)), np.zeros(3))
+            cascade(PhaseMode.COHERENT, ones, ones, np.ones((3, 1), dtype=complex))
 
     def test_receiver_phases_leave_warden_mean_unchanged_when_uncorrelated(self):
         # spacing of five wavelengths: residual port correlation is tiny,
@@ -178,33 +192,31 @@ class TestWillieGain:
 class TestDrawChannel:
     def test_deterministic_given_stream_state(self, ref_corr):
         root = psd_sqrt(ref_corr)
-        draws = [
-            draw_channel(root, 36, PhaseMode.COHERENT, SelectionMode.BEST_PRODUCT,
-                         np.random.default_rng(77))
-            for _ in range(2)
-        ]
-        assert np.array_equal(draws[0].h_af, draws[1].h_af)
-        assert np.array_equal(draws[0].h_fw, draws[1].h_fw)
-        assert draws[0].selection == draws[1].selection
-        assert draws[0].g_b == draws[1].g_b
-        assert draws[0].g_w == draws[1].g_w
+        first, second = (correlated_fading(root, np.random.default_rng(77), 64) for _ in range(2))
+        for u, v in zip(first, second):
+            assert np.array_equal(u, v)
+        assert np.array_equal(best_product_order(*first[:2]), best_product_order(*second[:2]))
 
     def test_best_product_dominates_fixed_per_draw(self, ref_corr, ref_geom):
-        root = psd_sqrt(ref_corr)
-        preset = default_fixed_preset(ref_geom, 36)
-        for seed in range(20):
-            best = draw_channel(root, 36, PhaseMode.COHERENT, SelectionMode.BEST_PRODUCT,
-                                np.random.default_rng(seed))
-            fixed = draw_channel(root, 36, PhaseMode.COHERENT, SelectionMode.FIXED,
-                                 np.random.default_rng(seed), preset=preset)
-            assert best.g_b >= fixed.g_b >= 0.0
+        a, b, c = correlated_fading(psd_sqrt(ref_corr), np.random.default_rng(0), 20)
+        rows = best_product_order(a, b)[:36]
+        best = cascade(PhaseMode.COHERENT, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
+        preset = default_fixed_preset(ref_geom, 36).as_array()
+        fixed = cascade(PhaseMode.COHERENT, a[preset], b[preset], c[preset])[0]
+        assert np.all(best >= fixed) and np.all(fixed >= 0.0)
 
-    def test_gains_are_nonnegative_and_shared_selection(self, ref_corr):
-        root = psd_sqrt(ref_corr)
-        draw = draw_channel(root, 16, PhaseMode.STATIC, SelectionMode.BEST_PRODUCT,
-                            np.random.default_rng(5))
-        assert draw.g_b >= 0.0 and draw.g_w >= 0.0
-        assert draw.selection.size == 16
+    def test_gains_are_nonnegative_and_shared_selection(self, ref_geom):
+        # the warden's gain is taken over the receiver's 16 best ports
+        mc = MCConfig(trials=50, master_seed=5, phase_mode=PhaseMode.STATIC,
+                      selection_mode=SelectionMode.BEST_PRODUCT, m_o=16)
+        a, b, c = first_block(ref_geom, 5, 50)
+        rows = best_product_order(a, b)[:16]
+        assert all(np.unique(rows[:, k]).size == 16 for k in range(50))
+        g_b, g_w = cascade(PhaseMode.STATIC, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))
+        gains = simulate_gains(mc, ref_geom)
+        assert np.array_equal(gains.g_b, g_b)
+        assert np.array_equal(gains.g_w, g_w)
+        assert np.all(gains.g_b >= 0.0) and np.all(gains.g_w >= 0.0)
 
     def test_static_mean_matches_trace_bridge(self, ref_geom, ref_corr):
         # mean of the static fixed-selection gain approaches tr(C^2)
@@ -223,9 +235,12 @@ class TestRisBaseline:
         assert (grid.w_x, grid.w_z) == (ref_geom.w_x, ref_geom.w_z)
 
     def test_single_element(self, ref_geom):
-        draw = ris_baseline_draw(ref_geom, 1, np.random.default_rng(1))
-        expected = abs(draw.h_af[0]) ** 2 * abs(draw.h_fb[0]) ** 2
-        assert draw.g_b == pytest.approx(expected, rel=1e-12)
+        grid = ris_grid_geometry(ref_geom, 1)
+        mc = MCConfig(trials=100, master_seed=1, phase_mode=PhaseMode.COHERENT,
+                      selection_mode=SelectionMode.RIS_FULL, m_o=1)
+        a, b, _ = first_block(grid, 1, 100)
+        expected = np.abs(a[0]) ** 2 * np.abs(b[0]) ** 2
+        assert simulate_gains(mc, grid).g_b == pytest.approx(expected, rel=1e-12)
 
     def test_grid_matches_fixed_sublattice_correlation(self, ref_geom, ref_corr):
         # the 36-element baseline grid occupies exactly the positions of
@@ -236,10 +251,13 @@ class TestRisBaseline:
         assert np.array_equal(baseline_corr, sublattice)
 
     def test_density_cap(self, ref_geom):
+        # a baseline grid has no more elements than the surface it runs on
+        mc = MCConfig(trials=10, master_seed=1, phase_mode=PhaseMode.COHERENT,
+                      selection_mode=SelectionMode.RIS_FULL, m_o=145)
         with pytest.raises(DomainError):
-            ris_baseline_draw(ref_geom, 145, np.random.default_rng(0))
+            simulate_gains(mc, ref_geom)
         with pytest.raises(DomainError):
-            ris_baseline_draw(ref_geom, 20, np.random.default_rng(0), density_cap=16)
+            simulate_gains(dataclasses.replace(mc, m_o=20), ris_grid_geometry(ref_geom, 16))
 
     def test_fluid_selection_beats_baseline_mean(self, ref_geom):
         # paired draws: same fading, best-product selection vs the
@@ -253,15 +271,13 @@ class TestRisBaseline:
 
 class TestBobPhases:
     def test_coherent_phases_align_terms(self):
-        rng = np.random.default_rng(31)
-        a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        sel = PortSelection((0, 2, 3))
-        phases = bob_phases(a, b, sel, PhaseMode.COHERENT)
-        idx = np.array(sel.indices)
-        aligned = np.exp(1j * phases) * np.conj(b[idx]) * a[idx]
-        assert np.max(np.abs(np.angle(aligned))) <= 1e-12
+        # toward a warden with the receiver's own channel, every aligned
+        # term adds in phase: the warden's gain is the receiver's
+        a, b, _ = (v[[0, 2, 3]] for v in random_block(31, 5, 30))
+        g_b, g_w = cascade(PhaseMode.COHERENT, a, b, b)
+        assert g_w == pytest.approx(g_b, rel=1e-12)
+        assert g_b == pytest.approx(np.sum(np.abs(a) * np.abs(b), axis=0) ** 2, rel=1e-12)
 
     def test_static_phases_are_zero(self):
-        a = np.ones(4, dtype=complex)
-        assert np.array_equal(bob_phases(a, a, PortSelection((1, 2)), PhaseMode.STATIC), np.zeros(2))
+        a, b, c = random_block(32, 4, 10)
+        assert np.array_equal(cascade(PhaseMode.STATIC, a, b, c)[1], np.abs(np.sum(np.conj(c) * a, axis=0)) ** 2)

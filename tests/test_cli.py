@@ -288,6 +288,12 @@ class TestMain:
         assert field in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("m_hat", [145, -1])
+    def test_ris_m_hat_out_of_range_is_a_config_error(self, tmp_path, capsys, m_hat):
+        cfg = write_config(tmp_path, f"ris.m_hat = {m_hat}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "ris.m_hat" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "scenario.p0 = 0.9\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
@@ -304,13 +310,21 @@ class TestMain:
 
     # sha256 of sweep.csv at seed 1 and 5,000 trials (one full block and
     # a partial one).  The m_o sweep covers RIS points paired with the
-    # fluid surface's draws (4, 16) and unpaired grids (7, 10, 13).
+    # fluid surface's draws (4, 16) and unpaired grids (7, 10, 13).  The
+    # ris.m_hat configs pin a fixed baseline grid: a paired 4x4 sublattice
+    # at every power, and an unpaired 10-element grid across the m_o sweep.
     @pytest.mark.parametrize("config, digest", [
         ("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
          "edc7ecf810c513b65a0cb6c017899a378078393379982c91a05871c367a35d1a"),
         ("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
          "scenario.p_a_dbm = -50\n",
          "0cd8965abceb050aa26376a12a4963e1c552fec0220d5644fae43d84cc128f1d"),
+        ("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
+         "sweep.points = 4\n",
+         "8774346db838c9d12a65d884b4d272cbc11248ad2782a173df34de98e16a56e5"),
+        ("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
+         "sweep.points = 5\n",
+         "ad1df401705bd06c35da0b31297635f7e0e3c38c6aa18db2d8346377981b2680"),
     ])
     def test_golden_csv_bytes(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config + "mc.trials = 5000\n")

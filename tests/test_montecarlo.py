@@ -13,7 +13,6 @@ from friscov import (
     SelectionMode,
     dbm_to_watt,
     default_fixed_preset,
-    empirical_cdf,
     estimate_cop,
     estimate_op,
     estimate_success,
@@ -223,28 +222,6 @@ class TestGroups:
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):
             simulate_group([fixed_static(trials=10), fixed_static(trials=10, m_o=145)], ref_geom)
-
-
-class TestEmpiricalCDF:
-    def test_step_values(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0])
-        assert cdf(2.0) == pytest.approx(2.0 / 3.0)
-        assert cdf(0.5) == 0.0
-        assert cdf(3.0) == 1.0
-        assert cdf(10.0) == 1.0
-
-    def test_right_continuity(self):
-        cdf = empirical_cdf([1.0, 2.0])
-        assert cdf(1.0) == 0.5
-        assert cdf(np.nextafter(1.0, 0.0)) == 0.0
-
-    def test_vector_evaluation(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(cdf(np.array([0.0, 2.5, 9.0])), [0.0, 0.5, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            empirical_cdf([])
 
 
 class TestKsDistance:
