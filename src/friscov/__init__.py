@@ -23,7 +23,7 @@ from .analytics import (
     success_probability,
     watt_to_dbm,
 )
-from .channel import PhaseMode, SelectionMode
+from .channel import Mode
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -60,7 +60,7 @@ __all__ = [
     "fa_probability", "gamma_cdf", "gamma_moment_match", "md_probability",
     "optimal_threshold", "outage_probability", "path_loss", "success_probability",
     "watt_to_dbm",
-    "PhaseMode", "SelectionMode",
+    "Mode",
     "ConfigError", "ConvergenceError", "DegenerateFitError", "DomainError",
     "FriscovError", "NotPSDError",
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",

@@ -197,13 +197,14 @@ def optimal_threshold(cfg: ScenarioConfig) -> float:
     return cfg.sigma2_w + cfg.mu_offset
 
 
-def cop(cfg: ScenarioConfig, p_fa: float, p_md: float, zeta: float) -> float:
+def cop(cfg: ScenarioConfig, p_fa: float, p_md: float) -> float:
     """Covertness outage probability: the warden decides correctly.
 
     Unconditionally over the two hypotheses this is
     ``p0 * (1 - p_fa) + p1 * (1 - p_md)``.  With the deterministic
-    false-alarm behaviour at threshold ``zeta`` it collapses to p1 for
-    zeta <= sigma2_w and to p0 + p1 * (1 - p_md) otherwise.
+    false alarm of :func:`fa_probability` at a threshold ``zeta`` it
+    collapses to p1 for zeta <= sigma2_w and to p0 + p1 * (1 - p_md)
+    otherwise.
     """
     for name, value in (("p_fa", p_fa), ("p_md", p_md)):
         if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):

@@ -6,24 +6,25 @@ per trial (:func:`correlated_fading`), an active-port selection, and
 the cascaded power gains toward the receiver and the warden
 (:func:`cascade`).
 
-Two phase modes are first-class:
+The paper compares three surfaces, one :class:`Mode` each:
 
-* ``STATIC``  -- identity phases; the cascade toward node u is
-  ``|sum_i conj(u_i) a_i|**2`` over the selected ports.  This is the
-  mode whose gain statistics the closed-form Gamma fit targets (see
-  ``analytics``).
-* ``COHERENT`` -- per-port phases cancel the argument of each selected
-  product term toward the receiver, giving ``(sum_i |u_i| |a_i|)**2``.
-  The warden always experiences the receiver-serving selection and
-  phases, never its own optimum.
+* ``FRIS``  -- the fluid surface: the ``m_o`` ports with the largest
+  per-port magnitude products toward the receiver, read off the port
+  ranking of :func:`best_product_order`, with coherent phases.  Under
+  per-port coherent phasing the cascade magnitude is the sum of the
+  selected products, so this top-k is globally optimal.
+* ``FIXED`` -- the surface's default preset of ``m_o`` ports with
+  identity phases; this is the gain whose statistics the closed-form
+  Gamma fit targets (see ``analytics``).
+* ``RIS``   -- a fixed-position RIS: the default preset with coherent
+  phases, run on the RIS grid (:func:`ris_grid_geometry`) or, where the
+  preset sits at that grid's positions, on the fluid surface itself.
 
-Selection modes: ``BEST_PRODUCT`` activates the ports with the largest
-per-port magnitude products toward the receiver (exact top-k -- under
-per-port coherent phasing the cascade magnitude is the sum of selected
-products, so top-k is globally optimal), read off the port ranking of
-:func:`best_product_order`; ``FIXED`` uses a preset; ``RIS_FULL``
-activates every port of a fixed-grid baseline surface
-(:func:`ris_grid_geometry`).
+Identity phases give the cascade toward node u as ``|sum_i conj(u_i)
+a_i|**2`` over the selected ports.  Coherent phases cancel the argument
+of each selected product term toward the receiver, giving ``(sum_i
+|b_i| |a_i|)**2``.  The warden always experiences the receiver-serving
+selection and phases, never its own optimum.
 """
 
 from __future__ import annotations
@@ -37,15 +38,12 @@ from .errors import DomainError
 from .surface import SurfaceGeometry
 
 
-class PhaseMode(enum.Enum):
-    STATIC = "static"
-    COHERENT = "coherent"
+class Mode(enum.Enum):
+    """A compared surface; the value is its CSV column prefix."""
 
-
-class SelectionMode(enum.Enum):
-    BEST_PRODUCT = "best_product"
+    FRIS = "fris"
     FIXED = "fixed"
-    RIS_FULL = "ris_full"
+    RIS = "ris"
 
 
 def correlated_fading(
@@ -77,27 +75,25 @@ def best_product_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cascade(
-    phase_mode: PhaseMode, a: np.ndarray, b: np.ndarray, c: np.ndarray
+    coherent: bool, a: np.ndarray, b: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gains ``(g_b, g_w)`` over the selected rows ``a``, ``b``, ``c`` of each trial.
 
-    STATIC sums ``conj(u_i) a_i`` as is.  COHERENT applies the phases
-    ``-arg(conj(b_i) a_i)`` that align every receiver term -- so ``g_b``
-    is never smaller than under STATIC -- and the warden sees the same
-    phases.
+    Identity phases sum ``conj(u_i) a_i`` as is.  ``coherent`` applies
+    the phases ``-arg(conj(b_i) a_i)`` that align every receiver term --
+    so ``g_b`` is never smaller than with identity phases -- and the
+    warden sees the same phases.
     """
     if not a.shape == b.shape == c.shape:
         raise DomainError(f"selected vectors must share a shape, got {a.shape}, {b.shape}, {c.shape}")
     terms_b = np.conj(b) * a
     terms_w = np.conj(c) * a
-    if phase_mode is PhaseMode.COHERENT:
+    if coherent:
         g_b = np.abs(terms_b).sum(axis=0) ** 2
         g_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
-    elif phase_mode is PhaseMode.STATIC:
+    else:
         g_b = np.abs(terms_b.sum(axis=0)) ** 2
         g_w = np.abs(terms_w.sum(axis=0)) ** 2
-    else:
-        raise DomainError(f"unknown phase mode {phase_mode!r}")
     return g_b, g_w
 
 
@@ -122,3 +118,4 @@ def ris_grid_geometry(geom: SurfaceGeometry, m_hat: int) -> SurfaceGeometry:
             best = (penalty, gx, gz)
     _, gx, gz = best
     return SurfaceGeometry(m_x=gx, m_z=gz, w_x=geom.w_x, w_z=geom.w_z, wavelength=geom.wavelength)
+

@@ -28,16 +28,15 @@ import numpy as np
 
 from . import analytics, montecarlo
 from .analytics import GammaFit, ScenarioConfig, dbm_to_watt
-from .channel import PhaseMode, SelectionMode, ris_grid_geometry
+from .channel import Mode, ris_grid_geometry
 from .errors import ConfigError, DomainError, FriscovError
 from .montecarlo import MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, reduce
 
 _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
-_SCALES = ("db", "linear")
-_MODES = ("fris", "fixed", "ris")
+_MODES = tuple(mode.value for mode in Mode)
 
-# key -> (parser, default); None default for ris.m_hat means "match the
+# key -> (parser, default); the default 0 for ris.m_hat means "match the
 # active-port count".
 _SCHEMA: dict[str, tuple[str, object]] = {
     "surface.m_x": ("int", 12),
@@ -62,11 +61,10 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "mc.trials": ("int", 100_000),
     "mc.seed": ("int", 1),
     "mc.workers": ("int", 1),
-    "sweep.variable": ("choice:variable", "p_a_dbm"),
+    "sweep.variable": ("choice", "p_a_dbm"),
     "sweep.start": ("float", -60.0),
     "sweep.stop": ("float", -10.0),
     "sweep.points": ("int", 25),
-    "sweep.scale": ("choice:scale", "db"),
 }
 
 CSV_COLUMNS: tuple[str, ...] = (
@@ -94,15 +92,14 @@ class SweepSpec:
     start: float = -60.0
     stop: float = -10.0
     points: int = 25
-    scale: str = "db"
 
     def __post_init__(self):
         if self.variable not in _SWEEP_VARIABLES:
             raise ConfigError(f"unknown sweep variable {self.variable!r}; expected one of {_SWEEP_VARIABLES}",
                               field="sweep.variable")
-        if self.scale not in _SCALES:
-            raise ConfigError(f"unknown sweep scale {self.scale!r}; expected one of {_SCALES}",
-                              field="sweep.scale")
+        for field, value in (("sweep.start", self.start), ("sweep.stop", self.stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep ends must be finite, got {value}", field=field)
         if not (isinstance(self.points, int) and self.points >= 2):
             raise ConfigError(f"sweep needs at least 2 points, got {self.points!r}", field="sweep.points")
         if not self.start < self.stop:
@@ -133,9 +130,8 @@ def _parse_value(key: str, raw: str, lineno: int | None):
             return float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected {kind}, got {raw!r}", line=lineno, field=key) from exc
-    choices = _SWEEP_VARIABLES if kind.endswith("variable") else _SCALES
-    if raw not in choices:
-        raise ConfigError(f"expected one of {choices}, got {raw!r}", line=lineno, field=key)
+    if raw not in _SWEEP_VARIABLES:
+        raise ConfigError(f"expected one of {_SWEEP_VARIABLES}, got {raw!r}", line=lineno, field=key)
     return raw
 
 
@@ -205,8 +201,8 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             f"(the surface has m_x * m_z = {geom.num_elements} ports)",
             field="selection.m_o",
         )
-    sigma2_w = dbm_to_watt(resolved["scenario.sigma2_w_dbm"])
     try:
+        sigma2_w = dbm_to_watt(resolved["scenario.sigma2_w_dbm"])
         scenario = ScenarioConfig(
             d_af=resolved["scenario.d_af"],
             d_fb=resolved["scenario.d_fb"],
@@ -221,7 +217,7 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             mu_offset=resolved["scenario.mu_factor"] * sigma2_w,
             p_a=dbm_to_watt(resolved["scenario.p_a_dbm"]),
         )
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         raise ConfigError(str(exc), field="scenario") from exc
     ris_m_hat = resolved["ris.m_hat"]
     if ris_m_hat < 0 or ris_m_hat > geom.num_elements:
@@ -233,8 +229,7 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
         mc = MCConfig(
             trials=resolved["mc.trials"],
             master_seed=resolved["mc.seed"],
-            phase_mode=PhaseMode.STATIC,
-            selection_mode=SelectionMode.FIXED,
+            mode=Mode.FIXED,
             workers=resolved["mc.workers"],
             m_o=m_o,
         )
@@ -245,67 +240,64 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
         start=resolved["sweep.start"],
         stop=resolved["sweep.stop"],
         points=resolved["sweep.points"],
-        scale=resolved["sweep.scale"],
     )
-    if spec.variable == "m_o":
-        # The rounded grid is non-decreasing, so its ends are its extremes.
-        swept = spec.values()
-        for field, m in (("sweep.start", swept[0]), ("sweep.stop", swept[-1])):
-            if not 1 <= m <= geom.num_elements:
-                raise ConfigError(
-                    f"swept m_o = {m:g} must lie in [1, {geom.num_elements}] "
-                    f"(the surface has m_x * m_z = {geom.num_elements} ports)",
-                    field=field,
-                )
+    # Every swept variable is monotone on the grid, so its two ends bound
+    # every point.
+    swept = spec.values()
+    for field, value in (("sweep.start", swept[0]), ("sweep.stop", swept[-1])):
+        try:
+            _point_scenario(scenario, spec, value, m_o, geom.num_elements)
+        except (DomainError, OverflowError) as exc:
+            raise ConfigError(str(exc), field=field) from exc
     return scenario, geom, mc, spec
 
 
 def _mode_config(
-    base: MCConfig, mode: str, geom: SurfaceGeometry, m_o: int, ris_m_hat: int
+    base: MCConfig, mode: Mode, geom: SurfaceGeometry, m_o: int, ris_m_hat: int
 ) -> tuple[MCConfig, SurfaceGeometry]:
-    """MC configuration and surface for one empirical mode.
+    """MC configuration and surface of one compared surface at ``m_o`` active ports.
 
-    The baseline grid of ``m_hat`` elements over the same aperture
-    coincides with the reference surface's uniform sublattice whenever
-    the counts align, in which case the baseline is simulated as that
-    fixed sublattice with coherent phases -- on the same fading draws
-    as the fluid modes (paired comparison).  Otherwise it runs on its
-    own grid.
+    The RIS baseline is a grid of ``ris_m_hat`` elements (0: ``m_o``) over
+    the same aperture (:func:`ris_grid_geometry`).  When the default preset
+    of that many ports, which ``Mode.RIS`` reads, sits exactly at the grid's
+    positions, the baseline runs on ``geom`` and shares the fluid surface's
+    draws (a paired comparison); otherwise it runs on the grid, whose
+    default preset is every element.
     """
-    if mode == "fris":
-        return dataclasses.replace(
-            base, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.BEST_PRODUCT,
-            m_o=m_o, fixed_preset=None,
-        ), geom
-    if mode == "fixed":
-        return dataclasses.replace(
-            base, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED,
-            m_o=m_o, fixed_preset=None,
-        ), geom
-    if mode == "ris":
-        m_hat = ris_m_hat if ris_m_hat > 0 else m_o
-        side = math.isqrt(m_hat)
-        if side * side == m_hat and geom.m_x % side == 0 and geom.m_z % side == 0:
-            preset = default_fixed_preset(geom, m_hat)
-            return dataclasses.replace(
-                base, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.FIXED,
-                m_o=m_hat, fixed_preset=preset,
-            ), geom
-        ris_geom = ris_grid_geometry(geom, m_hat)
-        return dataclasses.replace(
-            base, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.RIS_FULL,
-            m_o=m_hat, fixed_preset=None,
-        ), ris_geom
-    raise DomainError(f"unknown mode {mode!r}")
+    if mode is Mode.RIS:
+        m_o = ris_m_hat or m_o
+        grid = ris_grid_geometry(geom, m_o)
+        ports = default_fixed_preset(geom, m_o).as_array()
+        elements = np.arange(m_o)
+        # Positions as exact fractions of the aperture, by column and by row.
+        cols = (ports % geom.m_x) * grid.m_x, (elements % grid.m_x) * geom.m_x
+        rows = (ports // geom.m_x) * grid.m_z, (elements // grid.m_x) * geom.m_z
+        if not (np.array_equal(*cols) and np.array_equal(*rows)):
+            geom = grid
+    return dataclasses.replace(base, mode=mode, m_o=m_o), geom
 
 
-def _point_scenario(scenario: ScenarioConfig, spec: SweepSpec, value: float) -> tuple[ScenarioConfig, int]:
-    """Scenario and active-port count at one sweep point."""
+def _point_scenario(
+    scenario: ScenarioConfig, spec: SweepSpec, value: float, m_o: int, ports: int
+) -> tuple[ScenarioConfig, int]:
+    """Scenario and active-port count at one sweep point; ``m_o`` unless it is swept."""
     if spec.variable == "p_a_dbm":
-        return dataclasses.replace(scenario, p_a=dbm_to_watt(value)), -1
-    if spec.variable == "mu_factor":
-        return dataclasses.replace(scenario, mu_offset=value * scenario.sigma2_w), -1
-    return scenario, int(round(value))
+        scenario = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
+    elif spec.variable == "mu_factor":
+        scenario = dataclasses.replace(scenario, mu_offset=value * scenario.sigma2_w)
+    else:
+        m_o = int(round(value))
+    if not 1 <= m_o <= ports:
+        raise DomainError(f"m_o = {m_o} must lie in [1, {ports}] (the surface has m_x * m_z = {ports} ports)")
+    return scenario, m_o
+
+
+def _gamma_fit(corr: np.ndarray, geom: SurfaceGeometry, m_o: int) -> GammaFit:
+    """The closed form's gain model at ``m_o`` active ports: the fixed preset's Gamma fit.
+
+    ``corr`` is ``correlation_matrix(geom)``.
+    """
+    return analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
 
 
 def _analytic_cells(cfg: ScenarioConfig, fit: GammaFit) -> dict[str, float]:
@@ -317,7 +309,7 @@ def _analytic_cells(cfg: ScenarioConfig, fit: GammaFit) -> dict[str, float]:
     a_xi = analytics.error_probability_xi(cfg, p_fa, p_md)
     return dict(
         zeta=zeta, analytic_pfa=p_fa, analytic_pmd=p_md, analytic_op=a_op,
-        analytic_cop=analytics.cop(cfg, p_fa, p_md, zeta), analytic_xi=a_xi,
+        analytic_cop=analytics.cop(cfg, p_fa, p_md), analytic_xi=a_xi,
         analytic_psuc=analytics.success_probability(cfg, a_op, a_xi),
     )
 
@@ -347,11 +339,8 @@ def run_sweep(
     points = []
     groups: dict[SurfaceGeometry, dict[MCConfig, None]] = {}
     for value in values:
-        cfg, m_o_point = _point_scenario(scenario, spec, value)
-        m_o = mc.m_o if m_o_point < 0 else m_o_point
-        if not 1 <= m_o <= geom.num_elements:
-            raise DomainError(f"swept m_o={m_o} out of range [1, {geom.num_elements}]")
-        configs = {mode: _mode_config(mc, mode, geom, m_o, ris_m_hat) for mode in modes}
+        cfg, m_o = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
+        configs = {mode: _mode_config(mc, Mode(mode), geom, m_o, ris_m_hat) for mode in modes}
         for mc_mode, geom_mode in configs.values():
             groups.setdefault(geom_mode, {})[mc_mode] = None
         points.append((value, cfg, m_o, configs))
@@ -366,7 +355,7 @@ def run_sweep(
     corr = correlation_matrix(geom)
     rows: list[dict[str, float | None]] = []
     for value, cfg, m_o, configs in points:
-        fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
+        fit = _gamma_fit(corr, geom, m_o)
         row: dict[str, float | None] = {name: None for name in CSV_COLUMNS}
         row.update(swept_value=value, **_analytic_cells(cfg, fit))
         zeta = row["zeta"]
@@ -506,16 +495,16 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     Every config the gates need runs as one group on ``geom``.
     """
     gate_m_os = [m_o for m_o in (16, 36) if m_o <= geom.num_elements]
-    mc_gate = {m_o: _mode_config(mc, "fixed", geom, m_o, 0)[0] for m_o in gate_m_os}
-    mc_fixed = _mode_config(mc, "fixed", geom, mc.m_o, 0)[0]
-    mc_best = _mode_config(mc, "fris", geom, mc.m_o, 0)[0]
-    mc_lattice = dataclasses.replace(mc, phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.FIXED)
+    mc_gate = {m_o: dataclasses.replace(mc, mode=Mode.FIXED, m_o=m_o) for m_o in gate_m_os}
+    mc_fixed = dataclasses.replace(mc, mode=Mode.FIXED)
+    mc_best = dataclasses.replace(mc, mode=Mode.FRIS)
+    mc_lattice = dataclasses.replace(mc, mode=Mode.RIS)
     configs = list(dict.fromkeys([*mc_gate.values(), mc_fixed, mc_best, mc_lattice]))
     gains_of = dict(zip(configs, simulate_group(configs, geom)))
 
     corr = correlation_matrix(geom)
     for m_o in gate_m_os:
-        fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
+        fit = _gamma_fit(corr, geom, m_o)
         gains = gains_of[mc_gate[m_o]]
         rel = abs(float(np.mean(gains.g_b)) - fit.mean) / fit.mean
         _gate(f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02)
@@ -524,10 +513,10 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
         _gate(f"KS distance to Gamma fit (m_o={m_o})", ks, 0.05, ks <= 0.05)
 
     fixed = gains_of[mc_fixed]
-    fit = analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, mc.m_o)))
+    fit = _gamma_fit(corr, geom, mc.m_o)
     gaps = {"op": 0.0, "cop": 0.0, "psuc": 0.0}
     for value in spec.values():
-        cfg, _ = _point_scenario(scenario, spec, value)
+        cfg, _ = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
         cells = _analytic_cells(cfg, fit)
         zeta = cells["zeta"]
         gaps["op"] = max(gaps["op"], abs(cells["analytic_op"] - estimate_op(fixed, cfg).value))
@@ -572,21 +561,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(mc: MCConfig, args) -> MCConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["master_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = args.trials
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
-    return dataclasses.replace(mc, **updates) if updates else mc
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         resolved = _resolve(args.config)
+        for key in ("seed", "trials", "workers"):
+            if getattr(args, key, None) is not None:
+                resolved[f"mc.{key}"] = getattr(args, key)
         scenario, geom, mc, spec = _from_resolved(resolved)
         if args.command == "show-config":
             print(f"# resolved configuration ({geom.num_elements} ports, "
@@ -594,7 +575,6 @@ def main(argv=None) -> int:
             for key, value in resolved.items():
                 print(f"{key} = {value}")
             return 0
-        mc = _apply_overrides(mc, args)
         if args.command == "validate":
             _run_validate(scenario, geom, mc, spec)
             return 0

@@ -16,10 +16,10 @@ multiplication, which releases the GIL.
 
 Configs that share ``(master_seed, trials)`` and a surface form a
 group (:func:`simulate_group`): each block is drawn and correlated once
-for the whole group, and each config takes its own ports and phases
-from it.  A config's gains are the same whatever else is in its group.
-Nothing is cached: the caller keeps the returned :class:`GainSample`
-and passes it to the estimators.
+for the whole group, and each config takes the ports and phases of its
+:class:`~friscov.channel.Mode` from it.  A config's gains are the same
+whatever else is in its group.  Nothing is cached: the caller keeps the
+returned :class:`GainSample` and passes it to the estimators.
 
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
@@ -36,15 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import ScenarioConfig, GammaFit, gamma_cdf
-from .channel import PhaseMode, SelectionMode, best_product_order, cascade, correlated_fading
+from .channel import Mode, best_product_order, cascade, correlated_fading
 from .errors import DomainError
-from .surface import (
-    PortSelection,
-    SurfaceGeometry,
-    correlation_matrix,
-    default_fixed_preset,
-    psd_sqrt,
-)
+from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, psd_sqrt
 
 # Trials per substream block. Part of the reproducibility contract:
 # changing it changes which substream a trial belongs to.
@@ -74,18 +68,16 @@ def mix64(master_seed: int, index: int) -> int:
 class MCConfig:
     """Monte Carlo run configuration.
 
-    ``m_o`` is the number of active ports per draw; ``fixed_preset``
-    (used by FIXED selection) defaults to the surface's uniform
-    sublattice preset when left as None.
+    ``m_o`` is the number of active ports per draw: the best ``m_o`` of
+    each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
+    ports (:func:`~friscov.surface.default_fixed_preset`) otherwise.
     """
 
     trials: int
     master_seed: int
-    phase_mode: PhaseMode
-    selection_mode: SelectionMode
+    mode: Mode
     workers: int = 1
     m_o: int = 36
-    fixed_preset: PortSelection | None = None
 
     def __post_init__(self):
         if not (isinstance(self.trials, int) and self.trials >= 1):
@@ -96,6 +88,8 @@ class MCConfig:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
         if not (isinstance(self.m_o, int) and self.m_o >= 1):
             raise DomainError(f"m_o must be a positive integer, got {self.m_o!r}")
+        if not isinstance(self.mode, Mode):
+            raise DomainError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def _block_gains(
     sqrt_corr: np.ndarray,
-    members: list[tuple[MCConfig, np.ndarray | None]],
+    members: list[tuple[MCConfig, np.ndarray | slice | None]],
     master_seed: int,
     block_index: int,
     block_trials: int,
@@ -155,38 +149,32 @@ def _block_gains(
     order = None
     gains = []
     for mc, rows in members:
-        if mc.selection_mode is SelectionMode.BEST_PRODUCT:
+        if rows is None:
             if order is None:
                 order = best_product_order(a, b)
             top = order[: mc.m_o]
             sel = [np.take_along_axis(v, top, axis=0) for v in (a, b, c)]
-        elif rows is not None:
-            sel = [a[rows], b[rows], c[rows]]
         else:
-            sel = [a, b, c]
-        gains.append(cascade(mc.phase_mode, *sel))
+            sel = [a[rows], b[rows], c[rows]]
+        gains.append(cascade(mc.mode is not Mode.FIXED, *sel))
     return gains
 
 
-def _group_members(mcs: list[MCConfig], geom: SurfaceGeometry) -> list[tuple[MCConfig, np.ndarray | None]]:
-    """Each config with the port rows it reads (None: chosen per draw, or all)."""
+def _group_members(
+    mcs: list[MCConfig], geom: SurfaceGeometry
+) -> list[tuple[MCConfig, np.ndarray | slice | None]]:
+    """Each config with the port rows it reads (None: its best ports of each draw)."""
     total = geom.num_elements
     members = []
     for mc in mcs:
         if mc.m_o > total:
             raise DomainError(f"m_o={mc.m_o} exceeds the surface's {total} ports")
-        if not isinstance(mc.selection_mode, SelectionMode):
-            raise DomainError(f"unknown selection mode {mc.selection_mode!r}")
-        rows = None
-        if mc.selection_mode is SelectionMode.FIXED:
-            preset = mc.fixed_preset if mc.fixed_preset is not None else default_fixed_preset(geom, mc.m_o)
-            if preset.size != mc.m_o:
-                raise DomainError(f"preset has {preset.size} ports, expected m_o={mc.m_o}")
-            if preset.indices[-1] >= total:
-                raise DomainError(f"preset index {preset.indices[-1]} out of range for {total} ports")
-            rows = preset.as_array()
-        elif mc.selection_mode is SelectionMode.RIS_FULL and mc.m_o != total:
-            raise DomainError(f"RIS_FULL activates all {total} ports; got m_o={mc.m_o}")
+        if mc.mode is Mode.FRIS:
+            rows = None
+        elif mc.m_o == total:
+            rows = slice(None)  # the default preset of every port: a view, not a copy
+        else:
+            rows = default_fixed_preset(geom, mc.m_o).as_array()
         members.append((mc, rows))
     return members
 
@@ -196,11 +184,11 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
 
     The configs must share ``master_seed`` and ``trials``; they run on
     ``geom``.  Each block is drawn once and correlated over every port
-    once; then each config takes its own ports (a per-draw sort, a row
-    gather, or all rows) and phases from it.  So the group costs one RNG
-    pass and one correlating product per block, and a config's gains do
-    not depend on the other configs in its group.  Nor do they depend on
-    the worker count (the largest ``workers`` in the group is used).
+    once; then each config takes its own ports (a per-draw sort or a row
+    gather) and phases from it.  So the group costs one RNG pass and one
+    correlating product per block, and a config's gains do not depend on
+    the other configs in its group.  Nor do they depend on the worker
+    count (the largest ``workers`` in the group is used).
     """
     mcs = list(mcs)
     if not mcs:

@@ -95,12 +95,6 @@ class PortSelection:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
 
-    @classmethod
-    def all_ports(cls, count: int) -> "PortSelection":
-        if count < 1:
-            raise DomainError(f"count must be >= 1, got {count}")
-        return cls(tuple(range(count)))
-
 
 def _check_index(geom: SurfaceGeometry, name: str, i: int) -> int:
     if not isinstance(i, (int, np.integer)):

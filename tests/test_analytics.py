@@ -163,22 +163,20 @@ class TestCop:
     def test_below_noise_floor_is_p1_exactly(self):
         cfg = scenario(p0=0.3, p1=0.7)
         zeta = cfg.sigma2_w
-        assert cop(cfg, fa_probability(cfg, zeta), 0.0, zeta) == cfg.p1
+        assert cop(cfg, fa_probability(cfg, zeta), 0.0) == cfg.p1
 
     def test_never_detected_gives_p0(self):
         cfg = scenario()
-        zeta = optimal_threshold(cfg)
-        assert cop(cfg, 0.0, 1.0, zeta) == cfg.p0
+        assert cop(cfg, 0.0, 1.0) == cfg.p0
 
     def test_direct_evaluation(self):
         cfg = scenario()
-        zeta = optimal_threshold(cfg)
-        assert cop(cfg, 0.0, 0.5, zeta) == pytest.approx(0.75, rel=1e-15)
+        assert cop(cfg, 0.0, 0.5) == pytest.approx(0.75, rel=1e-15)
 
     def test_out_of_range_rejected(self):
         cfg = scenario()
         with pytest.raises(DomainError):
-            cop(cfg, 1.5, 0.0, optimal_threshold(cfg))
+            cop(cfg, 1.5, 0.0)
 
     @pytest.mark.parametrize("p0, p1", [(0.5, 0.5), (0.3, 0.7), (0.9, 0.1)])
     def test_collapse_under_deterministic_false_alarm(self, p0, p1):
@@ -187,11 +185,11 @@ class TestCop:
         # above it.
         cfg = scenario(p0=p0, p1=p1)
         for zeta in (0.5 * cfg.sigma2_w, cfg.sigma2_w):
-            assert math.isclose(cop(cfg, fa_probability(cfg, zeta), 0.0, zeta), cfg.p1,
+            assert math.isclose(cop(cfg, fa_probability(cfg, zeta), 0.0), cfg.p1,
                                 rel_tol=1e-12, abs_tol=1e-15)
         zeta = optimal_threshold(cfg)
         for p_md in np.linspace(0.0, 1.0, 11):
-            assert math.isclose(cop(cfg, fa_probability(cfg, zeta), float(p_md), zeta),
+            assert math.isclose(cop(cfg, fa_probability(cfg, zeta), float(p_md)),
                                 cfg.p0 + cfg.p1 * (1.0 - p_md), rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -264,7 +262,7 @@ class TestCurveShapes:
         for v in np.linspace(-60.0, -10.0, 25):
             cfg = scenario(p_a=dbm_to_watt(v))
             zeta = optimal_threshold(cfg)
-            values.append(cop(cfg, fa_probability(cfg, zeta), md_probability(fit36, cfg, zeta), zeta))
+            values.append(cop(cfg, fa_probability(cfg, zeta), md_probability(fit36, cfg, zeta)))
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_success_curve_unimodal(self, fit36):
@@ -287,6 +285,6 @@ class TestCurveShapes:
             p_out = outage_probability(fit36, cfg)
             xi = error_probability_xi(cfg, p_fa, p_md)
             for p in (p_fa, p_md, p_out, xi,
-                      cop(cfg, p_fa, p_md, zeta),
+                      cop(cfg, p_fa, p_md),
                       success_probability(cfg, p_out, xi)):
                 assert 0.0 <= p <= 1.0

@@ -6,9 +6,7 @@ import pytest
 from friscov import (
     DomainError,
     MCConfig,
-    PhaseMode,
-    PortSelection,
-    SelectionMode,
+    Mode,
     SurfaceGeometry,
     correlation_matrix,
     default_fixed_preset,
@@ -17,6 +15,7 @@ from friscov import (
     simulate_gains,
 )
 from friscov.channel import best_product_order, cascade, correlated_fading, ris_grid_geometry
+from friscov.cli import _mode_config
 from friscov.montecarlo import mix64
 
 # Six ports, small enough to check a config's rows by hand.
@@ -90,34 +89,18 @@ class TestSelectPorts:
         assert top(a, a, 2) == (0, 1)
         assert best_product_order(a, a)[:, 0].tolist() == [0, 1, 2, 3]
 
-    def test_fixed_passthrough_and_validation(self):
-        preset = PortSelection((1, 4))
-        mc = MCConfig(trials=50, master_seed=4, phase_mode=PhaseMode.STATIC,
-                      selection_mode=SelectionMode.FIXED, m_o=2, fixed_preset=preset)
-        a, b, c = first_block(SMALL, 4, 50)
-        rows = preset.as_array()
-        g_b, g_w = cascade(PhaseMode.STATIC, a[rows], b[rows], c[rows])
-        gains = simulate_gains(mc, SMALL)
-        assert np.array_equal(gains.g_b, g_b)
-        assert np.array_equal(gains.g_w, g_w)
-        with pytest.raises(DomainError, match="preset has 2 ports"):
-            simulate_gains(dataclasses.replace(mc, m_o=3), SMALL)
-
     def test_m_o_out_of_range(self):
-        mc = MCConfig(trials=10, master_seed=1, phase_mode=PhaseMode.COHERENT,
-                      selection_mode=SelectionMode.BEST_PRODUCT, m_o=7)
+        mc = MCConfig(trials=10, master_seed=1, mode=Mode.FRIS, m_o=7)
         with pytest.raises(DomainError):
             simulate_gains(mc, SMALL)
 
     def test_ris_full_requires_all(self):
-        mc = MCConfig(trials=50, master_seed=6, phase_mode=PhaseMode.COHERENT,
-                      selection_mode=SelectionMode.RIS_FULL, m_o=6)
-        g_b, g_w = cascade(PhaseMode.COHERENT, *first_block(SMALL, 6, 50))
+        # a RIS of every port reads every row, in order
+        mc = MCConfig(trials=50, master_seed=6, mode=Mode.RIS, m_o=6)
+        g_b, g_w = cascade(True, *first_block(SMALL, 6, 50))
         gains = simulate_gains(mc, SMALL)
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
-        with pytest.raises(DomainError, match="RIS_FULL activates all 6 ports"):
-            simulate_gains(dataclasses.replace(mc, m_o=2), SMALL)
 
 
 class TestCascadedGain:
@@ -125,41 +108,34 @@ class TestCascadedGain:
         a = col(2.0 + 1.0j)
         b = col(1.0 - 3.0j)
         expected = abs(a[0, 0]) ** 2 * abs(b[0, 0]) ** 2
-        for mode in PhaseMode:
-            assert cascade(mode, a, b, b)[0][0] == pytest.approx(expected, rel=1e-12)
+        for coherent in (False, True):
+            assert cascade(coherent, a, b, b)[0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_two_port_hand_case(self):
         a = col(1.0, 1.0j)
         b = col(1.0, 1.0)
-        assert cascade(PhaseMode.STATIC, a, b, b)[0][0] == pytest.approx(2.0, rel=1e-12)
-        assert cascade(PhaseMode.COHERENT, a, b, b)[0][0] == pytest.approx(4.0, rel=1e-12)
+        assert cascade(False, a, b, b)[0][0] == pytest.approx(2.0, rel=1e-12)
+        assert cascade(True, a, b, b)[0][0] == pytest.approx(4.0, rel=1e-12)
 
     def test_coherent_dominates_static(self):
         for dim in range(1, 12):
             a, b, c = random_block(9 + dim, dim, 200)
-            coherent = cascade(PhaseMode.COHERENT, a, b, c)[0]
-            static = cascade(PhaseMode.STATIC, a, b, c)[0]
+            coherent = cascade(True, a, b, c)[0]
+            static = cascade(False, a, b, c)[0]
             assert np.all(coherent >= static - 1e-12 * np.maximum(coherent, 1.0))
 
     def test_global_phase_rotation_invariance(self):
         a, b, c = (v[[0, 2, 5]] for v in random_block(10, 6, 50))
-        for mode in PhaseMode:
-            for base, rotated in zip(cascade(mode, a, b, c), cascade(mode, np.exp(0.73j) * a, b, c)):
+        for coherent in (False, True):
+            for base, rotated in zip(cascade(coherent, a, b, c), cascade(coherent, np.exp(0.73j) * a, b, c)):
                 assert rotated == pytest.approx(base, rel=1e-12)
-
-    def test_selection_out_of_range(self):
-        mc = MCConfig(trials=10, master_seed=1, phase_mode=PhaseMode.STATIC,
-                      selection_mode=SelectionMode.FIXED, m_o=2, fixed_preset=PortSelection((0, 6)))
-        with pytest.raises(DomainError):
-            simulate_gains(mc, SMALL)
 
 
 class TestWillieGain:
     def test_zero_phases_reduce_to_static(self):
-        # under STATIC the warden's gain is the receiver formula with c for b
+        # with identity phases the warden's gain is the receiver formula with c for b
         a, b, c = (v[[1, 3, 4, 7]] for v in random_block(12, 8, 20))
-        assert cascade(PhaseMode.STATIC, a, b, c)[1] == pytest.approx(
-            cascade(PhaseMode.STATIC, a, c, c)[0], rel=1e-12)
+        assert cascade(False, a, b, c)[1] == pytest.approx(cascade(False, a, c, c)[0], rel=1e-12)
 
     def test_single_port_phase_invariant(self):
         a = col(1.5 - 0.5j)
@@ -167,24 +143,23 @@ class TestWillieGain:
         expected = abs(a[0, 0]) ** 2 * abs(c[0, 0]) ** 2
         for phase in (0.0, 1.0, -2.5):
             b = col(np.exp(1j * phase))
-            assert cascade(PhaseMode.COHERENT, a, b, c)[1][0] == pytest.approx(expected, rel=1e-12)
+            assert cascade(True, a, b, c)[1][0] == pytest.approx(expected, rel=1e-12)
 
     def test_phase_length_mismatch(self):
         # the warden's rows must be the receiver's: one phase per selected port
         ones = np.ones((2, 1), dtype=complex)
         with pytest.raises(DomainError):
-            cascade(PhaseMode.COHERENT, ones, ones, np.ones((3, 1), dtype=complex))
+            cascade(True, ones, ones, np.ones((3, 1), dtype=complex))
 
     def test_receiver_phases_leave_warden_mean_unchanged_when_uncorrelated(self):
         # spacing of five wavelengths: residual port correlation is tiny,
         # so re-phasing toward the receiver does not move the warden's
-        # mean gain (the phases are independent of the warden's fading)
+        # mean gain (the phases are independent of the warden's fading);
+        # both modes read all 8 ports, the default preset of 8
         geom = SurfaceGeometry(8, 1, 40.0, 1.0, 0.125)
-        kwargs = dict(trials=200_000, master_seed=3, m_o=8,
-                      selection_mode=SelectionMode.FIXED,
-                      fixed_preset=PortSelection(tuple(range(8))))
-        coherent = simulate_gains(MCConfig(phase_mode=PhaseMode.COHERENT, **kwargs), geom)
-        static = simulate_gains(MCConfig(phase_mode=PhaseMode.STATIC, **kwargs), geom)
+        kwargs = dict(trials=200_000, master_seed=3, m_o=8)
+        coherent = simulate_gains(MCConfig(mode=Mode.RIS, **kwargs), geom)
+        static = simulate_gains(MCConfig(mode=Mode.FIXED, **kwargs), geom)
         ratio = coherent.g_w.mean() / static.g_w.mean()
         assert abs(ratio - 1.0) <= 0.05
 
@@ -200,30 +175,28 @@ class TestDrawChannel:
     def test_best_product_dominates_fixed_per_draw(self, ref_corr, ref_geom):
         a, b, c = correlated_fading(psd_sqrt(ref_corr), np.random.default_rng(0), 20)
         rows = best_product_order(a, b)[:36]
-        best = cascade(PhaseMode.COHERENT, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
+        best = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
         preset = default_fixed_preset(ref_geom, 36).as_array()
-        fixed = cascade(PhaseMode.COHERENT, a[preset], b[preset], c[preset])[0]
+        fixed = cascade(True, a[preset], b[preset], c[preset])[0]
         assert np.all(best >= fixed) and np.all(fixed >= 0.0)
 
     def test_gains_are_nonnegative_and_shared_selection(self, ref_geom):
         # the warden's gain is taken over the receiver's 16 best ports
-        mc = MCConfig(trials=50, master_seed=5, phase_mode=PhaseMode.STATIC,
-                      selection_mode=SelectionMode.BEST_PRODUCT, m_o=16)
+        mc = MCConfig(trials=50, master_seed=5, mode=Mode.FRIS, m_o=16)
         a, b, c = first_block(ref_geom, 5, 50)
         rows = best_product_order(a, b)[:16]
         assert all(np.unique(rows[:, k]).size == 16 for k in range(50))
-        g_b, g_w = cascade(PhaseMode.STATIC, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))
+        g_b, g_w = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))
         gains = simulate_gains(mc, ref_geom)
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
         assert np.all(gains.g_b >= 0.0) and np.all(gains.g_w >= 0.0)
 
     def test_static_mean_matches_trace_bridge(self, ref_geom, ref_corr):
-        # mean of the static fixed-selection gain approaches tr(C^2)
+        # mean of the fixed preset's gain (identity phases) approaches tr(C^2)
         active = reduce(ref_corr, default_fixed_preset(ref_geom, 36))
         expected = float(np.trace(active @ active))
-        mc = MCConfig(trials=200_000, master_seed=8, phase_mode=PhaseMode.STATIC,
-                      selection_mode=SelectionMode.FIXED, m_o=36)
+        mc = MCConfig(trials=200_000, master_seed=8, mode=Mode.FIXED, m_o=36)
         gains = simulate_gains(mc, ref_geom)
         assert abs(gains.g_b.mean() - expected) / expected <= 0.025
 
@@ -236,24 +209,35 @@ class TestRisBaseline:
 
     def test_single_element(self, ref_geom):
         grid = ris_grid_geometry(ref_geom, 1)
-        mc = MCConfig(trials=100, master_seed=1, phase_mode=PhaseMode.COHERENT,
-                      selection_mode=SelectionMode.RIS_FULL, m_o=1)
+        mc = MCConfig(trials=100, master_seed=1, mode=Mode.RIS, m_o=1)
         a, b, _ = first_block(grid, 1, 100)
         expected = np.abs(a[0]) ** 2 * np.abs(b[0]) ** 2
         assert simulate_gains(mc, grid).g_b == pytest.approx(expected, rel=1e-12)
 
-    def test_grid_matches_fixed_sublattice_correlation(self, ref_geom, ref_corr):
-        # the 36-element baseline grid occupies exactly the positions of
-        # the 36-port uniform sublattice, so the correlation matrices
-        # (hence the gain distributions) coincide
-        baseline_corr = correlation_matrix(ris_grid_geometry(ref_geom, 36))
-        sublattice = reduce(ref_corr, default_fixed_preset(ref_geom, 36))
-        assert np.array_equal(baseline_corr, sublattice)
+    @pytest.mark.parametrize("m_x, m_z, m_hat, paired", [
+        (12, 12, 36, True), (12, 12, 16, True), (12, 12, 4, True), (12, 12, 144, True),
+        (12, 12, 10, False), (12, 3, 36, True), (12, 3, 9, False), (4, 8, 16, False),
+        (8, 2, 4, False), (6, 1, 6, True),
+    ])
+    def test_grid_matches_fixed_sublattice_correlation(self, m_x, m_z, m_hat, paired):
+        # the baseline runs on the fluid surface's draws only where the
+        # preset it reads occupies the grid's positions, so that the
+        # correlation matrices (hence the gain distributions) coincide
+        geom = SurfaceGeometry(m_x, m_z, 2.0, 2.0, 0.125)
+        mc = MCConfig(trials=1, master_seed=1, mode=Mode.FIXED)
+        ris, surface = _mode_config(mc, Mode.RIS, geom, 1, m_hat)
+        assert (ris.mode, ris.m_o) == (Mode.RIS, m_hat)
+        assert (surface == geom) == paired
+        if paired:
+            baseline_corr = correlation_matrix(ris_grid_geometry(geom, m_hat))
+            preset_corr = reduce(correlation_matrix(geom), default_fixed_preset(geom, m_hat))
+            assert np.max(np.abs(baseline_corr - preset_corr)) <= 1e-12
+        else:
+            assert surface == ris_grid_geometry(geom, m_hat)
 
     def test_density_cap(self, ref_geom):
         # a baseline grid has no more elements than the surface it runs on
-        mc = MCConfig(trials=10, master_seed=1, phase_mode=PhaseMode.COHERENT,
-                      selection_mode=SelectionMode.RIS_FULL, m_o=145)
+        mc = MCConfig(trials=10, master_seed=1, mode=Mode.RIS, m_o=145)
         with pytest.raises(DomainError):
             simulate_gains(mc, ref_geom)
         with pytest.raises(DomainError):
@@ -262,9 +246,9 @@ class TestRisBaseline:
     def test_fluid_selection_beats_baseline_mean(self, ref_geom):
         # paired draws: same fading, best-product selection vs the
         # 36-element sublattice (== baseline grid) with coherent phases
-        common = dict(trials=20_000, master_seed=21, m_o=36, phase_mode=PhaseMode.COHERENT)
-        best = simulate_gains(MCConfig(selection_mode=SelectionMode.BEST_PRODUCT, **common), ref_geom)
-        lattice = simulate_gains(MCConfig(selection_mode=SelectionMode.FIXED, **common), ref_geom)
+        common = dict(trials=20_000, master_seed=21, m_o=36)
+        best = simulate_gains(MCConfig(mode=Mode.FRIS, **common), ref_geom)
+        lattice = simulate_gains(MCConfig(mode=Mode.RIS, **common), ref_geom)
         assert np.all(best.g_b >= lattice.g_b)
         assert best.g_b.mean() >= lattice.g_b.mean()
 
@@ -274,10 +258,10 @@ class TestBobPhases:
         # toward a warden with the receiver's own channel, every aligned
         # term adds in phase: the warden's gain is the receiver's
         a, b, _ = (v[[0, 2, 3]] for v in random_block(31, 5, 30))
-        g_b, g_w = cascade(PhaseMode.COHERENT, a, b, b)
+        g_b, g_w = cascade(True, a, b, b)
         assert g_w == pytest.approx(g_b, rel=1e-12)
         assert g_b == pytest.approx(np.sum(np.abs(a) * np.abs(b), axis=0) ** 2, rel=1e-12)
 
     def test_static_phases_are_zero(self):
         a, b, c = random_block(32, 4, 10)
-        assert np.array_equal(cascade(PhaseMode.STATIC, a, b, c)[1], np.abs(np.sum(np.conj(c) * a, axis=0)) ** 2)
+        assert np.array_equal(cascade(False, a, b, c)[1], np.abs(np.sum(np.conj(c) * a, axis=0)) ** 2)

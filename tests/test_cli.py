@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,8 @@ import pytest
 from friscov import (
     ConfigError,
     DomainError,
-    MCConfig,
-    PhaseMode,
+    Mode,
     ScenarioConfig,
-    SelectionMode,
     dbm_to_watt,
     default_fixed_preset,
     estimate_op,
@@ -97,20 +96,20 @@ class TestLoadConfig:
 
 class TestSweepSpec:
     def test_values_linear_in_db(self):
-        spec = SweepSpec(variable="p_a_dbm", start=-60.0, stop=-10.0, points=11, scale="db")
+        spec = SweepSpec(variable="p_a_dbm", start=-60.0, stop=-10.0, points=11)
         values = spec.values()
         assert len(values) == 11
         assert values[0] == -60.0 and values[-1] == -10.0
 
     def test_m_o_values_are_integers(self):
-        spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=5, scale="linear")
+        spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=5)
         assert all(v == int(v) for v in spec.values())
 
     @pytest.mark.parametrize("kwargs", [
-        dict(points=1), dict(start=-10.0, stop=-10.0), dict(variable="bogus"), dict(scale="log"),
+        dict(points=1), dict(start=-10.0, stop=-10.0), dict(variable="bogus"), dict(stop=math.inf),
     ])
     def test_validation(self, kwargs):
-        base = dict(variable="p_a_dbm", start=-60.0, stop=-10.0, points=25, scale="db")
+        base = dict(variable="p_a_dbm", start=-60.0, stop=-10.0, points=25)
         base.update(kwargs)
         with pytest.raises(ConfigError):
             SweepSpec(**base)
@@ -120,7 +119,7 @@ class TestSweepSpec:
 def small_run():
     scenario, geom, mc, _ = load_config(None)
     mc = dataclasses.replace(mc, trials=4_000)
-    spec = SweepSpec(variable="p_a_dbm", start=-55.0, stop=-30.0, points=4, scale="db")
+    spec = SweepSpec(variable="p_a_dbm", start=-55.0, stop=-30.0, points=4)
     result = run_sweep(scenario, geom, mc, spec, modes=("fris", "fixed", "ris"))
     return scenario, geom, mc, spec, result
 
@@ -136,7 +135,7 @@ class TestRunSweep:
         scenario, geom, mc, spec, result = small_run
         corr_fit = gamma_moment_match(
             reduce(__import__("friscov").correlation_matrix(geom), default_fixed_preset(geom, mc.m_o)))
-        mc_fixed = dataclasses.replace(mc, phase_mode=PhaseMode.STATIC, selection_mode=SelectionMode.FIXED)
+        mc_fixed = dataclasses.replace(mc, mode=Mode.FIXED)
         gains = simulate_gains(mc_fixed, geom)
         for row, value in zip(result.rows, spec.values()):
             cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
@@ -173,7 +172,7 @@ class TestRunSweep:
     def test_m_o_sweep(self):
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
-        spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=2, scale="linear")
+        spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=2)
         result = run_sweep(scenario, geom, mc, spec, modes=("fixed",))
         assert [row["swept_value"] for row in result.rows] == [16.0, 36.0]
 
@@ -182,7 +181,7 @@ class TestRunSweep:
         # needs a grid of its own, so the sweep runs two groups.
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
-        spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2, scale="linear")
+        spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2)
         run_sweep(scenario, geom, mc, spec, modes=("fris", "ris"), progress=True)
         lines = capsys.readouterr().err.splitlines()
         assert [line.split()[0] for line in lines] == ["[1/2]", "[2/2]"]
@@ -278,15 +277,32 @@ class TestMain:
         assert (out_dir / "plot.svg").exists()
         assert len((out_dir / "sweep.csv").read_text().splitlines()) == 4
 
-    @pytest.mark.parametrize("start, stop, field", [(0, 16, "sweep.start"), (4, 200, "sweep.stop")])
-    def test_swept_m_o_out_of_range_is_a_config_error(self, tmp_path, capsys, start, stop, field):
-        cfg = write_config(tmp_path, f"sweep.variable = m_o\nsweep.start = {start}\nsweep.stop = {stop}\n")
+    # Each swept variable is out of its domain at one end of the sweep:
+    # m_o off the surface, an infinite power, a negative threshold offset,
+    # a power that overflows (as the sweep's end or the scenario's value).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("config, field", [
+        ("sweep.variable = m_o\nsweep.start = 0\nsweep.stop = 16\n", "sweep.start"),
+        ("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 200\n", "sweep.stop"),
+        ("sweep.stop = inf\n", "sweep.stop"),
+        ("sweep.variable = mu_factor\nsweep.start = -2\nsweep.stop = 3\n", "sweep.start"),
+        ("sweep.stop = 5000\n", "sweep.stop"),
+        ("scenario.p_a_dbm = 1e6\n", "scenario"),
+    ], ids=["m_o-start", "m_o-stop", "p_a_dbm-inf", "mu_factor-negative", "p_a_dbm-overflow", "scenario-overflow"])
+    def test_out_of_domain_sweep_is_a_config_error(self, tmp_path, capsys, config, field):
+        cfg = write_config(tmp_path, config)
         with pytest.raises(ConfigError, match=field):
             load_config(cfg)
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field '{field}'") and err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1"), ("--workers", "0")])
+    def test_bad_run_flag_is_a_config_error(self, capsys, flag, value):
+        assert main(["validate", flag, value]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'mc'")
 
     @pytest.mark.parametrize("m_hat", [145, -1])
     def test_ris_m_hat_out_of_range_is_a_config_error(self, tmp_path, capsys, m_hat):

@@ -8,9 +8,8 @@ from friscov import (
     DomainError,
     GammaFit,
     MCConfig,
-    PhaseMode,
+    Mode,
     ScenarioConfig,
-    SelectionMode,
     dbm_to_watt,
     default_fixed_preset,
     estimate_cop,
@@ -28,8 +27,7 @@ from friscov.montecarlo import GainSample, mix64, simulate_group, wilson_interva
 
 
 def fixed_static(trials=20_000, seed=1, m_o=36, workers=1) -> MCConfig:
-    return MCConfig(trials=trials, master_seed=seed, phase_mode=PhaseMode.STATIC,
-                    selection_mode=SelectionMode.FIXED, m_o=m_o, workers=workers)
+    return MCConfig(trials=trials, master_seed=seed, mode=Mode.FIXED, m_o=m_o, workers=workers)
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +67,10 @@ class TestSubstreams:
 class TestMCConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0), dict(master_seed=-1), dict(master_seed=2**64),
-        dict(workers=0), dict(m_o=0),
+        dict(workers=0), dict(m_o=0), dict(mode="fixed"),
     ])
     def test_rejects(self, kwargs):
-        base = dict(trials=10, master_seed=1, phase_mode=PhaseMode.STATIC,
-                    selection_mode=SelectionMode.FIXED)
+        base = dict(trials=10, master_seed=1, mode=Mode.FIXED)
         base.update(kwargs)
         with pytest.raises(DomainError):
             MCConfig(**base)
@@ -134,7 +131,7 @@ class TestEstimators:
         cfg = dataclasses.replace(ScenarioConfig(), mu_offset=ScenarioConfig().sigma2_w)
         zeta = optimal_threshold(cfg)
         fit = gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
-        analytic = cop(cfg, fa_probability(cfg, zeta), md_probability(fit, cfg, zeta), zeta)
+        analytic = cop(cfg, fa_probability(cfg, zeta), md_probability(fit, cfg, zeta))
         est = estimate_cop(gains_200k, cfg, zeta)
         assert abs(est.value - analytic) <= 0.02
 
@@ -176,16 +173,8 @@ class TestEstimators:
 
 
 def group_configs(trials, m_os=(1, 2, 16, 144)) -> list[MCConfig]:
-    """Every selection and phase mode at each ``m_o``, plus the full grid."""
-    common = dict(trials=trials, master_seed=5)
-    configs = [
-        MCConfig(phase_mode=phase, selection_mode=selection, m_o=m_o, **common)
-        for m_o in m_os
-        for selection in (SelectionMode.BEST_PRODUCT, SelectionMode.FIXED)
-        for phase in (PhaseMode.COHERENT, PhaseMode.STATIC)
-    ]
-    return configs + [MCConfig(phase_mode=PhaseMode.COHERENT, selection_mode=SelectionMode.RIS_FULL,
-                               m_o=144, **common)]
+    """Every mode at each ``m_o``; at 144 the presets are the full grid."""
+    return [MCConfig(trials=trials, master_seed=5, mode=mode, m_o=m_o) for m_o in m_os for mode in Mode]
 
 
 class TestGroups:
@@ -194,21 +183,14 @@ class TestGroups:
         # take numpy's matrix-vector path.
         configs = group_configs(trials=4_097)
         alone = [simulate_gains(mc, ref_geom) for mc in configs]
-        fixed = [j for j, mc in enumerate(configs) if mc.selection_mode is SelectionMode.FIXED]
+        preset = [j for j, mc in enumerate(configs) if mc.mode is not Mode.FRIS]
         for workers in (1, 2):
             members = [dataclasses.replace(mc, workers=workers) for mc in configs]
-            for picks in (range(len(configs)), fixed, fixed[::-1]):
+            for picks in (range(len(configs)), preset, preset[::-1]):
                 group = [members[j] for j in picks]
                 for j, gains in zip(picks, simulate_group(group, ref_geom)):
                     assert np.array_equal(gains.g_b, alone[j].g_b), configs[j]
                     assert np.array_equal(gains.g_w, alone[j].g_w), configs[j]
-
-    def test_explicit_preset_matches_default_preset(self, ref_geom):
-        base = fixed_static(trials=3_000, m_o=16)
-        explicit = dataclasses.replace(base, fixed_preset=default_fixed_preset(ref_geom, 16))
-        default, given = simulate_group([base, explicit], ref_geom)
-        assert np.array_equal(default.g_b, given.g_b)
-        assert np.array_equal(default.g_w, given.g_w)
 
     def test_empty_group(self, ref_geom):
         assert simulate_group([], ref_geom) == []

@@ -129,13 +129,10 @@ class TestPortSelection:
         with pytest.raises(DomainError):
             PortSelection(())
 
-    def test_all_ports(self):
-        assert PortSelection.all_ports(4).indices == (0, 1, 2, 3)
-
 
 class TestReduce:
     def test_full_selection_is_identity(self, ref_corr):
-        sel = PortSelection.all_ports(144)
+        sel = PortSelection(tuple(range(144)))
         assert np.array_equal(reduce(ref_corr, sel), ref_corr)
 
     def test_singleton_gives_unit(self, ref_corr):
