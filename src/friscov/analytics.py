@@ -30,7 +30,12 @@ from .specfun import reg_lower_incomplete_gamma
 
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """``dbm`` in watts; a :class:`DomainError` names a value whose watts overflow a float."""
+    dbm = float(dbm)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise DomainError(f"{dbm!r} dBm overflows a float in watts") from None
 
 
 def watt_to_dbm(watt: float) -> float:

@@ -22,15 +22,24 @@ The paper compares three surfaces, one :class:`Mode` each:
 
 Identity phases give the cascade toward node u as ``|sum_i conj(u_i)
 a_i|**2`` over the selected ports.  Coherent phases cancel the argument
-of each selected product term toward the receiver, giving ``(sum_i
-|b_i| |a_i|)**2``.  The warden always experiences the receiver-serving
-selection and phases, never its own optimum.
+of each selected product term ``t_i = conj(b_i) a_i`` toward the
+receiver: the phase is ``conj(t_i) / |t_i|``, and 1 for a zero term (as
+``exp(-1j * angle(0))``), giving ``(sum_i |b_i| |a_i|)**2``.  The warden
+always experiences the receiver-serving selection and phases, never its
+own optimum.
+
+The sums run down the selected rows one row at a time, so the gains over
+the first ``k`` rows are read off the same running sum for every ``k``
+(the prefix ``lengths`` of :func:`cascade`): one ranking and one cascade
+of the top ``max(m_o)`` rows serve every fluid ``m_o`` of a block.  A
+config's gains are thus the same whatever other ``m_o`` share its block.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -46,23 +55,27 @@ class Mode(enum.Enum):
     RIS = "ris"
 
 
-def correlated_fading(
-    sqrt_corr: np.ndarray, rng: np.random.Generator, trials: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fading vectors ``(a, b, c)`` of one block, each ``(ports, trials)``.
+def correlated_fading(sqrt_corr: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Fading vectors ``a, b, c`` of one block, stacked as ``(3, ports, trials)``.
 
     Fixed draw layout: standard normals indexed [link, re/im, port,
     trial], links ordered transmitter, receiver, warden side.  Each link
     is ``sqrt_corr @ h`` with ``h`` i.i.d. circularly-symmetric complex
     normal of unit variance, so its covariance is ``sqrt_corr @
-    sqrt_corr^H``.  The same generator state gives bit-identical vectors.
+    sqrt_corr^H``.  ``sqrt_corr`` is real, so one real product over the
+    stack of real and imaginary parts correlates all three links.  The
+    same generator state gives bit-identical vectors.
     """
-    if sqrt_corr.ndim != 2 or sqrt_corr.shape[0] != sqrt_corr.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {sqrt_corr.shape}")
+    if sqrt_corr.ndim != 2 or sqrt_corr.shape[0] != sqrt_corr.shape[1] or np.iscomplexobj(sqrt_corr):
+        raise DomainError(f"expected a real square matrix, got {sqrt_corr.dtype} of shape {sqrt_corr.shape}")
     z = rng.standard_normal((3, 2, sqrt_corr.shape[0], trials))
-    scale = 1.0 / math.sqrt(2.0)
-    a, b, c = [sqrt_corr @ ((z[k, 0] + 1j * z[k, 1]) * scale) for k in range(3)]
-    return a, b, c
+    z *= 1.0 / math.sqrt(2.0)
+    x = sqrt_corr @ z
+    del z
+    abc = np.empty((3, sqrt_corr.shape[0], trials), dtype=complex)
+    abc.real = x[:, 0]
+    abc.imag = x[:, 1]
+    return abc
 
 
 def best_product_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,31 +83,76 @@ def best_product_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Stable, so ties go to the lower index and the first ``m_o`` rows are
     the ``m_o`` best ports of every trial, for every ``m_o`` at once.
+    The ranking runs along the contiguous axis of the transposed key;
+    the order comes back C-contiguous, ``(ports, trials)``.
     """
-    return np.argsort(-(np.abs(a) * np.abs(b)), axis=0, kind="stable")
+    key = np.negative(np.abs(a) * np.abs(b)).T.copy()
+    return np.argsort(key, axis=1, kind="stable").T.copy()
 
 
 def cascade(
-    coherent: bool, a: np.ndarray, b: np.ndarray, c: np.ndarray
+    coherent: bool, a: np.ndarray, b: np.ndarray, c: np.ndarray, lengths: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gains ``(g_b, g_w)`` over the selected rows ``a``, ``b``, ``c`` of each trial.
+    """Gains ``(g_b, g_w)`` over the leading rows of ``a``, ``b``, ``c`` of each trial.
 
-    Identity phases sum ``conj(u_i) a_i`` as is.  ``coherent`` applies
-    the phases ``-arg(conj(b_i) a_i)`` that align every receiver term --
-    so ``g_b`` is never smaller than with identity phases -- and the
-    warden sees the same phases.
+    Row ``i`` of each result holds the gains over the first
+    ``lengths[i]`` rows, all read off one running sum down the rows;
+    without ``lengths`` the results are the gains over every row, shape
+    ``(trials,)``.  Identity phases sum ``conj(u_i) a_i`` as is.
+    ``coherent`` applies the phases ``conj(t_i) / |t_i|`` of the receiver
+    terms ``t_i = conj(b_i) a_i``, which align every receiver term -- so
+    ``g_b`` is never smaller than with identity phases -- and the warden
+    sees the same phases.  A zero term keeps phase 1, as
+    ``exp(-1j * angle(0))`` does.  A term's phase does not depend on the
+    other rows, so the gains over ``k`` rows are the same whatever
+    follows them.
     """
     if not a.shape == b.shape == c.shape:
         raise DomainError(f"selected vectors must share a shape, got {a.shape}, {b.shape}, {c.shape}")
-    terms_b = np.conj(b) * a
-    terms_w = np.conj(c) * a
-    if coherent:
-        g_b = np.abs(terms_b).sum(axis=0) ** 2
-        g_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
+    if lengths is None:
+        rows = -1
     else:
-        g_b = np.abs(terms_b.sum(axis=0)) ** 2
-        g_w = np.abs(terms_w.sum(axis=0)) ** 2
+        rows = np.asarray(lengths, dtype=int) - 1
+        if rows.ndim != 1 or not np.all((0 <= rows) & (rows < a.shape[0])):
+            raise DomainError(f"prefix lengths must lie in [1, {a.shape[0]}], got {lengths!r}")
+    # Complex products are ufunc calls, never ``*``: numpy may run ``*`` in
+    # place on a large temporary with its operands swapped, and a product
+    # of swapped complex operands can differ in the last bit.
+    terms_b = np.multiply(np.conj(b), a)
+    if coherent:
+        terms_b, phases = _polar(terms_b)
+        terms_w = np.multiply(phases, np.multiply(np.conj(c), a))
+        del phases
+    else:
+        terms_w = np.multiply(np.conj(c), a)
+    g_b = np.abs(_running_sums(terms_b)[rows]) ** 2
+    g_w = np.abs(_running_sums(terms_w)[rows]) ** 2
     return g_b, g_w
+
+
+def _polar(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|t|`` and the coherent phase ``conj(t) / |t|`` of each term.
+
+    A zero term gets phase 1, as ``exp(-1j * angle(0))`` does.
+    """
+    magnitude = np.abs(terms)
+    zero = magnitude == 0
+    phases = np.divide(np.conj(terms), np.where(zero, 1.0, magnitude))
+    phases[zero] = 1.0
+    return magnitude, phases
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """``np.cumsum(terms, axis=0)``, one row at a time.
+
+    Same sums in the same order, but each step adds two contiguous rows,
+    where ``cumsum`` walks every column with a stride of a whole row.
+    """
+    sums = np.empty_like(terms)
+    sums[0] = terms[0]
+    for k in range(1, terms.shape[0]):
+        np.add(sums[k - 1], terms[k], out=sums[k])
+    return sums
 
 
 def ris_grid_geometry(geom: SurfaceGeometry, m_hat: int) -> SurfaceGeometry:

@@ -201,8 +201,14 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             f"(the surface has m_x * m_z = {geom.num_elements} ports)",
             field="selection.m_o",
         )
+    watts = {}
+    for key in ("scenario.sigma2_w_dbm", "scenario.sigma2_b_dbm", "scenario.p_a_dbm"):
+        try:
+            watts[key] = dbm_to_watt(resolved[key])
+        except DomainError as exc:
+            raise ConfigError(f"{key}: {exc}", field="scenario") from exc
+    sigma2_w = watts["scenario.sigma2_w_dbm"]
     try:
-        sigma2_w = dbm_to_watt(resolved["scenario.sigma2_w_dbm"])
         scenario = ScenarioConfig(
             d_af=resolved["scenario.d_af"],
             d_fb=resolved["scenario.d_fb"],
@@ -210,14 +216,14 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             alpha=resolved["scenario.alpha"],
             rho0=resolved["scenario.rho0"],
             r_b=resolved["scenario.r_b"],
-            sigma2_b=dbm_to_watt(resolved["scenario.sigma2_b_dbm"]),
+            sigma2_b=watts["scenario.sigma2_b_dbm"],
             sigma2_w=sigma2_w,
             p0=resolved["scenario.p0"],
             p1=resolved["scenario.p1"],
             mu_offset=resolved["scenario.mu_factor"] * sigma2_w,
-            p_a=dbm_to_watt(resolved["scenario.p_a_dbm"]),
+            p_a=watts["scenario.p_a_dbm"],
         )
-    except (DomainError, OverflowError) as exc:
+    except DomainError as exc:
         raise ConfigError(str(exc), field="scenario") from exc
     ris_m_hat = resolved["ris.m_hat"]
     if ris_m_hat < 0 or ris_m_hat > geom.num_elements:
@@ -247,7 +253,7 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
     for field, value in (("sweep.start", swept[0]), ("sweep.stop", swept[-1])):
         try:
             _point_scenario(scenario, spec, value, m_o, geom.num_elements)
-        except (DomainError, OverflowError) as exc:
+        except DomainError as exc:
             raise ConfigError(str(exc), field=field) from exc
     return scenario, geom, mc, spec
 

@@ -145,18 +145,23 @@ def _block_gains(
     block_trials: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     rng = np.random.default_rng(mix64(master_seed, block_index))
-    a, b, c = correlated_fading(sqrt_corr, rng, block_trials)
-    order = None
-    gains = []
-    for mc, rows in members:
-        if rows is None:
-            if order is None:
-                order = best_product_order(a, b)
-            top = order[: mc.m_o]
-            sel = [np.take_along_axis(v, top, axis=0) for v in (a, b, c)]
-        else:
-            sel = [a[rows], b[rows], c[rows]]
-        gains.append(cascade(mc.mode is not Mode.FIXED, *sel))
+    abc = correlated_fading(sqrt_corr, rng, block_trials)
+    gains: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(members)
+    fluid = [j for j, (_, rows) in enumerate(members) if rows is None]
+    if fluid:
+        # One ranking and one running sum serve every fluid m_o of the group.
+        lengths = [members[j][0].m_o for j in fluid]
+        top = best_product_order(abc[0], abc[1])[: max(lengths)]
+        # Flat indices gather the three links in one pass.
+        selected = np.take(abc.reshape(3, -1), top * block_trials + np.arange(block_trials), axis=1)
+        del top
+        g_b, g_w = cascade(True, *selected, lengths)
+        del selected
+        for j, gb, gw in zip(fluid, g_b, g_w):
+            gains[j] = gb, gw
+    for j, (mc, rows) in enumerate(members):
+        if rows is not None:
+            gains[j] = cascade(mc.mode is not Mode.FIXED, *abc[:, rows])
     return gains
 
 
@@ -184,11 +189,13 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
 
     The configs must share ``master_seed`` and ``trials``; they run on
     ``geom``.  Each block is drawn once and correlated over every port
-    once; then each config takes its own ports (a per-draw sort or a row
-    gather) and phases from it.  So the group costs one RNG pass and one
-    correlating product per block, and a config's gains do not depend on
-    the other configs in its group.  Nor do they depend on the worker
-    count (the largest ``workers`` in the group is used).
+    once.  The fluid configs share one ranking of the ports and one
+    cascade of the top ``max(m_o)`` rows, each reading its own prefix
+    length; every other config gathers its preset rows.  So the group
+    costs one RNG pass, one correlating product and one ranking per
+    block, and a config's gains do not depend on the other configs in its
+    group.  Nor do they depend on the worker count (the largest
+    ``workers`` in the group is used).
     """
     mcs = list(mcs)
     if not mcs:

@@ -124,6 +124,33 @@ class TestCascadedGain:
             static = cascade(False, a, b, c)[0]
             assert np.all(coherent >= static - 1e-12 * np.maximum(coherent, 1.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("zero", ["a", "b"])
+    def test_zero_product_term(self, zero):
+        # A zero term has no argument; its phase is 1, as exp(-1j * angle(0)).
+        a, b, c = (v[:4] for v in random_block(14, 4, 3))
+        (a if zero == "a" else b)[1, 0] = 0.0
+        terms_b, terms_w = np.conj(b) * a, np.conj(c) * a
+        expected_b = np.abs(terms_b).sum(axis=0) ** 2
+        expected_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
+        g_b, g_w = cascade(True, a, b, c)
+        assert np.all(np.isfinite(g_b)) and np.all(np.isfinite(g_w))
+        assert g_b == pytest.approx(expected_b, rel=1e-12)
+        assert g_w == pytest.approx(expected_w, rel=1e-12)
+
+    def test_prefix_lengths(self):
+        a, b, c = random_block(15, 7, 40)
+        lengths = [3, 1, 7, 3]
+        for coherent in (False, True):
+            g_b, g_w = cascade(coherent, a, b, c, lengths)
+            assert g_b.shape == g_w.shape == (4, 40)
+            for row, k in enumerate(lengths):
+                ref_b, ref_w = cascade(coherent, a[:k], b[:k], c[:k])
+                assert np.array_equal(g_b[row], ref_b) and np.array_equal(g_w[row], ref_w)
+        for bad in ([0], [8], [[2]]):
+            with pytest.raises(DomainError):
+                cascade(True, a, b, c, bad)
+
     def test_global_phase_rotation_invariance(self):
         a, b, c = (v[[0, 2, 5]] for v in random_block(10, 6, 50))
         for coherent in (False, True):

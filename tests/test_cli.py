@@ -299,6 +299,17 @@ class TestMain:
         assert err.startswith(f"config error: field '{field}'") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("config, key, value", [
+        ("scenario.p_a_dbm = 1e6\n", "scenario.p_a_dbm", "1000000.0"),
+        ("scenario.sigma2_w_dbm = 4000\n", "scenario.sigma2_w_dbm", "4000.0"),
+        ("sweep.stop = 5000\n", "sweep.stop", "5000.0"),
+    ], ids=["p_a_dbm", "sigma2_w_dbm", "sweep-stop"])
+    def test_dbm_overflow_names_key_and_value(self, tmp_path, capsys, config, key, value):
+        cfg = write_config(tmp_path, config)
+        assert main(["show-config", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and f"{value} dBm" in err
+
     @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1"), ("--workers", "0")])
     def test_bad_run_flag_is_a_config_error(self, capsys, flag, value):
         assert main(["validate", flag, value]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from friscov import (
     MCConfig,
     Mode,
     ScenarioConfig,
+    correlation_matrix,
     dbm_to_watt,
     default_fixed_preset,
     estimate_cop,
@@ -19,11 +21,13 @@ from friscov import (
     ks_distance,
     optimal_threshold,
     outage_probability,
+    psd_sqrt,
     reduce,
     reg_lower_incomplete_gamma,
     simulate_gains,
 )
-from friscov.montecarlo import GainSample, mix64, simulate_group, wilson_interval
+from friscov.channel import best_product_order, cascade, correlated_fading
+from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, simulate_group, wilson_interval
 
 
 def fixed_static(trials=20_000, seed=1, m_o=36, workers=1) -> MCConfig:
@@ -191,6 +195,37 @@ class TestGroups:
                 for j, gains in zip(picks, simulate_group(group, ref_geom)):
                     assert np.array_equal(gains.g_b, alone[j].g_b), configs[j]
                     assert np.array_equal(gains.g_w, alone[j].g_w), configs[j]
+
+    def test_prefix_sums_match_a_cascade_per_m_o(self, ref_geom):
+        # Every fluid m_o of the group is read off one ranking and one running
+        # sum; each must equal a cascade over its own top rows of the block.
+        trials = 4_097  # a full block and a one-trial block
+        group = [MCConfig(trials=trials, master_seed=5, mode=Mode.FRIS, m_o=m_o) for m_o in range(1, 145)]
+        samples = simulate_group(group, ref_geom)
+        root = psd_sqrt(correlation_matrix(ref_geom))
+        for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+            count = min(BLOCK_TRIALS, trials - start)
+            a, b, c = correlated_fading(root, np.random.default_rng(mix64(5, block)), count)
+            ranked = [np.take_along_axis(v, best_product_order(a, b), axis=0) for v in (a, b, c)]
+            for mc, gains in zip(group, samples):
+                g_b, g_w = cascade(True, *(v[: mc.m_o] for v in ranked))
+                assert np.array_equal(gains.g_b[start : start + count], g_b), (mc.m_o, block)
+                assert np.array_equal(gains.g_w[start : start + count], g_w), (mc.m_o, block)
+
+    def test_block_memory_is_bounded(self, ref_geom):
+        # One block of the three compared surfaces at m_o = 36 peaks at about
+        # twice its normals: the normals and their correlated copy.
+        trials = BLOCK_TRIALS
+        group = [MCConfig(trials=trials, master_seed=1, mode=mode, m_o=36) for mode in Mode]
+        normals = 3 * 2 * ref_geom.num_elements * trials * 8
+        tracemalloc.start()
+        try:
+            samples = simulate_group(group, ref_geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(g.g_b.nbytes + g.g_w.nbytes for g in samples)
+        assert peak - outputs <= 2.25 * normals
 
     def test_empty_group(self, ref_geom):
         assert simulate_group([], ref_geom) == []
