@@ -39,10 +39,9 @@ from .montecarlo import (
     estimate_op,
     estimate_success,
     ks_distance,
-    simulate_gains,
     simulate_group,
 )
-from .specfun import bessel_j0, ln_gamma, reg_lower_incomplete_gamma
+from .specfun import bessel_j0, reg_lower_incomplete_gamma
 from .surface import (
     PortSelection,
     SurfaceGeometry,
@@ -64,8 +63,8 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DegenerateFitError", "DomainError",
     "FriscovError", "NotPSDError",
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
-    "estimate_success", "ks_distance", "simulate_gains", "simulate_group",
-    "bessel_j0", "ln_gamma", "reg_lower_incomplete_gamma",
+    "estimate_success", "ks_distance", "simulate_group",
+    "bessel_j0", "reg_lower_incomplete_gamma",
     "PortSelection", "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",
     "inter_element_distance", "psd_sqrt", "reduce",
 ]

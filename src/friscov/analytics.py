@@ -154,13 +154,14 @@ def gamma_moment_match(corr_active: np.ndarray) -> GammaFit:
     return GammaFit(kappa=trace2 * trace2 / trace4, theta=trace4 / trace2)
 
 
-def gamma_cdf(fit: GammaFit, g: float) -> float:
-    """CDF of the fitted gain distribution at ``g`` >= 0."""
-    if not (isinstance(g, (int, float)) and math.isfinite(g)):
-        raise DomainError(f"g must be a finite real, got {g!r}")
-    if g < 0:
-        raise DomainError(f"g must be >= 0, got {g!r}")
-    return reg_lower_incomplete_gamma(fit.kappa, g / fit.theta)
+def gamma_cdf(fit: GammaFit, g: float | np.ndarray) -> float | np.ndarray:
+    """CDF of the fitted gain distribution at ``g`` >= 0, elementwise.
+
+    A scalar ``g`` gives a float, an array of gains an array of its
+    shape.  Raises :class:`DomainError` if any element is negative or
+    non-finite.
+    """
+    return reg_lower_incomplete_gamma(fit.kappa, np.divide(g, fit.theta))
 
 
 def path_loss(d: float, alpha: float, rho0: float) -> float:

@@ -235,16 +235,6 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
     return samples
 
 
-def simulate_gains(mc: MCConfig, geom: SurfaceGeometry) -> GainSample:
-    """Per-trial cascaded gains for one configuration: a group of one.
-
-    Deterministic in ``(mc.master_seed, mc.trials)`` and independent of
-    ``mc.workers``.  Each call simulates afresh; callers that evaluate
-    several estimators keep the returned sample.
-    """
-    return simulate_group([mc], geom)[0]
-
-
 def _affine_estimate(offset: float, scale: float, successes: int, trials: int) -> EstimateWithCI:
     lo, hi = wilson_interval(successes, trials)
     value = offset + scale * (successes / trials)
@@ -308,14 +298,15 @@ def ks_distance(samples, fit: GammaFit) -> float:
     """Kolmogorov-Smirnov distance between a sample and a Gamma fit.
 
     Supremum of |empirical CDF - fitted CDF| over the sample points,
-    evaluated from both one-sided limits at each point.
+    evaluated from both one-sided limits at each point; the fitted CDF
+    is evaluated on the whole sorted sample in one call.
     """
     data = np.asarray(samples, dtype=float).ravel()
     if data.size == 0:
         raise DomainError("KS distance requires a non-empty sample")
     data = np.sort(data)
     n = data.size
-    fitted = np.array([gamma_cdf(fit, float(x)) for x in data])
+    fitted = gamma_cdf(fit, data)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(upper - fitted), np.max(fitted - lower)))

@@ -123,15 +123,17 @@ def correlation_matrix(geom: SurfaceGeometry) -> np.ndarray:
     Entry (i, j) equals ``J0(2 pi d_ij / wavelength)`` with ``d_ij`` the
     inter-port distance.  Exactly symmetric with unit diagonal by
     construction: entries are looked up from a table of the J0 values
-    at the grid's distinct (row-offset, column-offset) pairs.
+    at the grid's distinct (row-offset, column-offset) pairs, evaluated
+    in one call.  The offset distances come from ``math.hypot``, as in
+    :func:`inter_element_distance` (``np.hypot`` rounds some of them
+    differently).
     """
     m_x, m_z = geom.m_x, geom.m_z
     scale = 2.0 * math.pi / geom.wavelength
-    table = np.empty((m_z, m_x))
-    for dr in range(m_z):
-        for dc in range(m_x):
-            d = math.hypot(geom.d_x * dc, geom.d_z * dr)
-            table[dr, dc] = bessel_j0(scale * d)
+    distance = np.array(
+        [[math.hypot(geom.d_x * dc, geom.d_z * dr) for dc in range(m_x)] for dr in range(m_z)]
+    )
+    table = bessel_j0(scale * distance)
     idx = np.arange(geom.num_elements)
     rows = idx // m_x
     cols = idx % m_x

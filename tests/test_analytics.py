@@ -106,6 +106,31 @@ class TestGammaCdf:
         values = [gamma_cdf(fit, g) for g in np.linspace(0.0, 30.0, 200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    # kappa + 1 = 5.2 at g = 3.64 splits the series from the continued fraction
+    POINTS = [0.0, 1e-7, 1.3, 3.6, 3.64, 40.0]
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_array_keeps_shape_and_matches_elementwise_calls(self, shape):
+        fit = GammaFit(4.2, 0.7)
+        g = np.array(self.POINTS[: math.prod(shape)]).reshape(shape)
+        values = gamma_cdf(fit, g)
+        assert np.shape(values) == shape
+        assert np.asarray(values).ravel().tolist() == [gamma_cdf(fit, float(v)) for v in g.flat]
+
+    def test_scalar_returns_float(self):
+        fit = GammaFit(4.2, 0.7)
+        for g in self.POINTS:
+            assert type(gamma_cdf(fit, g)) is float
+            assert type(gamma_cdf(fit, np.float64(g))) is float
+        assert type(gamma_cdf(fit, 2)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_one_bad_element_rejects_the_array(self, bad):
+        g = np.array(self.POINTS).reshape(2, 3)
+        g[1, 1] = bad
+        with pytest.raises(DomainError):
+            gamma_cdf(GammaFit(4.2, 0.7), g)
+
 
 class TestPathLoss:
     def test_reference_distance(self):

@@ -12,7 +12,7 @@ from friscov import (
     default_fixed_preset,
     psd_sqrt,
     reduce,
-    simulate_gains,
+    simulate_group,
 )
 from friscov.channel import best_product_order, cascade, correlated_fading, ris_grid_geometry
 from friscov.cli import _mode_config
@@ -38,7 +38,7 @@ def random_block(seed: int, ports: int, trials: int) -> list[np.ndarray]:
 
 
 def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> tuple[np.ndarray, ...]:
-    """The fading vectors ``simulate_gains`` draws for its first block."""
+    """The fading vectors ``simulate_group`` draws for its first block."""
     rng = np.random.default_rng(mix64(master_seed, 0))
     return correlated_fading(psd_sqrt(correlation_matrix(geom)), rng, trials)
 
@@ -92,13 +92,13 @@ class TestSelectPorts:
     def test_m_o_out_of_range(self):
         mc = MCConfig(trials=10, master_seed=1, mode=Mode.FRIS, m_o=7)
         with pytest.raises(DomainError):
-            simulate_gains(mc, SMALL)
+            simulate_group([mc], SMALL)
 
     def test_ris_full_requires_all(self):
         # a RIS of every port reads every row, in order
         mc = MCConfig(trials=50, master_seed=6, mode=Mode.RIS, m_o=6)
         g_b, g_w = cascade(True, *first_block(SMALL, 6, 50))
-        gains = simulate_gains(mc, SMALL)
+        gains = simulate_group([mc], SMALL)[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
 
@@ -185,8 +185,8 @@ class TestWillieGain:
         # both modes read all 8 ports, the default preset of 8
         geom = SurfaceGeometry(8, 1, 40.0, 1.0, 0.125)
         kwargs = dict(trials=200_000, master_seed=3, m_o=8)
-        coherent = simulate_gains(MCConfig(mode=Mode.RIS, **kwargs), geom)
-        static = simulate_gains(MCConfig(mode=Mode.FIXED, **kwargs), geom)
+        coherent = simulate_group([MCConfig(mode=Mode.RIS, **kwargs)], geom)[0]
+        static = simulate_group([MCConfig(mode=Mode.FIXED, **kwargs)], geom)[0]
         ratio = coherent.g_w.mean() / static.g_w.mean()
         assert abs(ratio - 1.0) <= 0.05
 
@@ -214,7 +214,7 @@ class TestDrawChannel:
         rows = best_product_order(a, b)[:16]
         assert all(np.unique(rows[:, k]).size == 16 for k in range(50))
         g_b, g_w = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))
-        gains = simulate_gains(mc, ref_geom)
+        gains = simulate_group([mc], ref_geom)[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
         assert np.all(gains.g_b >= 0.0) and np.all(gains.g_w >= 0.0)
@@ -224,7 +224,7 @@ class TestDrawChannel:
         active = reduce(ref_corr, default_fixed_preset(ref_geom, 36))
         expected = float(np.trace(active @ active))
         mc = MCConfig(trials=200_000, master_seed=8, mode=Mode.FIXED, m_o=36)
-        gains = simulate_gains(mc, ref_geom)
+        gains = simulate_group([mc], ref_geom)[0]
         assert abs(gains.g_b.mean() - expected) / expected <= 0.025
 
 
@@ -239,7 +239,7 @@ class TestRisBaseline:
         mc = MCConfig(trials=100, master_seed=1, mode=Mode.RIS, m_o=1)
         a, b, _ = first_block(grid, 1, 100)
         expected = np.abs(a[0]) ** 2 * np.abs(b[0]) ** 2
-        assert simulate_gains(mc, grid).g_b == pytest.approx(expected, rel=1e-12)
+        assert simulate_group([mc], grid)[0].g_b == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("m_x, m_z, m_hat, paired", [
         (12, 12, 36, True), (12, 12, 16, True), (12, 12, 4, True), (12, 12, 144, True),
@@ -266,16 +266,16 @@ class TestRisBaseline:
         # a baseline grid has no more elements than the surface it runs on
         mc = MCConfig(trials=10, master_seed=1, mode=Mode.RIS, m_o=145)
         with pytest.raises(DomainError):
-            simulate_gains(mc, ref_geom)
+            simulate_group([mc], ref_geom)
         with pytest.raises(DomainError):
-            simulate_gains(dataclasses.replace(mc, m_o=20), ris_grid_geometry(ref_geom, 16))
+            simulate_group([dataclasses.replace(mc, m_o=20)], ris_grid_geometry(ref_geom, 16))
 
     def test_fluid_selection_beats_baseline_mean(self, ref_geom):
         # paired draws: same fading, best-product selection vs the
         # 36-element sublattice (== baseline grid) with coherent phases
         common = dict(trials=20_000, master_seed=21, m_o=36)
-        best = simulate_gains(MCConfig(mode=Mode.FRIS, **common), ref_geom)
-        lattice = simulate_gains(MCConfig(mode=Mode.RIS, **common), ref_geom)
+        best = simulate_group([MCConfig(mode=Mode.FRIS, **common)], ref_geom)[0]
+        lattice = simulate_group([MCConfig(mode=Mode.RIS, **common)], ref_geom)[0]
         assert np.all(best.g_b >= lattice.g_b)
         assert best.g_b.mean() >= lattice.g_b.mean()
 

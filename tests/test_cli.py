@@ -17,7 +17,7 @@ from friscov import (
     optimal_threshold,
     outage_probability,
     reduce,
-    simulate_gains,
+    simulate_group,
 )
 from friscov.cli import (
     CSV_COLUMNS,
@@ -136,7 +136,7 @@ class TestRunSweep:
         corr_fit = gamma_moment_match(
             reduce(__import__("friscov").correlation_matrix(geom), default_fixed_preset(geom, mc.m_o)))
         mc_fixed = dataclasses.replace(mc, mode=Mode.FIXED)
-        gains = simulate_gains(mc_fixed, geom)
+        gains = simulate_group([mc_fixed], geom)[0]
         for row, value in zip(result.rows, spec.values()):
             cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
             assert row["swept_value"] == value

@@ -24,10 +24,10 @@ from friscov import (
     psd_sqrt,
     reduce,
     reg_lower_incomplete_gamma,
-    simulate_gains,
+    simulate_group,
 )
 from friscov.channel import best_product_order, cascade, correlated_fading
-from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, simulate_group, wilson_interval
+from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, wilson_interval
 
 
 def fixed_static(trials=20_000, seed=1, m_o=36, workers=1) -> MCConfig:
@@ -36,12 +36,12 @@ def fixed_static(trials=20_000, seed=1, m_o=36, workers=1) -> MCConfig:
 
 @pytest.fixture(scope="module")
 def gains_5k(ref_geom) -> GainSample:
-    return simulate_gains(fixed_static(trials=5_000), ref_geom)
+    return simulate_group([fixed_static(trials=5_000)], ref_geom)[0]
 
 
 @pytest.fixture(scope="module")
 def gains_200k(ref_geom) -> GainSample:
-    return simulate_gains(fixed_static(trials=200_000), ref_geom)
+    return simulate_group([fixed_static(trials=200_000)], ref_geom)[0]
 
 
 class TestSubstreams:
@@ -52,18 +52,18 @@ class TestSubstreams:
         assert all(0 <= s < 2**64 for s in seeds)
 
     def test_gains_independent_of_worker_count(self, ref_geom):
-        one = simulate_gains(fixed_static(trials=30_000, seed=7, workers=1), ref_geom)
-        four = simulate_gains(fixed_static(trials=30_000, seed=7, workers=4), ref_geom)
+        one = simulate_group([fixed_static(trials=30_000, seed=7, workers=1)], ref_geom)[0]
+        four = simulate_group([fixed_static(trials=30_000, seed=7, workers=4)], ref_geom)[0]
         assert np.array_equal(one.g_b, four.g_b)
         assert np.array_equal(one.g_w, four.g_w)
 
     def test_gains_change_with_seed(self, ref_geom):
-        a = simulate_gains(fixed_static(trials=5_000, seed=1), ref_geom)
-        b = simulate_gains(fixed_static(trials=5_000, seed=2), ref_geom)
+        a = simulate_group([fixed_static(trials=5_000, seed=1)], ref_geom)[0]
+        b = simulate_group([fixed_static(trials=5_000, seed=2)], ref_geom)[0]
         assert not np.array_equal(a.g_b, b.g_b)
 
     def test_results_are_read_only(self, ref_geom):
-        gains = simulate_gains(fixed_static(trials=5_000), ref_geom)
+        gains = simulate_group([fixed_static(trials=5_000)], ref_geom)[0]
         with pytest.raises(ValueError):
             gains.g_b[0] = 0.0
 
@@ -81,7 +81,7 @@ class TestMCConfigValidation:
 
     def test_m_o_exceeding_ports(self, ref_geom):
         with pytest.raises(DomainError):
-            simulate_gains(fixed_static(trials=10, m_o=145), ref_geom)
+            simulate_group([fixed_static(trials=10, m_o=145)], ref_geom)
 
 
 class TestWilson:
@@ -154,7 +154,7 @@ class TestEstimators:
             assert estimate_success(gains_5k, cfg, zeta).value <= 1e-3
 
     def test_ci_brackets_and_range(self, ref_geom):
-        gains = simulate_gains(fixed_static(trials=2_000), ref_geom)
+        gains = simulate_group([fixed_static(trials=2_000)], ref_geom)[0]
         for dbm in (-50.0, -40.0, -30.0):
             cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm))
             zeta = optimal_threshold(cfg)
@@ -169,7 +169,7 @@ class TestEstimators:
         zeta = optimal_threshold(cfg)
         values = []
         for workers in (1, 3):
-            gains = simulate_gains(fixed_static(trials=30_000, seed=99, workers=workers), ref_geom)
+            gains = simulate_group([fixed_static(trials=30_000, seed=99, workers=workers)], ref_geom)[0]
             values.append((estimate_op(gains, cfg).value,
                            estimate_cop(gains, cfg, zeta).value,
                            estimate_success(gains, cfg, zeta).value))
@@ -186,7 +186,7 @@ class TestGroups:
         # 4097 trials: one full block and a one-trial block, whose products
         # take numpy's matrix-vector path.
         configs = group_configs(trials=4_097)
-        alone = [simulate_gains(mc, ref_geom) for mc in configs]
+        alone = [simulate_group([mc], ref_geom)[0] for mc in configs]
         preset = [j for j, mc in enumerate(configs) if mc.mode is not Mode.FRIS]
         for workers in (1, 2):
             members = [dataclasses.replace(mc, workers=workers) for mc in configs]

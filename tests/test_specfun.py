@@ -1,11 +1,13 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friscov import DomainError, bessel_j0, ln_gamma, reg_lower_incomplete_gamma
+from friscov import ConvergenceError, DomainError, bessel_j0, reg_lower_incomplete_gamma, specfun
 
 from oracles import oracle_bessel_j0, oracle_first_j0_zero, oracle_reg_lower_gamma
 
@@ -46,32 +48,6 @@ class TestBesselJ0:
         rng = np.random.default_rng(2024)
         for x in rng.uniform(0.0, 200.0, size=300):
             assert bessel_j0(float(x)) == pytest.approx(oracle_bessel_j0(float(x)), abs=1e-10)
-
-
-class TestLnGamma:
-    def test_at_one_is_exactly_zero(self):
-        assert ln_gamma(1.0) == 0.0
-
-    def test_half_integer_identity(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert ln_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-12)
-
-    def test_factorial_identity(self):
-        # Gamma(10) = 9!
-        assert ln_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            ln_gamma(bad)
-
-    def test_random_points_against_oracle(self):
-        import mpmath as mp
-
-        rng = np.random.default_rng(7)
-        for x in 10.0 ** rng.uniform(-2, 2, size=200):
-            expected = float(mp.loggamma(mp.mpf(float(x))).real)
-            assert ln_gamma(float(x)) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
 class TestRegLowerIncompleteGamma:
@@ -122,3 +98,70 @@ class TestRegLowerIncompleteGamma:
         for shape, x in zip(shapes, xs):
             expected = oracle_reg_lower_gamma(float(shape), float(x))
             assert reg_lower_incomplete_gamma(float(shape), float(x)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("x", [0.5, 30.0], ids=["series", "continued-fraction"])
+    def test_iteration_cap_raises(self, monkeypatch, x):
+        monkeypatch.setattr(specfun, "_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError):
+            reg_lower_incomplete_gamma(2.5, np.array([0.0, x]))
+
+    def test_lower_tail_relative_accuracy(self):
+        # Outage lives near 0 and the log plot reaches 1e-6, where an
+        # absolute bound passes trivially.  Below the smallest normal
+        # double a relative bound means nothing, so those points are
+        # skipped.
+        rng = np.random.default_rng(13)
+        shapes = np.concatenate([[0.1, 100.0], 10.0 ** rng.uniform(-1, 2, size=48)])
+        checked = 0
+        for shape in shapes:
+            xs = shape * 10.0 ** rng.uniform(-6, math.log10(0.5), size=10)
+            for x, value in zip(xs, reg_lower_incomplete_gamma(float(shape), xs)):
+                expected = oracle_reg_lower_gamma(float(shape), float(x))
+                if expected < sys.float_info.min:
+                    continue
+                checked += 1
+                assert value == pytest.approx(expected, rel=1e-11)
+        assert checked >= 450
+
+
+# Each function of one array argument: points on every branch, and the
+# elements it rejects.
+ARRAY_CASES = {
+    # power series up to 12, Hankel expansion beyond; even in x
+    "bessel_j0": (
+        bessel_j0,
+        [0.0, -1.5, 11.999999, 12.0, 12.5, -40.0, 150.0, 199.9],
+        [math.nan, math.inf, -math.inf],
+    ),
+    # zero, series below shape + 1 = 3.5, continued fraction from there
+    "reg_lower_incomplete_gamma": (
+        functools.partial(reg_lower_incomplete_gamma, 2.5),
+        [0.0, 1e-6, 0.5, 3.4999, 3.5, 4.5, 30.0, 250.0],
+        [math.nan, math.inf, -math.inf, -0.5],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+class TestArrayContract:
+    @pytest.mark.parametrize("shape", [(), (8,), (2, 4)])
+    def test_keeps_shape_and_matches_elementwise_calls(self, name, shape):
+        fn, points, _ = ARRAY_CASES[name]
+        x = np.asarray(points[: math.prod(shape)]).reshape(shape)
+        values = fn(x)
+        assert np.shape(values) == shape
+        assert np.asarray(values).ravel().tolist() == [fn(float(v)) for v in x.flat]
+
+    def test_scalar_input_returns_float(self, name):
+        fn, points, _ = ARRAY_CASES[name]
+        for x in points:
+            assert type(fn(x)) is float
+            assert type(fn(np.float64(x))) is float
+
+    def test_one_bad_element_rejects_the_array(self, name):
+        fn, points, rejected = ARRAY_CASES[name]
+        for bad in rejected:
+            x = np.array(points).reshape(2, 4)
+            x[1, 2] = bad
+            with pytest.raises(DomainError):
+                fn(x)

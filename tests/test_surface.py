@@ -8,6 +8,7 @@ from friscov import (
     NotPSDError,
     PortSelection,
     SurfaceGeometry,
+    bessel_j0,
     correlation_matrix,
     default_fixed_preset,
     inter_element_distance,
@@ -81,6 +82,23 @@ class TestCorrelationMatrix:
 
     def test_reference_matrix_is_psd_up_to_noise(self, ref_corr):
         assert np.linalg.eigvalsh(ref_corr)[0] >= -1e-9
+
+    @pytest.mark.parametrize("grids", [
+        [(m_x, m_z) for m_x in range(1, 17) for m_z in range(1, 17)],
+        # the RIS grids of an m_o sweep on the reference aperture
+        [(2, 31), (2, 37), (2, 43), (1, 97), (1, 109), (3, 17)],
+    ], ids=["up-to-16x16", "m_o-sweep-ris"])
+    def test_entries_are_j0_of_the_port_distance(self, grids):
+        # Bit-equal to J0 of inter_element_distance, which measures with
+        # math.hypot, on the rows of the four corner ports: together they
+        # hold every offset, of either sign along each axis.
+        for m_x, m_z in grids:
+            geom = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0, wavelength=0.125)
+            n = geom.num_elements
+            corners = sorted({0, m_x - 1, n - m_x, n - 1})
+            distance = np.array([[inter_element_distance(geom, i, j) for j in range(n)] for i in corners])
+            expected = bessel_j0(2.0 * math.pi / geom.wavelength * distance)
+            assert np.array_equal(correlation_matrix(geom)[corners], expected), (m_x, m_z)
 
 
 class TestPsdSqrt:
