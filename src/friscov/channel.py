@@ -2,9 +2,10 @@
 
 Arrays hold one column per trial: fading vectors are ``(ports, trials)``
 and gains ``(trials,)``.  A block is three correlated fading vectors
-per trial (:func:`correlated_fading`), an active-port selection, and
-the cascaded power gains toward the receiver and the warden
-(:func:`cascade`).
+per trial (:func:`correlated_fading`: ``rank`` normals per link and
+trial, correlated by the surface's ``(ports, rank)`` factor), an
+active-port selection, and the cascaded power gains toward the receiver
+and the warden (:func:`cascade`).
 
 The paper compares three surfaces, one :class:`Mode` each:
 
@@ -55,26 +56,29 @@ class Mode(enum.Enum):
     RIS = "ris"
 
 
-def correlated_fading(sqrt_corr: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
+def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Fading vectors ``a, b, c`` of one block, stacked as ``(3, ports, trials)``.
 
-    Fixed draw layout: standard normals indexed [link, re/im, port,
-    trial], links ordered transmitter, receiver, warden side.  Each link
-    is ``sqrt_corr @ h`` with ``h`` i.i.d. circularly-symmetric complex
-    normal of unit variance, so its covariance is ``sqrt_corr @
-    sqrt_corr^H``.  ``sqrt_corr`` is real, so one real product over the
-    stack of real and imaginary parts correlates all three links.  The
-    same generator state gives bit-identical vectors.
+    ``factor`` is a real ``(ports, rank)`` factor of the port correlation
+    (:func:`~friscov.surface.psd_sqrt`).  Fixed draw layout: standard
+    normals indexed [link, rank, trial, re/im], links ordered
+    transmitter, receiver, warden side.  Each link is ``factor @ h`` with
+    ``h`` i.i.d. circularly-symmetric complex normal of unit variance, so
+    its covariance is ``factor @ factor.T``.  ``factor`` is real and a
+    complex array views as its interleaved real and imaginary parts, so
+    one real product, written by ``out=`` straight into the complex
+    block, correlates all three links.  The same generator state gives
+    bit-identical vectors.
     """
-    if sqrt_corr.ndim != 2 or sqrt_corr.shape[0] != sqrt_corr.shape[1] or np.iscomplexobj(sqrt_corr):
-        raise DomainError(f"expected a real square matrix, got {sqrt_corr.dtype} of shape {sqrt_corr.shape}")
-    z = rng.standard_normal((3, 2, sqrt_corr.shape[0], trials))
+    if factor.ndim != 2 or factor.shape[1] > factor.shape[0] or np.iscomplexobj(factor):
+        raise DomainError(
+            f"expected a real (ports, rank) factor with rank <= ports, got {factor.dtype} of shape {factor.shape}"
+        )
+    ports, rank = factor.shape
+    z = rng.standard_normal((3, rank, 2 * trials))
     z *= 1.0 / math.sqrt(2.0)
-    x = sqrt_corr @ z
-    del z
-    abc = np.empty((3, sqrt_corr.shape[0], trials), dtype=complex)
-    abc.real = x[:, 0]
-    abc.imag = x[:, 1]
+    abc = np.empty((3, ports, trials), dtype=complex)
+    np.matmul(factor, z, out=abc.view(float))
     return abc
 
 

@@ -6,7 +6,10 @@ its blocks for groups of configs and turns the gains into estimates.
 Trials are generated in fixed-size blocks of ``BLOCK_TRIALS`` draws.
 Block ``k`` uses an independent substream whose 64-bit seed is
 ``mix64(master_seed, k)`` (a splitmix64-style finalizer, documented at
-:func:`mix64`), drawn in the fixed layout of the channel module.  A
+:func:`mix64`), drawn in the fixed layout of
+:func:`~friscov.channel.correlated_fading`: one normal per link, trial
+and column of the surface's correlation factor, whose column count is
+the correlation's numerical rank (:func:`~friscov.surface.psd_sqrt`).  A
 trial's randomness therefore depends only on the master seed and its
 trial index -- never on the worker pool -- and results are reduced in
 block order, so identical ``(master_seed, trials, configs)`` produce
@@ -138,14 +141,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _block_gains(
-    sqrt_corr: np.ndarray,
+    factor: np.ndarray,
     members: list[tuple[MCConfig, np.ndarray | slice | None]],
     master_seed: int,
     block_index: int,
     block_trials: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     rng = np.random.default_rng(mix64(master_seed, block_index))
-    abc = correlated_fading(sqrt_corr, rng, block_trials)
+    abc = correlated_fading(factor, rng, block_trials)
     gains: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(members)
     fluid = [j for j, (_, rows) in enumerate(members) if rows is None]
     if fluid:
@@ -205,7 +208,7 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
         if (mc.master_seed, mc.trials) != (first.master_seed, first.trials):
             raise DomainError("a group's configs must share master_seed and trials")
     members = _group_members(mcs, geom)
-    sqrt_corr = psd_sqrt(correlation_matrix(geom))
+    factor = psd_sqrt(correlation_matrix(geom))
 
     trials = first.trials
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
@@ -214,7 +217,7 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
     def run(block_index: int) -> None:
         start = block_index * BLOCK_TRIALS
         count = min(BLOCK_TRIALS, trials - start)
-        block = _block_gains(sqrt_corr, members, first.master_seed, block_index, count)
+        block = _block_gains(factor, members, first.master_seed, block_index, count)
         for (g_b, g_w), (out_b, out_w) in zip(block, outputs):
             out_b[start : start + count] = g_b
             out_w[start : start + count] = g_w

@@ -63,8 +63,21 @@ class TestSampleCorrelatedFading:
             assert np.max(np.abs(v.mean(axis=1))) <= 0.02
 
     def test_dimension_validation(self):
-        with pytest.raises(DomainError):
-            correlated_fading(np.ones((3, 2)), np.random.default_rng(0), 1)
+        # not 2-D (twice), complex, more columns than rows
+        for factor in (np.ones(3), np.ones((1, 3, 2)), np.ones((3, 2), dtype=complex), np.ones((2, 3))):
+            with pytest.raises(DomainError):
+                correlated_fading(factor, np.random.default_rng(0), 1)
+
+    def test_low_rank_factor(self):
+        # A (ports, rank) factor gives (3, ports, trials) links whose
+        # covariance is factor @ factor.T, here of rank 2 on 5 ports.
+        factor = np.random.default_rng(3).standard_normal((5, 2))
+        n = 50_000
+        abc = correlated_fading(factor, np.random.default_rng(45), n)
+        assert abc.shape == (3, 5, n)
+        for v in abc:
+            cov = v @ v.conj().T / n
+            assert np.max(np.abs(cov - factor @ factor.T)) <= 0.05 * np.max(np.abs(factor @ factor.T))
 
 
 class TestSelectPorts:

@@ -342,16 +342,16 @@ class TestMain:
     # at every power, and an unpaired 10-element grid across the m_o sweep.
     @pytest.mark.parametrize("config, digest", [
         ("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
-         "edc7ecf810c513b65a0cb6c017899a378078393379982c91a05871c367a35d1a"),
+         "123d8b3fcefec8375aafafe23d6e1b7ef999cd5982c0e2f6419af0ce1ebf86c9"),
         ("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
          "scenario.p_a_dbm = -50\n",
-         "0cd8965abceb050aa26376a12a4963e1c552fec0220d5644fae43d84cc128f1d"),
+         "971ef533183b8ab9624a744ff77e80815464667ce160631537ce94aa3be90d86"),
         ("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
          "sweep.points = 4\n",
-         "8774346db838c9d12a65d884b4d272cbc11248ad2782a173df34de98e16a56e5"),
+         "141afd78cc87ef454241dabd4f22fe6ed9b11bfa7db7bcd7b7b19e1a95991264"),
         ("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
          "sweep.points = 5\n",
-         "ad1df401705bd06c35da0b31297635f7e0e3c38c6aa18db2d8346377981b2680"),
+         "a18e03574117670a040b9091fdbe9bea8f0b30176877d5c97187870c27f5dfc9"),
     ])
     def test_golden_csv_bytes(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config + "mc.trials = 5000\n")

@@ -214,7 +214,9 @@ class TestGroups:
 
     def test_block_memory_is_bounded(self, ref_geom):
         # One block of the three compared surfaces at m_o = 36 peaks at about
-        # twice its normals: the normals and their correlated copy.
+        # 1.6 times the normals of a full-rank draw over its 144 ports: the
+        # complex block (1x), plus the gathered top rows and their cascade
+        # terms.  The rank-39 normals (0.27x) are freed by then.
         trials = BLOCK_TRIALS
         group = [MCConfig(trials=trials, master_seed=1, mode=mode, m_o=36) for mode in Mode]
         normals = 3 * 2 * ref_geom.num_elements * trials * 8
@@ -225,7 +227,7 @@ class TestGroups:
         finally:
             tracemalloc.stop()
         outputs = sum(g.g_b.nbytes + g.g_w.nbytes for g in samples)
-        assert peak - outputs <= 2.25 * normals
+        assert peak - outputs <= 1.75 * normals
 
     def test_empty_group(self, ref_geom):
         assert simulate_group([], ref_geom) == []

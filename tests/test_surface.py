@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,23 +102,30 @@ class TestCorrelationMatrix:
             assert np.array_equal(correlation_matrix(geom)[corners], expected), (m_x, m_z)
 
 
+# Every grid up to 16x16, and the RIS grids of an m_o sweep on the
+# reference aperture.
+ALL_GRIDS = [(m_x, m_z) for m_x in range(1, 17) for m_z in range(1, 17)]
+M_O_SWEEP_RIS_GRIDS = [(2, 31), (2, 37), (2, 43), (1, 97), (1, 109), (3, 17)]
+
+
 class TestPsdSqrt:
     def test_identity(self):
         root = psd_sqrt(np.eye(5))
         assert np.allclose(root, np.eye(5), atol=1e-12)
 
     def test_two_by_two(self):
-        root = psd_sqrt(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        expected = np.array([[0.9659258262890683, 0.25881904510252074],
-                             [0.25881904510252074, 0.9659258262890683]])
+        mat = np.array([[1.0, 0.5], [0.5, 1.0]])
+        root = psd_sqrt(mat)
+        expected = np.array([[1.0, 0.0],
+                             [0.5, 0.8660254037844386]])
         assert np.allclose(root, expected, atol=1e-6)
+        assert np.allclose(root @ root.T, mat, atol=1e-6)
 
     def test_defining_property(self, ref_corr):
         root = psd_sqrt(ref_corr)
         dim = ref_corr.shape[0]
-        clamped_err = np.linalg.norm(root @ root - ref_corr)
-        assert clamped_err <= 1e-10 * dim
-        assert np.array_equal(root, root.T)
+        assert root.shape[0] == dim
+        assert np.linalg.norm(root @ root.T - ref_corr) <= 1e-10 * dim
 
     def test_random_psd_matrices(self):
         rng = np.random.default_rng(5)
@@ -125,7 +133,7 @@ class TestPsdSqrt:
             factor = rng.standard_normal((dim, dim))
             mat = factor @ factor.T
             root = psd_sqrt(mat)
-            assert np.linalg.norm(root @ root - mat) <= 1e-10 * dim * np.linalg.norm(mat)
+            assert np.linalg.norm(root @ root.T - mat) <= 1e-10 * dim * np.linalg.norm(mat)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NotPSDError):
@@ -134,6 +142,49 @@ class TestPsdSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPSDError):
             psd_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("grids", [ALL_GRIDS, M_O_SWEEP_RIS_GRIDS], ids=["up-to-16x16", "m_o-sweep-ris"])
+    def test_factor_reproduces_every_surface(self, grids):
+        for m_x, m_z in grids:
+            corr = correlation_matrix(SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0, wavelength=0.125))
+            dim = corr.shape[0]
+            root = psd_sqrt(corr)
+            assert root.ndim == 2 and root.shape[0] == dim and 1 <= root.shape[1] <= dim, (m_x, m_z)
+            assert np.linalg.norm(root @ root.T - corr) <= 1e-10 * dim, (m_x, m_z)
+
+    def test_reference_rank(self, ref_corr):
+        # 144 ports over 2x2 wavelengths resolve 39 spatial degrees of freedom.
+        assert psd_sqrt(ref_corr).shape == (144, 39)
+
+    def test_first_pivot_is_port_zero(self, ref_corr):
+        # Every diagonal entry is 1, so the tie goes to port 0: the first
+        # column is the first column of the correlation, and later columns
+        # vanish on port 0's row.
+        root = psd_sqrt(ref_corr)
+        assert np.array_equal(root[:, 0], ref_corr[:, 0])
+        assert np.all(root[0, 1:] == 0.0)
+
+    def test_pivots_on_largest_residual_lower_index_first(self):
+        # Diagonal 1, 2, 2: port 1 wins the tie with port 2, then port 2,
+        # then port 0; each column is nonzero on its own pivot row only.
+        root = psd_sqrt(np.diag([1.0, 2.0, 2.0]))
+        assert np.array_equal(root != 0.0, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=bool))
+
+    def test_repeated_calls_are_bit_identical(self, ref_corr):
+        assert np.array_equal(psd_sqrt(ref_corr), psd_sqrt(ref_corr.copy()))
+
+    def test_empty_rejected(self):
+        with pytest.raises(NotPSDError, match="empty"):
+            psd_sqrt(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_without_warning(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = mat[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPSDError, match="non-finite"):
+                psd_sqrt(mat)
 
 
 class TestPortSelection:
