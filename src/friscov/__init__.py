@@ -21,7 +21,6 @@ from .analytics import (
     outage_probability,
     path_loss,
     success_probability,
-    watt_to_dbm,
 )
 from .channel import Mode
 from .errors import (
@@ -43,13 +42,11 @@ from .montecarlo import (
 )
 from .specfun import bessel_j0, reg_lower_incomplete_gamma
 from .surface import (
-    PortSelection,
     SurfaceGeometry,
     correlation_matrix,
     default_fixed_preset,
     inter_element_distance,
     psd_sqrt,
-    reduce,
 )
 
 __version__ = "0.1.0"
@@ -58,13 +55,12 @@ __all__ = [
     "GammaFit", "ScenarioConfig", "cop", "dbm_to_watt", "error_probability_xi",
     "fa_probability", "gamma_cdf", "gamma_moment_match", "md_probability",
     "optimal_threshold", "outage_probability", "path_loss", "success_probability",
-    "watt_to_dbm",
     "Mode",
     "ConfigError", "ConvergenceError", "DegenerateFitError", "DomainError",
     "FriscovError", "NotPSDError",
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
     "estimate_success", "ks_distance", "simulate_group",
     "bessel_j0", "reg_lower_incomplete_gamma",
-    "PortSelection", "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",
-    "inter_element_distance", "psd_sqrt", "reduce",
+    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",
+    "inter_element_distance", "psd_sqrt",
 ]

@@ -14,8 +14,8 @@ transmission.  This module provides:
   resulting success probability (decode correctly while the warden
   errs).
 
-All powers are in watts internally; :func:`dbm_to_watt` /
-:func:`watt_to_dbm` convert at the interfaces.
+All powers are in watts internally; :func:`dbm_to_watt` converts the
+configured dBm values.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ def dbm_to_watt(dbm: float) -> float:
         return 10.0 ** ((dbm - 30.0) / 10.0)
     except OverflowError:
         raise DomainError(f"{dbm!r} dBm overflows a float in watts") from None
-
-
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0:
-        raise DomainError(f"power must be positive to express in dBm, got {watt!r}")
-    return 10.0 * math.log10(watt) + 30.0
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,28 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
+        # One-sided: a prior mass above 1 would give probabilities above 1.
+        if not 1.0 - 1e-12 <= self.p0 + self.p1 <= 1.0:
             raise DomainError(f"priors must satisfy p0 + p1 = 1, got {self.p0} + {self.p1}")
+        for link in ("af", "fb", "fw"):
+            try:
+                getattr(self, f"loss_{link}")
+            except DomainError as exc:
+                raise DomainError(f"L_{link}: {exc}") from None
+        budget_b = self.p_a * self.loss_af * self.loss_fb
+        budget_w = self.p_a * self.loss_af * self.loss_fw
+        for name, budget in (("p_a * L_af * L_fb", budget_b), ("p_a * L_af * L_fw", budget_w)):
+            if not (math.isfinite(budget) and budget > 0):
+                raise DomainError(f"link budget {name} = {budget!r} must be positive and finite")
+        # The closed form evaluates the gain CDF at these two thresholds.
+        try:
+            outage = (2.0 ** self.r_b - 1.0) * self.sigma2_b / budget_b
+        except OverflowError:
+            outage = math.inf
+        for name, gain in (("outage threshold (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb)", outage),
+                           ("detection threshold mu_offset / (p_a * L_af * L_fw)", self.mu_offset / budget_w)):
+            if not math.isfinite(gain):
+                raise DomainError(f"the {name} overflows a float")
 
     @property
     def loss_af(self) -> float:
@@ -168,7 +182,10 @@ def path_loss(d: float, alpha: float, rho0: float) -> float:
     """Distance-power law ``rho0 * d**(-alpha)`` for d > 0."""
     if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0):
         raise DomainError(f"distance must be a positive finite real, got {d!r}")
-    return rho0 * d ** (-alpha)
+    try:
+        return rho0 * d ** (-alpha)
+    except OverflowError:
+        raise DomainError(f"path loss rho0 * d**(-alpha) overflows a float at d = {d!r}") from None
 
 
 def md_probability(fit: GammaFit, cfg: ScenarioConfig, zeta: float) -> float:
@@ -198,8 +215,6 @@ def fa_probability(cfg: ScenarioConfig, zeta: float) -> float:
 
 def optimal_threshold(cfg: ScenarioConfig) -> float:
     """Worst-case (smallest feasible) detector threshold sigma2_w + mu."""
-    if cfg.mu_offset <= 0:
-        raise DomainError(f"mu_offset must be > 0, got {cfg.mu_offset!r}")
     return cfg.sigma2_w + cfg.mu_offset
 
 

@@ -31,7 +31,7 @@ from .analytics import GammaFit, ScenarioConfig, dbm_to_watt
 from .channel import Mode, ris_grid_geometry
 from .errors import ConfigError, DomainError, FriscovError
 from .montecarlo import MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
-from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, reduce
+from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset
 
 _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
 _MODES = tuple(mode.value for mode in Mode)
@@ -179,11 +179,6 @@ def load_config(path=None) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, S
 
 
 def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, SweepSpec]:
-    if abs(resolved["scenario.p0"] + resolved["scenario.p1"] - 1.0) > 1e-12:
-        raise ConfigError(
-            f"priors must satisfy p0 + p1 = 1, got {resolved['scenario.p0']} + {resolved['scenario.p1']}",
-            field="scenario.p0",
-        )
     try:
         geom = SurfaceGeometry(
             m_x=resolved["surface.m_x"],
@@ -273,7 +268,7 @@ def _mode_config(
     if mode is Mode.RIS:
         m_o = ris_m_hat or m_o
         grid = ris_grid_geometry(geom, m_o)
-        ports = default_fixed_preset(geom, m_o).as_array()
+        ports = default_fixed_preset(geom, m_o)
         elements = np.arange(m_o)
         # Positions as exact fractions of the aperture, by column and by row.
         cols = (ports % geom.m_x) * grid.m_x, (elements % grid.m_x) * geom.m_x
@@ -303,7 +298,8 @@ def _gamma_fit(corr: np.ndarray, geom: SurfaceGeometry, m_o: int) -> GammaFit:
 
     ``corr`` is ``correlation_matrix(geom)``.
     """
-    return analytics.gamma_moment_match(reduce(corr, default_fixed_preset(geom, m_o)))
+    ports = default_fixed_preset(geom, m_o)
+    return analytics.gamma_moment_match(corr[np.ix_(ports, ports)])
 
 
 def _analytic_cells(cfg: ScenarioConfig, fit: GammaFit) -> dict[str, float]:
@@ -325,7 +321,7 @@ def run_sweep(
     geom: SurfaceGeometry,
     mc: MCConfig,
     spec: SweepSpec,
-    modes: tuple[str, ...] = _MODES,
+    modes: tuple[Mode, ...] = tuple(Mode),
     ris_m_hat: int = 0,
     progress: bool = False,
 ) -> SweepResult:
@@ -338,15 +334,12 @@ def run_sweep(
     swept link parameters only re-threshold those gains.  The sweep holds
     every config's gains, 16 bytes per trial each, until it returns.
     """
-    for mode in modes:
-        if mode not in _MODES:
-            raise DomainError(f"unknown mode {mode!r}; expected subset of {_MODES}")
     values = spec.values()
     points = []
     groups: dict[SurfaceGeometry, dict[MCConfig, None]] = {}
     for value in values:
         cfg, m_o = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
-        configs = {mode: _mode_config(mc, Mode(mode), geom, m_o, ris_m_hat) for mode in modes}
+        configs = {mode: _mode_config(mc, mode, geom, m_o, ris_m_hat) for mode in modes}
         for mc_mode, geom_mode in configs.values():
             groups.setdefault(geom_mode, {})[mc_mode] = None
         points.append((value, cfg, m_o, configs))
@@ -370,10 +363,11 @@ def run_sweep(
             op = estimate_op(sample, cfg)
             cop_est = estimate_cop(sample, cfg, zeta)
             psuc = estimate_success(sample, cfg, zeta)
-            row[f"{mode}_op"], row[f"{mode}_op_lo"], row[f"{mode}_op_hi"] = op.value, op.ci_low, op.ci_high
-            row[f"{mode}_cop"], row[f"{mode}_cop_lo"], row[f"{mode}_cop_hi"] = (
+            prefix = mode.value
+            row[f"{prefix}_op"], row[f"{prefix}_op_lo"], row[f"{prefix}_op_hi"] = op.value, op.ci_low, op.ci_high
+            row[f"{prefix}_cop"], row[f"{prefix}_cop_lo"], row[f"{prefix}_cop_hi"] = (
                 cop_est.value, cop_est.ci_low, cop_est.ci_high)
-            row[f"{mode}_psuc"], row[f"{mode}_psuc_lo"], row[f"{mode}_psuc_hi"] = (
+            row[f"{prefix}_psuc"], row[f"{prefix}_psuc_lo"], row[f"{prefix}_psuc_hi"] = (
                 psuc.value, psuc.ci_low, psuc.ci_high)
         rows.append(row)
     return SweepResult(variable=spec.variable, rows=rows)
@@ -401,6 +395,8 @@ def emit_csv(result: SweepResult, path) -> None:
         raise FriscovError(f"cannot write CSV to {path!r}: {exc}") from exc
 
 
+_LOG_FLOOR = 1e-6
+
 _PLOT_SERIES = tuple(
     (f"{source}_{metric}", color, dash)
     for metric, color in (("op", "#1f77b4"), ("cop", "#d62728"), ("psuc", "#2ca02c"))
@@ -412,12 +408,12 @@ def _svg_path(xs: list[float], ys: list[float]) -> str:
     return " ".join(f"{'M' if k == 0 else 'L'}{x:.2f},{y:.2f}" for k, (x, y) in enumerate(zip(xs, ys)))
 
 
-def emit_plot(result: SweepResult, path, log_y: bool = False, floor: float = 1e-6) -> None:
+def emit_plot(result: SweepResult, path, log_y: bool = False) -> None:
     """Render the sweep as a self-contained SVG (no external renderer).
 
     One polyline per populated probability column, solid for the closed
     forms and dashed per empirical mode; optional log-scale probability
-    axis (values below ``floor`` are clipped to it).  Deterministic
+    axis (values below ``_LOG_FLOOR`` are clipped to it).  Deterministic
     bytes for a deterministic result.
     """
     if not result.rows:
@@ -435,8 +431,8 @@ def emit_plot(result: SweepResult, path, log_y: bool = False, floor: float = 1e-
 
     def y_pix(p: float) -> float:
         if log_y:
-            clipped = max(p, floor)
-            frac = (math.log10(clipped) - math.log10(floor)) / (0.0 - math.log10(floor))
+            clipped = max(p, _LOG_FLOOR)
+            frac = (math.log10(clipped) - math.log10(_LOG_FLOOR)) / (0.0 - math.log10(_LOG_FLOOR))
         else:
             frac = p
         return top + (1.0 - frac) * plot_h
@@ -448,7 +444,7 @@ def emit_plot(result: SweepResult, path, log_y: bool = False, floor: float = 1e-
         f'fill="white" stroke="black" stroke-width="1"/>',
     ]
     if log_y:
-        decades = int(round(-math.log10(floor)))
+        decades = int(round(-math.log10(_LOG_FLOOR)))
         y_ticks = [10.0 ** (-k) for k in range(decades + 1)]
         y_labels = [f"1e{-k:d}" if k else "1" for k in range(decades + 1)]
     else:
@@ -584,7 +580,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             _run_validate(scenario, geom, mc, spec)
             return 0
-        modes = _MODES if args.mode == "all" else (args.mode,)
+        modes = tuple(Mode) if args.mode == "all" else (Mode(args.mode),)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         result = run_sweep(scenario, geom, mc, spec, modes=modes, ris_m_hat=resolved["ris.m_hat"], progress=True)

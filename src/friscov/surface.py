@@ -11,8 +11,8 @@ ports separated by distance d is ``J0(2 pi d / wavelength)`` (the
 classic Clarke/Jakes model), which defines the dense symmetric
 correlation matrix built by :func:`correlation_matrix`.  Its low-rank
 pivoted-Cholesky factor (:func:`psd_sqrt`) feeds the correlated channel
-sampler, and :func:`reduce` extracts the principal submatrix for an
-active-port subset.
+sampler, and :func:`default_fixed_preset` picks the active ports of the
+fixed surfaces as an index array.
 """
 
 from __future__ import annotations
@@ -72,29 +72,6 @@ class SurfaceGeometry:
     def d_z(self) -> float:
         """Physical inter-port spacing along a column, meters."""
         return self.w_z * self.wavelength / self.m_z
-
-
-@dataclass(frozen=True)
-class PortSelection:
-    """A strictly increasing set of active-port indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise DomainError("a port selection cannot be empty")
-        for k in self.indices:
-            if not isinstance(k, int) or k < 0:
-                raise DomainError(f"port indices must be non-negative integers, got {k!r}")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise DomainError(f"port indices must be strictly increasing, got {self.indices}")
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
 
 
 def _check_index(geom: SurfaceGeometry, name: str, i: int) -> int:
@@ -203,45 +180,25 @@ def psd_sqrt(corr: np.ndarray) -> np.ndarray:
     return factor[:, :rank].copy()
 
 
-def reduce(corr: np.ndarray, selection: PortSelection) -> np.ndarray:
-    """Principal submatrix of ``corr`` at the selected port indices.
-
-    Algebraically identical to conjugating by the 0/1 selection matrix,
-    without materializing it.  Preserves symmetry and the unit diagonal.
-    """
-    corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {corr.shape}")
-    dim = corr.shape[0]
-    if selection.indices[-1] >= dim:
-        raise DomainError(
-            f"selection index {selection.indices[-1]} out of range for dim {dim}"
-        )
-    idx = selection.as_array()
-    return corr[np.ix_(idx, idx)]
-
-
-def default_fixed_preset(geom: SurfaceGeometry, m_o: int) -> PortSelection:
+def default_fixed_preset(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
     """Deterministic preset of ``m_o`` active ports, spread uniformly.
 
-    When ``m_o`` is a perfect square s*s with s dividing both grid
-    dimensions, the preset is the corner-anchored s-by-s sublattice
-    with stride ``m_x//s`` / ``m_z//s`` -- the same physical positions a
-    standalone s-by-s grid over the same aperture would occupy.
-    Otherwise falls back to ``m_o`` evenly spaced row-major indices.
+    Returns a 1-D ``np.intp`` array of exactly ``m_o`` strictly
+    increasing port indices in ``[0, num_elements)``.  When ``m_o`` is a
+    perfect square s*s with s dividing both grid dimensions, the preset
+    is the corner-anchored s-by-s sublattice with stride ``m_x//s`` /
+    ``m_z//s`` -- the same physical positions a standalone s-by-s grid
+    over the same aperture would occupy.  Otherwise falls back to
+    ``m_o`` evenly spaced row-major indices: their spacing is at least
+    one port, so rounding keeps them distinct.
     """
     total = geom.num_elements
     if not 1 <= m_o <= total:
         raise DomainError(f"m_o={m_o} out of range [1, {total}]")
     side = math.isqrt(m_o)
     if side * side == m_o and geom.m_x % side == 0 and geom.m_z % side == 0:
-        stride_x = geom.m_x // side
-        stride_z = geom.m_z // side
-        indices = tuple(
-            r * stride_z * geom.m_x + c * stride_x
-            for r in range(side)
-            for c in range(side)
-        )
-        return PortSelection(indices)
-    flat = np.unique(np.round(np.linspace(0, total - 1, m_o)).astype(int))
-    return PortSelection(tuple(int(k) for k in flat))
+        steps = np.arange(side, dtype=np.intp)
+        rows = steps * (geom.m_z // side) * geom.m_x
+        cols = steps * (geom.m_x // side)
+        return (rows[:, None] + cols[None, :]).ravel()
+    return np.round(np.linspace(0, total - 1, m_o)).astype(np.intp)

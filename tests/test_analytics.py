@@ -20,9 +20,7 @@ from friscov import (
     optimal_threshold,
     outage_probability,
     path_loss,
-    reduce,
     success_probability,
-    watt_to_dbm,
 )
 
 
@@ -34,14 +32,35 @@ class TestUnits:
     def test_minus_ninety_dbm(self):
         assert dbm_to_watt(-90.0) == pytest.approx(1e-12, rel=1e-12)
 
-    def test_round_trip(self):
-        assert watt_to_dbm(dbm_to_watt(-37.5)) == pytest.approx(-37.5, abs=1e-12)
-
 
 class TestScenarioConfig:
     def test_prior_sum_enforced(self):
         with pytest.raises(DomainError):
             scenario(p0=0.6, p1=0.5)
+
+    def test_prior_sum_just_above_one_rejected(self):
+        # it would give probabilities above 1
+        with pytest.raises(DomainError, match=r"p0 \+ p1"):
+            ScenarioConfig(p0=0.5, p1=0.5000000000001)
+
+    def test_priors_that_sum_to_one_are_accepted(self):
+        scenario(p0=0.3333333333333333, p1=0.6666666666666666)
+        for k in range(1001):
+            scenario(p0=k / 1000, p1=(1000 - k) / 1000)
+
+    # The closed form divides by both link budgets and evaluates the gain
+    # CDF at both thresholds.
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(d_af=1e-300), "L_af"),
+        (dict(d_fw=1e300), r"p_a \* L_af \* L_fw"),
+        (dict(alpha=400.0), r"p_a \* L_af \* L_fb"),
+        (dict(rho0=1e-320), r"p_a \* L_af \* L_fb"),
+        (dict(r_b=5000.0), "outage threshold"),
+        (dict(p_a=1e-313), "detection threshold"),
+    ], ids=["d_af-overflow", "d_fw-underflow", "alpha-underflow", "rho0-underflow", "r_b-overflow", "p_a-detection-overflow"])
+    def test_link_budget_must_be_positive_and_finite(self, overrides, message):
+        with pytest.raises(DomainError, match=message):
+            scenario(**overrides)
 
     @pytest.mark.parametrize("field,value", [
         ("d_af", 0.0), ("sigma2_w", -1e-12), ("mu_offset", 0.0), ("p_a", 0.0), ("r_b", -0.1),
@@ -64,7 +83,8 @@ class TestGammaMomentMatch:
         assert fit.theta == pytest.approx(2.05, rel=1e-12)
 
     def test_scaling_moves_only_theta(self, ref_corr, ref_geom):
-        active = reduce(ref_corr, default_fixed_preset(ref_geom, 16))
+        ports = default_fixed_preset(ref_geom, 16)
+        active = ref_corr[np.ix_(ports, ports)]
         fit = gamma_moment_match(active)
         scaled = gamma_moment_match(3.0 * active)
         assert scaled.kappa == pytest.approx(fit.kappa, rel=1e-12)
@@ -72,7 +92,8 @@ class TestGammaMomentMatch:
 
     def test_consistency_mean_equals_trace(self, ref_corr, ref_geom):
         rng = np.random.default_rng(11)
-        mats = [reduce(ref_corr, default_fixed_preset(ref_geom, m)) for m in (4, 16, 36, 144)]
+        presets = [default_fixed_preset(ref_geom, m) for m in (4, 16, 36, 144)]
+        mats = [ref_corr[np.ix_(ports, ports)] for ports in presets]
         for dim in (3, 8):
             factor = rng.standard_normal((dim, dim))
             mats.append(factor @ factor.T)
@@ -220,15 +241,18 @@ class TestCop:
 
 class TestOutage:
     def test_zero_rate_is_exactly_zero(self, ref_corr, ref_geom):
-        fit = gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
+        ports = default_fixed_preset(ref_geom, 36)
+        fit = gamma_moment_match(ref_corr[np.ix_(ports, ports)])
         assert outage_probability(fit, scenario(r_b=0.0)) == 0.0
 
     def test_vanishes_at_high_power(self, ref_corr, ref_geom):
-        fit = gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
+        ports = default_fixed_preset(ref_geom, 36)
+        fit = gamma_moment_match(ref_corr[np.ix_(ports, ports)])
         assert outage_probability(fit, scenario(p_a=1e6)) <= 1e-15
 
     def test_monotone_in_power_and_rate(self, ref_corr, ref_geom):
-        fit = gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
+        ports = default_fixed_preset(ref_geom, 36)
+        fit = gamma_moment_match(ref_corr[np.ix_(ports, ports)])
         powers = [dbm_to_watt(v) for v in np.linspace(-60.0, -10.0, 25)]
         curve = [outage_probability(fit, scenario(p_a=p)) for p in powers]
         assert all(b <= a for a, b in zip(curve, curve[1:]))
@@ -262,7 +286,8 @@ class TestErrorAndSuccess:
 
 @pytest.fixture(scope="module")
 def fit36(ref_corr, ref_geom):
-    return gamma_moment_match(reduce(ref_corr, default_fixed_preset(ref_geom, 36)))
+    ports = default_fixed_preset(ref_geom, 36)
+    return gamma_moment_match(ref_corr[np.ix_(ports, ports)])
 
 
 class TestCurveShapes:

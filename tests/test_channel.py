@@ -11,7 +11,6 @@ from friscov import (
     correlation_matrix,
     default_fixed_preset,
     psd_sqrt,
-    reduce,
     simulate_group,
 )
 from friscov.channel import best_product_order, cascade, correlated_fading, ris_grid_geometry
@@ -216,7 +215,7 @@ class TestDrawChannel:
         a, b, c = correlated_fading(psd_sqrt(ref_corr), np.random.default_rng(0), 20)
         rows = best_product_order(a, b)[:36]
         best = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
-        preset = default_fixed_preset(ref_geom, 36).as_array()
+        preset = default_fixed_preset(ref_geom, 36)
         fixed = cascade(True, a[preset], b[preset], c[preset])[0]
         assert np.all(best >= fixed) and np.all(fixed >= 0.0)
 
@@ -234,7 +233,8 @@ class TestDrawChannel:
 
     def test_static_mean_matches_trace_bridge(self, ref_geom, ref_corr):
         # mean of the fixed preset's gain (identity phases) approaches tr(C^2)
-        active = reduce(ref_corr, default_fixed_preset(ref_geom, 36))
+        ports = default_fixed_preset(ref_geom, 36)
+        active = ref_corr[np.ix_(ports, ports)]
         expected = float(np.trace(active @ active))
         mc = MCConfig(trials=200_000, master_seed=8, mode=Mode.FIXED, m_o=36)
         gains = simulate_group([mc], ref_geom)[0]
@@ -270,7 +270,8 @@ class TestRisBaseline:
         assert (surface == geom) == paired
         if paired:
             baseline_corr = correlation_matrix(ris_grid_geometry(geom, m_hat))
-            preset_corr = reduce(correlation_matrix(geom), default_fixed_preset(geom, m_hat))
+            ports = default_fixed_preset(geom, m_hat)
+            preset_corr = correlation_matrix(geom)[np.ix_(ports, ports)]
             assert np.max(np.abs(baseline_corr - preset_corr)) <= 1e-12
         else:
             assert surface == ris_grid_geometry(geom, m_hat)

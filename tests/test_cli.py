@@ -10,13 +10,13 @@ from friscov import (
     DomainError,
     Mode,
     ScenarioConfig,
+    correlation_matrix,
     dbm_to_watt,
     default_fixed_preset,
     estimate_op,
     gamma_moment_match,
     optimal_threshold,
     outage_probability,
-    reduce,
     simulate_group,
 )
 from friscov.cli import (
@@ -120,7 +120,7 @@ def small_run():
     scenario, geom, mc, _ = load_config(None)
     mc = dataclasses.replace(mc, trials=4_000)
     spec = SweepSpec(variable="p_a_dbm", start=-55.0, stop=-30.0, points=4)
-    result = run_sweep(scenario, geom, mc, spec, modes=("fris", "fixed", "ris"))
+    result = run_sweep(scenario, geom, mc, spec, modes=(Mode.FRIS, Mode.FIXED, Mode.RIS))
     return scenario, geom, mc, spec, result
 
 
@@ -133,8 +133,8 @@ class TestRunSweep:
 
     def test_rows_match_direct_module_calls(self, small_run):
         scenario, geom, mc, spec, result = small_run
-        corr_fit = gamma_moment_match(
-            reduce(__import__("friscov").correlation_matrix(geom), default_fixed_preset(geom, mc.m_o)))
+        ports = default_fixed_preset(geom, mc.m_o)
+        corr_fit = gamma_moment_match(correlation_matrix(geom)[np.ix_(ports, ports)])
         mc_fixed = dataclasses.replace(mc, mode=Mode.FIXED)
         gains = simulate_group([mc_fixed], geom)[0]
         for row, value in zip(result.rows, spec.values()):
@@ -156,7 +156,7 @@ class TestRunSweep:
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
         spec = SweepSpec(points=2, start=-50.0, stop=-40.0)
-        result = run_sweep(scenario, geom, mc, spec, modes=("fixed",))
+        result = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,))
         row = result.rows[0]
         assert row["fris_op"] is None and row["ris_op"] is None
         assert row["fixed_op"] is not None
@@ -173,7 +173,7 @@ class TestRunSweep:
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
         spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=2)
-        result = run_sweep(scenario, geom, mc, spec, modes=("fixed",))
+        result = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,))
         assert [row["swept_value"] for row in result.rows] == [16.0, 36.0]
 
     def test_progress_reports_each_group(self, capsys):
@@ -182,7 +182,7 @@ class TestRunSweep:
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
         spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2)
-        run_sweep(scenario, geom, mc, spec, modes=("fris", "ris"), progress=True)
+        run_sweep(scenario, geom, mc, spec, modes=(Mode.FRIS, Mode.RIS), progress=True)
         lines = capsys.readouterr().err.splitlines()
         assert [line.split()[0] for line in lines] == ["[1/2]", "[2/2]"]
         assert lines[0].endswith(f"3 Monte Carlo configs on the {geom.m_x}x{geom.m_z} surface done")
@@ -206,7 +206,7 @@ class TestEmitCsv:
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
         spec = SweepSpec(points=2, start=-50.0, stop=-40.0)
-        result = run_sweep(scenario, geom, mc, spec, modes=("fixed",))
+        result = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,))
         path = tmp_path / "fixed_only.csv"
         emit_csv(result, path)
         for line in path.read_text(encoding="utf-8").splitlines():
@@ -214,7 +214,7 @@ class TestEmitCsv:
 
     def test_byte_determinism(self, small_run, tmp_path):
         scenario, geom, mc, spec, result = small_run
-        again = run_sweep(scenario, geom, mc, spec, modes=("fris", "fixed", "ris"))
+        again = run_sweep(scenario, geom, mc, spec, modes=(Mode.FRIS, Mode.FIXED, Mode.RIS))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(result, p1)
         emit_csv(again, p2)
@@ -280,6 +280,10 @@ class TestMain:
     # Each swept variable is out of its domain at one end of the sweep:
     # m_o off the surface, an infinite power, a negative threshold offset,
     # a power that overflows (as the sweep's end or the scenario's value).
+    # A link budget that underflows to 0 or a gain threshold that
+    # overflows (in the scenario or at a sweep end), a path loss that
+    # overflows, and priors that sum to just over 1 fail before any
+    # simulation too.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("config, field", [
         ("sweep.variable = m_o\nsweep.start = 0\nsweep.stop = 16\n", "sweep.start"),
@@ -288,7 +292,17 @@ class TestMain:
         ("sweep.variable = mu_factor\nsweep.start = -2\nsweep.stop = 3\n", "sweep.start"),
         ("sweep.stop = 5000\n", "sweep.stop"),
         ("scenario.p_a_dbm = 1e6\n", "scenario"),
-    ], ids=["m_o-start", "m_o-stop", "p_a_dbm-inf", "mu_factor-negative", "p_a_dbm-overflow", "scenario-overflow"])
+        ("scenario.alpha = 400\n", "scenario"),
+        ("scenario.d_fw = 1e300\n", "scenario"),
+        ("scenario.rho0 = 1e-320\n", "scenario"),
+        ("sweep.start = -3200\n", "sweep.start"),
+        ("scenario.d_af = 1e-300\n", "scenario"),
+        ("sweep.start = -3100\n", "sweep.start"),
+        ("scenario.p1 = 0.5000000000001\nsweep.points = 3\nmc.trials = 2000\n", "scenario"),
+        ("scenario.p1 = 0.5000000000001\nsweep.start = 10\nsweep.stop = 20\n", "scenario"),
+    ], ids=["m_o-start", "m_o-stop", "p_a_dbm-inf", "mu_factor-negative", "p_a_dbm-overflow", "scenario-overflow",
+            "alpha-underflow", "d_fw-underflow", "rho0-underflow", "p_a_dbm-underflow", "d_af-overflow",
+            "detection-threshold-overflow", "prior-sum-above-one", "prior-sum-above-one-high-power"])
     def test_out_of_domain_sweep_is_a_config_error(self, tmp_path, capsys, config, field):
         cfg = write_config(tmp_path, config)
         with pytest.raises(ConfigError, match=field):

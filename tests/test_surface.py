@@ -7,14 +7,12 @@ import pytest
 from friscov import (
     DomainError,
     NotPSDError,
-    PortSelection,
     SurfaceGeometry,
     bessel_j0,
     correlation_matrix,
     default_fixed_preset,
     inter_element_distance,
     psd_sqrt,
-    reduce,
 )
 
 
@@ -187,53 +185,32 @@ class TestPsdSqrt:
                 psd_sqrt(mat)
 
 
-class TestPortSelection:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(DomainError):
-            PortSelection((3, 3, 5))
-        with pytest.raises(DomainError):
-            PortSelection((5, 3))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            PortSelection(())
-
-
-class TestReduce:
-    def test_full_selection_is_identity(self, ref_corr):
-        sel = PortSelection(tuple(range(144)))
-        assert np.array_equal(reduce(ref_corr, sel), ref_corr)
-
-    def test_singleton_gives_unit(self, ref_corr):
-        assert np.array_equal(reduce(ref_corr, PortSelection((17,))), np.array([[1.0]]))
-
-    def test_submatrix_extraction(self):
-        corr = np.eye(3)
-        corr[0, 2] = corr[2, 0] = 0.2
-        sub = reduce(corr, PortSelection((0, 2)))
-        assert sub[0, 1] == 0.2
-        assert np.array_equal(sub, sub.T)
-
-    def test_out_of_range(self, ref_corr):
-        with pytest.raises(DomainError):
-            reduce(ref_corr, PortSelection((0, 144)))
-
-
 class TestDefaultFixedPreset:
     def test_lattice_36(self, ref_geom):
         preset = default_fixed_preset(ref_geom, 36)
-        expected = tuple(r * 24 + c * 2 for r in range(6) for c in range(6))
-        assert preset.indices == expected
+        expected = [r * 24 + c * 2 for r in range(6) for c in range(6)]
+        assert preset.tolist() == expected
 
     def test_lattice_16(self, ref_geom):
         preset = default_fixed_preset(ref_geom, 16)
-        expected = tuple(r * 36 + c * 3 for r in range(4) for c in range(4))
-        assert preset.indices == expected
+        expected = [r * 36 + c * 3 for r in range(4) for c in range(4)]
+        assert preset.tolist() == expected
 
     def test_non_square_fallback(self, ref_geom):
         preset = default_fixed_preset(ref_geom, 10)
         assert preset.size == 10
-        assert preset.indices[0] == 0 and preset.indices[-1] == 143
+        assert preset[0] == 0 and preset[-1] == 143
+
+    @pytest.mark.parametrize("grids", [ALL_GRIDS, M_O_SWEEP_RIS_GRIDS], ids=["up-to-16x16", "m_o-sweep-ris"])
+    def test_every_size_on_every_surface_is_an_index_array(self, grids):
+        # m_o strictly increasing port indices, as np.intp, for every m_o
+        for m_x, m_z in grids:
+            geom = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0, wavelength=0.125)
+            for m_o in range(1, geom.num_elements + 1):
+                preset = default_fixed_preset(geom, m_o)
+                assert preset.dtype == np.intp and preset.shape == (m_o,), (m_x, m_z, m_o)
+                assert preset[0] >= 0 and preset[-1] < geom.num_elements, (m_x, m_z, m_o)
+                assert np.all(np.diff(preset) > 0), (m_x, m_z, m_o)
 
     def test_out_of_range(self, ref_geom):
         with pytest.raises(DomainError):
