@@ -10,10 +10,11 @@ and the warden (:func:`cascade`).
 The paper compares three surfaces, one :class:`Mode` each:
 
 * ``FRIS``  -- the fluid surface: the ``m_o`` ports with the largest
-  per-port magnitude products toward the receiver, read off the port
-  ranking of :func:`best_product_order`, with coherent phases.  Under
-  per-port coherent phasing the cascade magnitude is the sum of the
-  selected products, so this top-k is globally optimal.
+  per-port magnitude products toward the receiver, equal products going
+  to the lower index, read off the port ranking of
+  :func:`best_product_order`, with coherent phases.  Under per-port
+  coherent phasing the cascade magnitude is the sum of the selected
+  products, so this top-k is globally optimal.
 * ``FIXED`` -- the surface's default preset of ``m_o`` ports with
   identity phases; this is the gain whose statistics the closed-form
   Gamma fit targets (see ``analytics``).
@@ -34,6 +35,10 @@ the first ``k`` rows are read off the same running sum for every ``k``
 (the prefix ``lengths`` of :func:`cascade`): one ranking and one cascade
 of the top ``max(m_o)`` rows serve every fluid ``m_o`` of a block.  A
 config's gains are thus the same whatever other ``m_o`` share its block.
+The ranking is numpy's default (unstable) sort; the lower-index rule for
+equal products is enforced by ranking again, with the stable sort, only
+the trials whose top ``max(m_o) + 1`` products hold an exact tie --
+which continuous draws practically never do.
 """
 
 from __future__ import annotations
@@ -82,16 +87,34 @@ def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int)
     return abc
 
 
-def best_product_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ports of each trial ranked by ``|a_i| * |b_i|``, largest first.
+def best_product_order(a: np.ndarray, b: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The ``count`` best ports of each trial by ``|a_i| * |b_i|``, largest first.
 
-    Stable, so ties go to the lower index and the first ``m_o`` rows are
-    the ``m_o`` best ports of every trial, for every ``m_o`` at once.
-    The ranking runs along the contiguous axis of the transposed key;
-    the order comes back C-contiguous, ``(ports, trials)``.
+    Equal products go to the lower index, so the first ``m_o`` rows are
+    the ``m_o`` best ports of every trial for every ``m_o <= count``.
+    Rows come back C-contiguous, ``(count, trials)``; ``count`` defaults
+    to every port.  The default sort of the keys ``-|a_i| * |b_i|``
+    orders equal keys arbitrarily.  Where a trial's ``count + 1`` smallest
+    keys are all distinct, its first ``count`` keys lie strictly below
+    every other key and their order is the only one; a trial whose head
+    holds an equal adjacent pair (``-0.0 == 0.0`` counts) is ranked again
+    with the stable sort.  Both sorts run along the contiguous axis of
+    the transposed key.
     """
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DomainError(f"expected two (ports, trials) arrays of one shape, got {a.shape} and {b.shape}")
+    ports = a.shape[0]
+    if count is None:
+        count = ports
+    if not (isinstance(count, (int, np.integer)) and 1 <= count <= ports):
+        raise DomainError(f"count must lie in [1, {ports}], got {count!r}")
     key = np.negative(np.abs(a) * np.abs(b)).T.copy()
-    return np.argsort(key, axis=1, kind="stable").T.copy()
+    order = np.argsort(key, axis=1)
+    head = np.take_along_axis(key, order[:, : count + 1], axis=1)
+    tied = np.any(head[:, 1:] == head[:, :-1], axis=1)
+    if tied.any():
+        order[tied] = np.argsort(key[tied], axis=1, kind="stable")
+    return order[:, :count].T.copy()
 
 
 def cascade(
@@ -141,7 +164,8 @@ def _polar(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     magnitude = np.abs(terms)
     zero = magnitude == 0
-    phases = np.divide(np.conj(terms), np.where(zero, 1.0, magnitude))
+    phases = np.conj(terms)
+    np.divide(phases, np.where(zero, 1.0, magnitude), out=phases)
     phases[zero] = 1.0
     return magnitude, phases
 

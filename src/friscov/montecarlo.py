@@ -142,48 +142,57 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def _block_gains(
     factor: np.ndarray,
-    members: list[tuple[MCConfig, np.ndarray | slice | None]],
+    members: list[tuple[np.ndarray | slice | None, list[tuple[int, MCConfig]]]],
     master_seed: int,
     block_index: int,
     block_trials: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     rng = np.random.default_rng(mix64(master_seed, block_index))
     abc = correlated_fading(factor, rng, block_trials)
-    gains: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(members)
-    fluid = [j for j, (_, rows) in enumerate(members) if rows is None]
-    if fluid:
-        # One ranking and one running sum serve every fluid m_o of the group.
-        lengths = [members[j][0].m_o for j in fluid]
-        top = best_product_order(abc[0], abc[1])[: max(lengths)]
-        # Flat indices gather the three links in one pass.
-        selected = np.take(abc.reshape(3, -1), top * block_trials + np.arange(block_trials), axis=1)
-        del top
-        g_b, g_w = cascade(True, *selected, lengths)
+    gains = {}
+    for rows, readers in members:
+        if rows is None:
+            # One ranking and one running sum serve every fluid m_o of the group.
+            lengths = [mc.m_o for _, mc in readers]
+            top = best_product_order(abc[0], abc[1], max(lengths))
+            # Flat indices gather the three links in one pass.
+            selected = np.take(abc.reshape(3, -1), top * block_trials + np.arange(block_trials), axis=1)
+            del top
+            g_b, g_w = cascade(True, *selected, lengths)
+            for (j, _), gb, gw in zip(readers, g_b, g_w):
+                gains[j] = gb, gw
+        else:
+            # One gather per preset, shared by its readers and dropped before the next.
+            selected = abc[:, rows]
+            for j, mc in readers:
+                gains[j] = cascade(mc.mode is not Mode.FIXED, *selected)
         del selected
-        for j, gb, gw in zip(fluid, g_b, g_w):
-            gains[j] = gb, gw
-    for j, (mc, rows) in enumerate(members):
-        if rows is not None:
-            gains[j] = cascade(mc.mode is not Mode.FIXED, *abc[:, rows])
     return gains
 
 
 def _group_members(
     mcs: list[MCConfig], geom: SurfaceGeometry
-) -> list[tuple[MCConfig, np.ndarray | slice | None]]:
-    """Each config with the port rows it reads (None: its best ports of each draw)."""
+) -> list[tuple[np.ndarray | slice | None, list[tuple[int, MCConfig]]]]:
+    """The port rows the group reads, each with the configs that read them and their positions.
+
+    ``None`` stands for the best ports of each draw, read by every fluid
+    config; each preset appears once, however many configs read it.
+    """
     total = geom.num_elements
-    members = []
-    for mc in mcs:
+    readers: dict[int | None, list[tuple[int, MCConfig]]] = {}
+    for j, mc in enumerate(mcs):
         if mc.m_o > total:
             raise DomainError(f"m_o={mc.m_o} exceeds the surface's {total} ports")
-        if mc.mode is Mode.FRIS:
+        readers.setdefault(None if mc.mode is Mode.FRIS else mc.m_o, []).append((j, mc))
+    members = []
+    for m_o, shared in readers.items():
+        if m_o is None:
             rows = None
-        elif mc.m_o == total:
+        elif m_o == total:
             rows = slice(None)  # the default preset of every port: a view, not a copy
         else:
-            rows = default_fixed_preset(geom, mc.m_o)
-        members.append((mc, rows))
+            rows = default_fixed_preset(geom, m_o)
+        members.append((rows, shared))
     return members
 
 
@@ -192,13 +201,13 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
 
     The configs must share ``master_seed`` and ``trials``; they run on
     ``geom``.  Each block is drawn once and correlated over every port
-    once.  The fluid configs share one ranking of the ports and one
-    cascade of the top ``max(m_o)`` rows, each reading its own prefix
-    length; every other config gathers its preset rows.  So the group
-    costs one RNG pass, one correlating product and one ranking per
-    block, and a config's gains do not depend on the other configs in its
-    group.  Nor do they depend on the worker count (the largest
-    ``workers`` in the group is used).
+    once.  The fluid configs share one ranking of the top ``max(m_o)``
+    ports and one cascade of those rows, each reading its own prefix
+    length; each preset's rows are gathered once for every config that
+    reads them.  So the group costs one RNG pass, one correlating product
+    and one ranking per block, and a config's gains do not depend on the
+    other configs in its group.  Nor do they depend on the worker count
+    (the largest ``workers`` in the group is used).
     """
     mcs = list(mcs)
     if not mcs:
@@ -218,7 +227,8 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
         start = block_index * BLOCK_TRIALS
         count = min(BLOCK_TRIALS, trials - start)
         block = _block_gains(factor, members, first.master_seed, block_index, count)
-        for (g_b, g_w), (out_b, out_w) in zip(block, outputs):
+        for j, (g_b, g_w) in block.items():
+            out_b, out_w = outputs[j]
             out_b[start : start + count] = g_b
             out_w[start : start + count] = g_w
 

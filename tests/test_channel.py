@@ -115,6 +115,76 @@ class TestSelectPorts:
         assert np.array_equal(gains.g_w, g_w)
 
 
+def assert_matches_stable_sort(a: np.ndarray, b: np.ndarray) -> None:
+    """``best_product_order(a, b, count)`` equals the stable ranking's first ``count`` rows, for every count."""
+    reference = np.argsort(-(np.abs(a) * np.abs(b)), axis=0, kind="stable")
+    for count in range(1, a.shape[0] + 1):
+        order = best_product_order(a, b, count)
+        assert order.flags.c_contiguous
+        assert np.array_equal(order, reference[:count]), count
+
+
+class TestBestProductOrder:
+    @pytest.mark.parametrize("seed, trials", [(1, 300), (2, 300), (3, 300), (4, 1)])
+    def test_reference_blocks_match_the_stable_sort(self, ref_geom, seed, trials):
+        a, b, _ = first_block(ref_geom, seed, trials)
+        assert_matches_stable_sort(a, b)
+
+    def test_exact_ties_match_the_stable_sort(self):
+        # Integer magnitudes and unit phases make every product exact.  Trial
+        # t holds t % 145 distinct large products at random ports over a tail
+        # of 0s, 1s and 2s, so for each count some trials tie only beyond it,
+        # some straddle it and some tie inside the head.
+        rng = np.random.default_rng(7)
+        magnitudes = rng.integers(0, 3, (144, 290)).astype(float)
+        for t in range(magnitudes.shape[1]):
+            distinct = t % 145
+            magnitudes[rng.permutation(144)[:distinct], t] = 10.0 + rng.permutation(distinct)
+        units = np.array([1, 1j, -1, -1j])
+        a = magnitudes * units[rng.integers(0, 4, magnitudes.shape)]
+        b = units[rng.integers(0, 4, magnitudes.shape)]
+        assert_matches_stable_sort(a, b)
+
+    def test_ties_inside_at_and_beyond_the_count(self):
+        # ports 104-143 share the largest product, ports 0-103 a smaller one
+        a = col(*np.where(np.arange(144) >= 104, 2.0, 1.0))
+        b = np.ones_like(a)
+        assert best_product_order(a, b, 36)[:, 0].tolist() == list(range(104, 140))
+        assert best_product_order(a, b, 42)[:, 0].tolist() == [*range(104, 144), 0, 1]
+        # ports 100-103 on top, every other port tied below them
+        a = np.ones_like(b)
+        a[100:104, 0] = [7.0, 6.0, 5.0, 4.0]
+        assert best_product_order(a, b, 3)[:, 0].tolist() == [100, 101, 102]
+        assert best_product_order(a, b, 5)[:, 0].tolist() == [100, 101, 102, 103, 0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_entries_tie_as_zero_keys(self):
+        # Zero entries of either sign give zero products, which tie with
+        # each other and rank after every nonzero product, lower index first.
+        rng = np.random.default_rng(8)
+        a, b, _ = random_block(8, 144, 64)
+        zeros = np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
+        for v, share in ((a, 0.5), (b, 0.3)):
+            mask = rng.random(v.shape) < share
+            v[mask] = zeros[rng.integers(0, 4, np.count_nonzero(mask))]
+        a[:, 0] = 0.0
+        assert_matches_stable_sort(a, b)
+        assert best_product_order(a, b)[:, 0].tolist() == list(range(144))
+
+    def test_shapes_must_match(self):
+        # (3, 2) against (1, 2) would broadcast
+        with pytest.raises(DomainError):
+            best_product_order(np.ones((3, 2), dtype=complex), np.ones((1, 2), dtype=complex))
+        with pytest.raises(DomainError):
+            best_product_order(np.ones(3, dtype=complex), np.ones(3, dtype=complex))
+
+    @pytest.mark.parametrize("count", [0, -1, 7, 2.5])
+    def test_count_must_lie_in_one_to_ports(self, count):
+        a, b, _ = random_block(9, 6, 4)
+        with pytest.raises(DomainError):
+            best_product_order(a, b, count)
+
+
 class TestCascadedGain:
     def test_single_port(self):
         a = col(2.0 + 1.0j)

@@ -373,6 +373,15 @@ class TestMain:
         assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert hashlib.sha256((out_dir / "sweep.csv").read_bytes()).hexdigest() == digest
 
+    def test_golden_validate_stdout(self, capsys):
+        # sha256 of the validate report at seed 1 and 5,000 trials: every
+        # gate config, the fluid m_o = 36 ranking included, in one group.
+        assert main(["validate", "--trials", "5000", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5ad51a103dd0dff0a1e6520041813a64cad6ef7a87344edbdc1130f968070881"
+        )
+
     def test_validate_runs_and_reports(self, capsys):
         assert main(["validate", "--trials", "3000"]) == 0
         out = capsys.readouterr().out
