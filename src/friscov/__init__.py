@@ -10,11 +10,11 @@ port selection, fixed-grid baseline) to validate them.
 from .analytics import (
     GammaFit,
     ScenarioConfig,
+    compound_probability,
     cop,
     dbm_to_watt,
     error_probability_xi,
     fa_probability,
-    gamma_cdf,
     gamma_moment_match,
     md_probability,
     optimal_threshold,
@@ -25,7 +25,6 @@ from .analytics import (
 from .channel import Mode
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DegenerateFitError,
     DomainError,
     FriscovError,
@@ -40,7 +39,7 @@ from .montecarlo import (
     ks_distance,
     simulate_group,
 )
-from .specfun import bessel_j0, reg_lower_incomplete_gamma
+from .specfun import bessel_j0
 from .surface import (
     SurfaceGeometry,
     correlation_matrix,
@@ -52,15 +51,15 @@ from .surface import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaFit", "ScenarioConfig", "cop", "dbm_to_watt", "error_probability_xi",
-    "fa_probability", "gamma_cdf", "gamma_moment_match", "md_probability",
+    "GammaFit", "ScenarioConfig", "compound_probability", "cop", "dbm_to_watt",
+    "error_probability_xi", "fa_probability", "gamma_moment_match", "md_probability",
     "optimal_threshold", "outage_probability", "path_loss", "success_probability",
     "Mode",
-    "ConfigError", "ConvergenceError", "DegenerateFitError", "DomainError",
+    "ConfigError", "DegenerateFitError", "DomainError",
     "FriscovError", "NotPSDError",
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
     "estimate_success", "ks_distance", "simulate_group",
-    "bessel_j0", "reg_lower_incomplete_gamma",
+    "bessel_j0",
     "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",
     "inter_element_distance", "psd_sqrt",
 ]

@@ -3,16 +3,19 @@
 The warden runs a received-power threshold test at level ``zeta``; with
 an unbounded observation window the observed power is exactly the noise
 floor under silence and noise plus the attenuated cascaded gain under
-transmission.  This module provides:
+transmission.  Given the transmitter-side fading ``a`` of the fixed
+preset, the receiver's and the warden's gains are i.i.d. ``Q * Exp(1)``
+with ``Q = a^H C a``.  This module provides:
 
-* the Gamma moment match of the active-port correlation matrix
-  (:func:`gamma_moment_match`) and its CDF (:func:`gamma_cdf`),
+* the Gamma moment match of ``Q`` (:func:`gamma_moment_match`) and the
+  one evaluation of the resulting compound (K-distributed) gain law,
+  :func:`compound_probability`,
 * missed-detection / false-alarm probabilities, the covertness outage
   probability (probability the warden decides correctly), and the
   worst-case detector threshold,
 * the decoding outage probability at the legitimate receiver and the
-  resulting success probability (decode correctly while the warden
-  errs).
+  success probability (decode correctly while the warden errs), the
+  exact joint of the two gains.
 
 All powers are in watts internally; :func:`dbm_to_watt` converts the
 configured dBm values.
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, DomainError
-from .specfun import reg_lower_incomplete_gamma
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -98,7 +100,7 @@ class ScenarioConfig:
                 raise DomainError(f"link budget {name} = {budget!r} must be positive and finite")
         # The closed form evaluates the gain CDF at these two thresholds.
         try:
-            outage = (2.0 ** self.r_b - 1.0) * self.sigma2_b / budget_b
+            outage = _outage_level(self)
         except OverflowError:
             outage = math.inf
         for name, gain in (("outage threshold (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb)", outage),
@@ -124,7 +126,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GammaFit:
-    """Moment-matched Gamma(shape=kappa, scale=theta) for a cascaded gain."""
+    """Moment-matched Gamma(shape=kappa, scale=theta) of ``Q = a^H C a``, not of the gain.
+
+    The gain is ``Q * Exp(1)`` (:func:`compound_probability`); its mean is also ``kappa * theta``.
+    """
 
     kappa: float
     theta: float
@@ -141,12 +146,13 @@ class GammaFit:
 
 
 def gamma_moment_match(corr_active: np.ndarray) -> GammaFit:
-    """Gamma fit of the cascaded gain from the active-port correlation matrix.
+    """Gamma fit of ``Q = a^H C a`` for ``a ~ CN(0, C)``, from the active-port correlation matrix C.
 
-    With T2 = tr(C^2) and T4 = tr(C^4) of the symmetric active-port
-    correlation matrix C, the fit is shape kappa = T2^2 / T4 and scale
-    theta = T4 / T2 (so kappa * theta == T2 exactly).  T4 is computed as
-    the squared Frobenius norm of C^2 without forming C^4.
+    ``Q`` is the gain's conditional scale (see :class:`GammaFit`).  With
+    T2 = tr(C^2) = E[Q] and T4 = tr(C^4) = Var[Q] of the symmetric
+    active-port correlation matrix C, the fit is shape kappa = T2^2 / T4
+    and scale theta = T4 / T2 (so kappa * theta == T2 exactly).  T4 is
+    computed as the squared Frobenius norm of C^2 without forming C^4.
 
     Raises:
         DegenerateFitError: if the matrix is all zero.
@@ -168,14 +174,74 @@ def gamma_moment_match(corr_active: np.ndarray) -> GammaFit:
     return GammaFit(kappa=trace2 * trace2 / trace4, theta=trace4 / trace2)
 
 
-def gamma_cdf(fit: GammaFit, g: float | np.ndarray) -> float | np.ndarray:
-    """CDF of the fitted gain distribution at ``g`` >= 0, elementwise.
+def _levels(name: str, value) -> np.ndarray:
+    try:
+        levels = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be real, got {value!r}") from exc
+    bad = ~(levels >= 0.0)
+    if bad.any():
+        raise DomainError(f"{name} must be >= 0, got {float(levels[bad].flat[0])!r}")
+    return levels
 
-    A scalar ``g`` gives a float, an array of gains an array of its
-    shape.  Raises :class:`DomainError` if any element is negative or
-    non-finite.
+
+# Trapezoid step in t = ln(Q / theta), and levels per pass: each pass
+# reuses one (chunk, nodes) buffer.
+_STEP = 0.1
+_CHUNK = 1024
+
+
+def compound_probability(fit: GammaFit, above=0.0, below=math.inf) -> float | np.ndarray:
+    """``P(Q*E1 > above, Q*E2 <= below)`` for ``Q ~ Gamma(kappa, theta)``, ``E1, E2`` i.i.d. ``Exp(1)``.
+
+    One level alone gives the CDF (``below``) or the survival (``above``)
+    of the gain ``Q*E``; both give the joint of two gains that share
+    ``Q``.  Elementwise: the levels broadcast and may be infinite, and a
+    scalar pair gives a float.
+
+    It is ``E_Q[exp(-above/Q) * (-expm1(-below/Q))]``, a mean of positive
+    terms, so the lower tail keeps the relative accuracy that forms via
+    the Bessel function ``K_kappa`` lose to cancellation.  Trapezoid rule
+    in ``t = ln(Q/theta)`` with step 0.1 and weights ``0.1 * exp(kappa*t -
+    e**t - lgamma(kappa))``, on nodes from ``min(ln y_min, 0) - 40/kappa -
+    1``, ``y_min`` the smallest positive ``below/theta``, to ``ln(kappa +
+    60) + 1.5``.  Relative error is about 1e-13 or less for kappa in
+    [1, 11] and levels from 1e-10 to 20 times the mean.  The nodes follow
+    the call's smallest level, so an array agrees with elementwise calls
+    to about 1e-13, not bit for bit.
+
+    Raises:
+        DomainError: if an element of ``above`` or ``below`` is negative or NaN.
     """
-    return reg_lower_incomplete_gamma(fit.kappa, np.divide(g, fit.theta))
+    kappa = fit.kappa
+    # Overflow is benign throughout: an infinite level/Q gives the limits 0 and 1.
+    with np.errstate(over="ignore"):
+        z, y = np.broadcast_arrays(_levels("above", above) / fit.theta, _levels("below", below) / fit.theta)
+        positive = y[(y > 0.0) & (y < math.inf)]
+        low = min(math.log(positive.min()), 0.0) if positive.size else 0.0
+        # The floor keeps 1/Q finite; it binds only below y_min = e**(40/kappa - 699).
+        t = np.arange(max(low - 40.0 / kappa - 1.0, -700.0), math.log(kappa + 60.0) + 1.5, _STEP)
+        neg_weights = -_STEP * np.exp(kappa * t - np.exp(t) - math.lgamma(kappa))
+        neg_rates = -np.exp(-t)
+        shape = y.shape
+        z, y = z.ravel(), y.ravel()
+        out = np.empty(y.size)
+        joint = bool(z.any())
+        buf = np.empty((min(_CHUNK, y.size), t.size))
+        spare = np.empty_like(buf) if joint else None
+        for start in range(0, y.size, _CHUNK):
+            stop = min(start + _CHUNK, y.size)
+            part = buf[: stop - start]
+            np.multiply.outer(y[start:stop], neg_rates, out=part)
+            np.expm1(part, out=part)
+            if joint:
+                survive = spare[: stop - start]
+                np.multiply.outer(z[start:stop], neg_rates, out=survive)
+                np.exp(survive, out=survive)
+                part *= survive
+            np.matmul(part, neg_weights, out=out[start:stop])
+    np.minimum(out, 1.0, out=out)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def path_loss(d: float, alpha: float, rho0: float) -> float:
@@ -188,6 +254,18 @@ def path_loss(d: float, alpha: float, rho0: float) -> float:
         raise DomainError(f"path loss rho0 * d**(-alpha) overflows a float at d = {d!r}") from None
 
 
+def _missed_level(cfg: ScenarioConfig, zeta: float) -> float:
+    """The warden's gain below which it misses at threshold ``zeta``; 0 for zeta <= sigma2_w."""
+    if not (isinstance(zeta, (int, float)) and math.isfinite(zeta) and zeta >= 0):
+        raise DomainError(f"zeta must be a non-negative finite real, got {zeta!r}")
+    return max(zeta - cfg.sigma2_w, 0.0) / (cfg.p_a * cfg.loss_af * cfg.loss_fw)
+
+
+def _outage_level(cfg: ScenarioConfig) -> float:
+    """The receiver's gain below which it is in outage: (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb)."""
+    return (2.0 ** cfg.r_b - 1.0) * cfg.sigma2_b / (cfg.p_a * cfg.loss_af * cfg.loss_fb)
+
+
 def md_probability(fit: GammaFit, cfg: ScenarioConfig, zeta: float) -> float:
     """Missed-detection probability at detector threshold ``zeta``.
 
@@ -196,12 +274,7 @@ def md_probability(fit: GammaFit, cfg: ScenarioConfig, zeta: float) -> float:
     impossible and the result is exactly 0; otherwise it is the gain CDF
     at the normalized threshold (zeta - sigma2_w) / (p_a * L_af * L_fw).
     """
-    if not (isinstance(zeta, (int, float)) and math.isfinite(zeta) and zeta >= 0):
-        raise DomainError(f"zeta must be a non-negative finite real, got {zeta!r}")
-    if zeta <= cfg.sigma2_w:
-        return 0.0
-    eta = (zeta - cfg.sigma2_w) / (cfg.p_a * cfg.loss_af * cfg.loss_fw)
-    return gamma_cdf(fit, eta)
+    return compound_probability(fit, below=_missed_level(cfg, zeta))
 
 
 def fa_probability(cfg: ScenarioConfig, zeta: float) -> float:
@@ -241,8 +314,7 @@ def outage_probability(fit: GammaFit, cfg: ScenarioConfig) -> float:
     rate threshold (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb);
     evaluates the gain CDF there.  Exactly 0 when r_b == 0.
     """
-    rate_threshold = (2.0 ** cfg.r_b - 1.0) * cfg.sigma2_b / (cfg.p_a * cfg.loss_af * cfg.loss_fb)
-    return gamma_cdf(fit, rate_threshold)
+    return compound_probability(fit, below=_outage_level(cfg))
 
 
 def error_probability_xi(cfg: ScenarioConfig, p_fa: float, p_md: float) -> float:
@@ -253,9 +325,17 @@ def error_probability_xi(cfg: ScenarioConfig, p_fa: float, p_md: float) -> float
     return cfg.p0 * p_fa + cfg.p1 * p_md
 
 
-def success_probability(cfg: ScenarioConfig, p_out: float, xi: float) -> float:
-    """Probability of decoding success and warden error, (1 - p_out) * xi."""
-    for name, value in (("p_out", p_out), ("xi", xi)):
-        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-            raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-    return (1.0 - p_out) * xi
+def success_probability(fit: GammaFit, cfg: ScenarioConfig, zeta: float) -> float:
+    """Probability of decoding success while the warden errs, at detector threshold ``zeta``.
+
+    ``p1 * P(g_b > x_b, g_w <= eta) + p0 * p_fa * P(g_b > x_b)``, with
+    ``x_b`` the outage threshold of :func:`outage_probability` and ``eta``
+    the missed-detection threshold of :func:`md_probability`.  Given the
+    transmitter-side fading, the two gains are i.i.d. ``Q * Exp(1)``, so
+    the first term is their exact joint (:func:`compound_probability`),
+    not a product of the marginals.
+    """
+    x_b = _outage_level(cfg)
+    decoded_missed = compound_probability(fit, above=x_b, below=_missed_level(cfg, zeta))
+    p_fa = fa_probability(cfg, zeta)
+    return cfg.p1 * decoded_missed + cfg.p0 * p_fa * compound_probability(fit, above=x_b)

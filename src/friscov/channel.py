@@ -16,8 +16,8 @@ The paper compares three surfaces, one :class:`Mode` each:
   coherent phasing the cascade magnitude is the sum of the selected
   products, so this top-k is globally optimal.
 * ``FIXED`` -- the surface's default preset of ``m_o`` ports with
-  identity phases; this is the gain whose statistics the closed-form
-  Gamma fit targets (see ``analytics``).
+  identity phases; this is the gain whose law the closed form
+  describes (see ``analytics``).
 * ``RIS``   -- a fixed-position RIS: the default preset with coherent
   phases, run on the RIS grid (:func:`ris_grid_geometry`) or, where the
   preset sits at that grid's positions, on the fluid surface itself.

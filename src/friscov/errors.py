@@ -17,10 +17,6 @@ class DegenerateFitError(DomainError):
     """Moment matching was attempted on an input with no usable moments."""
 
 
-class ConvergenceError(FriscovError, RuntimeError):
-    """An iterative evaluation failed to converge within its iteration cap."""
-
-
 class ConfigError(FriscovError, ValueError):
     """A configuration file failed to parse or violated a constraint.
 

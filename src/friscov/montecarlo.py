@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ScenarioConfig, GammaFit, gamma_cdf
+from .analytics import GammaFit, ScenarioConfig, compound_probability
 from .channel import Mode, best_product_order, cascade, correlated_fading
 from .errors import DomainError
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, psd_sqrt
@@ -309,18 +309,19 @@ def estimate_success(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> Est
 
 
 def ks_distance(samples, fit: GammaFit) -> float:
-    """Kolmogorov-Smirnov distance between a sample and a Gamma fit.
+    """Kolmogorov-Smirnov distance between a gain sample and the compound law ``Q * Exp(1)`` of ``fit``.
 
-    Supremum of |empirical CDF - fitted CDF| over the sample points,
-    evaluated from both one-sided limits at each point; the fitted CDF
-    is evaluated on the whole sorted sample in one call.
+    Supremum of |empirical CDF - law's CDF| over the sample points,
+    evaluated from both one-sided limits at each point; the CDF
+    (:func:`~friscov.analytics.compound_probability`) is evaluated on the
+    whole sorted sample in one call.
     """
     data = np.asarray(samples, dtype=float).ravel()
     if data.size == 0:
         raise DomainError("KS distance requires a non-empty sample")
     data = np.sort(data)
     n = data.size
-    fitted = gamma_cdf(fit, data)
+    fitted = compound_probability(fit, below=data)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(max(np.max(upper - fitted), np.max(fitted - lower)))

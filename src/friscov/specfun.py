@@ -1,25 +1,18 @@
-"""Special functions used by the correlation and outage models.
+"""Special functions used by the correlation model.
 
-All functions are pure and deterministic.  Each takes a scalar or an
-array argument in double precision and returns a float for a scalar (or
-0-d) argument, else an array of the argument's shape:
+``bessel_j0`` -- the zero-order Bessel function of the first kind, the
+kernel of the isotropic-scattering spatial correlation model.  It is
+pure and deterministic, and takes a scalar or an array argument in
+double precision: a float for a scalar (or 0-d) argument, else an
+array of the argument's shape.
 
-* ``bessel_j0`` -- zero-order Bessel function of the first kind, the
-  kernel of the isotropic-scattering spatial correlation model.
-* ``reg_lower_incomplete_gamma`` -- the regularized lower incomplete
-  gamma function P(shape, x) at a scalar ``shape``, i.e. the CDF of a
-  unit-scale Gamma distribution.
-
-Algorithm choices: ``bessel_j0`` uses the ascending power series for
-|x| <= 12 and the Hankel asymptotic expansion (dynamically truncated at
-its smallest term) beyond; ``reg_lower_incomplete_gamma`` uses the
-ascending series for x < shape + 1 and a modified Lentz continued
-fraction for the complementary function otherwise.  Every iteration
-runs on the elements that have not met their own stopping rule yet, so
-an element's value does not depend on the others in its array.  Both
-are accurate to better than 1e-10 absolute over the documented ranges
-and are cross-checked against independent high-precision oracles in the
-test suite.
+Algorithm: the ascending power series for |x| <= 12 and the Hankel
+asymptotic expansion (dynamically truncated at its smallest term)
+beyond.  Every iteration runs on the elements that have not met their
+own stopping rule yet, so an element's value does not depend on the
+others in its array.  Accurate to better than 1e-10 absolute over the
+documented range and cross-checked against an independent
+high-precision oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -28,11 +21,10 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 _J0_SERIES_CUTOFF = 12.0
 _QUARTER_PI = 0.7853981633974483096156608458198757
-_MAX_ITER = 100_000
 
 
 def _finite_array(name: str, value) -> np.ndarray:
@@ -44,10 +36,6 @@ def _finite_array(name: str, value) -> np.ndarray:
     if bad.any():
         raise DomainError(f"{name} must be finite, got {float(array[bad].flat[0])!r}")
     return array
-
-
-def _shaped(flat: np.ndarray, like: np.ndarray) -> float | np.ndarray:
-    return float(flat[0]) if like.ndim == 0 else flat.reshape(like.shape)
 
 
 def _j0_power_series(x: np.ndarray) -> np.ndarray:
@@ -106,79 +94,4 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     series = flat <= _J0_SERIES_CUTOFF
     out[series] = _j0_power_series(flat[series])
     out[~series] = _j0_asymptotic(flat[~series])
-    return _shaped(out, x)
-
-
-def _lower_gamma_series(shape: float, x: np.ndarray) -> np.ndarray:
-    # P(shape, x) = x^shape e^-x / Gamma(shape+1) * sum_n x^n / prod(shape+1..shape+n)
-    denom = shape
-    term = np.full_like(x, 1.0 / shape)
-    total = term.copy()
-    live = np.arange(x.size)
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term[live] *= x[live] / denom
-        total[live] += term[live]
-        live = live[np.abs(term[live]) >= np.abs(total[live]) * 1e-17]
-        if not live.size:
-            log_pref = shape * np.log(x) - x - math.lgamma(shape)
-            return total * np.exp(log_pref)
-    raise ConvergenceError(f"lower-gamma series did not converge for shape={shape}, x={x[live[0]]}")
-
-
-def _upper_gamma_cf(shape: float, x: np.ndarray) -> np.ndarray:
-    # Regularized upper gamma Q(shape, x) via the modified Lentz
-    # continued fraction; valid and fast for x >= shape + 1.
-    tiny = 1e-300
-    b = x + 1.0 - shape  # >= 2 on this branch
-    c = np.full_like(x, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    live = np.arange(x.size)
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - shape)
-        b[live] += 2.0
-        d_live = an * d[live] + b[live]
-        d_live[np.abs(d_live) < tiny] = tiny
-        c_live = b[live] + an / c[live]
-        c_live[np.abs(c_live) < tiny] = tiny
-        d_live = 1.0 / d_live
-        delta = d_live * c_live
-        h[live] *= delta
-        d[live] = d_live
-        c[live] = c_live
-        live = live[np.abs(delta - 1.0) >= 1e-17]
-        if not live.size:
-            log_pref = shape * np.log(x) - x - math.lgamma(shape)
-            return np.exp(log_pref) * h
-    raise ConvergenceError(
-        f"upper-gamma continued fraction did not converge for shape={shape}, x={x[live[0]]}"
-    )
-
-
-def reg_lower_incomplete_gamma(shape: float, x: float | np.ndarray) -> float | np.ndarray:
-    """Regularized lower incomplete gamma function P(shape, x) in [0, 1], elementwise in ``x``.
-
-    P(shape, x) is the CDF at ``x`` of a Gamma(shape, 1) random
-    variable; it is non-decreasing in ``x`` with P(shape, 0) = 0 and
-    P(shape, x) -> 1 as x -> inf.  Absolute error <= 1e-10.
-
-    Raises:
-        DomainError: if ``shape`` is not a finite real scalar > 0, or any
-            element of ``x`` is negative or non-finite.
-    """
-    shape = _finite_array("shape", shape)
-    if shape.ndim or shape <= 0.0:
-        raise DomainError(f"shape must be a real scalar > 0, got {shape.tolist()!r}")
-    shape = float(shape)
-    x = _finite_array("x", x)
-    if (x < 0.0).any():
-        raise DomainError(f"x must be >= 0, got {float(x[x < 0.0].flat[0])!r}")
-    flat = x.ravel()
-    p = np.zeros_like(flat)
-    series = (flat > 0.0) & (flat < shape + 1.0)
-    fraction = flat >= shape + 1.0
-    p[series] = _lower_gamma_series(shape, flat[series])
-    p[fraction] = 1.0 - _upper_gamma_cf(shape, flat[fraction])
-    # Guard against sub-ulp excursions outside [0, 1].
-    return _shaped(np.clip(p, 0.0, 1.0), x)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

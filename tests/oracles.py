@@ -1,9 +1,11 @@
 """Independent high-precision oracles for the special functions.
 
-Both are deliberately brute-force arbitrary-precision series, coded
-from the defining expansions with mpmath and sharing nothing with the
-double-precision implementations under test.
+Each is coded in mpmath, in arbitrary precision, from a defining
+expansion or a closed form that shares nothing with the
+double-precision implementation under test.
 """
+
+import math
 
 import mpmath as mp
 
@@ -30,28 +32,32 @@ def oracle_bessel_j0(x: float) -> float:
         return float(total)
 
 
-def oracle_reg_lower_gamma(shape: float, x: float) -> float:
-    """Brute-force ascending series for P(shape, x), all terms positive.
+def oracle_compound_survival(kappa: float, theta: float, x: float) -> mp.mpf:
+    """``P(Q*E > x)`` for ``Q ~ Gamma(kappa, theta)``, ``E ~ Exp(1)``, at 60 digits.
 
-    P(shape, x) = x^shape e^-x / Gamma(shape) * sum_n x^n /
-    (shape (shape+1) ... (shape+n)); no cancellation, so a fixed
-    50-digit working precision is ample on the tested ranges.
+    The K-law closed form ``E[exp(-x/Q)] = (2/Gamma(kappa)) * y**(kappa/2)
+    * K_kappa(2*sqrt(y))`` with ``y = x/theta``, by mpmath's Bessel ``K``;
+    the result stays an ``mpf`` so that a CDF or joint formed from it as
+    a difference keeps its digits.
     """
-    shape = mp.mpf(float(shape))
-    x = mp.mpf(float(x))
-    if x == 0:
-        return 0.0
-    with mp.workdps(50):
-        term = 1 / shape
-        total = term
-        denom = shape
-        tail = mp.mpf(10) ** -45
-        while term > total * tail:
-            denom += 1
-            term *= x / denom
-            total += term
-        log_pref = shape * mp.log(x) - x - mp.loggamma(shape)
-        return float(total * mp.e**log_pref)
+    with mp.workdps(60):
+        y = mp.mpf(x) / mp.mpf(theta)
+        if y == 0:
+            return mp.mpf(1)
+        kappa = mp.mpf(kappa)
+        return 2 / mp.gamma(kappa) * y ** (kappa / 2) * mp.besselk(kappa, 2 * mp.sqrt(y))
+
+
+def oracle_compound_probability(kappa: float, theta: float, above: float = 0.0, below: float = math.inf) -> float:
+    """``P(Q*E1 > above, Q*E2 <= below)``, ``E1, E2`` i.i.d. ``Exp(1)``: a difference of two survivals.
+
+    ``E[exp(-above/Q) * (1 - exp(-below/Q))] = S(above) - S(above + below)``,
+    taken at 60 digits, where the cancellation of a small CDF costs
+    nothing that a double would see.
+    """
+    with mp.workdps(60):
+        rest = 0 if math.isinf(below) else oracle_compound_survival(kappa, theta, mp.mpf(above) + mp.mpf(below))
+        return float(oracle_compound_survival(kappa, theta, above) - rest)
 
 
 def oracle_first_j0_zero() -> float:

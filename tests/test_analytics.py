@@ -3,18 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friscov import (
     DegenerateFitError,
     DomainError,
     GammaFit,
     ScenarioConfig,
+    compound_probability,
     cop,
     dbm_to_watt,
     default_fixed_preset,
     error_probability_xi,
     fa_probability,
-    gamma_cdf,
     gamma_moment_match,
     md_probability,
     optimal_threshold,
@@ -22,6 +24,8 @@ from friscov import (
     path_loss,
     success_probability,
 )
+
+from oracles import oracle_compound_probability
 
 
 def scenario(**overrides) -> ScenarioConfig:
@@ -107,50 +111,126 @@ class TestGammaMomentMatch:
             gamma_moment_match(np.zeros((4, 4)))
 
 
-class TestGammaCdf:
-    def test_at_zero(self):
-        assert gamma_cdf(GammaFit(3.7, 2.2), 0.0) == 0.0
+ORACLE_KAPPAS = [1.0, 1.5, 2.7, 6.18, 10.75, 11.0]
+ORACLE_THETA = 1.3
 
-    def test_exponential(self):
-        fit = GammaFit(kappa=1.0, theta=2.0)
-        assert gamma_cdf(fit, 2.0 * math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
 
-    def test_integer_shape(self):
-        assert gamma_cdf(GammaFit(2.0, 1.0), 2.0) == pytest.approx(0.5939941502901619, abs=1e-12)
+def oracle_levels(kappa: float) -> np.ndarray:
+    """Levels from 1e-10 to 20 times the mean of the gain."""
+    return np.geomspace(1e-10, 20.0 * kappa * ORACLE_THETA, 16)
 
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            gamma_cdf(GammaFit(1.0, 1.0), -0.5)
 
-    def test_monotone(self):
-        fit = GammaFit(4.2, 0.7)
-        values = [gamma_cdf(fit, g) for g in np.linspace(0.0, 30.0, 200)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+# A fit as the closed form builds one (kappa >= 1), and levels in the
+# documented range: 0, 1e-10 to 20 times the mean, or infinite.
+fits = st.builds(GammaFit, st.floats(1.0, 11.0), st.floats(1e-3, 1e3))
+relative_levels = st.one_of(st.just(0.0), st.just(math.inf), st.floats(1e-10, 20.0))
 
-    # kappa + 1 = 5.2 at g = 3.64 splits the series from the continued fraction
-    POINTS = [0.0, 1e-7, 1.3, 3.6, 3.64, 40.0]
+
+def level(fit: GammaFit, relative: float) -> float:
+    return relative * fit.mean
+
+
+class TestCompoundProbability:
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+    def test_cdf_against_k_law_oracle(self, kappa):
+        xs = oracle_levels(kappa)
+        values = compound_probability(GammaFit(kappa, ORACLE_THETA), below=xs)
+        for x, value in zip(xs, values):
+            assert value == pytest.approx(oracle_compound_probability(kappa, ORACLE_THETA, below=x), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+    def test_survival_against_k_law_oracle(self, kappa):
+        xs = oracle_levels(kappa)
+        values = compound_probability(GammaFit(kappa, ORACLE_THETA), above=xs)
+        for x, value in zip(xs, values):
+            assert value == pytest.approx(oracle_compound_probability(kappa, ORACLE_THETA, above=x), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", ORACLE_KAPPAS)
+    def test_joint_against_k_law_oracle(self, kappa):
+        # Each level above pairs with every level below across the range.
+        above = oracle_levels(kappa)
+        below = above[::-1]
+        values = compound_probability(GammaFit(kappa, ORACLE_THETA), above=above, below=below)
+        for a, b, value in zip(above, below, values):
+            expected = oracle_compound_probability(kappa, ORACLE_THETA, above=a, below=b)
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_limits_are_exact(self):
+        fit = GammaFit(2.7, 0.4)
+        assert compound_probability(fit, below=0.0) == 0.0
+        assert compound_probability(fit, above=math.inf) == 0.0
+        assert compound_probability(fit, above=1.0, below=0.0) == 0.0
+
+    @given(fits, relative_levels, relative_levels)
+    @settings(max_examples=200, deadline=None)
+    def test_values_lie_in_unit_interval(self, fit, above, below):
+        value = compound_probability(fit, above=level(fit, above), below=level(fit, below))
+        assert 0.0 <= value <= 1.0
+
+    # Within one call, where every element shares the nodes.
+    @given(fits, relative_levels, relative_levels, relative_levels)
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_in_each_level(self, fit, x1, x2, other):
+        levels = np.array(sorted((level(fit, x1), level(fit, x2))))
+        fixed = level(fit, other)
+        cdf = compound_probability(fit, above=fixed, below=levels)
+        survival = compound_probability(fit, above=levels, below=fixed)
+        assert cdf[0] <= cdf[1]
+        assert survival[0] >= survival[1]
+
+    @given(fits, relative_levels)
+    @settings(max_examples=200, deadline=None)
+    def test_cdf_and_survival_sum_to_one(self, fit, x):
+        x = level(fit, x)
+        assert abs(compound_probability(fit, above=x) + compound_probability(fit, below=x) - 1.0) <= 1e-13
+
+    # The nodes follow the smallest level of a call, so an array's values
+    # equal elementwise calls to rounding, not bit for bit.
+    POINTS = [0.0, 1e-10, 1e-3, 0.7, 3.6, 40.0]
 
     @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
-    def test_array_keeps_shape_and_matches_elementwise_calls(self, shape):
+    @pytest.mark.parametrize("argument", ["above", "below", "both"])
+    def test_array_keeps_shape_and_matches_elementwise_calls(self, shape, argument):
         fit = GammaFit(4.2, 0.7)
-        g = np.array(self.POINTS[: math.prod(shape)]).reshape(shape)
-        values = gamma_cdf(fit, g)
+        x = np.array(self.POINTS[: math.prod(shape)]).reshape(shape)
+        other = 1.1 if argument == "both" else None
+
+        def call(value):
+            if argument == "above":
+                return compound_probability(fit, above=value)
+            if argument == "below":
+                return compound_probability(fit, below=value)
+            return compound_probability(fit, above=other, below=value)
+
+        values = call(x)
         assert np.shape(values) == shape
-        assert np.asarray(values).ravel().tolist() == [gamma_cdf(fit, float(v)) for v in g.flat]
+        expected = [call(float(v)) for v in x.flat]
+        assert np.asarray(values).ravel().tolist() == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_levels_broadcast(self):
+        fit = GammaFit(4.2, 0.7)
+        above = np.array([[0.1], [2.0]])
+        below = np.array([0.5, 1.0, 30.0])
+        values = compound_probability(fit, above=above, below=below)
+        assert values.shape == (2, 3)
+        for (i, j), value in np.ndenumerate(values):
+            assert value == pytest.approx(compound_probability(fit, above=above[i, 0], below=below[j]), rel=1e-13)
 
     def test_scalar_returns_float(self):
         fit = GammaFit(4.2, 0.7)
-        for g in self.POINTS:
-            assert type(gamma_cdf(fit, g)) is float
-            assert type(gamma_cdf(fit, np.float64(g))) is float
-        assert type(gamma_cdf(fit, 2)) is float
+        assert type(compound_probability(fit)) is float
+        for x in self.POINTS + [2, math.inf]:
+            assert type(compound_probability(fit, below=x)) is float
+            assert type(compound_probability(fit, above=np.float64(x))) is float
+            assert type(compound_probability(fit, above=x, below=np.float64(x))) is float
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
-    def test_one_bad_element_rejects_the_array(self, bad):
-        g = np.array(self.POINTS).reshape(2, 3)
-        g[1, 1] = bad
-        with pytest.raises(DomainError):
-            gamma_cdf(GammaFit(4.2, 0.7), g)
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, -math.inf])
+    @pytest.mark.parametrize("argument", ["above", "below"])
+    def test_one_bad_element_rejects_the_array(self, bad, argument):
+        x = np.array(self.POINTS).reshape(2, 3)
+        x[1, 1] = bad
+        with pytest.raises(DomainError, match=argument):
+            compound_probability(GammaFit(4.2, 0.7), **{argument: x})
 
 
 class TestPathLoss:
@@ -175,11 +255,13 @@ class TestDetectionProbabilities:
         assert md_probability(GammaFit(2.0, 1.0), cfg, cfg.sigma2_w) == 0.0
 
     def test_md_exponential_case(self):
-        # unit path losses and power, unit-exponential gain
+        # unit path losses and power, unit-exponential Q: the gain's CDF is
+        # 1 - 2 sqrt(x) K_1(2 sqrt(x))
         cfg = scenario(d_af=1.0, d_fw=1.0, p_a=1.0)
         fit = GammaFit(kappa=1.0, theta=1.0)
         zeta = cfg.sigma2_w + math.log(2.0)
-        assert md_probability(fit, cfg, zeta) == pytest.approx(0.5, abs=1e-9)
+        expected = oracle_compound_probability(1.0, 1.0, below=math.log(2.0))
+        assert md_probability(fit, cfg, zeta) == pytest.approx(expected, abs=1e-9)
 
     def test_md_vanishes_at_high_power(self):
         cfg = scenario(p_a=1e12)
@@ -246,9 +328,15 @@ class TestOutage:
         assert outage_probability(fit, scenario(r_b=0.0)) == 0.0
 
     def test_vanishes_at_high_power(self, ref_corr, ref_geom):
+        # The exponential factor of the gain gives decay order 1: for a small
+        # threshold x the outage is x * E[1/Q] = x / (theta * (kappa - 1)).
         ports = default_fixed_preset(ref_geom, 36)
         fit = gamma_moment_match(ref_corr[np.ix_(ports, ports)])
-        assert outage_probability(fit, scenario(p_a=1e6)) <= 1e-15
+        for p_a in (1e2, 1e6):
+            cfg = scenario(p_a=p_a)
+            x = (2.0 ** cfg.r_b - 1.0) * cfg.sigma2_b / (cfg.p_a * cfg.loss_af * cfg.loss_fb)
+            expected = x / (fit.theta * (fit.kappa - 1.0))
+            assert outage_probability(fit, cfg) == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_in_power_and_rate(self, ref_corr, ref_geom):
         ports = default_fixed_preset(ref_geom, 36)
@@ -273,15 +361,39 @@ class TestErrorAndSuccess:
         assert error_probability_xi(cfg, 0.0, 0.0) == 0.0
         assert error_probability_xi(cfg, 0.0, 0.8) == pytest.approx(0.4, rel=1e-15)
 
-    def test_success_examples(self):
-        cfg = scenario()
-        assert success_probability(cfg, 1.0, 0.5) == 0.0
-        assert success_probability(cfg, 0.3, 0.0) == 0.0
-        assert success_probability(cfg, 0.1, 0.4) == pytest.approx(0.36, rel=1e-15)
+    def test_success_examples(self, fit36):
+        # A threshold at the noise floor: a certain false alarm, so success is
+        # decoding under silence.  A threshold far above every gain: a certain
+        # miss, so success is decoding under transmission.  Zero rate: never
+        # in outage, so success is the missed detection.
+        cfg = scenario(p_a=dbm_to_watt(-45.0), p0=0.3, p1=0.7)
+        no_outage = 1.0 - outage_probability(fit36, cfg)
+        assert success_probability(fit36, cfg, cfg.sigma2_w) == pytest.approx(cfg.p0 * no_outage, rel=1e-13)
+        assert success_probability(fit36, cfg, 1.0) == pytest.approx(cfg.p1 * no_outage, rel=1e-13)
+        zero_rate = dataclasses.replace(cfg, r_b=0.0)
+        zeta = optimal_threshold(cfg)
+        assert success_probability(fit36, zero_rate, zeta) == pytest.approx(
+            cfg.p1 * md_probability(fit36, zero_rate, zeta), rel=1e-13)
 
-    def test_success_validation(self):
+    @pytest.mark.parametrize("zeta", [-1e-12, math.nan, math.inf])
+    def test_success_validation(self, zeta):
         with pytest.raises(DomainError):
-            success_probability(scenario(), 1.2, 0.5)
+            success_probability(GammaFit(2.0, 1.0), scenario(), zeta)
+
+    @pytest.mark.parametrize("dbm", [-47.5, -43.3, -39.2])
+    def test_success_is_the_joint_of_the_two_gains(self, fit36, dbm):
+        # Given Q the gains are independent, so the success term is the
+        # compound joint; it lies below the product of the marginals, since
+        # a large Q helps the receiver and the warden alike.
+        cfg = scenario(p_a=dbm_to_watt(dbm))
+        zeta = optimal_threshold(cfg)
+        x_b = (2.0 ** cfg.r_b - 1.0) * cfg.sigma2_b / (cfg.p_a * cfg.loss_af * cfg.loss_fb)
+        eta = (zeta - cfg.sigma2_w) / (cfg.p_a * cfg.loss_af * cfg.loss_fw)
+        expected = cfg.p1 * oracle_compound_probability(fit36.kappa, fit36.theta, above=x_b, below=eta)
+        psuc = success_probability(fit36, cfg, zeta)
+        assert psuc == pytest.approx(expected, rel=1e-12)
+        product = (1.0 - outage_probability(fit36, cfg)) * cfg.p1 * md_probability(fit36, cfg, zeta)
+        assert psuc < product
 
 
 @pytest.fixture(scope="module")
@@ -320,8 +432,7 @@ class TestCurveShapes:
         for v in np.linspace(-60.0, -10.0, 25):
             cfg = scenario(p_a=dbm_to_watt(v))
             zeta = optimal_threshold(cfg)
-            xi = error_probability_xi(cfg, fa_probability(cfg, zeta), md_probability(fit36, cfg, zeta))
-            curve.append(success_probability(cfg, outage_probability(fit36, cfg), xi))
+            curve.append(success_probability(fit36, cfg, zeta))
         peak = max(curve)
         assert peak > curve[0] and peak > curve[-1]
         assert 0 < curve.index(peak) < len(curve) - 1
@@ -336,5 +447,5 @@ class TestCurveShapes:
             xi = error_probability_xi(cfg, p_fa, p_md)
             for p in (p_fa, p_md, p_out, xi,
                       cop(cfg, p_fa, p_md),
-                      success_probability(cfg, p_out, xi)):
+                      success_probability(fit36, cfg, zeta)):
                 assert 0.0 <= p <= 1.0

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +339,31 @@ class TestMain:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "ris.m_hat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_out_is_a_config_error(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if where == "file" else blocker / "out"
+        assert main(["sweep", "--trials", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # One line and no progress report: it fails before any simulation.
+        assert err.startswith("config error: --out") and err.count("\n") == 1
+        assert blocker.read_text() == "not a directory"
+
+    def test_closed_stdout_exits_quietly_with_sigpipe_status(self):
+        # As when the reader of ``friscov validate | head -1`` has exited;
+        # here it is gone before the first line.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "friscov.cli", "validate", "--trials", "500"],
+                                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (141, b"")
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "scenario.p0 = 0.9\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
@@ -356,16 +385,16 @@ class TestMain:
     # at every power, and an unpaired 10-element grid across the m_o sweep.
     @pytest.mark.parametrize("config, digest", [
         ("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
-         "123d8b3fcefec8375aafafe23d6e1b7ef999cd5982c0e2f6419af0ce1ebf86c9"),
+         "3ea3a395456445be4e3596f27e1f6debabeddee4ac15ba1b19f9ec8b8af5fbb9"),
         ("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
          "scenario.p_a_dbm = -50\n",
-         "971ef533183b8ab9624a744ff77e80815464667ce160631537ce94aa3be90d86"),
+         "98f5add94b6c3cb00d2bd7d4e136577de3b681296b9ede99a11212999aa1b89f"),
         ("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
          "sweep.points = 4\n",
-         "141afd78cc87ef454241dabd4f22fe6ed9b11bfa7db7bcd7b7b19e1a95991264"),
+         "37c2fc307c560fd370a7793234cf19d66063494e34a5dafcca55371020e16c7d"),
         ("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
          "sweep.points = 5\n",
-         "a18e03574117670a040b9091fdbe9bea8f0b30176877d5c97187870c27f5dfc9"),
+         "59aa3221adf5a4a8db33cc91830ff7315cb5422b4a13920ce0df77a99671c9c3"),
     ])
     def test_golden_csv_bytes(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config + "mc.trials = 5000\n")
@@ -379,8 +408,15 @@ class TestMain:
         assert main(["validate", "--trials", "5000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5ad51a103dd0dff0a1e6520041813a64cad6ef7a87344edbdc1130f968070881"
+            "32b07deb5d9b9f3e66968c3e07b4ca64de8ce284bae9aef62ac09c7309cc9f05"
         )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_validate_passes_every_gate(self, capsys, seed):
+        assert main(["validate", "--trials", "20000", "--seed", str(seed)]) == 0
+        gates = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[GATE]")]
+        assert len(gates) == 8
+        assert all(line.endswith("-> PASS") for line in gates), gates
 
     def test_validate_runs_and_reports(self, capsys):
         assert main(["validate", "--trials", "3000"]) == 0

@@ -11,19 +11,23 @@ from friscov import (
     MCConfig,
     Mode,
     ScenarioConfig,
+    compound_probability,
+    cop,
     correlation_matrix,
     dbm_to_watt,
     default_fixed_preset,
     estimate_cop,
     estimate_op,
     estimate_success,
+    fa_probability,
     gamma_moment_match,
     ks_distance,
+    md_probability,
     optimal_threshold,
     outage_probability,
     psd_sqrt,
-    reg_lower_incomplete_gamma,
     simulate_group,
+    success_probability,
 )
 from friscov.channel import best_product_order, cascade, correlated_fading
 from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, wilson_interval
@@ -39,8 +43,19 @@ def gains_5k(ref_geom) -> GainSample:
 
 
 @pytest.fixture(scope="module")
+def gains_20k(ref_geom) -> GainSample:
+    return simulate_group([fixed_static(trials=20_000)], ref_geom)[0]
+
+
+@pytest.fixture(scope="module")
 def gains_200k(ref_geom) -> GainSample:
     return simulate_group([fixed_static(trials=200_000)], ref_geom)[0]
+
+
+@pytest.fixture(scope="module")
+def fit36(ref_geom, ref_corr) -> GammaFit:
+    ports = default_fixed_preset(ref_geom, 36)
+    return gamma_moment_match(ref_corr[np.ix_(ports, ports)])
 
 
 class TestSubstreams:
@@ -177,6 +192,31 @@ class TestEstimators:
         assert values[0] == values[1]
 
 
+# The points of the default power grid (-60 to -10 dBm, 25 points) where
+# the closed-form outage, covertness outage and success all lie in
+# (0.05, 0.95), so that neither side sits at a saturated corner.
+UNSATURATED_DBM = np.linspace(-60.0, -10.0, 25)[7:15].tolist()
+
+
+class TestClosedFormAgreement:
+    """The closed form against the fixed preset it describes, at the validate gates' 0.02."""
+
+    @pytest.mark.parametrize("metric", ["op", "cop", "psuc"])
+    @pytest.mark.parametrize("dbm", UNSATURATED_DBM, ids=lambda dbm: f"{dbm:.2f}dBm")
+    def test_matches_fixed_preset_monte_carlo(self, gains_20k, fit36, dbm, metric):
+        cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm))
+        zeta = optimal_threshold(cfg)
+        if metric == "op":
+            analytic, empirical = outage_probability(fit36, cfg), estimate_op(gains_20k, cfg)
+        elif metric == "cop":
+            p_md = md_probability(fit36, cfg, zeta)
+            analytic, empirical = cop(cfg, fa_probability(cfg, zeta), p_md), estimate_cop(gains_20k, cfg, zeta)
+        else:
+            analytic, empirical = success_probability(fit36, cfg, zeta), estimate_success(gains_20k, cfg, zeta)
+        assert 0.05 < analytic < 0.95
+        assert abs(analytic - empirical.value) <= 0.02
+
+
 def group_configs(trials, m_os=(1, 2, 16, 144)) -> list[MCConfig]:
     """Every mode at each ``m_o``; at 144 the presets are the full grid."""
     return [MCConfig(trials=trials, master_seed=5, mode=mode, m_o=m_o) for m_o in m_os for mode in Mode]
@@ -258,9 +298,9 @@ class TestKsDistance:
     def test_single_sample_at_median(self):
         fit = GammaFit(kappa=2.0, theta=1.0)
         lo, hi = 0.0, 20.0
-        for _ in range(80):  # bisect the median of the fit
+        for _ in range(80):  # bisect the median of the compound law
             mid = 0.5 * (lo + hi)
-            if reg_lower_incomplete_gamma(2.0, mid / 1.0) < 0.5:
+            if compound_probability(fit, below=mid) < 0.5:
                 lo = mid
             else:
                 hi = mid
@@ -270,9 +310,10 @@ class TestKsDistance:
         assert ks_distance(np.zeros(100), GammaFit(3.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_true_gamma_sample_is_close(self):
+        # A sample of the law itself: Gamma(kappa, theta) times Exp(1).
         rng = np.random.default_rng(123)
         kappa, theta = 3.7, 2.1
-        sample = rng.gamma(shape=kappa, scale=theta, size=100_000)
+        sample = rng.gamma(shape=kappa, scale=theta, size=100_000) * rng.exponential(size=100_000)
         # KS critical value at the 1% level is ~1.63/sqrt(n) ~ 0.0052
         assert ks_distance(sample, GammaFit(kappa, theta)) <= 0.01
 

@@ -1,15 +1,13 @@
-import functools
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friscov import ConvergenceError, DomainError, bessel_j0, reg_lower_incomplete_gamma, specfun
+from friscov import DomainError, bessel_j0
 
-from oracles import oracle_bessel_j0, oracle_first_j0_zero, oracle_reg_lower_gamma
+from oracles import oracle_bessel_j0, oracle_first_j0_zero
 
 finite_args = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 
@@ -50,80 +48,6 @@ class TestBesselJ0:
             assert bessel_j0(float(x)) == pytest.approx(oracle_bessel_j0(float(x)), abs=1e-10)
 
 
-class TestRegLowerIncompleteGamma:
-    @pytest.mark.parametrize("shape", [0.1, 0.5, 1.0, 2.0, 17.3, 100.0])
-    def test_zero_argument(self, shape):
-        assert reg_lower_incomplete_gamma(shape, 0.0) == 0.0
-
-    def test_exponential_median(self):
-        # P(1, x) = 1 - exp(-x), so P(1, ln 2) = 1/2
-        assert reg_lower_incomplete_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_integer_shape_closed_form(self):
-        # P(2, 2) = 1 - 3 e^-2
-        assert reg_lower_incomplete_gamma(2.0, 2.0) == pytest.approx(0.5939941502901619, abs=1e-12)
-
-    @pytest.mark.parametrize("shape,x", [(-1.0, 1.0), (0.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (1.0, math.inf)])
-    def test_domain(self, shape, x):
-        with pytest.raises(DomainError):
-            reg_lower_incomplete_gamma(shape, x)
-
-    @given(
-        st.floats(min_value=0.1, max_value=100.0),
-        st.floats(min_value=0.0, max_value=300.0),
-        st.floats(min_value=0.0, max_value=300.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_range_and_monotonicity(self, shape, x1, x2):
-        lo, hi = sorted((x1, x2))
-        p_lo = reg_lower_incomplete_gamma(shape, lo)
-        p_hi = reg_lower_incomplete_gamma(shape, hi)
-        assert 0.0 <= p_lo <= p_hi <= 1.0
-
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 9.0, 100.0])
-    def test_saturates_far_in_the_tail(self, shape):
-        x = shape + 40.0 * math.sqrt(shape)
-        assert reg_lower_incomplete_gamma(shape, x) >= 1.0 - 1e-9
-
-    def test_saturates_for_small_shape(self):
-        # for shape < ~1/3 the tail at shape + 40 sqrt(shape) is still
-        # heavier than 1e-9 (true residual ~3e-8 at shape 0.1); push
-        # further out instead of weakening the bound
-        assert reg_lower_incomplete_gamma(0.1, 0.1 + 40.0 * math.sqrt(0.1) + 40.0) >= 1.0 - 1e-9
-
-    def test_against_series_oracle_on_random_points(self):
-        rng = np.random.default_rng(3)
-        shapes = 10.0 ** rng.uniform(-1, 2, size=300)
-        xs = rng.uniform(0.0, 300.0, size=300)
-        for shape, x in zip(shapes, xs):
-            expected = oracle_reg_lower_gamma(float(shape), float(x))
-            assert reg_lower_incomplete_gamma(float(shape), float(x)) == pytest.approx(expected, abs=1e-9)
-
-    @pytest.mark.parametrize("x", [0.5, 30.0], ids=["series", "continued-fraction"])
-    def test_iteration_cap_raises(self, monkeypatch, x):
-        monkeypatch.setattr(specfun, "_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError):
-            reg_lower_incomplete_gamma(2.5, np.array([0.0, x]))
-
-    def test_lower_tail_relative_accuracy(self):
-        # Outage lives near 0 and the log plot reaches 1e-6, where an
-        # absolute bound passes trivially.  Below the smallest normal
-        # double a relative bound means nothing, so those points are
-        # skipped.
-        rng = np.random.default_rng(13)
-        shapes = np.concatenate([[0.1, 100.0], 10.0 ** rng.uniform(-1, 2, size=48)])
-        checked = 0
-        for shape in shapes:
-            xs = shape * 10.0 ** rng.uniform(-6, math.log10(0.5), size=10)
-            for x, value in zip(xs, reg_lower_incomplete_gamma(float(shape), xs)):
-                expected = oracle_reg_lower_gamma(float(shape), float(x))
-                if expected < sys.float_info.min:
-                    continue
-                checked += 1
-                assert value == pytest.approx(expected, rel=1e-11)
-        assert checked >= 450
-
-
 # Each function of one array argument: points on every branch, and the
 # elements it rejects.
 ARRAY_CASES = {
@@ -132,12 +56,6 @@ ARRAY_CASES = {
         bessel_j0,
         [0.0, -1.5, 11.999999, 12.0, 12.5, -40.0, 150.0, 199.9],
         [math.nan, math.inf, -math.inf],
-    ),
-    # zero, series below shape + 1 = 3.5, continued fraction from there
-    "reg_lower_incomplete_gamma": (
-        functools.partial(reg_lower_incomplete_gamma, 2.5),
-        [0.0, 1e-6, 0.5, 3.4999, 3.5, 4.5, 30.0, 250.0],
-        [math.nan, math.inf, -math.inf, -0.5],
     ),
 }
 
