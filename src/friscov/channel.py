@@ -2,10 +2,11 @@
 
 Arrays hold one column per trial: fading vectors are ``(ports, trials)``
 and gains ``(trials,)``.  A block is three correlated fading vectors
-per trial (:func:`correlated_fading`: ``rank`` normals per link and
-trial, correlated by the surface's ``(ports, rank)`` factor), an
-active-port selection, and the cascaded power gains toward the receiver
-and the warden (:func:`cascade`).
+per trial (:func:`block_normals`: ``rank`` normals per link and trial,
+correlated by the surface's ``(ports, rank)`` factor one column tile at
+a time by :func:`correlated_tile`), an active-port selection, and the
+cascaded power gains toward the receiver and the warden
+(:func:`cascade`).
 
 The paper compares three surfaces, one :class:`Mode` each:
 
@@ -61,30 +62,42 @@ class Mode(enum.Enum):
     RIS = "ris"
 
 
-def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """Fading vectors ``a, b, c`` of one block, stacked as ``(3, ports, trials)``.
+def block_normals(rng: np.random.Generator, rank: int, trials: int) -> np.ndarray:
+    """The standard normals of one block, ``(3, rank, 2 * trials)``, scaled by ``1 / sqrt(2)``.
+
+    Fixed draw layout: one ``standard_normal`` call indexed [link, rank,
+    trial, re/im], links ordered transmitter, receiver, warden side.
+    Read in pairs along the last axis, each ``(link, rank, trial)`` is a
+    circularly-symmetric complex normal of unit variance.  The same
+    generator state gives bit-identical normals.
+    """
+    z = rng.standard_normal((3, rank, 2 * trials))
+    z *= 1.0 / math.sqrt(2.0)
+    return z
+
+
+def correlated_tile(factor: np.ndarray, z: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Fading vectors ``a, b, c`` of trials ``start:stop`` of a block, stacked as ``(3, ports, stop - start)``.
 
     ``factor`` is a real ``(ports, rank)`` factor of the port correlation
-    (:func:`~friscov.surface.psd_sqrt`).  Fixed draw layout: standard
-    normals indexed [link, rank, trial, re/im], links ordered
-    transmitter, receiver, warden side.  Each link is ``factor @ h`` with
-    ``h`` i.i.d. circularly-symmetric complex normal of unit variance, so
-    its covariance is ``factor @ factor.T``.  ``factor`` is real and a
+    (:func:`~friscov.surface.psd_sqrt`) and ``z`` the block's normals
+    (:func:`block_normals`).  Each link is ``factor @ h``, so its
+    covariance is ``factor @ factor.T``.  ``factor`` is real and a
     complex array views as its interleaved real and imaginary parts, so
-    one real product, written by ``out=`` straight into the complex
-    block, correlates all three links.  The same generator state gives
-    bit-identical vectors.
+    one real product of ``factor`` and a strided view of ``z``'s columns,
+    written by ``out=`` straight into the complex tile, correlates all
+    three links without copying the normals.
     """
     if factor.ndim != 2 or factor.shape[1] > factor.shape[0] or np.iscomplexobj(factor):
         raise DomainError(
             f"expected a real (ports, rank) factor with rank <= ports, got {factor.dtype} of shape {factor.shape}"
         )
     ports, rank = factor.shape
-    z = rng.standard_normal((3, rank, 2 * trials))
-    z *= 1.0 / math.sqrt(2.0)
-    abc = np.empty((3, ports, trials), dtype=complex)
-    np.matmul(factor, z, out=abc.view(float))
-    return abc
+    if z.shape[:2] != (3, rank) or not 0 <= start < stop <= z.shape[2] // 2:
+        raise DomainError(f"trials {start}:{stop} do not fit normals of shape {z.shape} for rank {rank}")
+    tile = np.empty((3, ports, stop - start), dtype=complex)
+    np.matmul(factor, z[:, :, 2 * start : 2 * stop], out=tile.view(float))
+    return tile
 
 
 def best_product_order(a: np.ndarray, b: np.ndarray, count: int | None = None) -> np.ndarray:
@@ -152,9 +165,11 @@ def cascade(
         del phases
     else:
         terms_w = np.multiply(np.conj(c), a)
-    g_b = np.abs(_running_sums(terms_b)[rows]) ** 2
-    g_w = np.abs(_running_sums(terms_w)[rows]) ** 2
-    return g_b, g_w
+    if lengths is None:
+        sums_b, sums_w = _total(terms_b), _total(terms_w)
+    else:
+        sums_b, sums_w = _running_sums(terms_b)[rows], _running_sums(terms_w)[rows]
+    return np.abs(sums_b) ** 2, np.abs(sums_w) ** 2
 
 
 def _polar(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +196,18 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
     for k in range(1, terms.shape[0]):
         np.add(sums[k - 1], terms[k], out=sums[k])
     return sums
+
+
+def _total(terms: np.ndarray) -> np.ndarray:
+    """``_running_sums(terms)[-1]`` in one call.
+
+    numpy reduces a C-ordered array down its rows by adding row after
+    row, the running sum's order.  Along a single column it would sum
+    pairwise instead, so one trial keeps the running sum.
+    """
+    if terms.shape[1] == 1:
+        return _running_sums(terms)[-1]
+    return np.add.reduce(np.ascontiguousarray(terms), axis=0)
 
 
 def ris_grid_geometry(geom: SurfaceGeometry, m_hat: int) -> SurfaceGeometry:

@@ -87,9 +87,19 @@ CSV_COLUMNS: tuple[str, ...] = (
 )
 
 
+# The sweep holds a row of every point until it writes the CSV (about
+# 3 KB each) and evaluates the closed form at each (about 4 ms), so a
+# million points already take gigabytes and over an hour.
+MAX_SWEEP_POINTS = 10**6
+
+# A run holds 16 bytes of gains per trial for each of its Monte Carlo
+# configs until it ends, so a billion trials already take 16 GB a config.
+MAX_TRIALS = 10**9
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional sweep over a scenario variable."""
+    """One-dimensional sweep over a scenario variable; ``points`` lies in ``[2, MAX_SWEEP_POINTS]``."""
 
     variable: str = "p_a_dbm"
     start: float = -60.0
@@ -105,15 +115,27 @@ class SweepSpec:
                 raise ConfigError(f"sweep ends must be finite, got {value}", field=field)
         if not (isinstance(self.points, int) and self.points >= 2):
             raise ConfigError(f"sweep needs at least 2 points, got {self.points!r}", field="sweep.points")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep holds at most {MAX_SWEEP_POINTS} points, got {self.points}",
+                              field="sweep.points")
         if not self.start < self.stop:
             raise ConfigError(f"sweep requires start < stop, got {self.start} >= {self.stop}",
                               field="sweep.start")
 
     def values(self) -> list[float]:
-        grid = np.linspace(self.start, self.stop, self.points)
+        return [self._swept(v) for v in np.linspace(self.start, self.stop, self.points)]
+
+    def ends(self) -> tuple[float, float]:
+        """The first and last of :meth:`values`, without building the grid.
+
+        ``np.linspace`` puts ``start`` and ``stop`` there exactly.
+        """
+        return self._swept(self.start), self._swept(self.stop)
+
+    def _swept(self, grid_value: float) -> float:
         if self.variable == "m_o":
-            return [float(int(round(v))) for v in grid]
-        return [float(v) for v in grid]
+            return float(int(round(grid_value)))
+        return float(grid_value)
 
 
 @dataclass
@@ -176,7 +198,9 @@ def load_config(path=None) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, S
     ``path=None`` (or an empty file) yields the reference scenario.
     Unknown keys produce a warning on stderr; malformed values and
     constraint violations raise :class:`ConfigError` with line/field
-    context.
+    context.  ``mc.trials`` above ``MAX_TRIALS`` and ``sweep.points``
+    above ``MAX_SWEEP_POINTS`` are rejected before anything is allocated
+    for them.
     """
     return _from_resolved(_resolve(path))
 
@@ -229,6 +253,8 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             f"ris.m_hat = {ris_m_hat} must lie in [0, {geom.num_elements}] (0 follows selection.m_o)",
             field="ris.m_hat",
         )
+    if resolved["mc.trials"] > MAX_TRIALS:
+        raise ConfigError(f"a run holds at most {MAX_TRIALS} trials, got {resolved['mc.trials']}", field="mc.trials")
     try:
         mc = MCConfig(
             trials=resolved["mc.trials"],
@@ -247,8 +273,7 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
     )
     # Every swept variable is monotone on the grid, so its two ends bound
     # every point.
-    swept = spec.values()
-    for field, value in (("sweep.start", swept[0]), ("sweep.stop", swept[-1])):
+    for field, value in zip(("sweep.start", "sweep.stop"), spec.ends()):
         try:
             _point_scenario(scenario, spec, value, m_o, geom.num_elements)
         except DomainError as exc:

@@ -3,19 +3,33 @@
 The channel physics lives in :mod:`friscov.channel`; this module runs
 its blocks for groups of configs and turns the gains into estimates.
 
-Trials are generated in fixed-size blocks of ``BLOCK_TRIALS`` draws.
-Block ``k`` uses an independent substream whose 64-bit seed is
-``mix64(master_seed, k)`` (a splitmix64-style finalizer, documented at
-:func:`mix64`), drawn in the fixed layout of
-:func:`~friscov.channel.correlated_fading`: one normal per link, trial
-and column of the surface's correlation factor, whose column count is
-the correlation's numerical rank (:func:`~friscov.surface.psd_sqrt`).  A
-trial's randomness therefore depends only on the master seed and its
-trial index -- never on the worker pool -- and results are reduced in
-block order, so identical ``(master_seed, trials, configs)`` produce
-bit-identical estimates regardless of worker count.  Blocks are
-dispatched to a thread pool; the heavy lifting is BLAS matrix
-multiplication, which releases the GIL.
+Trials are generated in fixed-size blocks of ``BLOCK_TRIALS`` draws,
+the last block holding the remainder.  Block ``k`` uses an independent
+substream whose 64-bit seed is ``mix64(master_seed, k)`` (a
+splitmix64-style finalizer, documented at :func:`mix64`), drawn in the
+fixed layout of :func:`~friscov.channel.block_normals`: one normal per
+link, trial and column of the surface's correlation factor, whose column
+count is the correlation's numerical rank
+(:func:`~friscov.surface.psd_sqrt`).  A block's draws therefore depend on
+the master seed, the block index and the block's size -- never on the
+worker pool.  The layout's strides hold the block's size, so runs at one
+seed share every full block but not the gains of a partial last block:
+the first 4096 trials of 4500 and of 9000 trials are the same, trial
+4096 is not.  Each block writes its own slice of the results, so
+identical ``(master_seed, trials, configs)`` produce bit-identical
+estimates regardless of worker count.  Blocks are dispatched to a
+thread pool; the heavy lifting is BLAS matrix multiplication, which
+releases the GIL.
+
+After its draw, a block is correlated, ranked, gathered and cascaded in
+tiles of ``TILE_TRIALS`` trials, so the working set follows the tile,
+not the block.  Tile edges fall at multiples of ``TILE_TRIALS`` from the
+block's start and the last tile absorbs the remainder, so a block of
+fewer than ``2 * TILE_TRIALS`` trials is one tile.  The tile size is not
+part of the reproducibility contract.  On the reference 12x12 surface
+the gains are bit for bit those of one tile per block; on a small
+surface the last trial of a block can move by an ulp (see
+:func:`_block_gains`).
 
 Configs that share ``(master_seed, trials)`` and a surface form a
 group (:func:`simulate_group`): each block is drawn and correlated once
@@ -39,13 +53,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import GammaFit, ScenarioConfig, compound_probability
-from .channel import Mode, best_product_order, cascade, correlated_fading
+from .channel import Mode, best_product_order, block_normals, cascade, correlated_tile
 from .errors import DomainError
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, psd_sqrt
 
 # Trials per substream block. Part of the reproducibility contract:
 # changing it changes which substream a trial belongs to.
 BLOCK_TRIALS = 4096
+
+# Trials per tile of a block's kernel; bounds its working set.  Not part of
+# the reproducibility contract (see the module docstring).
+TILE_TRIALS = 512
 
 # Two-sided 95% normal quantile used by the Wilson interval.
 _WILSON_Z = 1.959963984540054
@@ -145,29 +163,42 @@ def _block_gains(
     members: list[tuple[np.ndarray | slice | None, list[tuple[int, MCConfig]]]],
     master_seed: int,
     block_index: int,
-    block_trials: int,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    count: int,
+    outputs: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Write the gains of the ``count`` trials of block ``block_index`` into ``outputs``.
+
+    The block's normals are drawn at once; the rest runs one tile at a
+    time.  The last tile absorbs the remainder because OpenBLAS computes
+    the last columns of a product with kernels chosen by its width: a
+    short tail tile moved the last bits of gains on the reference surface.
+    The block's own last columns still move on some small surfaces.
+    """
+    start = block_index * BLOCK_TRIALS
     rng = np.random.default_rng(mix64(master_seed, block_index))
-    abc = correlated_fading(factor, rng, block_trials)
-    gains = {}
-    for rows, readers in members:
-        if rows is None:
-            # One ranking and one running sum serve every fluid m_o of the group.
-            lengths = [mc.m_o for _, mc in readers]
-            top = best_product_order(abc[0], abc[1], max(lengths))
-            # Flat indices gather the three links in one pass.
-            selected = np.take(abc.reshape(3, -1), top * block_trials + np.arange(block_trials), axis=1)
-            del top
-            g_b, g_w = cascade(True, *selected, lengths)
-            for (j, _), gb, gw in zip(readers, g_b, g_w):
-                gains[j] = gb, gw
-        else:
-            # One gather per preset, shared by its readers and dropped before the next.
-            selected = abc[:, rows]
-            for j, mc in readers:
-                gains[j] = cascade(mc.mode is not Mode.FIXED, *selected)
-        del selected
-    return gains
+    z = block_normals(rng, factor.shape[1], count)
+    edges = [k * TILE_TRIALS for k in range(max(1, count // TILE_TRIALS))] + [count]
+    for lo, hi in zip(edges, edges[1:]):
+        abc = correlated_tile(factor, z, lo, hi)
+        n, span = hi - lo, slice(start + lo, start + hi)
+        for rows, readers in members:
+            if rows is None:
+                # One ranking and one running sum serve every fluid m_o of the group.
+                lengths = [mc.m_o for _, mc in readers]
+                top = best_product_order(abc[0], abc[1], max(lengths))
+                # Flat indices gather the three links in one pass.
+                selected = np.take(abc.reshape(3, -1), top * n + np.arange(n), axis=1)
+                del top
+                gains = zip(*cascade(True, *selected, lengths))
+            else:
+                # One gather per preset, shared by its readers and dropped before the next.
+                selected = abc[:, rows]
+                gains = (cascade(mc.mode is not Mode.FIXED, *selected) for _, mc in readers)
+            for (j, _), (g_b, g_w) in zip(readers, gains):
+                outputs[j][0][span] = g_b
+                outputs[j][1][span] = g_w
+            del selected, gains
+        del abc
 
 
 def _group_members(
@@ -200,14 +231,17 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
     """Per-trial cascaded gains for a group of configurations, one per config.
 
     The configs must share ``master_seed`` and ``trials``; they run on
-    ``geom``.  Each block is drawn once and correlated over every port
-    once.  The fluid configs share one ranking of the top ``max(m_o)``
-    ports and one cascade of those rows, each reading its own prefix
-    length; each preset's rows are gathered once for every config that
-    reads them.  So the group costs one RNG pass, one correlating product
-    and one ranking per block, and a config's gains do not depend on the
-    other configs in its group.  Nor do they depend on the worker count
-    (the largest ``workers`` in the group is used).
+    ``geom``.  Each block is drawn once, and each of its tiles is
+    correlated over every port once.  The fluid configs share one ranking
+    of a tile's top ``max(m_o)`` ports and one cascade of those rows, each
+    reading its own prefix length; each preset's rows are gathered once
+    per tile for every config that reads them.  So the group costs one RNG
+    pass per block and one correlating product and one ranking per tile,
+    and a config's gains do not depend on the other configs in its group.
+    Nor do they depend on the worker count (the largest ``workers`` in the
+    group is used).  The gains of a block depend on the master seed, the
+    block index and the block's size, so runs at one seed agree on every
+    full block (see the module docstring).
     """
     mcs = list(mcs)
     if not mcs:
@@ -224,13 +258,8 @@ def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainS
     outputs = [(np.empty(trials), np.empty(trials)) for _ in mcs]
 
     def run(block_index: int) -> None:
-        start = block_index * BLOCK_TRIALS
-        count = min(BLOCK_TRIALS, trials - start)
-        block = _block_gains(factor, members, first.master_seed, block_index, count)
-        for j, (g_b, g_w) in block.items():
-            out_b, out_w = outputs[j]
-            out_b[start : start + count] = g_b
-            out_w[start : start + count] = g_w
+        count = min(BLOCK_TRIALS, trials - block_index * BLOCK_TRIALS)
+        _block_gains(factor, members, first.master_seed, block_index, count, outputs)
 
     workers = max(mc.workers for mc in mcs)
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.

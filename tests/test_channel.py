@@ -13,7 +13,7 @@ from friscov import (
     psd_sqrt,
     simulate_group,
 )
-from friscov.channel import best_product_order, cascade, correlated_fading, ris_grid_geometry
+from friscov.channel import best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
 from friscov.cli import _mode_config
 from friscov.montecarlo import mix64
 
@@ -34,6 +34,11 @@ def top(a: np.ndarray, b: np.ndarray, m_o: int) -> tuple[int, ...]:
 def random_block(seed: int, ports: int, trials: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((ports, trials)) + 1j * rng.standard_normal((ports, trials)) for _ in range(3)]
+
+
+def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """One block's fading vectors ``(3, ports, trials)``, correlated as a single tile."""
+    return correlated_tile(factor, block_normals(rng, factor.shape[1], trials), 0, trials)
 
 
 def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> tuple[np.ndarray, ...]:
@@ -65,7 +70,7 @@ class TestSampleCorrelatedFading:
         # not 2-D (twice), complex, more columns than rows
         for factor in (np.ones(3), np.ones((1, 3, 2)), np.ones((3, 2), dtype=complex), np.ones((2, 3))):
             with pytest.raises(DomainError):
-                correlated_fading(factor, np.random.default_rng(0), 1)
+                correlated_tile(factor, np.zeros((3, 2, 2)), 0, 1)
 
     def test_low_rank_factor(self):
         # A (ports, rank) factor gives (3, ports, trials) links whose
@@ -77,6 +82,29 @@ class TestSampleCorrelatedFading:
         for v in abc:
             cov = v @ v.conj().T / n
             assert np.max(np.abs(cov - factor @ factor.T)) <= 0.05 * np.max(np.abs(factor @ factor.T))
+
+    def test_tiles_are_column_ranges_of_the_block(self, ref_corr):
+        # The block's normals are read in place: trial k of any tile is trial
+        # k of the block, whatever the tile's edges.
+        root = psd_sqrt(ref_corr)
+        z = block_normals(np.random.default_rng(46), root.shape[1], 1_000)
+        whole = correlated_tile(root, z, 0, 1_000)
+        edges = (0, 1, 512, 1_000)
+        tiles = np.concatenate([correlated_tile(root, z, lo, hi) for lo, hi in zip(edges, edges[1:])], axis=2)
+        assert np.allclose(tiles, whole, rtol=1e-13, atol=1e-13)
+        # [link, rank, trial, re/im]: trial 7 reads columns 14 and 15.
+        assert np.allclose(whole[:, :, 7], (z[:, :, 14] + 1j * z[:, :, 15]) @ root.T, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (3, 3), (4, 3), (0, 11), (10, 11)])
+    def test_tile_outside_the_block_rejected(self, start, stop):
+        z = block_normals(np.random.default_rng(0), 2, 10)
+        with pytest.raises(DomainError):
+            correlated_tile(np.ones((4, 2)), z, start, stop)
+
+    def test_normals_must_match_the_factor_rank(self):
+        z = block_normals(np.random.default_rng(0), 3, 10)
+        with pytest.raises(DomainError):
+            correlated_tile(np.ones((4, 2)), z, 0, 10)
 
 
 class TestSelectPorts:

@@ -25,6 +25,8 @@ from friscov import (
 )
 from friscov.cli import (
     CSV_COLUMNS,
+    MAX_SWEEP_POINTS,
+    MAX_TRIALS,
     SweepSpec,
     emit_csv,
     emit_plot,
@@ -109,8 +111,18 @@ class TestSweepSpec:
         spec = SweepSpec(variable="m_o", start=16.0, stop=36.0, points=5)
         assert all(v == int(v) for v in spec.values())
 
+    @pytest.mark.parametrize("variable, start, stop, points", [
+        ("p_a_dbm", -60.0, -10.0, 25), ("p_a_dbm", -0.1, 0.7, 3), ("mu_factor", 0.3, 2.9, 7),
+        ("m_o", 4.0, 144.0, 13), ("m_o", 4.5, 15.5, 4), ("m_o", 2.4, 35.6, 6),
+    ])
+    def test_ends_are_those_of_the_grid(self, variable, start, stop, points):
+        spec = SweepSpec(variable=variable, start=start, stop=stop, points=points)
+        values = spec.values()
+        assert spec.ends() == (values[0], values[-1])
+
     @pytest.mark.parametrize("kwargs", [
         dict(points=1), dict(start=-10.0, stop=-10.0), dict(variable="bogus"), dict(stop=math.inf),
+        dict(points=MAX_SWEEP_POINTS + 1),
     ])
     def test_validation(self, kwargs):
         base = dict(variable="p_a_dbm", start=-60.0, stop=-10.0, points=25)
@@ -286,8 +298,8 @@ class TestMain:
     # a power that overflows (as the sweep's end or the scenario's value).
     # A link budget that underflows to 0 or a gain threshold that
     # overflows (in the scenario or at a sweep end), a path loss that
-    # overflows, and priors that sum to just over 1 fail before any
-    # simulation too.
+    # overflows, priors that sum to just over 1, and a point or trial
+    # count beyond its bound fail before any simulation too.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("config, field", [
         ("sweep.variable = m_o\nsweep.start = 0\nsweep.stop = 16\n", "sweep.start"),
@@ -304,9 +316,12 @@ class TestMain:
         ("sweep.start = -3100\n", "sweep.start"),
         ("scenario.p1 = 0.5000000000001\nsweep.points = 3\nmc.trials = 2000\n", "scenario"),
         ("scenario.p1 = 0.5000000000001\nsweep.start = 10\nsweep.stop = 20\n", "scenario"),
+        ("sweep.points = 1000000000000\n", "sweep.points"),
+        ("mc.trials = 1000000000000\n", "mc.trials"),
     ], ids=["m_o-start", "m_o-stop", "p_a_dbm-inf", "mu_factor-negative", "p_a_dbm-overflow", "scenario-overflow",
             "alpha-underflow", "d_fw-underflow", "rho0-underflow", "p_a_dbm-underflow", "d_af-overflow",
-            "detection-threshold-overflow", "prior-sum-above-one", "prior-sum-above-one-high-power"])
+            "detection-threshold-overflow", "prior-sum-above-one", "prior-sum-above-one-high-power",
+            "points-beyond-bound", "trials-beyond-bound"])
     def test_out_of_domain_sweep_is_a_config_error(self, tmp_path, capsys, config, field):
         cfg = write_config(tmp_path, config)
         with pytest.raises(ConfigError, match=field):
@@ -332,6 +347,13 @@ class TestMain:
     def test_bad_run_flag_is_a_config_error(self, capsys, flag, value):
         assert main(["validate", flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error: field 'mc'")
+
+    def test_sizes_at_their_bounds_are_accepted(self, tmp_path, capsys):
+        # show-config builds neither the grid nor the gains.
+        cfg = write_config(tmp_path, f"sweep.points = {MAX_SWEEP_POINTS}\nmc.trials = {MAX_TRIALS}\n")
+        assert main(["show-config", "--config", str(cfg)]) == 0
+        assert main(["validate", "--trials", str(MAX_TRIALS + 1)]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'mc.trials'")
 
     @pytest.mark.parametrize("m_hat", [145, -1])
     def test_ris_m_hat_out_of_range_is_a_config_error(self, tmp_path, capsys, m_hat):
@@ -384,17 +406,17 @@ class TestMain:
     # ris.m_hat configs pin a fixed baseline grid: a paired 4x4 sublattice
     # at every power, and an unpaired 10-element grid across the m_o sweep.
     @pytest.mark.parametrize("config, digest", [
-        ("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
-         "3ea3a395456445be4e3596f27e1f6debabeddee4ac15ba1b19f9ec8b8af5fbb9"),
-        ("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
-         "scenario.p_a_dbm = -50\n",
-         "98f5add94b6c3cb00d2bd7d4e136577de3b681296b9ede99a11212999aa1b89f"),
-        ("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
-         "sweep.points = 4\n",
-         "37c2fc307c560fd370a7793234cf19d66063494e34a5dafcca55371020e16c7d"),
-        ("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
-         "sweep.points = 5\n",
-         "59aa3221adf5a4a8db33cc91830ff7315cb5422b4a13920ce0df77a99671c9c3"),
+        pytest.param("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
+                     "3ea3a395456445be4e3596f27e1f6debabeddee4ac15ba1b19f9ec8b8af5fbb9", id="p_a_dbm"),
+        pytest.param("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
+                     "scenario.p_a_dbm = -50\n",
+                     "98f5add94b6c3cb00d2bd7d4e136577de3b681296b9ede99a11212999aa1b89f", id="m_o"),
+        pytest.param("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
+                     "sweep.points = 4\n",
+                     "37c2fc307c560fd370a7793234cf19d66063494e34a5dafcca55371020e16c7d", id="p_a_dbm-ris_m_hat_16"),
+        pytest.param("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
+                     "sweep.points = 5\n",
+                     "59aa3221adf5a4a8db33cc91830ff7315cb5422b4a13920ce0df77a99671c9c3", id="m_o-ris_m_hat_10"),
     ])
     def test_golden_csv_bytes(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config + "mc.trials = 5000\n")
