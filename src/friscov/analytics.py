@@ -100,7 +100,7 @@ class ScenarioConfig:
                 raise DomainError(f"link budget {name} = {budget!r} must be positive and finite")
         # The closed form evaluates the gain CDF at these two thresholds.
         try:
-            outage = _outage_level(self)
+            outage = outage_level(self)
         except OverflowError:
             outage = math.inf
         for name, gain in (("outage threshold (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb)", outage),
@@ -254,14 +254,14 @@ def path_loss(d: float, alpha: float, rho0: float) -> float:
         raise DomainError(f"path loss rho0 * d**(-alpha) overflows a float at d = {d!r}") from None
 
 
-def _missed_level(cfg: ScenarioConfig, zeta: float) -> float:
+def missed_level(cfg: ScenarioConfig, zeta: float) -> float:
     """The warden's gain below which it misses at threshold ``zeta``; 0 for zeta <= sigma2_w."""
     if not (isinstance(zeta, (int, float)) and math.isfinite(zeta) and zeta >= 0):
         raise DomainError(f"zeta must be a non-negative finite real, got {zeta!r}")
     return max(zeta - cfg.sigma2_w, 0.0) / (cfg.p_a * cfg.loss_af * cfg.loss_fw)
 
 
-def _outage_level(cfg: ScenarioConfig) -> float:
+def outage_level(cfg: ScenarioConfig) -> float:
     """The receiver's gain below which it is in outage: (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb)."""
     return (2.0 ** cfg.r_b - 1.0) * cfg.sigma2_b / (cfg.p_a * cfg.loss_af * cfg.loss_fb)
 
@@ -274,7 +274,7 @@ def md_probability(fit: GammaFit, cfg: ScenarioConfig, zeta: float) -> float:
     impossible and the result is exactly 0; otherwise it is the gain CDF
     at the normalized threshold (zeta - sigma2_w) / (p_a * L_af * L_fw).
     """
-    return compound_probability(fit, below=_missed_level(cfg, zeta))
+    return compound_probability(fit, below=missed_level(cfg, zeta))
 
 
 def fa_probability(cfg: ScenarioConfig, zeta: float) -> float:
@@ -314,7 +314,7 @@ def outage_probability(fit: GammaFit, cfg: ScenarioConfig) -> float:
     rate threshold (2**r_b - 1) * sigma2_b / (p_a * L_af * L_fb);
     evaluates the gain CDF there.  Exactly 0 when r_b == 0.
     """
-    return compound_probability(fit, below=_outage_level(cfg))
+    return compound_probability(fit, below=outage_level(cfg))
 
 
 def error_probability_xi(cfg: ScenarioConfig, p_fa: float, p_md: float) -> float:
@@ -335,7 +335,7 @@ def success_probability(fit: GammaFit, cfg: ScenarioConfig, zeta: float) -> floa
     the first term is their exact joint (:func:`compound_probability`),
     not a product of the marginals.
     """
-    x_b = _outage_level(cfg)
-    decoded_missed = compound_probability(fit, above=x_b, below=_missed_level(cfg, zeta))
+    x_b = outage_level(cfg)
+    decoded_missed = compound_probability(fit, above=x_b, below=missed_level(cfg, zeta))
     p_fa = fa_probability(cfg, zeta)
     return cfg.p1 * decoded_missed + cfg.p0 * p_fa * compound_probability(fit, above=x_b)

@@ -11,9 +11,9 @@ Subcommands: ``sweep`` runs the configured sweep and writes
 the closed-form-versus-Monte-Carlo oracle comparisons and reports each
 gate; ``show-config`` prints the fully resolved configuration.
 
-Exit codes: 0 success, 2 configuration error (an unusable ``--out``
-included), 3 runtime/numerical error, 141 (128 + SIGPIPE) when the
-reader of standard output has gone away.
+Exit codes: 0 success, 1 a ``validate`` gate failed, 2 configuration
+error (an unusable ``--out`` included), 3 runtime/numerical error, 141
+(128 + SIGPIPE) when the reader of standard output has gone away.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import analytics, montecarlo
 from .analytics import GammaFit, ScenarioConfig, dbm_to_watt
 from .channel import Mode, ris_grid_geometry
 from .errors import ConfigError, DomainError, FriscovError
-from .montecarlo import MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
+from .montecarlo import GainSample, MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset
 
 _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
@@ -95,6 +95,10 @@ MAX_SWEEP_POINTS = 10**6
 # A run holds 16 bytes of gains per trial for each of its Monte Carlo
 # configs until it ends, so a billion trials already take 16 GB a config.
 MAX_TRIALS = 10**9
+
+# Each worker thread holds a block of normals (7.7 MB on the reference
+# surface) while it runs, and a pool starts up to this many threads.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -198,9 +202,9 @@ def load_config(path=None) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, S
     ``path=None`` (or an empty file) yields the reference scenario.
     Unknown keys produce a warning on stderr; malformed values and
     constraint violations raise :class:`ConfigError` with line/field
-    context.  ``mc.trials`` above ``MAX_TRIALS`` and ``sweep.points``
-    above ``MAX_SWEEP_POINTS`` are rejected before anything is allocated
-    for them.
+    context.  ``mc.trials`` above ``MAX_TRIALS``, ``mc.workers`` above
+    ``MAX_WORKERS`` and ``sweep.points`` above ``MAX_SWEEP_POINTS`` are
+    rejected before anything is allocated for them.
     """
     return _from_resolved(_resolve(path))
 
@@ -255,6 +259,8 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
         )
     if resolved["mc.trials"] > MAX_TRIALS:
         raise ConfigError(f"a run holds at most {MAX_TRIALS} trials, got {resolved['mc.trials']}", field="mc.trials")
+    if resolved["mc.workers"] > MAX_WORKERS:
+        raise ConfigError(f"a run uses at most {MAX_WORKERS} workers, got {resolved['mc.workers']}", field="mc.workers")
     try:
         mc = MCConfig(
             trials=resolved["mc.trials"],
@@ -330,18 +336,60 @@ def _gamma_fit(corr: np.ndarray, geom: SurfaceGeometry, m_o: int) -> GammaFit:
     return analytics.gamma_moment_match(corr[np.ix_(ports, ports)])
 
 
-def _analytic_cells(cfg: ScenarioConfig, fit: GammaFit) -> dict[str, float]:
-    """The closed-form cells of one sweep point: ``zeta`` and every ``analytic_*`` column."""
-    zeta = analytics.optimal_threshold(cfg)
-    p_fa = analytics.fa_probability(cfg, zeta)
-    p_md = analytics.md_probability(fit, cfg, zeta)
-    a_op = analytics.outage_probability(fit, cfg)
-    return dict(
-        zeta=zeta, analytic_pfa=p_fa, analytic_pmd=p_md, analytic_op=a_op,
-        analytic_cop=analytics.cop(cfg, p_fa, p_md),
-        analytic_xi=analytics.error_probability_xi(cfg, p_fa, p_md),
-        analytic_psuc=analytics.success_probability(fit, cfg, zeta),
-    )
+def _sweep_points(
+    scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec,
+    modes: tuple[Mode, ...], ris_m_hat: int,
+) -> list[tuple[float, ScenarioConfig, int, dict[Mode, tuple[MCConfig, SurfaceGeometry]]]]:
+    """Each sweep point's value, scenario, ``m_o`` and per-mode ``(config, surface)``."""
+    points = []
+    for value in spec.values():
+        cfg, m_o = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
+        points.append((value, cfg, m_o, {mode: _mode_config(mc, mode, geom, m_o, ris_m_hat) for mode in modes}))
+    return points
+
+
+def _simulate(keys, progress: bool = False) -> dict[tuple[MCConfig, SurfaceGeometry], GainSample]:
+    """The gains of every ``(config, surface)`` key, one :func:`simulate_group` per surface.
+
+    So each block of a surface is drawn once for all of its configs.
+    """
+    groups: dict[SurfaceGeometry, dict[MCConfig, None]] = {}
+    for mc_mode, geom_mode in keys:
+        groups.setdefault(geom_mode, {})[mc_mode] = None
+    gains = {}
+    for number, (geom_mode, members) in enumerate(groups.items(), start=1):
+        for mc_mode, sample in zip(members, simulate_group(list(members), geom_mode)):
+            gains[mc_mode, geom_mode] = sample
+        if progress:
+            print(f"[{number}/{len(groups)}] {len(members)} Monte Carlo configs on the "
+                  f"{geom_mode.m_x}x{geom_mode.m_z} surface done", file=sys.stderr)
+    return gains
+
+
+def _sweep_rows(points, gains, corr: np.ndarray, geom: SurfaceGeometry) -> list[dict[str, float | None]]:
+    """One CSV row per point of :func:`_sweep_points`, from the gains of :func:`_simulate`.
+
+    ``corr`` is ``correlation_matrix(geom)``.
+    """
+    rows: list[dict[str, float | None]] = []
+    for value, cfg, m_o, configs in points:
+        fit = _gamma_fit(corr, geom, m_o)
+        zeta = analytics.optimal_threshold(cfg)
+        p_fa = analytics.fa_probability(cfg, zeta)
+        p_md = analytics.md_probability(fit, cfg, zeta)
+        row: dict[str, float | None] = {name: None for name in CSV_COLUMNS}
+        row.update(swept_value=value, zeta=zeta, analytic_pfa=p_fa, analytic_pmd=p_md,
+                   analytic_op=analytics.outage_probability(fit, cfg), analytic_cop=analytics.cop(cfg, p_fa, p_md),
+                   analytic_xi=analytics.error_probability_xi(cfg, p_fa, p_md),
+                   analytic_psuc=analytics.success_probability(fit, cfg, zeta))
+        for mode, key in configs.items():
+            sample = gains[key]
+            for metric, est in (("op", estimate_op(sample, cfg)), ("cop", estimate_cop(sample, cfg, zeta)),
+                                ("psuc", estimate_success(sample, cfg, zeta))):
+                name = f"{mode.value}_{metric}"
+                row[name], row[f"{name}_lo"], row[f"{name}_hi"] = est.value, est.ci_low, est.ci_high
+        rows.append(row)
+    return rows
 
 
 def run_sweep(
@@ -362,43 +410,9 @@ def run_sweep(
     swept link parameters only re-threshold those gains.  The sweep holds
     every config's gains, 16 bytes per trial each, until it returns.
     """
-    values = spec.values()
-    points = []
-    groups: dict[SurfaceGeometry, dict[MCConfig, None]] = {}
-    for value in values:
-        cfg, m_o = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
-        configs = {mode: _mode_config(mc, mode, geom, m_o, ris_m_hat) for mode in modes}
-        for mc_mode, geom_mode in configs.values():
-            groups.setdefault(geom_mode, {})[mc_mode] = None
-        points.append((value, cfg, m_o, configs))
-    gains = {}
-    for number, (geom_mode, members) in enumerate(groups.items(), start=1):
-        for mc_mode, sample in zip(members, simulate_group(list(members), geom_mode)):
-            gains[mc_mode, geom_mode] = sample
-        if progress:
-            print(f"[{number}/{len(groups)}] {len(members)} Monte Carlo configs on the "
-                  f"{geom_mode.m_x}x{geom_mode.m_z} surface done", file=sys.stderr)
-
-    corr = correlation_matrix(geom)
-    rows: list[dict[str, float | None]] = []
-    for value, cfg, m_o, configs in points:
-        fit = _gamma_fit(corr, geom, m_o)
-        row: dict[str, float | None] = {name: None for name in CSV_COLUMNS}
-        row.update(swept_value=value, **_analytic_cells(cfg, fit))
-        zeta = row["zeta"]
-        for mode, key in configs.items():
-            sample = gains[key]
-            op = estimate_op(sample, cfg)
-            cop_est = estimate_cop(sample, cfg, zeta)
-            psuc = estimate_success(sample, cfg, zeta)
-            prefix = mode.value
-            row[f"{prefix}_op"], row[f"{prefix}_op_lo"], row[f"{prefix}_op_hi"] = op.value, op.ci_low, op.ci_high
-            row[f"{prefix}_cop"], row[f"{prefix}_cop_lo"], row[f"{prefix}_cop_hi"] = (
-                cop_est.value, cop_est.ci_low, cop_est.ci_high)
-            row[f"{prefix}_psuc"], row[f"{prefix}_psuc_lo"], row[f"{prefix}_psuc_hi"] = (
-                psuc.value, psuc.ci_low, psuc.ci_high)
-        rows.append(row)
-    return SweepResult(variable=spec.variable, rows=rows)
+    points = _sweep_points(scenario, geom, mc, spec, modes, ris_m_hat)
+    gains = _simulate((key for *_, configs in points for key in configs.values()), progress)
+    return SweepResult(variable=spec.variable, rows=_sweep_rows(points, gains, correlation_matrix(geom), geom))
 
 
 def _format_cell(value: float | None) -> str:
@@ -513,53 +527,39 @@ def emit_plot(result: SweepResult, path, log_y: bool = False) -> None:
         raise FriscovError(f"cannot write SVG to {path!r}: {exc}") from exc
 
 
-def _gate(label: str, measured: float, tolerance: float, ok: bool) -> bool:
-    verdict = "PASS" if ok else "FAIL"
-    print(f"[GATE] {label}: measured={measured:.6g} tolerance={tolerance:.6g} -> {verdict}")
-    return ok
+def _run_validate(
+    scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec
+) -> list[tuple[str, float, float, bool]]:
+    """Closed-form versus Monte Carlo oracle comparisons, one ``(label, measured, tolerance, passed)`` gate each.
 
-
-def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec) -> None:
-    """Closed-form versus Monte Carlo oracle comparisons, reported per gate.
-
-    Every config the gates need runs as one group on ``geom``.
+    The gap gates read the closed-form and ``fixed`` cells of the sweep's
+    rows, at each swept value.  The gates' own configs join the sweep's
+    ``FIXED`` configs in one group on ``geom``, so each block is drawn once.
     """
-    gate_m_os = [m_o for m_o in (16, 36) if m_o <= geom.num_elements]
-    mc_gate = {m_o: dataclasses.replace(mc, mode=Mode.FIXED, m_o=m_o) for m_o in gate_m_os}
-    mc_fixed = dataclasses.replace(mc, mode=Mode.FIXED)
-    mc_best = dataclasses.replace(mc, mode=Mode.FRIS)
-    mc_lattice = dataclasses.replace(mc, mode=Mode.RIS)
-    configs = list(dict.fromkeys([*mc_gate.values(), mc_fixed, mc_best, mc_lattice]))
-    gains_of = dict(zip(configs, simulate_group(configs, geom)))
+    points = _sweep_points(scenario, geom, mc, spec, (Mode.FIXED,), 0)
+    fixed = {m_o: (dataclasses.replace(mc, mode=Mode.FIXED, m_o=m_o), geom) for m_o in (16, 36)
+             if m_o <= geom.num_elements}
+    best, lattice = ((dataclasses.replace(mc, mode=mode), geom) for mode in (Mode.FRIS, Mode.RIS))
+    gains = _simulate([*fixed.values(), best, lattice, *(configs[Mode.FIXED] for *_, configs in points)])
 
     corr = correlation_matrix(geom)
-    for m_o in gate_m_os:
+    gates = []
+    for m_o, key in fixed.items():
         fit = _gamma_fit(corr, geom, m_o)
-        gains = gains_of[mc_gate[m_o]]
-        rel = abs(float(np.mean(gains.g_b)) - fit.mean) / fit.mean
-        _gate(f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02)
-        sample = gains.g_b[: min(100_000, gains.g_b.size)]
-        ks = ks_distance(sample, fit)
-        _gate(f"KS distance to compound Gamma-exponential law (m_o={m_o})", ks, 0.05, ks <= 0.05)
+        g_b = gains[key].g_b
+        rel = abs(float(np.mean(g_b)) - fit.mean) / fit.mean
+        gates.append((f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02))
+        ks = ks_distance(g_b[:100_000], fit)
+        gates.append((f"KS distance to compound Gamma-exponential law (m_o={m_o})", ks, 0.05, ks <= 0.05))
 
-    fixed = gains_of[mc_fixed]
-    fit = _gamma_fit(corr, geom, mc.m_o)
-    gaps = {"op": 0.0, "cop": 0.0, "psuc": 0.0}
-    for value in spec.values():
-        cfg, _ = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
-        cells = _analytic_cells(cfg, fit)
-        zeta = cells["zeta"]
-        gaps["op"] = max(gaps["op"], abs(cells["analytic_op"] - estimate_op(fixed, cfg).value))
-        gaps["cop"] = max(gaps["cop"], abs(cells["analytic_cop"] - estimate_cop(fixed, cfg, zeta).value))
-        gaps["psuc"] = max(gaps["psuc"], abs(cells["analytic_psuc"] - estimate_success(fixed, cfg, zeta).value))
-    _gate("max |analytic - empirical| outage over sweep", gaps["op"], 0.02, gaps["op"] <= 0.02)
-    _gate("max |analytic - empirical| covertness outage over sweep", gaps["cop"], 0.02, gaps["cop"] <= 0.02)
-    _gate("max |analytic - empirical| success over sweep", gaps["psuc"], 0.02, gaps["psuc"] <= 0.02)
+    rows = _sweep_rows(points, gains, corr, geom)
+    for metric, event in (("op", "outage"), ("cop", "covertness outage"), ("psuc", "success")):
+        gap = max(abs(row[f"analytic_{metric}"] - row[f"fixed_{metric}"]) for row in rows)
+        gates.append((f"max |analytic - empirical| {event} over sweep", gap, 0.02, gap <= 0.02))
 
-    best = gains_of[mc_best]
-    lattice = gains_of[mc_lattice]
-    dominance = float(np.mean(best.g_b >= lattice.g_b))
-    _gate("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0)
+    dominance = float(np.mean(gains[best].g_b >= gains[lattice].g_b))
+    gates.append(("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0))
+    return gates
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -596,13 +596,18 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is not None:
                 resolved[f"mc.{key}"] = getattr(args, key)
         scenario, geom, mc, spec = _from_resolved(resolved)
+        code = 0
         if args.command == "show-config":
             print(f"# resolved configuration ({geom.num_elements} ports, "
                   f"{geom.w_x}x{geom.w_z} wavelength aperture)")
             for key, value in resolved.items():
                 print(f"{key} = {value}")
         elif args.command == "validate":
-            _run_validate(scenario, geom, mc, spec)
+            gates = _run_validate(scenario, geom, mc, spec)
+            for label, measured, tolerance, passed in gates:
+                verdict = "PASS" if passed else "FAIL"
+                print(f"[GATE] {label}: measured={measured:.6g} tolerance={tolerance:.6g} -> {verdict}")
+            code = 0 if all(passed for *_, passed in gates) else 1
         else:
             modes = tuple(Mode) if args.mode == "all" else (Mode(args.mode),)
             out_dir = Path(args.out)
@@ -617,7 +622,7 @@ def main(argv=None) -> int:
             print(f"wrote {out_dir / 'sweep.csv'}", file=sys.stderr)
         # A reader that has gone away surfaces here, not in the flush at exit.
         sys.stdout.flush()
-        return 0
+        return code
     except BrokenPipeError:
         # Exit as a SIGPIPE kill would; the null device keeps the flush at exit from failing again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

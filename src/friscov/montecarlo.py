@@ -17,7 +17,9 @@ seed share every full block but not the gains of a partial last block:
 the first 4096 trials of 4500 and of 9000 trials are the same, trial
 4096 is not.  Each block writes its own slice of the results, so
 identical ``(master_seed, trials, configs)`` produce bit-identical
-estimates regardless of worker count.  Blocks are dispatched to a
+estimates regardless of worker count, at one BLAS thread count: the
+gains of a partial block can move in their last bits between one and
+two OpenBLAS threads.  Blocks are dispatched to a
 thread pool; the heavy lifting is BLAS matrix multiplication, which
 releases the GIL.
 
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import GammaFit, ScenarioConfig, compound_probability
+from .analytics import GammaFit, ScenarioConfig, compound_probability, fa_probability, missed_level, outage_level
 from .channel import Mode, best_product_order, block_normals, cascade, correlated_tile
 from .errors import DomainError
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, psd_sqrt
@@ -289,33 +291,22 @@ def _affine_estimate(offset: float, scale: float, successes: int, trials: int) -
     )
 
 
-def _outage_flags(gains: GainSample, cfg: ScenarioConfig) -> np.ndarray:
-    snr = (cfg.p_a * cfg.loss_af * cfg.loss_fb / cfg.sigma2_b) * gains.g_b
-    return np.log2(1.0 + snr) < cfg.r_b
-
-
-def _detection_flags(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> np.ndarray:
-    observed = cfg.p_a * cfg.loss_af * cfg.loss_fw * gains.g_w + cfg.sigma2_w
-    return observed >= zeta
-
-
 def estimate_op(gains: GainSample, cfg: ScenarioConfig) -> EstimateWithCI:
-    """Empirical outage probability: capacity below the target rate."""
-    outage = int(np.count_nonzero(_outage_flags(gains, cfg)))
+    """Empirical outage probability: the receiver's gain below :func:`~friscov.analytics.outage_level`."""
+    outage = int(np.count_nonzero(gains.g_b < outage_level(cfg)))
     return _affine_estimate(0.0, 1.0, outage, gains.trials)
 
 
 def estimate_cop(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
     """Empirical covertness outage probability at threshold ``zeta``.
 
-    Scores correct warden decisions: under silence the observed power is
-    exactly the noise floor, so that term is the deterministic indicator
-    ``zeta > sigma2_w``; under transmission the per-draw detection
-    events are averaged.
+    Scores correct warden decisions: under silence the false alarm is
+    the deterministic :func:`~friscov.analytics.fa_probability`; under
+    transmission the per-draw detections, the warden's gain at or above
+    :func:`~friscov.analytics.missed_level`, are averaged.
     """
-    detected = int(np.count_nonzero(_detection_flags(gains, cfg, zeta)))
-    h0_correct = 1.0 if zeta > cfg.sigma2_w else 0.0
-    return _affine_estimate(cfg.p0 * h0_correct, cfg.p1, detected, gains.trials)
+    detected = int(np.count_nonzero(gains.g_w >= missed_level(cfg, zeta)))
+    return _affine_estimate(cfg.p0 * (1.0 - fa_probability(cfg, zeta)), cfg.p1, detected, gains.trials)
 
 
 def estimate_success(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
@@ -324,16 +315,18 @@ def estimate_success(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> Est
     Per-draw joint score: (no outage) * (p0 * false-alarm + p1 *
     missed-detection), with both gains taken from the same draw -- no
     independence between the decode and detection events is assumed.
+    Outage and missed detection are the gains below
+    :func:`~friscov.analytics.outage_level` and
+    :func:`~friscov.analytics.missed_level`; the false alarm is
+    :func:`~friscov.analytics.fa_probability`.
     """
-    no_outage = ~_outage_flags(gains, cfg)
-    false_alarm = cfg.sigma2_w >= zeta
-    if false_alarm:
-        # Detection is then certain under transmission (observed power
-        # >= sigma2_w >= zeta), so only the false-alarm term survives.
-        joint = int(np.count_nonzero(no_outage))
-        return _affine_estimate(0.0, cfg.p0, joint, gains.trials)
-    missed = ~_detection_flags(gains, cfg, zeta)
-    joint = int(np.count_nonzero(no_outage & missed))
+    decoded = gains.g_b >= outage_level(cfg)
+    p_fa = fa_probability(cfg, zeta)
+    if p_fa:
+        # The false alarm is 0 or 1; at 1 the missed level is 0, so the warden
+        # misses no transmission and only the false-alarm term survives.
+        return _affine_estimate(0.0, cfg.p0 * p_fa, int(np.count_nonzero(decoded)), gains.trials)
+    joint = int(np.count_nonzero(decoded & (gains.g_w < missed_level(cfg, zeta))))
     return _affine_estimate(0.0, cfg.p1, joint, gains.trials)
 
 

@@ -23,11 +23,14 @@ from friscov import (
     outage_probability,
     simulate_group,
 )
+from friscov import cli
 from friscov.cli import (
     CSV_COLUMNS,
     MAX_SWEEP_POINTS,
     MAX_TRIALS,
+    MAX_WORKERS,
     SweepSpec,
+    _run_validate,
     emit_csv,
     emit_plot,
     load_config,
@@ -350,10 +353,15 @@ class TestMain:
 
     def test_sizes_at_their_bounds_are_accepted(self, tmp_path, capsys):
         # show-config builds neither the grid nor the gains.
-        cfg = write_config(tmp_path, f"sweep.points = {MAX_SWEEP_POINTS}\nmc.trials = {MAX_TRIALS}\n")
+        cfg = write_config(tmp_path, f"sweep.points = {MAX_SWEEP_POINTS}\nmc.trials = {MAX_TRIALS}\n"
+                                     f"mc.workers = {MAX_WORKERS}\n")
         assert main(["show-config", "--config", str(cfg)]) == 0
+        capsys.readouterr()
         assert main(["validate", "--trials", str(MAX_TRIALS + 1)]) == 2
         assert capsys.readouterr().err.startswith("config error: field 'mc.trials'")
+        # Rejected before a pool starts a thread.
+        assert main(["validate", "--workers", str(MAX_WORKERS + 1)]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'mc.workers'")
 
     @pytest.mark.parametrize("m_hat", [145, -1])
     def test_ris_m_hat_out_of_range_is_a_config_error(self, tmp_path, capsys, m_hat):
@@ -441,7 +449,40 @@ class TestMain:
         assert all(line.endswith("-> PASS") for line in gates), gates
 
     def test_validate_runs_and_reports(self, capsys):
-        assert main(["validate", "--trials", "3000"]) == 0
+        # At 3,000 trials (seed 1) the m_o = 16 mean gate reads 0.0224
+        # against its 0.02, so validate exits 1.
+        assert main(["validate", "--trials", "3000"]) == 1
         out = capsys.readouterr().out
         assert "[GATE]" in out
-        assert "PASS" in out
+        assert out.count("-> FAIL") == 1 and out.count("-> PASS") == 7
+
+    # The m_o sweep runs at -50 dBm, where the closed form and the preset's
+    # gains both move with m_o.
+    @pytest.mark.parametrize("config", [
+        pytest.param("", id="p_a_dbm"),
+        pytest.param("sweep.variable = m_o\nsweep.start = 16\nsweep.stop = 36\nsweep.points = 3\n"
+                     "scenario.p_a_dbm = -50\n", id="m_o"),
+    ])
+    def test_gap_gates_read_the_sweep_rows(self, tmp_path, config):
+        scenario, geom, mc, spec = load_config(write_config(tmp_path, config + "mc.trials = 2000\n"))
+        rows = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,)).rows
+        measured = {label: value for label, value, *_ in _run_validate(scenario, geom, mc, spec)}
+        for metric, event in (("op", "outage"), ("cop", "covertness outage"), ("psuc", "success")):
+            gap = max(abs(row[f"analytic_{metric}"] - row[f"fixed_{metric}"]) for row in rows)
+            assert measured[f"max |analytic - empirical| {event} over sweep"] == gap
+
+    def test_validate_draws_each_block_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(mcs, geom):
+            calls.append((list(mcs), geom))
+            return simulate_group(mcs, geom)
+
+        monkeypatch.setattr(cli, "simulate_group", counting)
+        main(["validate", "--trials", "1000"])
+        _, geom, mc, _ = load_config(None)
+        mc = dataclasses.replace(mc, trials=1000)
+        [(mcs, surface)] = calls
+        assert surface == geom and len(set(mcs)) == len(mcs)
+        assert set(mcs) == {dataclasses.replace(mc, mode=Mode.FIXED, m_o=16), dataclasses.replace(mc, mode=Mode.FIXED),
+                            dataclasses.replace(mc, mode=Mode.FRIS), dataclasses.replace(mc, mode=Mode.RIS)}

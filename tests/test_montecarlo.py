@@ -30,6 +30,7 @@ from friscov import (
     success_probability,
 )
 from friscov import montecarlo
+from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, block_normals, cascade, correlated_tile
 from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, wilson_interval
 
@@ -171,6 +172,18 @@ class TestEstimators:
         cfg = dataclasses.replace(ScenarioConfig(), r_b=0.0)
         est = estimate_success(gains_5k, cfg, cfg.sigma2_w)
         assert est.value == cfg.p0
+
+    def test_counts_against_the_closed_forms_levels(self):
+        # A gain just below a level is the event (outage, missed detection);
+        # a gain at the level is not.
+        cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(-45.0))
+        zeta = optimal_threshold(cfg)
+        x_b, eta = outage_level(cfg), missed_level(cfg, zeta)
+        gains = GainSample(g_b=np.array([np.nextafter(x_b, 0.0), x_b, x_b, 2.0 * x_b]),
+                           g_w=np.array([eta, np.nextafter(eta, 0.0), 2.0 * eta, 0.5 * eta]))
+        assert estimate_op(gains, cfg).value == 0.25
+        assert estimate_cop(gains, cfg, zeta).value == cfg.p0 + cfg.p1 * 0.5
+        assert estimate_success(gains, cfg, zeta).value == cfg.p1 * 0.5
 
     def test_success_vanishes_at_power_extremes(self, gains_5k):
         low = dataclasses.replace(ScenarioConfig(), p_a=1e-15)
