@@ -57,6 +57,8 @@ class ScenarioConfig:
         p1: prior probability of the transmission hypothesis.
         mu_offset: detector threshold offset above the noise floor, watts.
         p_a: transmit power, watts.
+        m_o: active ports per draw (see :func:`~friscov.montecarlo.simulate_group`).
+        m_hat: elements of the RIS baseline's grid; 0 follows ``m_o``.
     """
 
     d_af: float = 50.0
@@ -71,6 +73,8 @@ class ScenarioConfig:
     p1: float = 0.5
     mu_offset: float = 1e-12
     p_a: float = 1e-3
+    m_o: int = 36
+    m_hat: int = 0
 
     def __post_init__(self):
         positive = ("d_af", "d_fb", "d_fw", "alpha", "rho0", "sigma2_b",
@@ -88,6 +92,10 @@ class ScenarioConfig:
         # One-sided: a prior mass above 1 would give probabilities above 1.
         if not 1.0 - 1e-12 <= self.p0 + self.p1 <= 1.0:
             raise DomainError(f"priors must satisfy p0 + p1 = 1, got {self.p0} + {self.p1}")
+        if not (isinstance(self.m_o, int) and self.m_o >= 1):
+            raise DomainError(f"m_o must be a positive integer, got {self.m_o!r}")
+        if not (isinstance(self.m_hat, int) and self.m_hat >= 0):
+            raise DomainError(f"m_hat must be a non-negative integer, got {self.m_hat!r}")
         for link in ("af", "fb", "fw"):
             try:
                 getattr(self, f"loss_{link}")

@@ -227,6 +227,12 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             f"(the surface has m_x * m_z = {geom.num_elements} ports)",
             field="selection.m_o",
         )
+    m_hat = resolved["ris.m_hat"]
+    if m_hat < 0 or m_hat > geom.num_elements:
+        raise ConfigError(
+            f"ris.m_hat = {m_hat} must lie in [0, {geom.num_elements}] (0 follows selection.m_o)",
+            field="ris.m_hat",
+        )
     watts = {}
     for key in ("scenario.sigma2_w_dbm", "scenario.sigma2_b_dbm", "scenario.p_a_dbm"):
         try:
@@ -248,15 +254,11 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
             p1=resolved["scenario.p1"],
             mu_offset=resolved["scenario.mu_factor"] * sigma2_w,
             p_a=watts["scenario.p_a_dbm"],
+            m_o=m_o,
+            m_hat=m_hat,
         )
     except DomainError as exc:
         raise ConfigError(str(exc), field="scenario") from exc
-    ris_m_hat = resolved["ris.m_hat"]
-    if ris_m_hat < 0 or ris_m_hat > geom.num_elements:
-        raise ConfigError(
-            f"ris.m_hat = {ris_m_hat} must lie in [0, {geom.num_elements}] (0 follows selection.m_o)",
-            field="ris.m_hat",
-        )
     if resolved["mc.trials"] > MAX_TRIALS:
         raise ConfigError(f"a run holds at most {MAX_TRIALS} trials, got {resolved['mc.trials']}", field="mc.trials")
     if resolved["mc.workers"] > MAX_WORKERS:
@@ -265,9 +267,7 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
         mc = MCConfig(
             trials=resolved["mc.trials"],
             master_seed=resolved["mc.seed"],
-            mode=Mode.FIXED,
             workers=resolved["mc.workers"],
-            m_o=m_o,
         )
     except DomainError as exc:
         raise ConfigError(str(exc), field="mc") from exc
@@ -281,26 +281,26 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
     # every point.
     for field, value in zip(("sweep.start", "sweep.stop"), spec.ends()):
         try:
-            _point_scenario(scenario, spec, value, m_o, geom.num_elements)
+            _point_scenario(scenario, spec, value, geom.num_elements)
         except DomainError as exc:
             raise ConfigError(str(exc), field=field) from exc
     return scenario, geom, mc, spec
 
 
-def _mode_config(
-    base: MCConfig, mode: Mode, geom: SurfaceGeometry, m_o: int, ris_m_hat: int
-) -> tuple[MCConfig, SurfaceGeometry]:
-    """MC configuration and surface of one compared surface at ``m_o`` active ports.
+def _mode_config(mode: Mode, geom: SurfaceGeometry, cfg: ScenarioConfig) -> tuple[tuple[Mode, int], SurfaceGeometry]:
+    """The ``(mode, m_o)`` selection and the surface of one compared surface in scenario ``cfg``.
 
-    The RIS baseline is a grid of ``ris_m_hat`` elements (0: ``m_o``) over
+    The fluid and fixed surfaces select ``cfg.m_o`` ports of ``geom``.  The
+    RIS baseline is a grid of ``cfg.m_hat`` elements (0: ``cfg.m_o``) over
     the same aperture (:func:`ris_grid_geometry`).  When the default preset
     of that many ports, which ``Mode.RIS`` reads, sits exactly at the grid's
     positions, the baseline runs on ``geom`` and shares the fluid surface's
     draws (a paired comparison); otherwise it runs on the grid, whose
     default preset is every element.
     """
+    m_o = cfg.m_o
     if mode is Mode.RIS:
-        m_o = ris_m_hat or m_o
+        m_o = cfg.m_hat or m_o
         grid = ris_grid_geometry(geom, m_o)
         ports = default_fixed_preset(geom, m_o)
         elements = np.arange(m_o)
@@ -309,22 +309,19 @@ def _mode_config(
         rows = (ports // geom.m_x) * grid.m_z, (elements // grid.m_x) * geom.m_z
         if not (np.array_equal(*cols) and np.array_equal(*rows)):
             geom = grid
-    return dataclasses.replace(base, mode=mode, m_o=m_o), geom
+    return (mode, m_o), geom
 
 
-def _point_scenario(
-    scenario: ScenarioConfig, spec: SweepSpec, value: float, m_o: int, ports: int
-) -> tuple[ScenarioConfig, int]:
-    """Scenario and active-port count at one sweep point; ``m_o`` unless it is swept."""
+def _point_scenario(scenario: ScenarioConfig, spec: SweepSpec, value: float, ports: int) -> ScenarioConfig:
+    """Scenario at one sweep point of a surface of ``ports`` ports."""
     if spec.variable == "p_a_dbm":
-        scenario = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
-    elif spec.variable == "mu_factor":
-        scenario = dataclasses.replace(scenario, mu_offset=value * scenario.sigma2_w)
-    else:
-        m_o = int(round(value))
+        return dataclasses.replace(scenario, p_a=dbm_to_watt(value))
+    if spec.variable == "mu_factor":
+        return dataclasses.replace(scenario, mu_offset=value * scenario.sigma2_w)
+    m_o = int(round(value))
     if not 1 <= m_o <= ports:
         raise DomainError(f"m_o = {m_o} must lie in [1, {ports}] (the surface has m_x * m_z = {ports} ports)")
-    return scenario, m_o
+    return dataclasses.replace(scenario, m_o=m_o)
 
 
 def _gamma_fit(corr: np.ndarray, geom: SurfaceGeometry, m_o: int) -> GammaFit:
@@ -337,32 +334,31 @@ def _gamma_fit(corr: np.ndarray, geom: SurfaceGeometry, m_o: int) -> GammaFit:
 
 
 def _sweep_points(
-    scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec,
-    modes: tuple[Mode, ...], ris_m_hat: int,
-) -> list[tuple[float, ScenarioConfig, int, dict[Mode, tuple[MCConfig, SurfaceGeometry]]]]:
-    """Each sweep point's value, scenario, ``m_o`` and per-mode ``(config, surface)``."""
+    scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSpec, modes: tuple[Mode, ...]
+) -> list[tuple[float, ScenarioConfig, dict[Mode, tuple[tuple[Mode, int], SurfaceGeometry]]]]:
+    """Each sweep point's value, scenario and per-mode ``(selection, surface)``."""
     points = []
     for value in spec.values():
-        cfg, m_o = _point_scenario(scenario, spec, value, mc.m_o, geom.num_elements)
-        points.append((value, cfg, m_o, {mode: _mode_config(mc, mode, geom, m_o, ris_m_hat) for mode in modes}))
+        cfg = _point_scenario(scenario, spec, value, geom.num_elements)
+        points.append((value, cfg, {mode: _mode_config(mode, geom, cfg) for mode in modes}))
     return points
 
 
-def _simulate(keys, progress: bool = False) -> dict[tuple[MCConfig, SurfaceGeometry], GainSample]:
-    """The gains of every ``(config, surface)`` key, one :func:`simulate_group` per surface.
+def _simulate(mc: MCConfig, keys, progress: bool = False) -> dict[tuple[tuple[Mode, int], SurfaceGeometry], GainSample]:
+    """The gains of run ``mc`` for every ``(selection, surface)`` key, one :func:`simulate_group` per surface.
 
-    So each block of a surface is drawn once for all of its configs.
+    So each block of a surface is drawn once for all of its selections.
     """
-    groups: dict[SurfaceGeometry, dict[MCConfig, None]] = {}
-    for mc_mode, geom_mode in keys:
-        groups.setdefault(geom_mode, {})[mc_mode] = None
+    groups: dict[SurfaceGeometry, dict[tuple[Mode, int], None]] = {}
+    for selection, surface in keys:
+        groups.setdefault(surface, {})[selection] = None
     gains = {}
-    for number, (geom_mode, members) in enumerate(groups.items(), start=1):
-        for mc_mode, sample in zip(members, simulate_group(list(members), geom_mode)):
-            gains[mc_mode, geom_mode] = sample
+    for number, (surface, selections) in enumerate(groups.items(), start=1):
+        for selection, sample in zip(selections, simulate_group(mc, surface, list(selections))):
+            gains[selection, surface] = sample
         if progress:
-            print(f"[{number}/{len(groups)}] {len(members)} Monte Carlo configs on the "
-                  f"{geom_mode.m_x}x{geom_mode.m_z} surface done", file=sys.stderr)
+            print(f"[{number}/{len(groups)}] {len(selections)} Monte Carlo configs on the "
+                  f"{surface.m_x}x{surface.m_z} surface done", file=sys.stderr)
     return gains
 
 
@@ -372,8 +368,8 @@ def _sweep_rows(points, gains, corr: np.ndarray, geom: SurfaceGeometry) -> list[
     ``corr`` is ``correlation_matrix(geom)``.
     """
     rows: list[dict[str, float | None]] = []
-    for value, cfg, m_o, configs in points:
-        fit = _gamma_fit(corr, geom, m_o)
+    for value, cfg, configs in points:
+        fit = _gamma_fit(corr, geom, cfg.m_o)
         zeta = analytics.optimal_threshold(cfg)
         p_fa = analytics.fa_probability(cfg, zeta)
         p_md = analytics.md_probability(fit, cfg, zeta)
@@ -398,20 +394,20 @@ def run_sweep(
     mc: MCConfig,
     spec: SweepSpec,
     modes: tuple[Mode, ...] = tuple(Mode),
-    ris_m_hat: int = 0,
     progress: bool = False,
 ) -> SweepResult:
     """Evaluate closed forms and enabled empirical modes at each sweep point.
 
-    Deterministic given the master seed.  Every Monte Carlo config the
-    sweep needs, over all points and modes, is collected first; the
-    configs on one surface then run as one group, so each block is drawn
-    once for all of them (see :func:`montecarlo.simulate_group`).  The
-    swept link parameters only re-threshold those gains.  The sweep holds
-    every config's gains, 16 bytes per trial each, until it returns.
+    Deterministic given the master seed.  Every ``(mode, m_o)`` selection
+    the sweep needs, over all points and modes, is collected first; the
+    selections on one surface then run as one group of run ``mc``, so each
+    block is drawn once for all of them (see
+    :func:`montecarlo.simulate_group`).  The swept link parameters only
+    re-threshold those gains.  The sweep holds every selection's gains, 16
+    bytes per trial each, until it returns.
     """
-    points = _sweep_points(scenario, geom, mc, spec, modes, ris_m_hat)
-    gains = _simulate((key for *_, configs in points for key in configs.values()), progress)
+    points = _sweep_points(scenario, geom, spec, modes)
+    gains = _simulate(mc, (key for *_, configs in points for key in configs.values()), progress)
     return SweepResult(variable=spec.variable, rows=_sweep_rows(points, gains, correlation_matrix(geom), geom))
 
 
@@ -533,14 +529,14 @@ def _run_validate(
     """Closed-form versus Monte Carlo oracle comparisons, one ``(label, measured, tolerance, passed)`` gate each.
 
     The gap gates read the closed-form and ``fixed`` cells of the sweep's
-    rows, at each swept value.  The gates' own configs join the sweep's
-    ``FIXED`` configs in one group on ``geom``, so each block is drawn once.
+    rows, at each swept value.  The gates' own selections join the sweep's
+    ``FIXED`` selections in one group on ``geom``, so each block is drawn
+    once.
     """
-    points = _sweep_points(scenario, geom, mc, spec, (Mode.FIXED,), 0)
-    fixed = {m_o: (dataclasses.replace(mc, mode=Mode.FIXED, m_o=m_o), geom) for m_o in (16, 36)
-             if m_o <= geom.num_elements}
-    best, lattice = ((dataclasses.replace(mc, mode=mode), geom) for mode in (Mode.FRIS, Mode.RIS))
-    gains = _simulate([*fixed.values(), best, lattice, *(configs[Mode.FIXED] for *_, configs in points)])
+    points = _sweep_points(scenario, geom, spec, (Mode.FIXED,))
+    fixed = {m_o: ((Mode.FIXED, m_o), geom) for m_o in (16, 36) if m_o <= geom.num_elements}
+    best, lattice = (((mode, scenario.m_o), geom) for mode in (Mode.FRIS, Mode.RIS))
+    gains = _simulate(mc, [*fixed.values(), best, lattice, *(configs[Mode.FIXED] for *_, configs in points)])
 
     corr = correlation_matrix(geom)
     gates = []
@@ -615,7 +611,7 @@ def main(argv=None) -> int:
                 out_dir.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {args.out!r} is not a usable directory: {exc.strerror}") from exc
-            result = run_sweep(scenario, geom, mc, spec, modes=modes, ris_m_hat=resolved["ris.m_hat"], progress=True)
+            result = run_sweep(scenario, geom, mc, spec, modes=modes, progress=True)
             emit_csv(result, out_dir / "sweep.csv")
             if args.plot:
                 emit_plot(result, out_dir / "plot.svg", log_y=args.log_y)

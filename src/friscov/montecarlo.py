@@ -33,12 +33,13 @@ the gains are bit for bit those of one tile per block; on a small
 surface the last trial of a block can move by an ulp (see
 :func:`_block_gains`).
 
-Configs that share ``(master_seed, trials)`` and a surface form a
-group (:func:`simulate_group`): each block is drawn and correlated once
-for the whole group, and each config takes the ports and phases of its
-:class:`~friscov.channel.Mode` from it.  A config's gains are the same
-whatever else is in its group.  Nothing is cached: the caller keeps the
-returned :class:`GainSample` and passes it to the estimators.
+A group is one run (:class:`MCConfig`) on one surface and a list of
+``(mode, m_o)`` selections (:func:`simulate_group`): each block is drawn
+and correlated once for the whole group, and each selection takes the
+ports and phases of its :class:`~friscov.channel.Mode` from it.  A
+selection's gains are the same whatever else is in its group.  Nothing
+is cached: the caller keeps the returned :class:`GainSample` and passes
+it to the estimators.
 
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
@@ -89,18 +90,15 @@ def mix64(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo run configuration.
+    """One Monte Carlo run: its trial count, master seed and worker count.
 
-    ``m_o`` is the number of active ports per draw: the best ``m_o`` of
-    each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
-    ports (:func:`~friscov.surface.default_fixed_preset`) otherwise.
+    What the run simulates is passed beside it, as the ``(mode, m_o)``
+    selections of :func:`simulate_group`.
     """
 
     trials: int
     master_seed: int
-    mode: Mode
     workers: int = 1
-    m_o: int = 36
 
     def __post_init__(self):
         if not (isinstance(self.trials, int) and self.trials >= 1):
@@ -109,10 +107,6 @@ class MCConfig:
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
-        if not (isinstance(self.m_o, int) and self.m_o >= 1):
-            raise DomainError(f"m_o must be a positive integer, got {self.m_o!r}")
-        if not isinstance(self.mode, Mode):
-            raise DomainError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def _block_gains(
     factor: np.ndarray,
-    members: list[tuple[np.ndarray | slice | None, list[tuple[int, MCConfig]]]],
+    members: list[tuple[np.ndarray | slice | None, list[tuple[int, Mode, int]]]],
     master_seed: int,
     block_index: int,
     count: int,
@@ -186,7 +180,7 @@ def _block_gains(
         for rows, readers in members:
             if rows is None:
                 # One ranking and one running sum serve every fluid m_o of the group.
-                lengths = [mc.m_o for _, mc in readers]
+                lengths = [m_o for *_, m_o in readers]
                 top = best_product_order(abc[0], abc[1], max(lengths))
                 # Flat indices gather the three links in one pass.
                 selected = np.take(abc.reshape(3, -1), top * n + np.arange(n), axis=1)
@@ -195,8 +189,8 @@ def _block_gains(
             else:
                 # One gather per preset, shared by its readers and dropped before the next.
                 selected = abc[:, rows]
-                gains = (cascade(mc.mode is not Mode.FIXED, *selected) for _, mc in readers)
-            for (j, _), (g_b, g_w) in zip(readers, gains):
+                gains = (cascade(mode is not Mode.FIXED, *selected) for _, mode, _ in readers)
+            for (j, *_), (g_b, g_w) in zip(readers, gains):
                 outputs[j][0][span] = g_b
                 outputs[j][1][span] = g_w
             del selected, gains
@@ -204,19 +198,21 @@ def _block_gains(
 
 
 def _group_members(
-    mcs: list[MCConfig], geom: SurfaceGeometry
-) -> list[tuple[np.ndarray | slice | None, list[tuple[int, MCConfig]]]]:
-    """The port rows the group reads, each with the configs that read them and their positions.
+    selections: list[tuple[Mode, int]], geom: SurfaceGeometry
+) -> list[tuple[np.ndarray | slice | None, list[tuple[int, Mode, int]]]]:
+    """The port rows the group reads, each with the ``(position, mode, m_o)`` of the selections that read them.
 
     ``None`` stands for the best ports of each draw, read by every fluid
-    config; each preset appears once, however many configs read it.
+    selection; each preset appears once, however many selections read it.
     """
     total = geom.num_elements
-    readers: dict[int | None, list[tuple[int, MCConfig]]] = {}
-    for j, mc in enumerate(mcs):
-        if mc.m_o > total:
-            raise DomainError(f"m_o={mc.m_o} exceeds the surface's {total} ports")
-        readers.setdefault(None if mc.mode is Mode.FRIS else mc.m_o, []).append((j, mc))
+    readers: dict[int | None, list[tuple[int, Mode, int]]] = {}
+    for j, (mode, m_o) in enumerate(selections):
+        if not isinstance(mode, Mode):
+            raise DomainError(f"unknown mode {mode!r}")
+        if not (isinstance(m_o, int) and 1 <= m_o <= total):
+            raise DomainError(f"m_o must be an integer in [1, {total}] (the surface's ports), got {m_o!r}")
+        readers.setdefault(None if mode is Mode.FRIS else m_o, []).append((j, mode, m_o))
     members = []
     for m_o, shared in readers.items():
         if m_o is None:
@@ -229,47 +225,44 @@ def _group_members(
     return members
 
 
-def simulate_group(mcs: Sequence[MCConfig], geom: SurfaceGeometry) -> list[GainSample]:
-    """Per-trial cascaded gains for a group of configurations, one per config.
+def simulate_group(mc: MCConfig, geom: SurfaceGeometry, selections: Sequence[tuple[Mode, int]]) -> list[GainSample]:
+    """Per-trial cascaded gains of run ``mc`` on ``geom``, one per ``(mode, m_o)`` selection.
 
-    The configs must share ``master_seed`` and ``trials``; they run on
-    ``geom``.  Each block is drawn once, and each of its tiles is
-    correlated over every port once.  The fluid configs share one ranking
-    of a tile's top ``max(m_o)`` ports and one cascade of those rows, each
-    reading its own prefix length; each preset's rows are gathered once
-    per tile for every config that reads them.  So the group costs one RNG
-    pass per block and one correlating product and one ranking per tile,
-    and a config's gains do not depend on the other configs in its group.
-    Nor do they depend on the worker count (the largest ``workers`` in the
-    group is used).  The gains of a block depend on the master seed, the
+    ``m_o`` is the number of active ports per draw: the best ``m_o`` of
+    each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
+    ports (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
+    ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
+    ``int`` in ``[1, geom.num_elements]``.  Each block is drawn once, and
+    each of its tiles is correlated over every port once.  The fluid
+    selections share one ranking of a tile's top ``max(m_o)`` ports and
+    one cascade of those rows, each reading its own prefix length; each
+    preset's rows are gathered once per tile for every selection that
+    reads them.  So the group costs one RNG pass per block and one
+    correlating product and one ranking per tile, and a selection's gains
+    depend neither on the other selections in its group nor on
+    ``mc.workers``.  The gains of a block depend on the master seed, the
     block index and the block's size, so runs at one seed agree on every
     full block (see the module docstring).
     """
-    mcs = list(mcs)
-    if not mcs:
+    selections = list(selections)
+    if not selections:
         return []
-    first = mcs[0]
-    for mc in mcs[1:]:
-        if (mc.master_seed, mc.trials) != (first.master_seed, first.trials):
-            raise DomainError("a group's configs must share master_seed and trials")
-    members = _group_members(mcs, geom)
+    members = _group_members(selections, geom)
     factor = psd_sqrt(correlation_matrix(geom))
 
-    trials = first.trials
-    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    outputs = [(np.empty(trials), np.empty(trials)) for _ in mcs]
+    n_blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    outputs = [(np.empty(mc.trials), np.empty(mc.trials)) for _ in selections]
 
     def run(block_index: int) -> None:
-        count = min(BLOCK_TRIALS, trials - block_index * BLOCK_TRIALS)
-        _block_gains(factor, members, first.master_seed, block_index, count, outputs)
+        count = min(BLOCK_TRIALS, mc.trials - block_index * BLOCK_TRIALS)
+        _block_gains(factor, members, mc.master_seed, block_index, count, outputs)
 
-    workers = max(mc.workers for mc in mcs)
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
-    if workers == 1 or n_blocks == 1:
+    if mc.workers == 1 or n_blocks == 1:
         for k in range(n_blocks):
             run(k)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
             list(pool.map(run, range(n_blocks)))
 
     samples = []

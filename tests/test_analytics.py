@@ -68,6 +68,7 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("d_af", 0.0), ("sigma2_w", -1e-12), ("mu_offset", 0.0), ("p_a", 0.0), ("r_b", -0.1),
+        ("m_o", 0), ("m_hat", -1), ("m_o", 36.0),
     ])
     def test_positivity(self, field, value):
         with pytest.raises(DomainError):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from friscov import (
     DomainError,
     MCConfig,
     Mode,
+    ScenarioConfig,
     SurfaceGeometry,
     correlation_matrix,
     default_fixed_preset,
@@ -130,15 +129,13 @@ class TestSelectPorts:
         assert best_product_order(a, a)[:, 0].tolist() == [0, 1, 2, 3]
 
     def test_m_o_out_of_range(self):
-        mc = MCConfig(trials=10, master_seed=1, mode=Mode.FRIS, m_o=7)
         with pytest.raises(DomainError):
-            simulate_group([mc], SMALL)
+            simulate_group(MCConfig(trials=10, master_seed=1), SMALL, [(Mode.FRIS, 7)])
 
     def test_ris_full_requires_all(self):
         # a RIS of every port reads every row, in order
-        mc = MCConfig(trials=50, master_seed=6, mode=Mode.RIS, m_o=6)
         g_b, g_w = cascade(True, *first_block(SMALL, 6, 50))
-        gains = simulate_group([mc], SMALL)[0]
+        gains = simulate_group(MCConfig(trials=50, master_seed=6), SMALL, [(Mode.RIS, 6)])[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
 
@@ -294,9 +291,8 @@ class TestWillieGain:
         # mean gain (the phases are independent of the warden's fading);
         # both modes read all 8 ports, the default preset of 8
         geom = SurfaceGeometry(8, 1, 40.0, 1.0, 0.125)
-        kwargs = dict(trials=200_000, master_seed=3, m_o=8)
-        coherent = simulate_group([MCConfig(mode=Mode.RIS, **kwargs)], geom)[0]
-        static = simulate_group([MCConfig(mode=Mode.FIXED, **kwargs)], geom)[0]
+        mc = MCConfig(trials=200_000, master_seed=3)
+        coherent, static = simulate_group(mc, geom, [(Mode.RIS, 8), (Mode.FIXED, 8)])
         ratio = coherent.g_w.mean() / static.g_w.mean()
         assert abs(ratio - 1.0) <= 0.05
 
@@ -319,12 +315,11 @@ class TestDrawChannel:
 
     def test_gains_are_nonnegative_and_shared_selection(self, ref_geom):
         # the warden's gain is taken over the receiver's 16 best ports
-        mc = MCConfig(trials=50, master_seed=5, mode=Mode.FRIS, m_o=16)
         a, b, c = first_block(ref_geom, 5, 50)
         rows = best_product_order(a, b)[:16]
         assert all(np.unique(rows[:, k]).size == 16 for k in range(50))
         g_b, g_w = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))
-        gains = simulate_group([mc], ref_geom)[0]
+        gains = simulate_group(MCConfig(trials=50, master_seed=5), ref_geom, [(Mode.FRIS, 16)])[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
         assert np.all(gains.g_b >= 0.0) and np.all(gains.g_w >= 0.0)
@@ -334,8 +329,7 @@ class TestDrawChannel:
         ports = default_fixed_preset(ref_geom, 36)
         active = ref_corr[np.ix_(ports, ports)]
         expected = float(np.trace(active @ active))
-        mc = MCConfig(trials=200_000, master_seed=8, mode=Mode.FIXED, m_o=36)
-        gains = simulate_group([mc], ref_geom)[0]
+        gains = simulate_group(MCConfig(trials=200_000, master_seed=8), ref_geom, [(Mode.FIXED, 36)])[0]
         assert abs(gains.g_b.mean() - expected) / expected <= 0.025
 
 
@@ -347,10 +341,10 @@ class TestRisBaseline:
 
     def test_single_element(self, ref_geom):
         grid = ris_grid_geometry(ref_geom, 1)
-        mc = MCConfig(trials=100, master_seed=1, mode=Mode.RIS, m_o=1)
         a, b, _ = first_block(grid, 1, 100)
         expected = np.abs(a[0]) ** 2 * np.abs(b[0]) ** 2
-        assert simulate_group([mc], grid)[0].g_b == pytest.approx(expected, rel=1e-12)
+        gains = simulate_group(MCConfig(trials=100, master_seed=1), grid, [(Mode.RIS, 1)])[0]
+        assert gains.g_b == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("m_x, m_z, m_hat, paired", [
         (12, 12, 36, True), (12, 12, 16, True), (12, 12, 4, True), (12, 12, 144, True),
@@ -362,9 +356,8 @@ class TestRisBaseline:
         # preset it reads occupies the grid's positions, so that the
         # correlation matrices (hence the gain distributions) coincide
         geom = SurfaceGeometry(m_x, m_z, 2.0, 2.0, 0.125)
-        mc = MCConfig(trials=1, master_seed=1, mode=Mode.FIXED)
-        ris, surface = _mode_config(mc, Mode.RIS, geom, 1, m_hat)
-        assert (ris.mode, ris.m_o) == (Mode.RIS, m_hat)
+        selection, surface = _mode_config(Mode.RIS, geom, ScenarioConfig(m_o=1, m_hat=m_hat))
+        assert selection == (Mode.RIS, m_hat)
         assert (surface == geom) == paired
         if paired:
             baseline_corr = correlation_matrix(ris_grid_geometry(geom, m_hat))
@@ -376,18 +369,18 @@ class TestRisBaseline:
 
     def test_density_cap(self, ref_geom):
         # a baseline grid has no more elements than the surface it runs on
-        mc = MCConfig(trials=10, master_seed=1, mode=Mode.RIS, m_o=145)
+        mc = MCConfig(trials=10, master_seed=1)
         with pytest.raises(DomainError):
-            simulate_group([mc], ref_geom)
+            simulate_group(mc, ref_geom, [(Mode.RIS, 145)])
         with pytest.raises(DomainError):
-            simulate_group([dataclasses.replace(mc, m_o=20)], ris_grid_geometry(ref_geom, 16))
+            simulate_group(mc, ris_grid_geometry(ref_geom, 16), [(Mode.RIS, 20)])
 
     def test_fluid_selection_beats_baseline_mean(self, ref_geom):
         # paired draws: same fading, best-product selection vs the
         # 36-element sublattice (== baseline grid) with coherent phases
-        common = dict(trials=20_000, master_seed=21, m_o=36)
-        best = simulate_group([MCConfig(mode=Mode.FRIS, **common)], ref_geom)[0]
-        lattice = simulate_group([MCConfig(mode=Mode.RIS, **common)], ref_geom)[0]
+        mc = MCConfig(trials=20_000, master_seed=21)
+        best = simulate_group(mc, ref_geom, [(Mode.FRIS, 36)])[0]
+        lattice = simulate_group(mc, ref_geom, [(Mode.RIS, 36)])[0]
         assert np.all(best.g_b >= lattice.g_b)
         assert best.g_b.mean() >= lattice.g_b.mean()
 

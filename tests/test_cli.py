@@ -54,7 +54,7 @@ class TestLoadConfig:
         assert scenario.alpha == 2.1 and scenario.r_b == 0.1
         assert scenario.sigma2_b == pytest.approx(1e-12, rel=1e-12)
         assert scenario.p0 == scenario.p1 == 0.5
-        assert mc.trials == 100_000 and mc.m_o == 36
+        assert mc.trials == 100_000 and scenario.m_o == 36 and scenario.m_hat == 0
         assert spec.variable == "p_a_dbm" and spec.points == 25
         assert (spec.start, spec.stop) == (-60.0, -10.0)
 
@@ -101,6 +101,30 @@ class TestLoadConfig:
         path = write_config(tmp_path, "selection.m_o = 200\n")
         with pytest.raises(ConfigError, match="selection.m_o"):
             load_config(path)
+
+    # A valid value other than the default for every key, each alone, with
+    # the keys it needs to stay valid (also set on the other side).  p0
+    # stays within the priors' 1e-12 slack, and a sweep over mu_factor or
+    # m_o needs ends that both allow.
+    _NON_DEFAULTS = {
+        "surface.m_x": ("10", ""), "surface.m_z": ("10", ""), "surface.w_x": ("3.0", ""),
+        "surface.w_z": ("3.0", ""), "surface.wavelength": ("0.1", ""), "scenario.d_af": ("60", ""),
+        "scenario.d_fb": ("90", ""), "scenario.d_fw": ("110", ""), "scenario.alpha": ("2.2", ""),
+        "scenario.rho0": ("0.5", ""), "scenario.r_b": ("0.2", ""), "scenario.sigma2_b_dbm": ("-80", ""),
+        "scenario.sigma2_w_dbm": ("-80", ""), "scenario.p0": ("0.4999999999999", ""),
+        "scenario.p1": ("0.4999999999999", ""), "scenario.mu_factor": ("2.0", ""),
+        "scenario.p_a_dbm": ("-10", ""), "selection.m_o": ("16", ""), "ris.m_hat": ("16", ""),
+        "mc.trials": ("500", ""), "mc.seed": ("2", ""), "mc.workers": ("2", ""),
+        "sweep.variable": ("mu_factor", "sweep.start = 1\nsweep.stop = 2\n"), "sweep.start": ("-50", ""),
+        "sweep.stop": ("-20", ""), "sweep.points": ("10", ""),
+    }
+
+    @pytest.mark.parametrize("key", list(cli._SCHEMA))
+    def test_every_key_reaches_the_result(self, tmp_path, key):
+        value, needs = self._NON_DEFAULTS[key]
+        changed = write_config(tmp_path, f"{key} = {value}\n{needs}", name="changed.cfg")
+        base = write_config(tmp_path, needs, name="base.cfg")
+        assert load_config(changed) != load_config(base)
 
 
 class TestSweepSpec:
@@ -152,10 +176,9 @@ class TestRunSweep:
 
     def test_rows_match_direct_module_calls(self, small_run):
         scenario, geom, mc, spec, result = small_run
-        ports = default_fixed_preset(geom, mc.m_o)
+        ports = default_fixed_preset(geom, scenario.m_o)
         corr_fit = gamma_moment_match(correlation_matrix(geom)[np.ix_(ports, ports)])
-        mc_fixed = dataclasses.replace(mc, mode=Mode.FIXED)
-        gains = simulate_group([mc_fixed], geom)[0]
+        gains = simulate_group(mc, geom, [(Mode.FIXED, scenario.m_o)])[0]
         for row, value in zip(result.rows, spec.values()):
             cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
             assert row["swept_value"] == value
@@ -399,11 +422,13 @@ class TestMain:
         assert main(["sweep", "--config", str(cfg)]) == 2
 
     def test_worker_count_does_not_change_csv_bytes(self, tmp_path):
+        # 9,000 trials: two full blocks and a partial one, so three workers
+        # run them in a pool.
         cfg = write_config(tmp_path, "sweep.points = 3\nsweep.start = -50\nsweep.stop = -40\n")
         outputs = []
         for workers, name in ((1, "w1"), (3, "w3")):
             out_dir = tmp_path / name
-            assert main(["sweep", "--config", str(cfg), "--trials", "3000",
+            assert main(["sweep", "--config", str(cfg), "--trials", "9000",
                          "--workers", str(workers), "--out", str(out_dir)]) == 0
             outputs.append((out_dir / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
@@ -474,15 +499,14 @@ class TestMain:
     def test_validate_draws_each_block_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(mcs, geom):
-            calls.append((list(mcs), geom))
-            return simulate_group(mcs, geom)
+        def counting(mc, geom, selections):
+            calls.append((mc, geom, list(selections)))
+            return simulate_group(mc, geom, selections)
 
         monkeypatch.setattr(cli, "simulate_group", counting)
         main(["validate", "--trials", "1000"])
         _, geom, mc, _ = load_config(None)
-        mc = dataclasses.replace(mc, trials=1000)
-        [(mcs, surface)] = calls
-        assert surface == geom and len(set(mcs)) == len(mcs)
-        assert set(mcs) == {dataclasses.replace(mc, mode=Mode.FIXED, m_o=16), dataclasses.replace(mc, mode=Mode.FIXED),
-                            dataclasses.replace(mc, mode=Mode.FRIS), dataclasses.replace(mc, mode=Mode.RIS)}
+        [(run, surface, selections)] = calls
+        assert run == dataclasses.replace(mc, trials=1000)
+        assert surface == geom and len(set(selections)) == len(selections)
+        assert set(selections) == {(Mode.FIXED, 16), (Mode.FIXED, 36), (Mode.FRIS, 36), (Mode.RIS, 36)}

@@ -35,23 +35,24 @@ from friscov.channel import best_product_order, block_normals, cascade, correlat
 from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, wilson_interval
 
 
-def fixed_static(trials=20_000, seed=1, m_o=36, workers=1) -> MCConfig:
-    return MCConfig(trials=trials, master_seed=seed, mode=Mode.FIXED, m_o=m_o, workers=workers)
+def fixed_static(geom, trials=20_000, seed=1, m_o=36, workers=1) -> GainSample:
+    """The gains of the default preset of ``m_o`` ports on ``geom``."""
+    return simulate_group(MCConfig(trials=trials, master_seed=seed, workers=workers), geom, [(Mode.FIXED, m_o)])[0]
 
 
 @pytest.fixture(scope="module")
 def gains_5k(ref_geom) -> GainSample:
-    return simulate_group([fixed_static(trials=5_000)], ref_geom)[0]
+    return fixed_static(ref_geom, trials=5_000)
 
 
 @pytest.fixture(scope="module")
 def gains_20k(ref_geom) -> GainSample:
-    return simulate_group([fixed_static(trials=20_000)], ref_geom)[0]
+    return fixed_static(ref_geom, trials=20_000)
 
 
 @pytest.fixture(scope="module")
 def gains_200k(ref_geom) -> GainSample:
-    return simulate_group([fixed_static(trials=200_000)], ref_geom)[0]
+    return fixed_static(ref_geom, trials=200_000)
 
 
 @pytest.fixture(scope="module")
@@ -68,45 +69,47 @@ class TestSubstreams:
         assert all(0 <= s < 2**64 for s in seeds)
 
     def test_gains_independent_of_worker_count(self, ref_geom):
-        one = simulate_group([fixed_static(trials=30_000, seed=7, workers=1)], ref_geom)[0]
-        four = simulate_group([fixed_static(trials=30_000, seed=7, workers=4)], ref_geom)[0]
+        one = fixed_static(ref_geom, trials=30_000, seed=7, workers=1)
+        four = fixed_static(ref_geom, trials=30_000, seed=7, workers=4)
         assert np.array_equal(one.g_b, four.g_b)
         assert np.array_equal(one.g_w, four.g_w)
 
     def test_gains_change_with_seed(self, ref_geom):
-        a = simulate_group([fixed_static(trials=5_000, seed=1)], ref_geom)[0]
-        b = simulate_group([fixed_static(trials=5_000, seed=2)], ref_geom)[0]
+        a = fixed_static(ref_geom, trials=5_000, seed=1)
+        b = fixed_static(ref_geom, trials=5_000, seed=2)
         assert not np.array_equal(a.g_b, b.g_b)
 
     def test_full_blocks_do_not_depend_on_the_trial_count(self, ref_geom):
         # A block's draws depend on its size, so runs at one seed share their
         # full blocks but not the gains of a partial one.
-        short = simulate_group([fixed_static(trials=4_500)], ref_geom)[0]
-        long = simulate_group([fixed_static(trials=9_000)], ref_geom)[0]
+        short = fixed_static(ref_geom, trials=4_500)
+        long = fixed_static(ref_geom, trials=9_000)
         assert np.array_equal(short.g_b[:BLOCK_TRIALS], long.g_b[:BLOCK_TRIALS])
         assert np.array_equal(short.g_w[:BLOCK_TRIALS], long.g_w[:BLOCK_TRIALS])
         assert short.g_b[BLOCK_TRIALS] != long.g_b[BLOCK_TRIALS]
 
     def test_results_are_read_only(self, ref_geom):
-        gains = simulate_group([fixed_static(trials=5_000)], ref_geom)[0]
+        gains = fixed_static(ref_geom, trials=5_000)
         with pytest.raises(ValueError):
             gains.g_b[0] = 0.0
 
 
 class TestMCConfigValidation:
+    # The run's own fields, then a selection's: a Mode, and an int m_o in
+    # [1, ports].
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0), dict(master_seed=-1), dict(master_seed=2**64),
-        dict(workers=0), dict(m_o=0), dict(mode="fixed"),
+        dict(workers=0), dict(m_o=0), dict(mode="fixed"), dict(m_o=36.0),
     ])
-    def test_rejects(self, kwargs):
-        base = dict(trials=10, master_seed=1, mode=Mode.FIXED)
-        base.update(kwargs)
+    def test_rejects(self, ref_geom, kwargs):
+        fields = {**dict(trials=10, master_seed=1, workers=1, mode=Mode.FIXED, m_o=36), **kwargs}
         with pytest.raises(DomainError):
-            MCConfig(**base)
+            mc = MCConfig(trials=fields["trials"], master_seed=fields["master_seed"], workers=fields["workers"])
+            simulate_group(mc, ref_geom, [(fields["mode"], fields["m_o"])])
 
     def test_m_o_exceeding_ports(self, ref_geom):
         with pytest.raises(DomainError):
-            simulate_group([fixed_static(trials=10, m_o=145)], ref_geom)
+            fixed_static(ref_geom, trials=10, m_o=145)
 
 
 class TestWilson:
@@ -193,7 +196,7 @@ class TestEstimators:
             assert estimate_success(gains_5k, cfg, zeta).value <= 1e-3
 
     def test_ci_brackets_and_range(self, ref_geom):
-        gains = simulate_group([fixed_static(trials=2_000)], ref_geom)[0]
+        gains = fixed_static(ref_geom, trials=2_000)
         for dbm in (-50.0, -40.0, -30.0):
             cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm))
             zeta = optimal_threshold(cfg)
@@ -208,7 +211,7 @@ class TestEstimators:
         zeta = optimal_threshold(cfg)
         values = []
         for workers in (1, 3):
-            gains = simulate_group([fixed_static(trials=30_000, seed=99, workers=workers)], ref_geom)[0]
+            gains = fixed_static(ref_geom, trials=30_000, seed=99, workers=workers)
             values.append((estimate_op(gains, cfg).value,
                            estimate_cop(gains, cfg, zeta).value,
                            estimate_success(gains, cfg, zeta).value))
@@ -240,54 +243,55 @@ class TestClosedFormAgreement:
         assert abs(analytic - empirical.value) <= 0.02
 
 
-def group_configs(trials, m_os=(1, 2, 16, 144)) -> list[MCConfig]:
+def group_selections(m_os=(1, 2, 16, 144)) -> list[tuple[Mode, int]]:
     """Every mode at each ``m_o``; at 144 the presets are the full grid."""
-    return [MCConfig(trials=trials, master_seed=5, mode=mode, m_o=m_o) for m_o in m_os for mode in Mode]
+    return [(mode, m_o) for m_o in m_os for mode in Mode]
 
 
 class TestGroups:
     def test_gains_do_not_depend_on_the_group(self, ref_geom):
         # 4097 trials: one full block and a one-trial block, whose products
         # take numpy's matrix-vector path.
-        configs = group_configs(trials=4_097)
-        alone = [simulate_group([mc], ref_geom)[0] for mc in configs]
-        preset = [j for j, mc in enumerate(configs) if mc.mode is not Mode.FRIS]
+        selections = group_selections()
+        alone = [simulate_group(MCConfig(trials=4_097, master_seed=5), ref_geom, [pick])[0] for pick in selections]
+        preset = [j for j, (mode, _) in enumerate(selections) if mode is not Mode.FRIS]
         for workers in (1, 2):
-            members = [dataclasses.replace(mc, workers=workers) for mc in configs]
-            for picks in (range(len(configs)), preset, preset[::-1]):
-                group = [members[j] for j in picks]
-                for j, gains in zip(picks, simulate_group(group, ref_geom)):
-                    assert np.array_equal(gains.g_b, alone[j].g_b), configs[j]
-                    assert np.array_equal(gains.g_w, alone[j].g_w), configs[j]
+            mc = MCConfig(trials=4_097, master_seed=5, workers=workers)
+            for picks in (range(len(selections)), preset, preset[::-1]):
+                group = [selections[j] for j in picks]
+                for j, gains in zip(picks, simulate_group(mc, ref_geom, group)):
+                    assert np.array_equal(gains.g_b, alone[j].g_b), selections[j]
+                    assert np.array_equal(gains.g_w, alone[j].g_w), selections[j]
 
     def test_prefix_sums_match_a_cascade_per_m_o(self, ref_geom):
         # Every fluid m_o of the group is read off one ranking and one running
         # sum; each must equal a cascade over its own top rows of the block.
         trials = 4_097  # a full block and a one-trial block
-        group = [MCConfig(trials=trials, master_seed=5, mode=Mode.FRIS, m_o=m_o) for m_o in range(1, 145)]
-        samples = simulate_group(group, ref_geom)
+        group = [(Mode.FRIS, m_o) for m_o in range(1, 145)]
+        samples = simulate_group(MCConfig(trials=trials, master_seed=5), ref_geom, group)
         root = psd_sqrt(correlation_matrix(ref_geom))
         for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
             count = min(BLOCK_TRIALS, trials - start)
             z = block_normals(np.random.default_rng(mix64(5, block)), root.shape[1], count)
             a, b, c = correlated_tile(root, z, 0, count)
             ranked = [np.take_along_axis(v, best_product_order(a, b), axis=0) for v in (a, b, c)]
-            for mc, gains in zip(group, samples):
-                g_b, g_w = cascade(True, *(v[: mc.m_o] for v in ranked))
-                assert np.array_equal(gains.g_b[start : start + count], g_b), (mc.m_o, block)
-                assert np.array_equal(gains.g_w[start : start + count], g_w), (mc.m_o, block)
+            for (_, m_o), gains in zip(group, samples):
+                g_b, g_w = cascade(True, *(v[:m_o] for v in ranked))
+                assert np.array_equal(gains.g_b[start : start + count], g_b), (m_o, block)
+                assert np.array_equal(gains.g_w[start : start + count], g_w), (m_o, block)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("trials", [1, 511, 512, 513, 1_025, 4_097, 5_001])
     def test_gains_do_not_depend_on_the_tiling(self, ref_geom, monkeypatch, trials, workers):
         # Tile edges at multiples of TILE_TRIALS, the last tile absorbing the
         # remainder, give the gains of one tile per block bit for bit.
-        configs = [dataclasses.replace(mc, workers=workers) for mc in group_configs(trials, (1, 2, 16, 36, 144))]
-        tiled = simulate_group(configs, ref_geom)
+        mc = MCConfig(trials=trials, master_seed=5, workers=workers)
+        selections = group_selections((1, 2, 16, 36, 144))
+        tiled = simulate_group(mc, ref_geom, selections)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", BLOCK_TRIALS)
-        for mc, gains, whole in zip(configs, tiled, simulate_group(configs, ref_geom)):
-            assert np.array_equal(gains.g_b, whole.g_b), mc
-            assert np.array_equal(gains.g_w, whole.g_w), mc
+        for selection, gains, whole in zip(selections, tiled, simulate_group(mc, ref_geom, selections)):
+            assert np.array_equal(gains.g_b, whole.g_b), selection
+            assert np.array_equal(gains.g_w, whole.g_w), selection
 
     def test_block_memory_is_bounded(self, ref_geom):
         # The kernel draws a block's rank-39 normals (0.27 times the normals
@@ -301,36 +305,29 @@ class TestGroups:
         trials = BLOCK_TRIALS
         sweep_m_os = [4, 16, 27, 39, 51, 62, 74, 86, 97, 109, 121, 132, 144]
         groups = [
-            ([MCConfig(trials=trials, master_seed=1, mode=mode, m_o=36) for mode in Mode], 0.75),
-            ([MCConfig(trials=5 * trials, master_seed=1, mode=mode, m_o=36) for mode in Mode], 0.75),
-            ([MCConfig(trials=trials, master_seed=1, mode=mode, m_o=144) for mode in Mode], 1.0),
-            ([MCConfig(trials=trials, master_seed=1, mode=mode, m_o=m_o)
-              for m_o in sweep_m_os for mode in (Mode.FRIS, Mode.FIXED)], 1.0),
+            (trials, group_selections((36,)), 0.75),
+            (5 * trials, group_selections((36,)), 0.75),
+            (trials, group_selections((144,)), 1.0),
+            (trials, [(mode, m_o) for m_o in sweep_m_os for mode in (Mode.FRIS, Mode.FIXED)], 1.0),
         ]
         normals = 3 * 2 * ref_geom.num_elements * trials * 8
-        for group, bound in groups:
+        for run_trials, group, bound in groups:
             tracemalloc.start()
             try:
-                samples = simulate_group(group, ref_geom)
+                samples = simulate_group(MCConfig(trials=run_trials, master_seed=1), ref_geom, group)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             outputs = sum(g.g_b.nbytes + g.g_w.nbytes for g in samples)
             ratio = (peak - outputs) / normals
-            assert ratio <= bound, (len(group), group[-1].trials, group[-1].m_o, ratio)
+            assert ratio <= bound, (len(group), run_trials, group[-1], ratio)
 
     def test_empty_group(self, ref_geom):
-        assert simulate_group([], ref_geom) == []
-
-    @pytest.mark.parametrize("field, value", [("master_seed", 2), ("trials", 3_001)])
-    def test_members_must_share_seed_and_trials(self, ref_geom, field, value):
-        base = fixed_static(trials=3_000)
-        with pytest.raises(DomainError):
-            simulate_group([base, dataclasses.replace(base, **{field: value})], ref_geom)
+        assert simulate_group(MCConfig(trials=10, master_seed=1), ref_geom, []) == []
 
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):
-            simulate_group([fixed_static(trials=10), fixed_static(trials=10, m_o=145)], ref_geom)
+            simulate_group(MCConfig(trials=10, master_seed=1), ref_geom, [(Mode.FIXED, 36), (Mode.FIXED, 145)])
 
 
 class TestKsDistance:
