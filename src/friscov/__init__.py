@@ -44,7 +44,6 @@ from .surface import (
     SurfaceGeometry,
     correlation_matrix,
     default_fixed_preset,
-    inter_element_distance,
     psd_sqrt,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
     "estimate_success", "ks_distance", "simulate_group",
     "bessel_j0",
-    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset",
-    "inter_element_distance", "psd_sqrt",
+    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset", "psd_sqrt",
 ]

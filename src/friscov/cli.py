@@ -96,7 +96,7 @@ MAX_SWEEP_POINTS = 10**6
 # configs until it ends, so a billion trials already take 16 GB a config.
 MAX_TRIALS = 10**9
 
-# Each worker thread holds a block of normals (7.7 MB on the reference
+# Each worker thread holds a block of normals (6.5 MB on the reference
 # surface) while it runs, and a pool starts up to this many threads.
 MAX_WORKERS = 64
 

@@ -4,15 +4,8 @@
 kernel of the isotropic-scattering spatial correlation model.  It is
 pure and deterministic, and takes a scalar or an array argument in
 double precision: a float for a scalar (or 0-d) argument, else an
-array of the argument's shape.
-
-Algorithm: the ascending power series for |x| <= 12 and the Hankel
-asymptotic expansion (dynamically truncated at its smallest term)
-beyond.  Every iteration runs on the elements that have not met their
-own stopping rule yet, so an element's value does not depend on the
-others in its array.  Accurate to better than 1e-10 absolute over the
-documented range and cross-checked against an independent
-high-precision oracle in the test suite.
+array of the argument's shape.  One quadrature evaluates it, and the
+test suite checks it against an independent high-precision oracle.
 """
 
 from __future__ import annotations
@@ -23,75 +16,37 @@ import numpy as np
 
 from .errors import DomainError
 
-_J0_SERIES_CUTOFF = 12.0
-_QUARTER_PI = 0.7853981633974483096156608458198757
-
-
-def _finite_array(name: str, value) -> np.ndarray:
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be real, got {value!r}") from exc
-    bad = ~np.isfinite(array)
-    if bad.any():
-        raise DomainError(f"{name} must be finite, got {float(array[bad].flat[0])!r}")
-    return array
-
-
-def _j0_power_series(x: np.ndarray) -> np.ndarray:
-    # J0(x) = sum_k (-x^2/4)^k / (k!)^2. Alternating; fine in double
-    # precision up to the series cutoff (worst-case term ~4e3 at x=12,
-    # so cancellation costs ~4 digits of the 16 available).
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    live = np.arange(x.size)
-    for k in range(1, 401):
-        live = live[np.abs(term[live]) > 1e-19]
-        if not live.size:
-            break
-        term[live] *= -q[live] / (k * k)
-        total[live] += term[live]
-    return total
-
-
-def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
-    # Hankel expansion J0(x) ~ sqrt(2/(pi x)) [P cos(x-pi/4) - Q sin(x-pi/4)]
-    # with P, Q built from the Hankel symbols (0, m) = (-1)^m ((2m-1)!!)^2
-    # / (m! 8^m). Terms are added in increasing m until they stop
-    # shrinking; at x = 12 the smallest term is ~1e-12, well under the
-    # 1e-10 accuracy contract.
-    p_sum = np.zeros_like(x)
-    q_sum = np.zeros_like(x)
-    term = np.ones_like(x)  # magnitude of (0, m) / x^m
-    prev = np.full_like(x, math.inf)
-    live = np.arange(x.size)
-    for m in range(80):
-        size = np.abs(term[live])
-        shrinking = (size < prev[live]) & (size > 1e-19)
-        live = live[shrinking]
-        if not live.size:
-            break
-        prev[live] = size[shrinking]
-        target, sign = ((p_sum, 1.0), (q_sum, -1.0), (p_sum, -1.0), (q_sum, 1.0))[m % 4]
-        target[live] += sign * term[live]
-        term[live] *= (2 * m + 1) ** 2 / (8.0 * (m + 1) * x[live])
-    chi = x - _QUARTER_PI
-    return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
+# The node count, and with it the cost, grows with |x|.
+J0_MAX_ARG = 1e5
 
 
 def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
-    """Zero-order Bessel function of the first kind, elementwise.
+    """Zero-order Bessel function of the first kind, elementwise; even in ``x``.
 
-    Even in its argument; absolute error <= 1e-10 for |x| <= 200.
+    The midpoint rule on ``J0(x) = (1/pi) * int_0^pi cos(x cos t) dt`` with
+    ``max(140, ceil(0.6|x|) + 40)`` nodes.  The integrand is smooth and
+    periodic in ``t``, so the error falls geometrically with the node
+    count: it is about 3e-15 for |x| <= 200 and 6e-14 up to
+    ``J0_MAX_ARG``.  The count depends only on the element, and elements
+    that share it are summed together, so an array gives bit for bit the
+    values of elementwise calls.
 
     Raises:
-        DomainError: if any element of ``x`` is not a finite real.
+        DomainError: if an element of ``x`` is not a real with
+            ``|x| <= J0_MAX_ARG`` (NaN and infinities included).
     """
-    x = _finite_array("x", x)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"x must be real, got {x!r}") from exc
     flat = np.abs(x).ravel()
+    bad = ~(flat <= J0_MAX_ARG)
+    if bad.any():
+        raise DomainError(f"x must be finite with |x| <= {J0_MAX_ARG:g}, got {float(x.flat[np.argmax(bad)])!r}")
+    nodes = np.maximum(140, np.ceil(0.6 * flat).astype(int) + 40)
     out = np.empty_like(flat)
-    series = flat <= _J0_SERIES_CUTOFF
-    out[series] = _j0_power_series(flat[series])
-    out[~series] = _j0_asymptotic(flat[~series])
+    for count in set(nodes.tolist()):
+        group = nodes == count
+        cosines = np.cos((np.arange(count) + 0.5) * (math.pi / count))
+        out[group] = np.cos(np.multiply.outer(flat[group], cosines)).sum(axis=1) / count
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

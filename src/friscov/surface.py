@@ -30,6 +30,10 @@ from .specfun import bessel_j0
 # in the residual that the pivoted Cholesky factor of psd_sqrt drops.
 PSD_CLAMP_REL = 1e-8
 
+# The widest aperture, in wavelengths along each axis: the correlation then
+# evaluates J0 below 2 pi sqrt(2) * 1e4 (about 8.9e4), inside its range.
+MAX_APERTURE_WAVELENGTHS = 1e4
+
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
@@ -38,8 +42,8 @@ class SurfaceGeometry:
     Attributes:
         m_x: ports per row (> 0).
         m_z: ports per column (> 0).
-        w_x: aperture width in wavelengths (> 0).
-        w_z: aperture height in wavelengths (> 0).
+        w_x: aperture width in wavelengths (> 0, at most ``MAX_APERTURE_WAVELENGTHS``).
+        w_z: aperture height in wavelengths (> 0, at most ``MAX_APERTURE_WAVELENGTHS``).
         wavelength: carrier wavelength in meters (> 0).
     """
 
@@ -58,6 +62,8 @@ class SurfaceGeometry:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+            if name != "wavelength" and value > MAX_APERTURE_WAVELENGTHS:
+                raise DomainError(f"{name} must be at most {MAX_APERTURE_WAVELENGTHS:g} wavelengths, got {value!r}")
 
     @property
     def num_elements(self) -> int:
@@ -74,27 +80,6 @@ class SurfaceGeometry:
         return self.w_z * self.wavelength / self.m_z
 
 
-def _check_index(geom: SurfaceGeometry, name: str, i: int) -> int:
-    if not isinstance(i, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {i!r}")
-    if not 0 <= i < geom.num_elements:
-        raise DomainError(f"{name}={i} out of range [0, {geom.num_elements})")
-    return int(i)
-
-
-def inter_element_distance(geom: SurfaceGeometry, i: int, j: int) -> float:
-    """Euclidean distance in meters between ports ``i`` and ``j``.
-
-    Row-major convention: column index is ``i % m_x`` and row index is
-    ``i // m_x``.  Symmetric in (i, j); zero iff i == j.
-    """
-    i = _check_index(geom, "i", i)
-    j = _check_index(geom, "j", j)
-    dcol = (i % geom.m_x) - (j % geom.m_x)
-    drow = (i // geom.m_x) - (j // geom.m_x)
-    return math.hypot(geom.d_x * dcol, geom.d_z * drow)
-
-
 def correlation_matrix(geom: SurfaceGeometry) -> np.ndarray:
     """Dense spatial correlation matrix of the port grid.
 
@@ -102,9 +87,8 @@ def correlation_matrix(geom: SurfaceGeometry) -> np.ndarray:
     inter-port distance.  Exactly symmetric with unit diagonal by
     construction: entries are looked up from a table of the J0 values
     at the grid's distinct (row-offset, column-offset) pairs, evaluated
-    in one call.  The offset distances come from ``math.hypot``, as in
-    :func:`inter_element_distance` (``np.hypot`` rounds some of them
-    differently).
+    in one call.  The offset distances come from ``math.hypot``
+    (``np.hypot`` rounds some of them differently).
     """
     m_x, m_z = geom.m_x, geom.m_z
     scale = 2.0 * math.pi / geom.wavelength
@@ -123,19 +107,21 @@ def correlation_matrix(geom: SurfaceGeometry) -> np.ndarray:
 def psd_sqrt(corr: np.ndarray) -> np.ndarray:
     """Real factor ``L`` of shape ``(ports, rank)`` with ``L @ L.T == corr``.
 
-    Built by pivoted Cholesky: each step pivots on the port with the
-    largest residual diagonal, ties going to the lower index, so the
-    first pivot of a unit-diagonal matrix is port 0 and column ``k``
-    holds zeros on the rows of the first ``k`` pivots.  Pivoting stops
-    once every residual diagonal is at most ``max_eig * ports * eps``,
-    the tolerance of numpy's ``matrix_rank``.  A PSD residual is bounded
-    entrywise by its diagonal, so ``L @ L.T`` matches ``corr`` to
-    rounding error (Frobenius error <= 1e-10 * dim on every surface
-    here), and ``rank`` counts the spatial degrees of freedom the
-    surface resolves: 39 of the 144 ports of the 12x12 reference
-    surface.  The factor depends on no eigenvector basis (the
-    correlation of a square grid has exactly degenerate eigenpairs), so
-    the same input always gives the same bits.
+    Built by pivoted Cholesky on ``s = max|corr|``: each step pivots on the
+    lowest-index port whose residual diagonal lies within ``1e-10 * s`` of
+    the largest, and pivoting stops once every residual diagonal is at
+    most ``5e-10 * s``.  So the first pivot of a unit-diagonal matrix is
+    port 0, and column ``k`` holds zeros on the rows of the first ``k``
+    pivots.  Both margins sit far above the rounding of J0: near-ties of a
+    symmetric grid go to the lower index, and the rank and pivot order
+    (the layout of the normals each trial reads) hold under perturbations
+    of 1e-13, 30 times J0's error, on every surface tested.  A PSD
+    residual is bounded entrywise by its diagonal, so ``L @ L.T`` matches
+    ``corr`` within ``5e-10 * s`` in every entry, and ``rank`` counts the
+    spatial degrees of freedom the surface resolves: 33 of the 144 ports
+    of the 12x12 reference surface.  The factor depends on no eigenvector
+    basis (the correlation of a square grid has exactly degenerate
+    eigenpairs), so the same input always gives the same bits.
 
     Raises:
         NotPSDError: empty, non-finite, asymmetric or indefinite input
@@ -161,15 +147,16 @@ def psd_sqrt(corr: np.ndarray) -> np.ndarray:
             f"eigenvalue {eigvals[0]} below clamping tolerance "
             f"{-PSD_CLAMP_REL * max_eig}; input is not PSD"
         )
-    tol = max_eig * ports * np.finfo(float).eps
     factor = np.zeros((ports, ports))
     residual = np.diag(corr).copy()
     rest = np.ones(ports, dtype=bool)
     rank = 0
     while rank < ports:
-        pivot = int(np.argmax(np.where(rest, residual, -np.inf)))
-        if residual[pivot] <= tol:
+        live = np.where(rest, residual, -np.inf)
+        top = live.max()
+        if top <= 5e-10 * scale:
             break
+        pivot = int(np.argmax(live >= top - 1e-10 * scale))
         rest[pivot] = False
         root = math.sqrt(residual[pivot])
         factor[pivot, rank] = root

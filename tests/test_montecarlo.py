@@ -294,11 +294,11 @@ class TestGroups:
             assert np.array_equal(gains.g_w, whole.g_w), selection
 
     def test_block_memory_is_bounded(self, ref_geom):
-        # The kernel draws a block's rank-39 normals (0.27 times the normals
+        # The kernel draws a block's rank-33 normals (0.23 times the normals
         # of a full-rank draw over the 144 ports) and correlates, ranks,
         # gathers and cascades them one 512-trial tile at a time, so its
         # peak follows the tile: about 0.5x for the three compared surfaces
-        # at m_o = 36 and 0.7x at m_o = 144, where the fluid surface gathers
+        # at m_o = 36 and 0.6x at m_o = 144, where the fluid surface gathers
         # every row of a tile.  The sweep-ports group reads 12 presets; it
         # stays there only if each gather is dropped before the next.  Five
         # blocks stay under the bound of one.

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,25 +38,29 @@ class TestBesselJ0:
         assert abs(value) <= 1.0
         assert bessel_j0(-x) == value
 
-    def test_series_asymptotic_switch_is_seamless(self):
-        # the two evaluation branches meet at the cutoff
-        for x in (11.999999, 12.0, 12.000001, 12.5):
-            assert bessel_j0(x) == pytest.approx(oracle_bessel_j0(x), abs=1e-10)
+    def test_beyond_range_rejected(self):
+        with pytest.raises(DomainError):
+            bessel_j0(1.5e5)
 
     def test_against_series_oracle_on_random_points(self):
         rng = np.random.default_rng(2024)
-        for x in rng.uniform(0.0, 200.0, size=300):
-            assert bessel_j0(float(x)) == pytest.approx(oracle_bessel_j0(float(x)), abs=1e-10)
+        for x in [11.999999, 12.0, 12.000001, 12.5, *rng.uniform(0.0, 200.0, size=300)]:
+            assert bessel_j0(float(x)) == pytest.approx(oracle_bessel_j0(float(x)), abs=1e-14)
+
+    def test_against_mpmath_up_to_the_range_limit(self):
+        rng = np.random.default_rng(2025)
+        for x in [1e3, 1e5, *rng.uniform(1e3, 1e5, size=40)]:
+            assert bessel_j0(float(x)) == pytest.approx(float(mp.besselj(0, float(x))), abs=1e-12)
 
 
 # Each function of one array argument: points on every branch, and the
 # elements it rejects.
 ARRAY_CASES = {
-    # power series up to 12, Hankel expansion beyond; even in x
+    # 140 nodes up to |x| = 500/3, ceil(0.6|x|) + 40 beyond; even in x
     "bessel_j0": (
         bessel_j0,
-        [0.0, -1.5, 11.999999, 12.0, 12.5, -40.0, 150.0, 199.9],
-        [math.nan, math.inf, -math.inf],
+        [0.0, -1.5, 12.5, -40.0, 150.0, 199.9, 1e3, -5e4],
+        [math.nan, math.inf, -math.inf, 1.5e5],
     ),
 }
 
