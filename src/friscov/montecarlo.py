@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,13 +182,16 @@ def _block_gains(
                 lengths = [m_o for *_, m_o in readers]
                 top = best_product_order(abc[0], abc[1], max(lengths))
                 # Flat indices gather the three links in one pass.
-                selected = np.take(abc.reshape(3, -1), top * n + np.arange(n), axis=1)
+                top *= n
+                top += np.arange(n)
+                selected = np.take(abc.reshape(3, -1), top, axis=1)
                 del top
-                gains = zip(*cascade(True, *selected, lengths))
+                gains = zip(*cascade([True], *selected, lengths)[0])
             else:
-                # One gather per preset, shared by its readers and dropped before the next.
+                # One gather and one set of terms per preset, shared by its readers
+                # and dropped before the next.
                 selected = abc[:, rows]
-                gains = (cascade(mode is not Mode.FIXED, *selected) for _, mode, _ in readers)
+                gains = cascade([mode is not Mode.FIXED for _, mode, _ in readers], *selected)
             for (j, *_), (g_b, g_w) in zip(readers, gains):
                 outputs[j][0][span] = g_b
                 outputs[j][1][span] = g_w
@@ -236,13 +238,14 @@ def simulate_group(mc: MCConfig, geom: SurfaceGeometry, selections: Sequence[tup
     each of its tiles is correlated over every port once.  The fluid
     selections share one ranking of a tile's top ``max(m_o)`` ports and
     one cascade of those rows, each reading its own prefix length; each
-    preset's rows are gathered once per tile for every selection that
-    reads them.  So the group costs one RNG pass per block and one
-    correlating product and one ranking per tile, and a selection's gains
-    depend neither on the other selections in its group nor on
-    ``mc.workers``.  The gains of a block depend on the master seed, the
-    block index and the block's size, so runs at one seed agree on every
-    full block (see the module docstring).
+    preset's rows are gathered, and their cascade terms formed, once per
+    tile for every selection that reads them (``FIXED`` sums the terms,
+    then ``RIS`` phases them in place).  So the group costs one RNG pass
+    per block and one correlating product and one ranking per tile, and a
+    selection's gains depend neither on the other selections in its group
+    nor on ``mc.workers``.  The gains of a block depend on the master
+    seed, the block index and the block's size, so runs at one seed agree
+    on every full block (see the module docstring).
     """
     selections = list(selections)
     if not selections:
@@ -262,6 +265,9 @@ def simulate_group(mc: MCConfig, geom: SurfaceGeometry, selections: Sequence[tup
         for k in range(n_blocks):
             run(k)
     else:
+        # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=mc.workers) as pool:
             list(pool.map(run, range(n_blocks)))
 

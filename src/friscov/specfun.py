@@ -19,6 +19,9 @@ from .errors import DomainError
 # The node count, and with it the cost, grows with |x|.
 J0_MAX_ARG = 1e5
 
+# Products of arguments and nodes evaluated at once: 8 MB of doubles.
+_CHUNK_PRODUCTS = 1 << 20
+
 
 def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     """Zero-order Bessel function of the first kind, elementwise; even in ``x``.
@@ -28,8 +31,10 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     periodic in ``t``, so the error falls geometrically with the node
     count: it is about 3e-15 for |x| <= 200 and 6e-14 up to
     ``J0_MAX_ARG``.  The count depends only on the element, and elements
-    that share it are summed together, so an array gives bit for bit the
-    values of elementwise calls.
+    that share it are evaluated together, in chunks of at most 2**20
+    products, so a call holds about 8 MB whatever its size.  Each element
+    sums its own row of nodes, so an array gives bit for bit the values
+    of elementwise calls.
 
     Raises:
         DomainError: if an element of ``x`` is not a real with
@@ -46,7 +51,13 @@ def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
     nodes = np.maximum(140, np.ceil(0.6 * flat).astype(int) + 40)
     out = np.empty_like(flat)
     for count in set(nodes.tolist()):
-        group = nodes == count
+        group = np.flatnonzero(nodes == count)
         cosines = np.cos((np.arange(count) + 0.5) * (math.pi / count))
-        out[group] = np.cos(np.multiply.outer(flat[group], cosines)).sum(axis=1) / count
+        # Each row sums on its own, so chunks of rows bound the memory, not the values.
+        step = max(1, _CHUNK_PRODUCTS // count)
+        for rows in (group[k : k + step] for k in range(0, group.size, step)):
+            integrand = np.multiply.outer(flat[rows], cosines)
+            np.cos(integrand, out=integrand)
+            out[rows] = integrand.sum(axis=1) / count
+            del integrand  # before the next chunk's
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friscov import (
     DomainError,
@@ -12,7 +16,7 @@ from friscov import (
     psd_sqrt,
     simulate_group,
 )
-from friscov.channel import best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
+from friscov.channel import _polar, _running_sums, best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
 from friscov.cli import _mode_config
 from friscov.montecarlo import mix64
 
@@ -134,7 +138,7 @@ class TestSelectPorts:
 
     def test_ris_full_requires_all(self):
         # a RIS of every port reads every row, in order
-        g_b, g_w = cascade(True, *first_block(SMALL, 6, 50))
+        g_b, g_w = cascade([True], *first_block(SMALL, 6, 50))[0]
         gains = simulate_group(MCConfig(trials=50, master_seed=6), SMALL, [(Mode.RIS, 6)])[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
@@ -147,6 +151,39 @@ def assert_matches_stable_sort(a: np.ndarray, b: np.ndarray) -> None:
         order = best_product_order(a, b, count)
         assert order.flags.c_contiguous
         assert np.array_equal(order, reference[:count]), count
+
+
+def product_block(seed: int, ports: int, trials: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` whose products ``|a| * |b|`` are exact and hold the features of ``kind``.
+
+    Entries on the axes and ``|b|`` in {0.5, 1, 2} keep every product
+    exact, so ties and ulp steps in ``a`` survive into the products.
+    """
+    rng = np.random.default_rng(seed)
+    magnitudes = rng.lognormal(0.0, 2.0, (ports, trials))
+    for t in range(trials):
+        picked = rng.permutation(ports)[: rng.integers(1, ports + 1)]
+        if kind in ("ulps", "mixed"):
+            steps = rng.integers(-3, 4, picked.size).astype(np.int64)
+            base = np.array(magnitudes[picked[0], t]).view(np.int64)
+            magnitudes[picked, t] = (base + steps).view(float)
+        if kind in ("ties", "mixed"):
+            magnitudes[picked, t] = magnitudes[picked[0], t]
+        if kind == "nonfinite" and rng.random() < 0.7:
+            magnitudes[picked[: rng.integers(1, 3)], t] = [math.nan, math.inf][rng.integers(0, 2)]
+    units = np.array([1, 1j, -1, -1j])
+    signed = magnitudes * rng.choice([-1.0, 1.0], magnitudes.shape)
+    on_real_axis = rng.random(magnitudes.shape) < 0.5
+    a = np.zeros(magnitudes.shape, dtype=complex)
+    a.real[on_real_axis] = signed[on_real_axis]
+    a.imag[~on_real_axis] = signed[~on_real_axis]
+    b = np.array([0.5, 1.0, 2.0])[rng.integers(0, 3, (ports, trials))] * units[rng.integers(0, 4, (ports, trials))]
+    if kind in ("zeros", "mixed"):
+        zeros = np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
+        for v in (a, b):
+            mask = rng.random(v.shape) < rng.random()
+            v[mask] = zeros[rng.integers(0, 4, np.count_nonzero(mask))]
+    return a, b
 
 
 class TestBestProductOrder:
@@ -196,6 +233,24 @@ class TestBestProductOrder:
         assert_matches_stable_sort(a, b)
         assert best_product_order(a, b)[:, 0].tolist() == list(range(144))
 
+    @given(
+        ports=st.sampled_from([1, 2, 3, 255, 256, 257]),
+        trials=st.integers(1, 5),
+        kind=st.sampled_from(["random", "ulps", "ties", "zeros", "nonfinite", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+        head=st.sampled_from(["one", "third", "all"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_stable_sort_of_the_products(self, ports, trials, kind, seed, head):
+        # The port counts 1, 2, 255, 256 and 257 sit at the edges of the bits
+        # that the sort keys give the port index.
+        a, b = product_block(seed, ports, trials, kind)
+        count = {"one": 1, "third": max(1, ports // 3), "all": ports}[head]
+        reference = np.argsort(-(np.abs(a) * np.abs(b)), axis=0, kind="stable")[:count]
+        order = best_product_order(a, b, count)
+        assert order.flags.c_contiguous and order.dtype == np.intp
+        assert np.array_equal(order, reference)
+
     def test_shapes_must_match(self):
         # (3, 2) against (1, 2) would broadcast
         with pytest.raises(DomainError):
@@ -216,19 +271,19 @@ class TestCascadedGain:
         b = col(1.0 - 3.0j)
         expected = abs(a[0, 0]) ** 2 * abs(b[0, 0]) ** 2
         for coherent in (False, True):
-            assert cascade(coherent, a, b, b)[0][0] == pytest.approx(expected, rel=1e-12)
+            assert cascade([coherent], a, b, b)[0][0][0] == pytest.approx(expected, rel=1e-12)
 
     def test_two_port_hand_case(self):
         a = col(1.0, 1.0j)
         b = col(1.0, 1.0)
-        assert cascade(False, a, b, b)[0][0] == pytest.approx(2.0, rel=1e-12)
-        assert cascade(True, a, b, b)[0][0] == pytest.approx(4.0, rel=1e-12)
+        assert cascade([False], a, b, b)[0][0][0] == pytest.approx(2.0, rel=1e-12)
+        assert cascade([True], a, b, b)[0][0][0] == pytest.approx(4.0, rel=1e-12)
 
     def test_coherent_dominates_static(self):
         for dim in range(1, 12):
             a, b, c = random_block(9 + dim, dim, 200)
-            coherent = cascade(True, a, b, c)[0]
-            static = cascade(False, a, b, c)[0]
+            coherent = cascade([True], a, b, c)[0][0]
+            static = cascade([False], a, b, c)[0][0]
             assert np.all(coherent >= static - 1e-12 * np.maximum(coherent, 1.0))
 
     @pytest.mark.filterwarnings("error")
@@ -240,7 +295,7 @@ class TestCascadedGain:
         terms_b, terms_w = np.conj(b) * a, np.conj(c) * a
         expected_b = np.abs(terms_b).sum(axis=0) ** 2
         expected_w = np.abs(np.sum(np.exp(-1j * np.angle(terms_b)) * terms_w, axis=0)) ** 2
-        g_b, g_w = cascade(True, a, b, c)
+        g_b, g_w = cascade([True], a, b, c)[0]
         assert np.all(np.isfinite(g_b)) and np.all(np.isfinite(g_w))
         assert g_b == pytest.approx(expected_b, rel=1e-12)
         assert g_w == pytest.approx(expected_w, rel=1e-12)
@@ -249,19 +304,58 @@ class TestCascadedGain:
         a, b, c = random_block(15, 7, 40)
         lengths = [3, 1, 7, 3]
         for coherent in (False, True):
-            g_b, g_w = cascade(coherent, a, b, c, lengths)
+            g_b, g_w = cascade([coherent], a, b, c, lengths)[0]
             assert g_b.shape == g_w.shape == (4, 40)
             for row, k in enumerate(lengths):
-                ref_b, ref_w = cascade(coherent, a[:k], b[:k], c[:k])
+                ref_b, ref_w = cascade([coherent], a[:k], b[:k], c[:k])[0]
                 assert np.array_equal(g_b[row], ref_b) and np.array_equal(g_w[row], ref_w)
         for bad in ([0], [8], [[2]]):
             with pytest.raises(DomainError):
-                cascade(True, a, b, c, bad)
+                cascade([True], a, b, c, bad)
+
+    def test_full_prefixes_equal_the_running_sum(self):
+        # Lengths that all take every row sum in one reduction; the running
+        # sum gives the same bits.
+        a, b, c = random_block(16, 9, 40)
+        terms_b, terms_w = np.multiply(np.conj(b), a), np.multiply(np.conj(c), a)
+        g_b, g_w = cascade([False], a, b, c, [9, 9])[0]
+        assert g_b.shape == g_w.shape == (2, 40)
+        assert np.array_equal(g_b, np.abs(_running_sums(terms_b)[[8, 8]]) ** 2)
+        assert np.array_equal(g_w, np.abs(_running_sums(terms_w)[[8, 8]]) ** 2)
+        for coherent in (False, True):
+            whole, prefix = cascade([coherent], a, b, c)[0], cascade([coherent], a, b, c, [9])[0]
+            assert np.array_equal(np.stack(whole), np.stack(prefix)[:, 0])
+
+    @pytest.mark.parametrize("trials", [1, 2, 40])
+    def test_shared_terms_give_each_phasing_alone(self, trials):
+        # Identity and coherent phases read one set of terms; each result
+        # equals a cascade of that phasing alone, and equal flags share one.
+        a, b, c = random_block(17, 7, trials)
+        alone = {coherent: cascade([coherent], a, b, c)[0] for coherent in (False, True)}
+        flags = [True, False, True, False]
+        for coherent, (g_b, g_w) in zip(flags, cascade(flags, a, b, c)):
+            assert np.array_equal(g_b, alone[coherent][0]) and np.array_equal(g_w, alone[coherent][1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_polar_equals_the_complex_division(self):
+        # conj(t) * (1 / |t|) is numpy's conj(t) / |t| but for the sign of a
+        # zero part; a zero term gets phase 1.
+        terms = np.concatenate(random_block(18, 6, 50)[:2])
+        terms[[0, 3, 7], [1, 4, 4]] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        terms[[1, 2], [2, 2]] = [2.5, -3.0j]  # on an axis
+        magnitude = np.abs(terms)
+        zero = magnitude == 0
+        expected = np.conj(terms) / np.where(zero, 1.0, magnitude)
+        expected[zero] = 1.0
+        phases = terms.copy()
+        assert np.array_equal(_polar(phases), magnitude)
+        assert np.array_equal(phases, expected)
 
     def test_global_phase_rotation_invariance(self):
         a, b, c = (v[[0, 2, 5]] for v in random_block(10, 6, 50))
         for coherent in (False, True):
-            for base, rotated in zip(cascade(coherent, a, b, c), cascade(coherent, np.exp(0.73j) * a, b, c)):
+            turned = cascade([coherent], np.exp(0.73j) * a, b, c)[0]
+            for base, rotated in zip(cascade([coherent], a, b, c)[0], turned):
                 assert rotated == pytest.approx(base, rel=1e-12)
 
 
@@ -269,7 +363,7 @@ class TestWillieGain:
     def test_zero_phases_reduce_to_static(self):
         # with identity phases the warden's gain is the receiver formula with c for b
         a, b, c = (v[[1, 3, 4, 7]] for v in random_block(12, 8, 20))
-        assert cascade(False, a, b, c)[1] == pytest.approx(cascade(False, a, c, c)[0], rel=1e-12)
+        assert cascade([False], a, b, c)[0][1] == pytest.approx(cascade([False], a, c, c)[0][0], rel=1e-12)
 
     def test_single_port_phase_invariant(self):
         a = col(1.5 - 0.5j)
@@ -277,13 +371,13 @@ class TestWillieGain:
         expected = abs(a[0, 0]) ** 2 * abs(c[0, 0]) ** 2
         for phase in (0.0, 1.0, -2.5):
             b = col(np.exp(1j * phase))
-            assert cascade(True, a, b, c)[1][0] == pytest.approx(expected, rel=1e-12)
+            assert cascade([True], a, b, c)[0][1][0] == pytest.approx(expected, rel=1e-12)
 
     def test_phase_length_mismatch(self):
         # the warden's rows must be the receiver's: one phase per selected port
         ones = np.ones((2, 1), dtype=complex)
         with pytest.raises(DomainError):
-            cascade(True, ones, ones, np.ones((3, 1), dtype=complex))
+            cascade([True], ones, ones, np.ones((3, 1), dtype=complex))
 
     def test_receiver_phases_leave_warden_mean_unchanged_when_uncorrelated(self):
         # spacing of five wavelengths: residual port correlation is tiny,
@@ -308,9 +402,9 @@ class TestDrawChannel:
     def test_best_product_dominates_fixed_per_draw(self, ref_corr, ref_geom):
         a, b, c = correlated_fading(psd_sqrt(ref_corr), np.random.default_rng(0), 20)
         rows = best_product_order(a, b)[:36]
-        best = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
+        best = cascade([True], *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0][0]
         preset = default_fixed_preset(ref_geom, 36)
-        fixed = cascade(True, a[preset], b[preset], c[preset])[0]
+        fixed = cascade([True], a[preset], b[preset], c[preset])[0][0]
         assert np.all(best >= fixed) and np.all(fixed >= 0.0)
 
     def test_gains_are_nonnegative_and_shared_selection(self, ref_geom):
@@ -318,7 +412,7 @@ class TestDrawChannel:
         a, b, c = first_block(ref_geom, 5, 50)
         rows = best_product_order(a, b)[:16]
         assert all(np.unique(rows[:, k]).size == 16 for k in range(50))
-        g_b, g_w = cascade(True, *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))
+        g_b, g_w = cascade([True], *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
         gains = simulate_group(MCConfig(trials=50, master_seed=5), ref_geom, [(Mode.FRIS, 16)])[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
@@ -390,10 +484,10 @@ class TestBobPhases:
         # toward a warden with the receiver's own channel, every aligned
         # term adds in phase: the warden's gain is the receiver's
         a, b, _ = (v[[0, 2, 3]] for v in random_block(31, 5, 30))
-        g_b, g_w = cascade(True, a, b, b)
+        g_b, g_w = cascade([True], a, b, b)[0]
         assert g_w == pytest.approx(g_b, rel=1e-12)
         assert g_b == pytest.approx(np.sum(np.abs(a) * np.abs(b), axis=0) ** 2, rel=1e-12)
 
     def test_static_phases_are_zero(self):
         a, b, c = random_block(32, 4, 10)
-        assert np.array_equal(cascade(False, a, b, c)[1], np.abs(np.sum(np.conj(c) * a, axis=0)) ** 2)
+        assert np.array_equal(cascade([False], a, b, c)[0][1], np.abs(np.sum(np.conj(c) * a, axis=0)) ** 2)

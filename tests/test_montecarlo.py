@@ -276,7 +276,7 @@ class TestGroups:
             a, b, c = correlated_tile(root, z, 0, count)
             ranked = [np.take_along_axis(v, best_product_order(a, b), axis=0) for v in (a, b, c)]
             for (_, m_o), gains in zip(group, samples):
-                g_b, g_w = cascade(True, *(v[:m_o] for v in ranked))
+                g_b, g_w = cascade([True], *(v[:m_o] for v in ranked))[0]
                 assert np.array_equal(gains.g_b[start : start + count], g_b), (m_o, block)
                 assert np.array_equal(gains.g_w[start : start + count], g_w), (m_o, block)
 

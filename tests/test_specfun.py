@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +47,21 @@ class TestBesselJ0:
         rng = np.random.default_rng(2024)
         for x in [11.999999, 12.0, 12.000001, 12.5, *rng.uniform(0.0, 200.0, size=300)]:
             assert bessel_j0(float(x)) == pytest.approx(oracle_bessel_j0(float(x)), abs=1e-14)
+
+    def test_memory_is_bounded_and_chunks_keep_the_bits(self):
+        # 200 arguments at 9e4 share 54,040 nodes: one array of every product
+        # would take 86 MB.  Chunks of rows hold one ~8 MB slice at a time,
+        # and each row sums on its own, so elementwise calls agree bit for bit.
+        x = np.full(200, 9e4)
+        x[::7] = -8.999e4
+        tracemalloc.start()
+        try:
+            values = bessel_j0(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert values.tolist() == [bessel_j0(float(v)) for v in x]
 
     def test_against_mpmath_up_to_the_range_limit(self):
         rng = np.random.default_rng(2025)
