@@ -24,6 +24,7 @@ import math
 import os
 import signal
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,10 +34,13 @@ from . import analytics, montecarlo
 from .analytics import GammaFit, ScenarioConfig, dbm_to_watt
 from .channel import Mode, ris_grid_geometry
 from .errors import ConfigError, DomainError, FriscovError
-from .montecarlo import GainSample, MCConfig, estimate_cop, estimate_op, estimate_success, ks_distance, simulate_group
+from .montecarlo import (MCConfig, count_events, estimate_cop, estimate_op, estimate_success, event_levels, ks_distance,
+                         simulate_group)
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset
 
 _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
+# Scenario fields read straight from their keys; the others are derived.
+_SCENARIO_KEYS = ("d_af", "d_fb", "d_fw", "alpha", "rho0", "r_b", "p0", "p1")
 _MODES = tuple(mode.value for mode in Mode)
 
 # key -> (parser, default); the default 0 for ris.m_hat means "match the
@@ -92,9 +96,18 @@ CSV_COLUMNS: tuple[str, ...] = (
 # million points already take gigabytes and over an hour.
 MAX_SWEEP_POINTS = 10**6
 
-# A run holds 16 bytes of gains per trial for each of its Monte Carlo
-# configs until it ends, so a billion trials already take 16 GB a config.
+# A run simulates about 200k trials a second per config on the reference
+# surface, and a pool of workers holds a future per block (about 1.6 KB), so
+# a billion trials take hours and, with workers, 390 MB of futures.
 MAX_TRIALS = 10**9
+
+# The KS gate of validate compares the first this many gains of each preset
+# with the closed form's law.
+KS_TRIALS = 100_000
+
+# correlation_matrix holds three n-by-n arrays of 8-byte entries at once for
+# a surface of n ports: 128 MiB each (384 MiB) at this limit, a 64x64 grid.
+MAX_PORTS = 4096
 
 # Each worker thread holds a block of normals (6.5 MB on the reference
 # surface) while it runs, and a pool starts up to this many threads.
@@ -167,7 +180,7 @@ def _parse_value(key: str, raw: str, lineno: int | None):
 def _read_pairs(path) -> dict[str, tuple[str, int]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     pairs: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -202,37 +215,29 @@ def load_config(path=None) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, S
     ``path=None`` (or an empty file) yields the reference scenario.
     Unknown keys produce a warning on stderr; malformed values and
     constraint violations raise :class:`ConfigError` with line/field
-    context.  ``mc.trials`` above ``MAX_TRIALS``, ``mc.workers`` above
-    ``MAX_WORKERS`` and ``sweep.points`` above ``MAX_SWEEP_POINTS`` are
-    rejected before anything is allocated for them.
+    context.  ``m_x * m_z`` above ``MAX_PORTS``, ``mc.trials`` above
+    ``MAX_TRIALS``, ``mc.workers`` above ``MAX_WORKERS`` and
+    ``sweep.points`` above ``MAX_SWEEP_POINTS`` are rejected before
+    anything is allocated for them.
     """
     return _from_resolved(_resolve(path))
 
 
 def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, SweepSpec]:
     try:
-        geom = SurfaceGeometry(
-            m_x=resolved["surface.m_x"],
-            m_z=resolved["surface.m_z"],
-            w_x=resolved["surface.w_x"],
-            w_z=resolved["surface.w_z"],
-            wavelength=resolved["surface.wavelength"],
-        )
+        geom = SurfaceGeometry(*(resolved[f"surface.{key}"] for key in ("m_x", "m_z", "w_x", "w_z", "wavelength")))
     except DomainError as exc:
         raise ConfigError(str(exc), field="surface") from exc
-    m_o = resolved["selection.m_o"]
+    if geom.num_elements > MAX_PORTS:
+        raise ConfigError(f"a surface holds at most {MAX_PORTS} ports, got m_x * m_z = {geom.num_elements}",
+                          field="surface")
+    m_o, m_hat = resolved["selection.m_o"], resolved["ris.m_hat"]
     if not 1 <= m_o <= geom.num_elements:
-        raise ConfigError(
-            f"selection.m_o = {m_o} must lie in [1, {geom.num_elements}] "
-            f"(the surface has m_x * m_z = {geom.num_elements} ports)",
-            field="selection.m_o",
-        )
-    m_hat = resolved["ris.m_hat"]
-    if m_hat < 0 or m_hat > geom.num_elements:
-        raise ConfigError(
-            f"ris.m_hat = {m_hat} must lie in [0, {geom.num_elements}] (0 follows selection.m_o)",
-            field="ris.m_hat",
-        )
+        raise ConfigError(f"selection.m_o = {m_o} must lie in [1, {geom.num_elements}] "
+                          f"(the surface has m_x * m_z = {geom.num_elements} ports)", field="selection.m_o")
+    if not 0 <= m_hat <= geom.num_elements:
+        raise ConfigError(f"ris.m_hat = {m_hat} must lie in [0, {geom.num_elements}] (0 follows selection.m_o)",
+                          field="ris.m_hat")
     watts = {}
     for key in ("scenario.sigma2_w_dbm", "scenario.sigma2_b_dbm", "scenario.p_a_dbm"):
         try:
@@ -242,20 +247,9 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
     sigma2_w = watts["scenario.sigma2_w_dbm"]
     try:
         scenario = ScenarioConfig(
-            d_af=resolved["scenario.d_af"],
-            d_fb=resolved["scenario.d_fb"],
-            d_fw=resolved["scenario.d_fw"],
-            alpha=resolved["scenario.alpha"],
-            rho0=resolved["scenario.rho0"],
-            r_b=resolved["scenario.r_b"],
-            sigma2_b=watts["scenario.sigma2_b_dbm"],
-            sigma2_w=sigma2_w,
-            p0=resolved["scenario.p0"],
-            p1=resolved["scenario.p1"],
-            mu_offset=resolved["scenario.mu_factor"] * sigma2_w,
-            p_a=watts["scenario.p_a_dbm"],
-            m_o=m_o,
-            m_hat=m_hat,
+            **{key: resolved[f"scenario.{key}"] for key in _SCENARIO_KEYS},
+            sigma2_b=watts["scenario.sigma2_b_dbm"], sigma2_w=sigma2_w, p_a=watts["scenario.p_a_dbm"],
+            mu_offset=resolved["scenario.mu_factor"] * sigma2_w, m_o=m_o, m_hat=m_hat,
         )
     except DomainError as exc:
         raise ConfigError(str(exc), field="scenario") from exc
@@ -264,19 +258,10 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
     if resolved["mc.workers"] > MAX_WORKERS:
         raise ConfigError(f"a run uses at most {MAX_WORKERS} workers, got {resolved['mc.workers']}", field="mc.workers")
     try:
-        mc = MCConfig(
-            trials=resolved["mc.trials"],
-            master_seed=resolved["mc.seed"],
-            workers=resolved["mc.workers"],
-        )
+        mc = MCConfig(*(resolved[f"mc.{key}"] for key in ("trials", "seed", "workers")))
     except DomainError as exc:
         raise ConfigError(str(exc), field="mc") from exc
-    spec = SweepSpec(
-        variable=resolved["sweep.variable"],
-        start=resolved["sweep.start"],
-        stop=resolved["sweep.stop"],
-        points=resolved["sweep.points"],
-    )
+    spec = SweepSpec(*(resolved[f"sweep.{key}"] for key in ("variable", "start", "stop", "points")))
     # Every swept variable is monotone on the grid, so its two ends bound
     # every point.
     for field, value in zip(("sweep.start", "sweep.stop"), spec.ends()):
@@ -333,44 +318,65 @@ def _gamma_fit(corr: np.ndarray, geom: SurfaceGeometry, m_o: int) -> GammaFit:
     return analytics.gamma_moment_match(corr[np.ix_(ports, ports)])
 
 
-def _sweep_points(
-    scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSpec, modes: tuple[Mode, ...]
-) -> list[tuple[float, ScenarioConfig, dict[Mode, tuple[tuple[Mode, int], SurfaceGeometry]]]]:
-    """Each sweep point's value, scenario and per-mode ``(selection, surface)``."""
+def _sweep_points(scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSpec, modes: tuple[Mode, ...]) -> list:
+    """Each sweep point's ``(value, scenario, detector threshold, {mode: (selection, surface)})``."""
     points = []
     for value in spec.values():
         cfg = _point_scenario(scenario, spec, value, geom.num_elements)
-        points.append((value, cfg, {mode: _mode_config(mode, geom, cfg) for mode in modes}))
+        points.append((value, cfg, analytics.optimal_threshold(cfg),
+                       {mode: _mode_config(mode, geom, cfg) for mode in modes}))
     return points
 
 
-def _simulate(mc: MCConfig, keys, progress: bool = False) -> dict[tuple[tuple[Mode, int], SurfaceGeometry], GainSample]:
-    """The gains of run ``mc`` for every ``(selection, surface)`` key, one :func:`simulate_group` per surface.
+def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> tuple[list[dict], list]:
+    """Event counts of run ``mc``: ``counts[i][key]`` for each ``(selection, surface)`` key of point ``i``.
 
-    So each block of a surface is drawn once for all of its selections.
+    One :func:`simulate_group` per surface; its workers add each block's
+    :func:`count_events`, at the levels of the points that read a selection,
+    to the group's integer totals, in any order.  ``tap = (surface,
+    selections, reduce)`` adds ``selections`` to the group on ``surface``
+    and hands its blocks to ``reduce(start, gains)`` too, ``gains`` keyed by
+    selection; its results come back second, in block order.
     """
-    groups: dict[SurfaceGeometry, dict[tuple[Mode, int], None]] = {}
-    for selection, surface in keys:
-        groups.setdefault(surface, {})[selection] = None
-    gains = {}
-    for number, (surface, selections) in enumerate(groups.items(), start=1):
-        for selection, sample in zip(selections, simulate_group(mc, surface, list(selections))):
-            gains[selection, surface] = sample
+    groups: dict[SurfaceGeometry, dict[tuple[Mode, int], list[int]]] = {}
+    if tap is not None:
+        groups[tap[0]] = {selection: [] for selection in tap[1]}
+    for i, (*_, configs) in enumerate(points):
+        for selection, surface in configs.values():
+            groups.setdefault(surface, {}).setdefault(selection, []).append(i)
+    counts: list[dict] = [{} for _ in points]
+    tapped, lock = [], threading.Lock()
+    for number, (surface, readers) in enumerate(groups.items(), start=1):
+        levels = [event_levels(points[i][1:3] for i in where) for where in readers.values()]
+        totals = [np.zeros((len(where), 3), dtype=np.int64) for where in readers.values()]
+        watch = tap[2] if tap is not None and surface == tap[0] else None
+
+        def reduce(start, gains):
+            cells = [count_events(g_b, g_w, level) for (g_b, g_w), level in zip(gains, levels)]
+            with lock:
+                for total, cell in zip(totals, cells):
+                    total += cell
+            return watch and watch(start, dict(zip(readers, gains)))
+
+        seen = simulate_group(mc, surface, list(readers), reduce)
+        tapped += seen if watch else []
+        for (selection, where), total in zip(readers.items(), totals):
+            for i, cell in zip(where, total.tolist()):
+                counts[i][selection, surface] = cell
         if progress:
-            print(f"[{number}/{len(groups)}] {len(selections)} Monte Carlo configs on the "
+            print(f"[{number}/{len(groups)}] {len(readers)} Monte Carlo configs on the "
                   f"{surface.m_x}x{surface.m_z} surface done", file=sys.stderr)
-    return gains
+    return counts, tapped
 
 
-def _sweep_rows(points, gains, corr: np.ndarray, geom: SurfaceGeometry) -> list[dict[str, float | None]]:
-    """One CSV row per point of :func:`_sweep_points`, from the gains of :func:`_simulate`.
+def _sweep_rows(points, counts, trials: int, corr: np.ndarray, geom: SurfaceGeometry) -> list[dict[str, float | None]]:
+    """One CSV row per point of :func:`_sweep_points`, from the counts of :func:`_simulate` over ``trials``.
 
     ``corr`` is ``correlation_matrix(geom)``.
     """
     rows: list[dict[str, float | None]] = []
-    for value, cfg, configs in points:
+    for (value, cfg, zeta, configs), cells in zip(points, counts):
         fit = _gamma_fit(corr, geom, cfg.m_o)
-        zeta = analytics.optimal_threshold(cfg)
         p_fa = analytics.fa_probability(cfg, zeta)
         p_md = analytics.md_probability(fit, cfg, zeta)
         row: dict[str, float | None] = {name: None for name in CSV_COLUMNS}
@@ -379,9 +385,9 @@ def _sweep_rows(points, gains, corr: np.ndarray, geom: SurfaceGeometry) -> list[
                    analytic_xi=analytics.error_probability_xi(cfg, p_fa, p_md),
                    analytic_psuc=analytics.success_probability(fit, cfg, zeta))
         for mode, key in configs.items():
-            sample = gains[key]
-            for metric, est in (("op", estimate_op(sample, cfg)), ("cop", estimate_cop(sample, cfg, zeta)),
-                                ("psuc", estimate_success(sample, cfg, zeta))):
+            cell = cells[key]
+            for metric, est in (("op", estimate_op(cell, trials)), ("cop", estimate_cop(cell, trials, cfg, zeta)),
+                                ("psuc", estimate_success(cell, trials, cfg, zeta))):
                 name = f"{mode.value}_{metric}"
                 row[name], row[f"{name}_lo"], row[f"{name}_hi"] = est.value, est.ci_low, est.ci_high
         rows.append(row)
@@ -403,18 +409,16 @@ def run_sweep(
     selections on one surface then run as one group of run ``mc``, so each
     block is drawn once for all of them (see
     :func:`montecarlo.simulate_group`).  The swept link parameters only
-    re-threshold those gains.  The sweep holds every selection's gains, 16
-    bytes per trial each, until it returns.
+    move the levels that each block's gains are counted against, in the
+    block's worker, so no gain outlives its block.
     """
     points = _sweep_points(scenario, geom, spec, modes)
-    gains = _simulate(mc, (key for *_, configs in points for key in configs.values()), progress)
-    return SweepResult(variable=spec.variable, rows=_sweep_rows(points, gains, correlation_matrix(geom), geom))
+    counts, _ = _simulate(mc, points, progress)
+    return SweepResult(spec.variable, _sweep_rows(points, counts, mc.trials, correlation_matrix(geom), geom))
 
 
 def _format_cell(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def emit_csv(result: SweepResult, path) -> None:
@@ -523,37 +527,41 @@ def emit_plot(result: SweepResult, path, log_y: bool = False) -> None:
         raise FriscovError(f"cannot write SVG to {path!r}: {exc}") from exc
 
 
-def _run_validate(
-    scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec
-) -> list[tuple[str, float, float, bool]]:
+def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig, spec: SweepSpec) -> list[tuple]:
     """Closed-form versus Monte Carlo oracle comparisons, one ``(label, measured, tolerance, passed)`` gate each.
 
     The gap gates read the closed-form and ``fixed`` cells of the sweep's
     rows, at each swept value.  The gates' own selections join the sweep's
     ``FIXED`` selections in one group on ``geom``, so each block is drawn
-    once.
+    once and leaves what the gates read: its counts, each preset's gain sum
+    and first ``KS_TRIALS`` gains, and the draws where the ranking dominates.
     """
     points = _sweep_points(scenario, geom, spec, (Mode.FIXED,))
-    fixed = {m_o: ((Mode.FIXED, m_o), geom) for m_o in (16, 36) if m_o <= geom.num_elements}
-    best, lattice = (((mode, scenario.m_o), geom) for mode in (Mode.FRIS, Mode.RIS))
-    gains = _simulate(mc, [*fixed.values(), best, lattice, *(configs[Mode.FIXED] for *_, configs in points)])
+    fixed = [(Mode.FIXED, m_o) for m_o in (16, 36) if m_o <= geom.num_elements]
+    best, lattice = (Mode.FRIS, scenario.m_o), (Mode.RIS, scenario.m_o)
+
+    def gate_sums(start, gains):
+        # Each preset's gain sum and the block's share of the KS gate's sample.
+        kept = [(float(np.sum(gains[key][0])), gains[key][0][: max(0, KS_TRIALS - start)].copy()) for key in fixed]
+        return kept, int(np.count_nonzero(gains[best][0] >= gains[lattice][0]))
+
+    counts, blocks = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], gate_sums))
 
     corr = correlation_matrix(geom)
     gates = []
-    for m_o, key in fixed.items():
+    for j, (_, m_o) in enumerate(fixed):
         fit = _gamma_fit(corr, geom, m_o)
-        g_b = gains[key].g_b
-        rel = abs(float(np.mean(g_b)) - fit.mean) / fit.mean
+        rel = abs(sum(kept[j][0] for kept, _ in blocks) / mc.trials - fit.mean) / fit.mean
         gates.append((f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02))
-        ks = ks_distance(g_b[:100_000], fit)
+        ks = ks_distance(np.concatenate([kept[j][1] for kept, _ in blocks]), fit)
         gates.append((f"KS distance to compound Gamma-exponential law (m_o={m_o})", ks, 0.05, ks <= 0.05))
 
-    rows = _sweep_rows(points, gains, corr, geom)
+    rows = _sweep_rows(points, counts, mc.trials, corr, geom)
     for metric, event in (("op", "outage"), ("cop", "covertness outage"), ("psuc", "success")):
         gap = max(abs(row[f"analytic_{metric}"] - row[f"fixed_{metric}"]) for row in rows)
         gates.append((f"max |analytic - empirical| {event} over sweep", gap, 0.02, gap <= 0.02))
 
-    dominance = float(np.mean(gains[best].g_b >= gains[lattice].g_b))
+    dominance = sum(dominated for _, dominated in blocks) / mc.trials
     gates.append(("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0))
     return gates
 

@@ -15,11 +15,11 @@ the master seed, the block index and the block's size -- never on the
 worker pool.  The layout's strides hold the block's size, so runs at one
 seed share every full block but not the gains of a partial last block:
 the first 4096 trials of 4500 and of 9000 trials are the same, trial
-4096 is not.  Each block writes its own slice of the results, so
-identical ``(master_seed, trials, configs)`` produce bit-identical
-estimates regardless of worker count, at one BLAS thread count: the
-gains of a partial block can move in their last bits between one and
-two OpenBLAS threads.  Blocks are dispatched to a
+4096 is not.  Each block is reduced on its own and the results come
+back in block order, so identical ``(master_seed, trials, configs)``
+produce bit-identical estimates regardless of worker count, at one BLAS
+thread count: the gains of a partial block can move in their last bits
+between one and two OpenBLAS threads.  Blocks are dispatched to a
 thread pool; the heavy lifting is BLAS matrix multiplication, which
 releases the GIL.
 
@@ -38,8 +38,9 @@ A group is one run (:class:`MCConfig`) on one surface and a list of
 and correlated once for the whole group, and each selection takes the
 ports and phases of its :class:`~friscov.channel.Mode` from it.  A
 selection's gains are the same whatever else is in its group.  Nothing
-is cached: the caller keeps the returned :class:`GainSample` and passes
-it to the estimators.
+is cached and no gain outlives its block: the caller's reducer turns
+each block's gains into what it keeps, typically the event counts of
+:func:`count_events`, which the estimators read.
 
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
@@ -49,7 +50,7 @@ probabilities live).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,9 @@ BLOCK_TRIALS = 4096
 # Trials per tile of a block's kernel; bounds its working set.  Not part of
 # the reproducibility contract (see the module docstring).
 TILE_TRIALS = 512
+
+# Levels compared at once by count_events: 64 boolean rows of 4096 trials.
+_LEVEL_ROWS = 64
 
 # Two-sided 95% normal quantile used by the Wilson interval.
 _WILSON_Z = 1.959963984540054
@@ -125,18 +129,6 @@ class EstimateWithCI:
             )
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """Per-trial cascaded gains toward the receiver and the warden."""
-
-    g_b: np.ndarray
-    g_w: np.ndarray
-
-    @property
-    def trials(self) -> int:
-        return int(self.g_b.size)
-
-
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
@@ -153,29 +145,23 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _block_gains(
-    factor: np.ndarray,
-    members: list[tuple[np.ndarray | slice | None, list[tuple[int, Mode, int]]]],
-    master_seed: int,
-    block_index: int,
-    count: int,
-    outputs: list[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Write the gains of the ``count`` trials of block ``block_index`` into ``outputs``.
+def _block_gains(factor: np.ndarray, members: list, master_seed: int, block_index: int, count: int) -> list:
+    """The gains of the ``count`` trials of block ``block_index``, one ``(g_b, g_w)`` per selection.
 
-    The block's normals are drawn at once; the rest runs one tile at a
-    time.  The last tile absorbs the remainder because OpenBLAS computes
-    the last columns of a product with kernels chosen by its width: a
-    short tail tile moved the last bits of gains on the reference surface.
-    The block's own last columns still move on some small surfaces.
+    ``members`` is :func:`_group_members` of the selections.  The block's
+    normals are drawn at once; the rest runs one tile at a time.  The last
+    tile absorbs the remainder because OpenBLAS computes the last columns
+    of a product with kernels chosen by its width: a short tail tile moved
+    the last bits of gains on the reference surface.  The block's own last
+    columns still move on some small surfaces.
     """
-    start = block_index * BLOCK_TRIALS
     rng = np.random.default_rng(mix64(master_seed, block_index))
     z = block_normals(rng, factor.shape[1], count)
+    outputs = [(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
     edges = [k * TILE_TRIALS for k in range(max(1, count // TILE_TRIALS))] + [count]
     for lo, hi in zip(edges, edges[1:]):
         abc = correlated_tile(factor, z, lo, hi)
-        n, span = hi - lo, slice(start + lo, start + hi)
+        n = hi - lo
         for rows, readers in members:
             if rows is None:
                 # One ranking and one running sum serve every fluid m_o of the group.
@@ -193,15 +179,14 @@ def _block_gains(
                 selected = abc[:, rows]
                 gains = cascade([mode is not Mode.FIXED for _, mode, _ in readers], *selected)
             for (j, *_), (g_b, g_w) in zip(readers, gains):
-                outputs[j][0][span] = g_b
-                outputs[j][1][span] = g_w
+                outputs[j][0][lo:hi] = g_b
+                outputs[j][1][lo:hi] = g_w
             del selected, gains
         del abc
+    return outputs
 
 
-def _group_members(
-    selections: list[tuple[Mode, int]], geom: SurfaceGeometry
-) -> list[tuple[np.ndarray | slice | None, list[tuple[int, Mode, int]]]]:
+def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) -> list[tuple[object, list]]:
     """The port rows the group reads, each with the ``(position, mode, m_o)`` of the selections that read them.
 
     ``None`` stands for the best ports of each draw, read by every fluid
@@ -227,56 +212,72 @@ def _group_members(
     return members
 
 
-def simulate_group(mc: MCConfig, geom: SurfaceGeometry, selections: Sequence[tuple[Mode, int]]) -> list[GainSample]:
-    """Per-trial cascaded gains of run ``mc`` on ``geom``, one per ``(mode, m_o)`` selection.
+def simulate_group(
+    mc: MCConfig, geom: SurfaceGeometry, selections: Sequence[tuple[Mode, int]], reduce: Callable
+) -> list:
+    """``reduce(start, gains)`` of each block of run ``mc`` on ``geom``, in block order.
 
-    ``m_o`` is the number of active ports per draw: the best ``m_o`` of
-    each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
-    ports (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
-    ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
-    ``int`` in ``[1, geom.num_elements]``.  Each block is drawn once, and
-    each of its tiles is correlated over every port once.  The fluid
-    selections share one ranking of a tile's top ``max(m_o)`` ports and
-    one cascade of those rows, each reading its own prefix length; each
-    preset's rows are gathered, and their cascade terms formed, once per
-    tile for every selection that reads them (``FIXED`` sums the terms,
-    then ``RIS`` phases them in place).  So the group costs one RNG pass
-    per block and one correlating product and one ranking per tile, and a
-    selection's gains depend neither on the other selections in its group
-    nor on ``mc.workers``.  The gains of a block depend on the master
-    seed, the block index and the block's size, so runs at one seed agree
-    on every full block (see the module docstring).
+    ``start`` is the block's first trial and ``gains`` its per-trial
+    cascaded gains, one ``(g_b, g_w)`` pair per ``(mode, m_o)`` selection;
+    ``reduce`` runs in the block's worker and the gains are dropped with
+    the block.  ``m_o`` is the number of active ports per draw: the best
+    ``m_o`` of each draw for ``Mode.FRIS``, the surface's default preset of
+    ``m_o`` ports (:func:`~friscov.surface.default_fixed_preset`)
+    otherwise; each ``mode`` must be a :class:`~friscov.channel.Mode` and
+    each ``m_o`` an ``int`` in ``[1, geom.num_elements]``.  Each block is
+    drawn once, and each of its tiles is correlated over every port once.
+    The fluid selections share one ranking of a tile's top ``max(m_o)``
+    ports and one cascade of those rows, each reading its own prefix
+    length; each preset's rows are gathered, and their cascade terms
+    formed, once per tile for every selection that reads them (``FIXED``
+    sums the terms, then ``RIS`` phases them in place).  So the group costs
+    one RNG pass per block and one correlating product and one ranking per
+    tile, and a selection's gains depend neither on the other selections in
+    its group nor on ``mc.workers``.  The gains of a block depend on the
+    master seed, the block index and the block's size, so runs at one seed
+    agree on every full block (see the module docstring).
     """
     selections = list(selections)
     if not selections:
         return []
     members = _group_members(selections, geom)
     factor = psd_sqrt(correlation_matrix(geom))
-
     n_blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    outputs = [(np.empty(mc.trials), np.empty(mc.trials)) for _ in selections]
 
-    def run(block_index: int) -> None:
-        count = min(BLOCK_TRIALS, mc.trials - block_index * BLOCK_TRIALS)
-        _block_gains(factor, members, mc.master_seed, block_index, count, outputs)
+    def run(block_index: int):
+        start = block_index * BLOCK_TRIALS
+        count = min(BLOCK_TRIALS, mc.trials - start)
+        return reduce(start, _block_gains(factor, members, mc.master_seed, block_index, count))
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
     if mc.workers == 1 or n_blocks == 1:
-        for k in range(n_blocks):
-            run(k)
-    else:
-        # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
-        from concurrent.futures import ThreadPoolExecutor
+        return [run(k) for k in range(n_blocks)]
+    # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            list(pool.map(run, range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+        return list(pool.map(run, range(n_blocks)))
 
-    samples = []
-    for g_b, g_w in outputs:
-        g_b.flags.writeable = False
-        g_w.flags.writeable = False
-        samples.append(GainSample(g_b=g_b, g_w=g_w))
-    return samples
+
+def event_levels(points: Iterable[tuple[ScenarioConfig, float]]) -> np.ndarray:
+    """Each ``(cfg, zeta)``'s :func:`~friscov.analytics.outage_level` and :func:`~friscov.analytics.missed_level`."""
+    return np.array([(outage_level(cfg), missed_level(cfg, zeta)) for cfg, zeta in points]).reshape(-1, 2)
+
+
+def count_events(g_b: np.ndarray, g_w: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Outages, detections and draws decoded while missed, at each row ``(x_b, eta)`` of ``levels``.
+
+    Returns ``(len(levels), 3)`` counts of ``g_b < x_b``, ``g_w >= eta``
+    and neither (the gains are finite), comparing ``_LEVEL_ROWS`` levels at
+    a time.  ``levels`` comes from :func:`event_levels`.
+    """
+    counts = np.empty((len(levels), 3), dtype=np.int64)
+    for lo in range(0, len(levels), _LEVEL_ROWS):
+        x_b, eta = levels[lo : lo + _LEVEL_ROWS, :, None].swapaxes(0, 1)
+        outage, detected = g_b < x_b, g_w >= eta
+        for k, event in enumerate((outage, detected, ~(outage | detected))):
+            counts[lo : lo + len(x_b), k] = np.count_nonzero(event, axis=1)
+    return counts
 
 
 def _affine_estimate(offset: float, scale: float, successes: int, trials: int) -> EstimateWithCI:
@@ -290,43 +291,34 @@ def _affine_estimate(offset: float, scale: float, successes: int, trials: int) -
     )
 
 
-def estimate_op(gains: GainSample, cfg: ScenarioConfig) -> EstimateWithCI:
-    """Empirical outage probability: the receiver's gain below :func:`~friscov.analytics.outage_level`."""
-    outage = int(np.count_nonzero(gains.g_b < outage_level(cfg)))
-    return _affine_estimate(0.0, 1.0, outage, gains.trials)
+def estimate_op(counts: Sequence[int], trials: int) -> EstimateWithCI:
+    """Empirical outage probability from the :func:`count_events` ``counts`` of ``trials`` draws."""
+    return _affine_estimate(0.0, 1.0, int(counts[0]), trials)
 
 
-def estimate_cop(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
-    """Empirical covertness outage probability at threshold ``zeta``.
+def estimate_cop(counts: Sequence[int], trials: int, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
+    """Empirical covertness outage probability at threshold ``zeta``, from :func:`count_events` ``counts``.
 
     Scores correct warden decisions: under silence the false alarm is
     the deterministic :func:`~friscov.analytics.fa_probability`; under
-    transmission the per-draw detections, the warden's gain at or above
-    :func:`~friscov.analytics.missed_level`, are averaged.
+    transmission the per-draw detections are averaged.
     """
-    detected = int(np.count_nonzero(gains.g_w >= missed_level(cfg, zeta)))
-    return _affine_estimate(cfg.p0 * (1.0 - fa_probability(cfg, zeta)), cfg.p1, detected, gains.trials)
+    return _affine_estimate(cfg.p0 * (1.0 - fa_probability(cfg, zeta)), cfg.p1, int(counts[1]), trials)
 
 
-def estimate_success(gains: GainSample, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
-    """Empirical success probability at threshold ``zeta``.
+def estimate_success(counts: Sequence[int], trials: int, cfg: ScenarioConfig, zeta: float) -> EstimateWithCI:
+    """Empirical success probability at threshold ``zeta``, from :func:`count_events` ``counts``.
 
     Per-draw joint score: (no outage) * (p0 * false-alarm + p1 *
     missed-detection), with both gains taken from the same draw -- no
     independence between the decode and detection events is assumed.
-    Outage and missed detection are the gains below
-    :func:`~friscov.analytics.outage_level` and
-    :func:`~friscov.analytics.missed_level`; the false alarm is
-    :func:`~friscov.analytics.fa_probability`.
     """
-    decoded = gains.g_b >= outage_level(cfg)
     p_fa = fa_probability(cfg, zeta)
     if p_fa:
         # The false alarm is 0 or 1; at 1 the missed level is 0, so the warden
         # misses no transmission and only the false-alarm term survives.
-        return _affine_estimate(0.0, cfg.p0 * p_fa, int(np.count_nonzero(decoded)), gains.trials)
-    joint = int(np.count_nonzero(decoded & (gains.g_w < missed_level(cfg, zeta))))
-    return _affine_estimate(0.0, cfg.p1, joint, gains.trials)
+        return _affine_estimate(0.0, cfg.p0 * p_fa, trials - int(counts[0]), trials)
+    return _affine_estimate(0.0, cfg.p1, int(counts[2]), trials)
 
 
 def ks_distance(samples, fit: GammaFit) -> float:

@@ -14,11 +14,11 @@ from friscov import (
     correlation_matrix,
     default_fixed_preset,
     psd_sqrt,
-    simulate_group,
 )
 from friscov.channel import _polar, _running_sums, best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
 from friscov.cli import _mode_config
 from friscov.montecarlo import mix64
+from gains import whole_gains
 
 # Six ports, small enough to check a config's rows by hand.
 SMALL = SurfaceGeometry(3, 2, 1.0, 1.0, 0.125)
@@ -134,12 +134,12 @@ class TestSelectPorts:
 
     def test_m_o_out_of_range(self):
         with pytest.raises(DomainError):
-            simulate_group(MCConfig(trials=10, master_seed=1), SMALL, [(Mode.FRIS, 7)])
+            whole_gains(MCConfig(trials=10, master_seed=1), SMALL, [(Mode.FRIS, 7)])
 
     def test_ris_full_requires_all(self):
         # a RIS of every port reads every row, in order
         g_b, g_w = cascade([True], *first_block(SMALL, 6, 50))[0]
-        gains = simulate_group(MCConfig(trials=50, master_seed=6), SMALL, [(Mode.RIS, 6)])[0]
+        gains = whole_gains(MCConfig(trials=50, master_seed=6), SMALL, [(Mode.RIS, 6)])[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
 
@@ -386,7 +386,7 @@ class TestWillieGain:
         # both modes read all 8 ports, the default preset of 8
         geom = SurfaceGeometry(8, 1, 40.0, 1.0, 0.125)
         mc = MCConfig(trials=200_000, master_seed=3)
-        coherent, static = simulate_group(mc, geom, [(Mode.RIS, 8), (Mode.FIXED, 8)])
+        coherent, static = whole_gains(mc, geom, [(Mode.RIS, 8), (Mode.FIXED, 8)])
         ratio = coherent.g_w.mean() / static.g_w.mean()
         assert abs(ratio - 1.0) <= 0.05
 
@@ -413,7 +413,7 @@ class TestDrawChannel:
         rows = best_product_order(a, b)[:16]
         assert all(np.unique(rows[:, k]).size == 16 for k in range(50))
         g_b, g_w = cascade([True], *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0]
-        gains = simulate_group(MCConfig(trials=50, master_seed=5), ref_geom, [(Mode.FRIS, 16)])[0]
+        gains = whole_gains(MCConfig(trials=50, master_seed=5), ref_geom, [(Mode.FRIS, 16)])[0]
         assert np.array_equal(gains.g_b, g_b)
         assert np.array_equal(gains.g_w, g_w)
         assert np.all(gains.g_b >= 0.0) and np.all(gains.g_w >= 0.0)
@@ -423,7 +423,7 @@ class TestDrawChannel:
         ports = default_fixed_preset(ref_geom, 36)
         active = ref_corr[np.ix_(ports, ports)]
         expected = float(np.trace(active @ active))
-        gains = simulate_group(MCConfig(trials=200_000, master_seed=8), ref_geom, [(Mode.FIXED, 36)])[0]
+        gains = whole_gains(MCConfig(trials=200_000, master_seed=8), ref_geom, [(Mode.FIXED, 36)])[0]
         assert abs(gains.g_b.mean() - expected) / expected <= 0.025
 
 
@@ -437,7 +437,7 @@ class TestRisBaseline:
         grid = ris_grid_geometry(ref_geom, 1)
         a, b, _ = first_block(grid, 1, 100)
         expected = np.abs(a[0]) ** 2 * np.abs(b[0]) ** 2
-        gains = simulate_group(MCConfig(trials=100, master_seed=1), grid, [(Mode.RIS, 1)])[0]
+        gains = whole_gains(MCConfig(trials=100, master_seed=1), grid, [(Mode.RIS, 1)])[0]
         assert gains.g_b == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("m_x, m_z, m_hat, paired", [
@@ -465,16 +465,16 @@ class TestRisBaseline:
         # a baseline grid has no more elements than the surface it runs on
         mc = MCConfig(trials=10, master_seed=1)
         with pytest.raises(DomainError):
-            simulate_group(mc, ref_geom, [(Mode.RIS, 145)])
+            whole_gains(mc, ref_geom, [(Mode.RIS, 145)])
         with pytest.raises(DomainError):
-            simulate_group(mc, ris_grid_geometry(ref_geom, 16), [(Mode.RIS, 20)])
+            whole_gains(mc, ris_grid_geometry(ref_geom, 16), [(Mode.RIS, 20)])
 
     def test_fluid_selection_beats_baseline_mean(self, ref_geom):
         # paired draws: same fading, best-product selection vs the
         # 36-element sublattice (== baseline grid) with coherent phases
         mc = MCConfig(trials=20_000, master_seed=21)
-        best = simulate_group(mc, ref_geom, [(Mode.FRIS, 36)])[0]
-        lattice = simulate_group(mc, ref_geom, [(Mode.RIS, 36)])[0]
+        best = whole_gains(mc, ref_geom, [(Mode.FRIS, 36)])[0]
+        lattice = whole_gains(mc, ref_geom, [(Mode.RIS, 36)])[0]
         assert np.all(best.g_b >= lattice.g_b)
         assert best.g_b.mean() >= lattice.g_b.mean()
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from friscov import (
     ConfigError,
@@ -27,10 +29,12 @@ from friscov import (
 from friscov import cli
 from friscov.cli import (
     CSV_COLUMNS,
+    MAX_PORTS,
     MAX_SWEEP_POINTS,
     MAX_TRIALS,
     MAX_WORKERS,
     SweepSpec,
+    _mode_config,
     _run_validate,
     emit_csv,
     emit_plot,
@@ -38,6 +42,8 @@ from friscov.cli import (
     main,
     run_sweep,
 )
+from friscov.montecarlo import count_events, event_levels
+from gains import whole_gains
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -179,13 +185,15 @@ class TestRunSweep:
         scenario, geom, mc, spec, result = small_run
         ports = default_fixed_preset(geom, scenario.m_o)
         corr_fit = gamma_moment_match(correlation_matrix(geom)[np.ix_(ports, ports)])
-        gains = simulate_group(mc, geom, [(Mode.FIXED, scenario.m_o)])[0]
+        # The counts of the whole run's gains: the sweep's sum of per-block counts.
+        [gains] = whole_gains(mc, geom, [(Mode.FIXED, scenario.m_o)])
         for row, value in zip(result.rows, spec.values()):
             cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(value))
             assert row["swept_value"] == value
             assert row["zeta"] == optimal_threshold(cfg)
             assert row["analytic_op"] == outage_probability(corr_fit, cfg)
-            assert row["fixed_op"] == estimate_op(gains, cfg).value
+            cell = count_events(*gains, event_levels([(cfg, row["zeta"])]))[0].tolist()
+            assert row["fixed_op"] == estimate_op(cell, mc.trials).value
 
     def test_probability_cells_in_unit_interval(self, small_run):
         *_, result = small_run
@@ -194,6 +202,20 @@ class TestRunSweep:
                 if name in ("swept_value", "zeta") or value is None:
                     continue
                 assert 0.0 <= value <= 1.0
+
+    def test_common_random_numbers_order_the_counts(self):
+        # Every power re-thresholds the same draws, and the fluid surface's
+        # best ports beat the paired sublattice on each draw, so these hold
+        # exactly, not only within sampling error.
+        scenario, geom, mc, spec = load_config(None)
+        assert _mode_config(Mode.RIS, geom, scenario)[1] == geom
+        rows = run_sweep(scenario, geom, dataclasses.replace(mc, trials=3_000), spec).rows
+        for mode in ("fris", "fixed", "ris"):
+            ops = [row[f"{mode}_op"] for row in rows]
+            assert all(b <= a for a, b in zip(ops, ops[1:])), mode
+        assert all(row["fris_op"] <= row["ris_op"] for row in rows)
+        for row in rows:
+            assert all(0.0 <= value <= 1.0 for name, value in row.items() if name not in ("swept_value", "zeta"))
 
     def test_disabled_modes_leave_empty_cells(self):
         scenario, geom, mc, _ = load_config(None)
@@ -346,10 +368,11 @@ class TestMain:
         ("sweep.points = 1000000000000\n", "sweep.points"),
         ("mc.trials = 1000000000000\n", "mc.trials"),
         ("surface.w_x = 20000\n", "surface"),
+        ("surface.m_x = 100000\nsurface.m_z = 100000\n", "surface"),
     ], ids=["m_o-start", "m_o-stop", "p_a_dbm-inf", "mu_factor-negative", "p_a_dbm-overflow", "scenario-overflow",
             "alpha-underflow", "d_fw-underflow", "rho0-underflow", "p_a_dbm-underflow", "d_af-overflow",
             "detection-threshold-overflow", "prior-sum-above-one", "prior-sum-above-one-high-power",
-            "points-beyond-bound", "trials-beyond-bound", "aperture-beyond-bound"])
+            "points-beyond-bound", "trials-beyond-bound", "aperture-beyond-bound", "ports-beyond-bound"])
     def test_out_of_domain_sweep_is_a_config_error(self, tmp_path, capsys, config, field):
         cfg = write_config(tmp_path, config)
         with pytest.raises(ConfigError, match=field):
@@ -375,6 +398,20 @@ class TestMain:
     def test_bad_run_flag_is_a_config_error(self, capsys, flag, value):
         assert main(["validate", flag, value]) == 2
         assert capsys.readouterr().err.startswith("config error: field 'mc'")
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfemc.seed = 2\n")
+        assert main(["show-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file") and "utf-8" in err and err.count("\n") == 1
+
+    def test_ports_at_their_bound_are_accepted(self, tmp_path, capsys):
+        for m_x, code in ((MAX_PORTS, 0), (MAX_PORTS + 1, 2)):
+            assert main(["show-config", "--config", str(write_config(tmp_path, f"surface.m_x = {m_x}\n"
+                                                                                 "surface.m_z = 1\n"))]) == code
+        assert capsys.readouterr().err == (f"config error: field 'surface': a surface holds at most {MAX_PORTS} "
+                                           f"ports, got m_x * m_z = {MAX_PORTS + 1}\n")
 
     def test_sizes_at_their_bounds_are_accepted(self, tmp_path, capsys):
         # show-config builds neither the grid nor the gains.
@@ -422,6 +459,31 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "scenario.p0 = 0.9\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    def test_counts_add_up_under_contended_workers(self, monkeypatch):
+        # Eight threads on fewer cores, switching every microsecond, each add a
+        # block's counts at 1,000 levels to the shared totals; numpy adds arrays
+        # that large without holding the interpreter lock, so a lost update
+        # would leave a total short.  Blocks of 8 zero gains keep the adds a
+        # large share of the work: each is 8 outages and nothing else.
+        from concurrent.futures import ThreadPoolExecutor
+
+        def racing_group(mc, geom, selections, reduce):
+            gains = [(np.zeros(8), np.zeros(8)) for _ in selections]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                return list(pool.map(lambda k: reduce(8 * k, gains), range(mc.trials // 8)))
+
+        monkeypatch.setattr(cli, "simulate_group", racing_group)
+        scenario, geom, mc, _ = load_config(None)
+        cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(-45.0))
+        points = [(0.0, cfg, optimal_threshold(cfg), {Mode.FIXED: ((Mode.FIXED, 36), geom)})] * 1_000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts, _ = cli._simulate(dataclasses.replace(mc, trials=8 * 400), points)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(cells == {((Mode.FIXED, 36), geom): [8 * 400, 0, 0]} for cells in counts)
 
     def test_worker_count_does_not_change_csv_bytes(self, tmp_path):
         # 9,000 trials: two full blocks and a partial one, so three workers
@@ -512,9 +574,9 @@ class TestMain:
     def test_validate_draws_each_block_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(mc, geom, selections):
+        def counting(mc, geom, selections, reduce):
             calls.append((mc, geom, list(selections)))
-            return simulate_group(mc, geom, selections)
+            return simulate_group(mc, geom, selections, reduce)
 
         monkeypatch.setattr(cli, "simulate_group", counting)
         main(["validate", "--trials", "1000"])
@@ -523,3 +585,25 @@ class TestMain:
         assert run == dataclasses.replace(mc, trials=1000)
         assert surface == geom and len(set(selections)) == len(selections)
         assert set(selections) == {(Mode.FIXED, 16), (Mode.FIXED, 36), (Mode.FRIS, 36), (Mode.RIS, 36)}
+
+
+# Lines of ``key = value`` text: schema keys and others, with values that
+# are numbers, sweep variables or any text.
+_CONFIG_LINES = st.lists(st.tuples(
+    st.one_of(st.sampled_from(list(cli._SCHEMA)), st.text(max_size=12)),
+    st.one_of(st.integers().map(str), st.floats().map(repr), st.sampled_from(["p_a_dbm", "m_o", "mu_factor"]),
+              st.text(max_size=12)),
+).map(" = ".join), max_size=6).map("\n".join)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(st.binary(max_size=80), _CONFIG_LINES.map(lambda text: text.encode("utf-8", "surrogatepass"))))
+    def test_show_config_exits_0_or_2_without_a_traceback(self, tmp_path, capsys, data):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(data)
+        code = main(["show-config", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert err.splitlines()[-1].startswith("config error:")

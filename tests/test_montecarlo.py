@@ -32,26 +32,32 @@ from friscov import (
 from friscov import montecarlo
 from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, block_normals, cascade, correlated_tile
-from friscov.montecarlo import BLOCK_TRIALS, GainSample, mix64, wilson_interval
+from friscov.montecarlo import BLOCK_TRIALS, count_events, event_levels, mix64, wilson_interval
+from gains import Gains, whole_gains
 
 
-def fixed_static(geom, trials=20_000, seed=1, m_o=36, workers=1) -> GainSample:
+def fixed_static(geom, trials=20_000, seed=1, m_o=36, workers=1) -> Gains:
     """The gains of the default preset of ``m_o`` ports on ``geom``."""
-    return simulate_group(MCConfig(trials=trials, master_seed=seed, workers=workers), geom, [(Mode.FIXED, m_o)])[0]
+    return whole_gains(MCConfig(trials=trials, master_seed=seed, workers=workers), geom, [(Mode.FIXED, m_o)])[0]
+
+
+def counted(gains: Gains, cfg: ScenarioConfig, zeta: float = 0.0) -> tuple[list[int], int]:
+    """The event counts of ``gains`` at the levels of ``cfg`` and threshold ``zeta``, and their trials."""
+    return count_events(*gains, event_levels([(cfg, zeta)]))[0].tolist(), gains.g_b.size
 
 
 @pytest.fixture(scope="module")
-def gains_5k(ref_geom) -> GainSample:
+def gains_5k(ref_geom) -> Gains:
     return fixed_static(ref_geom, trials=5_000)
 
 
 @pytest.fixture(scope="module")
-def gains_20k(ref_geom) -> GainSample:
+def gains_20k(ref_geom) -> Gains:
     return fixed_static(ref_geom, trials=20_000)
 
 
 @pytest.fixture(scope="module")
-def gains_200k(ref_geom) -> GainSample:
+def gains_200k(ref_geom) -> Gains:
     return fixed_static(ref_geom, trials=200_000)
 
 
@@ -88,10 +94,12 @@ class TestSubstreams:
         assert np.array_equal(short.g_w[:BLOCK_TRIALS], long.g_w[:BLOCK_TRIALS])
         assert short.g_b[BLOCK_TRIALS] != long.g_b[BLOCK_TRIALS]
 
-    def test_results_are_read_only(self, ref_geom):
-        gains = fixed_static(ref_geom, trials=5_000)
-        with pytest.raises(ValueError):
-            gains.g_b[0] = 0.0
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_block_is_reduced_once_in_block_order(self, ref_geom, workers):
+        mc = MCConfig(trials=3 * BLOCK_TRIALS + 7, master_seed=1, workers=workers)
+        blocks = simulate_group(mc, ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)],
+                                lambda start, gains: (start, [g_b.size for g_b, g_w in gains]))
+        assert blocks == [(k * BLOCK_TRIALS, [n, n]) for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
 
 
 class TestMCConfigValidation:
@@ -105,7 +113,7 @@ class TestMCConfigValidation:
         fields = {**dict(trials=10, master_seed=1, workers=1, mode=Mode.FIXED, m_o=36), **kwargs}
         with pytest.raises(DomainError):
             mc = MCConfig(trials=fields["trials"], master_seed=fields["master_seed"], workers=fields["workers"])
-            simulate_group(mc, ref_geom, [(fields["mode"], fields["m_o"])])
+            whole_gains(mc, ref_geom, [(fields["mode"], fields["m_o"])])
 
     def test_m_o_exceeding_ports(self, ref_geom):
         with pytest.raises(DomainError):
@@ -132,12 +140,12 @@ class TestWilson:
 class TestEstimators:
     def test_op_zero_rate_is_exactly_zero(self, gains_5k):
         cfg = dataclasses.replace(ScenarioConfig(), r_b=0.0)
-        est = estimate_op(gains_5k, cfg)
+        est = estimate_op(*counted(gains_5k, cfg))
         assert est.value == 0.0
 
     def test_op_saturates_at_high_power(self, gains_5k):
         cfg = dataclasses.replace(ScenarioConfig(), p_a=1e3)
-        est = estimate_op(gains_5k, cfg)
+        est = estimate_op(*counted(gains_5k, cfg))
         assert est.value == 0.0
 
     def test_op_matches_analytic_at_reference_point(self, ref_geom, ref_corr, gains_200k):
@@ -145,17 +153,17 @@ class TestEstimators:
         cfg = ScenarioConfig()
         ports = default_fixed_preset(ref_geom, 36)
         fit = gamma_moment_match(ref_corr[np.ix_(ports, ports)])
-        est = estimate_op(gains_200k, cfg)
+        est = estimate_op(*counted(gains_200k, cfg))
         assert abs(est.value - outage_probability(fit, cfg)) <= 0.02
 
     def test_cop_below_noise_floor_is_exactly_p1(self, gains_5k):
         cfg = ScenarioConfig()
-        est = estimate_cop(gains_5k, cfg, cfg.sigma2_w)
+        est = estimate_cop(*counted(gains_5k, cfg, cfg.sigma2_w), cfg, cfg.sigma2_w)
         assert est.value == cfg.p1
 
     def test_cop_at_huge_threshold_is_exactly_p0(self, gains_5k):
         cfg = ScenarioConfig()
-        est = estimate_cop(gains_5k, cfg, 1.0)
+        est = estimate_cop(*counted(gains_5k, cfg, 1.0), cfg, 1.0)
         assert est.value == cfg.p0
 
     def test_cop_matches_analytic_at_reference_point(self, ref_geom, ref_corr, gains_200k):
@@ -166,14 +174,14 @@ class TestEstimators:
         ports = default_fixed_preset(ref_geom, 36)
         fit = gamma_moment_match(ref_corr[np.ix_(ports, ports)])
         analytic = cop(cfg, fa_probability(cfg, zeta), md_probability(fit, cfg, zeta))
-        est = estimate_cop(gains_200k, cfg, zeta)
+        est = estimate_cop(*counted(gains_200k, cfg, zeta), cfg, zeta)
         assert abs(est.value - analytic) <= 0.02
 
     def test_success_degenerate_corner(self, gains_5k):
         # zero rate and a threshold at the noise floor: the only error
         # the warden can make is the certain false alarm
         cfg = dataclasses.replace(ScenarioConfig(), r_b=0.0)
-        est = estimate_success(gains_5k, cfg, cfg.sigma2_w)
+        est = estimate_success(*counted(gains_5k, cfg, cfg.sigma2_w), cfg, cfg.sigma2_w)
         assert est.value == cfg.p0
 
     def test_counts_against_the_closed_forms_levels(self):
@@ -182,27 +190,27 @@ class TestEstimators:
         cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(-45.0))
         zeta = optimal_threshold(cfg)
         x_b, eta = outage_level(cfg), missed_level(cfg, zeta)
-        gains = GainSample(g_b=np.array([np.nextafter(x_b, 0.0), x_b, x_b, 2.0 * x_b]),
-                           g_w=np.array([eta, np.nextafter(eta, 0.0), 2.0 * eta, 0.5 * eta]))
-        assert estimate_op(gains, cfg).value == 0.25
-        assert estimate_cop(gains, cfg, zeta).value == cfg.p0 + cfg.p1 * 0.5
-        assert estimate_success(gains, cfg, zeta).value == cfg.p1 * 0.5
+        gains = Gains(g_b=np.array([np.nextafter(x_b, 0.0), x_b, x_b, 2.0 * x_b]),
+                      g_w=np.array([eta, np.nextafter(eta, 0.0), 2.0 * eta, 0.5 * eta]))
+        assert counted(gains, cfg, zeta) == ([1, 2, 2], 4)
+        assert estimate_op(*counted(gains, cfg, zeta)).value == 0.25
+        assert estimate_cop(*counted(gains, cfg, zeta), cfg, zeta).value == cfg.p0 + cfg.p1 * 0.5
+        assert estimate_success(*counted(gains, cfg, zeta), cfg, zeta).value == cfg.p1 * 0.5
 
     def test_success_vanishes_at_power_extremes(self, gains_5k):
         low = dataclasses.replace(ScenarioConfig(), p_a=1e-15)
         high = dataclasses.replace(ScenarioConfig(), p_a=1e3)
         for cfg in (low, high):
             zeta = optimal_threshold(cfg)
-            assert estimate_success(gains_5k, cfg, zeta).value <= 1e-3
+            assert estimate_success(*counted(gains_5k, cfg, zeta), cfg, zeta).value <= 1e-3
 
     def test_ci_brackets_and_range(self, ref_geom):
         gains = fixed_static(ref_geom, trials=2_000)
         for dbm in (-50.0, -40.0, -30.0):
             cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm))
             zeta = optimal_threshold(cfg)
-            for est in (estimate_op(gains, cfg),
-                        estimate_cop(gains, cfg, zeta),
-                        estimate_success(gains, cfg, zeta)):
+            cell = counted(gains, cfg, zeta)
+            for est in (estimate_op(*cell), estimate_cop(*cell, cfg, zeta), estimate_success(*cell, cfg, zeta)):
                 assert 0.0 <= est.ci_low <= est.value <= est.ci_high <= 1.0
                 assert est.trials == 2_000
 
@@ -212,9 +220,10 @@ class TestEstimators:
         values = []
         for workers in (1, 3):
             gains = fixed_static(ref_geom, trials=30_000, seed=99, workers=workers)
-            values.append((estimate_op(gains, cfg).value,
-                           estimate_cop(gains, cfg, zeta).value,
-                           estimate_success(gains, cfg, zeta).value))
+            cell = counted(gains, cfg, zeta)
+            values.append((estimate_op(*cell).value,
+                           estimate_cop(*cell, cfg, zeta).value,
+                           estimate_success(*cell, cfg, zeta).value))
         assert values[0] == values[1]
 
 
@@ -232,13 +241,14 @@ class TestClosedFormAgreement:
     def test_matches_fixed_preset_monte_carlo(self, gains_20k, fit36, dbm, metric):
         cfg = dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm))
         zeta = optimal_threshold(cfg)
+        cell = counted(gains_20k, cfg, zeta)
         if metric == "op":
-            analytic, empirical = outage_probability(fit36, cfg), estimate_op(gains_20k, cfg)
+            analytic, empirical = outage_probability(fit36, cfg), estimate_op(*cell)
         elif metric == "cop":
             p_md = md_probability(fit36, cfg, zeta)
-            analytic, empirical = cop(cfg, fa_probability(cfg, zeta), p_md), estimate_cop(gains_20k, cfg, zeta)
+            analytic, empirical = cop(cfg, fa_probability(cfg, zeta), p_md), estimate_cop(*cell, cfg, zeta)
         else:
-            analytic, empirical = success_probability(fit36, cfg, zeta), estimate_success(gains_20k, cfg, zeta)
+            analytic, empirical = success_probability(fit36, cfg, zeta), estimate_success(*cell, cfg, zeta)
         assert 0.05 < analytic < 0.95
         assert abs(analytic - empirical.value) <= 0.02
 
@@ -253,13 +263,13 @@ class TestGroups:
         # 4097 trials: one full block and a one-trial block, whose products
         # take numpy's matrix-vector path.
         selections = group_selections()
-        alone = [simulate_group(MCConfig(trials=4_097, master_seed=5), ref_geom, [pick])[0] for pick in selections]
+        alone = [whole_gains(MCConfig(trials=4_097, master_seed=5), ref_geom, [pick])[0] for pick in selections]
         preset = [j for j, (mode, _) in enumerate(selections) if mode is not Mode.FRIS]
         for workers in (1, 2):
             mc = MCConfig(trials=4_097, master_seed=5, workers=workers)
             for picks in (range(len(selections)), preset, preset[::-1]):
                 group = [selections[j] for j in picks]
-                for j, gains in zip(picks, simulate_group(mc, ref_geom, group)):
+                for j, gains in zip(picks, whole_gains(mc, ref_geom, group)):
                     assert np.array_equal(gains.g_b, alone[j].g_b), selections[j]
                     assert np.array_equal(gains.g_w, alone[j].g_w), selections[j]
 
@@ -268,7 +278,7 @@ class TestGroups:
         # sum; each must equal a cascade over its own top rows of the block.
         trials = 4_097  # a full block and a one-trial block
         group = [(Mode.FRIS, m_o) for m_o in range(1, 145)]
-        samples = simulate_group(MCConfig(trials=trials, master_seed=5), ref_geom, group)
+        samples = whole_gains(MCConfig(trials=trials, master_seed=5), ref_geom, group)
         root = psd_sqrt(correlation_matrix(ref_geom))
         for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
             count = min(BLOCK_TRIALS, trials - start)
@@ -287,9 +297,9 @@ class TestGroups:
         # remainder, give the gains of one tile per block bit for bit.
         mc = MCConfig(trials=trials, master_seed=5, workers=workers)
         selections = group_selections((1, 2, 16, 36, 144))
-        tiled = simulate_group(mc, ref_geom, selections)
+        tiled = whole_gains(mc, ref_geom, selections)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", BLOCK_TRIALS)
-        for selection, gains, whole in zip(selections, tiled, simulate_group(mc, ref_geom, selections)):
+        for selection, gains, whole in zip(selections, tiled, whole_gains(mc, ref_geom, selections)):
             assert np.array_equal(gains.g_b, whole.g_b), selection
             assert np.array_equal(gains.g_w, whole.g_w), selection
 
@@ -314,20 +324,36 @@ class TestGroups:
         for run_trials, group, bound in groups:
             tracemalloc.start()
             try:
-                samples = simulate_group(MCConfig(trials=run_trials, master_seed=1), ref_geom, group)
-                peak = tracemalloc.get_traced_memory()[1]
+                simulate_group(MCConfig(trials=run_trials, master_seed=1), ref_geom, group, lambda start, gains: None)
+                ratio = tracemalloc.get_traced_memory()[1] / normals
             finally:
                 tracemalloc.stop()
-            outputs = sum(g.g_b.nbytes + g.g_w.nbytes for g in samples)
-            ratio = (peak - outputs) / normals
             assert ratio <= bound, (len(group), run_trials, group[-1], ratio)
 
+    def test_counted_memory_is_flat_in_trials(self, ref_geom):
+        # Each block is counted at 25 power levels in its worker and dropped,
+        # so 16 blocks peak where 2 do: only their counts accumulate.
+        cfgs = [dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm)) for dbm in np.linspace(-60, -10, 25)]
+        levels = event_levels((cfg, optimal_threshold(cfg)) for cfg in cfgs)
+
+        def peak(blocks: int) -> int:
+            tracemalloc.start()
+            try:
+                simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), ref_geom,
+                               group_selections((36,)), lambda start, gains: [count_events(*g, levels) for g in gains])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, sixteen = peak(2), peak(16)
+        assert sixteen <= 1.02 * two, (two, sixteen)
+
     def test_empty_group(self, ref_geom):
-        assert simulate_group(MCConfig(trials=10, master_seed=1), ref_geom, []) == []
+        assert simulate_group(MCConfig(trials=10, master_seed=1), ref_geom, [], lambda start, gains: gains) == []
 
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):
-            simulate_group(MCConfig(trials=10, master_seed=1), ref_geom, [(Mode.FIXED, 36), (Mode.FIXED, 145)])
+            whole_gains(MCConfig(trials=10, master_seed=1), ref_geom, [(Mode.FIXED, 36), (Mode.FIXED, 145)])
 
 
 class TestKsDistance:
