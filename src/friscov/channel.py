@@ -3,10 +3,12 @@
 Arrays hold one column per trial: fading vectors are ``(ports, trials)``
 and gains ``(trials,)``.  A block is three correlated fading vectors
 per trial (:func:`block_normals`: ``rank`` normals per link and trial,
-correlated by the surface's ``(ports, rank)`` factor one column tile at
-a time by :func:`correlated_tile`), an active-port selection, and the
-cascaded power gains toward the receiver and the warden
-(:func:`cascade`).
+rank-major, correlated by the surface's ``(ports, rank)`` factor one
+column tile at a time by :func:`correlated_tile`), an active-port
+selection, and the cascaded power gains toward the receiver and the
+warden (:func:`cascade`).  A surface of rank ``r`` reads the first ``r``
+rank rows of a block's normals, so surfaces of any ranks can share one
+draw.
 
 The paper compares three surfaces, one :class:`Mode` each:
 
@@ -73,15 +75,18 @@ class Mode(enum.Enum):
 
 
 def block_normals(rng: np.random.Generator, rank: int, trials: int) -> np.ndarray:
-    """The standard normals of one block, ``(3, rank, 2 * trials)``, scaled by ``1 / sqrt(2)``.
+    """The standard normals of one block, ``(rank, 3, 2 * trials)``, scaled by ``1 / sqrt(2)``.
 
-    Fixed draw layout: one ``standard_normal`` call indexed [link, rank,
+    Fixed draw layout: one ``standard_normal`` call indexed [rank, link,
     trial, re/im], links ordered transmitter, receiver, warden side.
-    Read in pairs along the last axis, each ``(link, rank, trial)`` is a
+    Read in pairs along the last axis, each ``(rank, link, trial)`` is a
     circularly-symmetric complex normal of unit variance.  The same
-    generator state gives bit-identical normals.
+    generator state gives bit-identical normals.  The rank axis leads, so
+    the normals of a lower rank ``r`` are the first ``r`` rows of any
+    higher rank's: ``block_normals(rng, r, n)`` equals
+    ``block_normals(rng, R, n)[:r]`` for ``r <= R`` from the same state.
     """
-    z = rng.standard_normal((3, rank, 2 * trials))
+    z = rng.standard_normal((rank, 3, 2 * trials))
     z *= 1.0 / math.sqrt(2.0)
     return z
 
@@ -90,23 +95,26 @@ def correlated_tile(factor: np.ndarray, z: np.ndarray, start: int, stop: int) ->
     """Fading vectors ``a, b, c`` of trials ``start:stop`` of a block, stacked as ``(3, ports, stop - start)``.
 
     ``factor`` is a real ``(ports, rank)`` factor of the port correlation
-    (:func:`~friscov.surface.psd_sqrt`) and ``z`` the block's normals
-    (:func:`block_normals`).  Each link is ``factor @ h``, so its
-    covariance is ``factor @ factor.T``.  ``factor`` is real and a
-    complex array views as its interleaved real and imaginary parts, so
-    one real product of ``factor`` and a strided view of ``z``'s columns,
-    written by ``out=`` straight into the complex tile, correlates all
-    three links without copying the normals.
+    (:func:`~friscov.surface.psd_sqrt`) and ``z`` the block's normals of
+    that rank (:func:`block_normals`, or the first ``rank`` rows of a
+    higher rank's).  Each link is ``factor @ h``, so its covariance is
+    ``factor @ factor.T``.  ``factor`` is real and a complex array views as
+    its interleaved real and imaginary parts, so one real product of
+    ``factor`` and a strided view of ``z``'s columns, written by ``out=``
+    straight into the complex tile, correlates all three links without
+    copying the normals.  The view's strides hold the block's size, not
+    its rank, so a prefix of a higher rank's normals is read as its own
+    draw would be.
     """
     if factor.ndim != 2 or factor.shape[1] > factor.shape[0] or np.iscomplexobj(factor):
         raise DomainError(
             f"expected a real (ports, rank) factor with rank <= ports, got {factor.dtype} of shape {factor.shape}"
         )
     ports, rank = factor.shape
-    if z.shape[:2] != (3, rank) or not 0 <= start < stop <= z.shape[2] // 2:
+    if z.shape[:2] != (rank, 3) or not 0 <= start < stop <= z.shape[2] // 2:
         raise DomainError(f"trials {start}:{stop} do not fit normals of shape {z.shape} for rank {rank}")
     tile = np.empty((3, ports, stop - start), dtype=complex)
-    np.matmul(factor, z[:, :, 2 * start : 2 * stop], out=tile.view(float))
+    np.matmul(factor, z[:, :, 2 * start : 2 * stop].swapaxes(0, 1), out=tile.view(float))
     return tile
 
 

@@ -25,6 +25,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,8 +98,9 @@ CSV_COLUMNS: tuple[str, ...] = (
 MAX_SWEEP_POINTS = 10**6
 
 # A run simulates about 200k trials a second per config on the reference
-# surface, and a pool of workers holds a future per block (about 1.6 KB), so
-# a billion trials take hours and, with workers, 390 MB of futures.
+# surface, so a billion trials take hours.  A pool of workers keeps at most
+# two blocks per worker in flight, and a run keeps an 8-byte result slot per
+# block and surface: 2 MB a surface at this limit.
 MAX_TRIALS = 10**9
 
 # The KS gate of validate compares the first this many gains of each preset
@@ -280,8 +282,9 @@ def _mode_config(mode: Mode, geom: SurfaceGeometry, cfg: ScenarioConfig) -> tupl
     the same aperture (:func:`ris_grid_geometry`).  When the default preset
     of that many ports, which ``Mode.RIS`` reads, sits exactly at the grid's
     positions, the baseline runs on ``geom`` and shares the fluid surface's
-    draws (a paired comparison); otherwise it runs on the grid, whose
-    default preset is every element.
+    fading vectors (a paired comparison); otherwise it runs on the grid,
+    whose default preset is every element, and shares only the normals of
+    each block (common random numbers, see :mod:`friscov.montecarlo`).
     """
     m_o = cfg.m_o
     if mode is Mode.RIS:
@@ -331,12 +334,16 @@ def _sweep_points(scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSp
 def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> tuple[list[dict], list]:
     """Event counts of run ``mc``: ``counts[i][key]`` for each ``(selection, surface)`` key of point ``i``.
 
-    One :func:`simulate_group` per surface; its workers add each block's
-    :func:`count_events`, at the levels of the points that read a selection,
-    to the group's integer totals, in any order.  ``tap = (surface,
-    selections, reduce)`` adds ``selections`` to the group on ``surface``
-    and hands its blocks to ``reduce(start, gains)`` too, ``gains`` keyed by
-    selection; its results come back second, in block order.
+    One :func:`simulate_group` call runs every surface's group, so each
+    block is drawn once for all of them; its workers add each block's
+    :func:`count_events`, at the levels of the points that read a
+    selection, to the group's integer totals, in any order.  ``tap =
+    (surface, selections, reduce)`` adds ``selections`` to the group on
+    ``surface`` and hands its blocks to ``reduce(start, gains)`` too,
+    ``gains`` keyed by selection; its results come back second, in block
+    order.  With ``progress``, a ``[k/n blocks]`` line with the elapsed
+    time and an ETA goes to stderr at most once a second, and after the
+    last block.
     """
     groups: dict[SurfaceGeometry, dict[tuple[Mode, int], list[int]]] = {}
     if tap is not None:
@@ -344,29 +351,37 @@ def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> tuple[l
     for i, (*_, configs) in enumerate(points):
         for selection, surface in configs.values():
             groups.setdefault(surface, {}).setdefault(selection, []).append(i)
+    readers = list(groups.values())
+    levels = [[event_levels(points[i][1:3] for i in where) for where in group.values()] for group in readers]
+    totals = [[np.zeros((len(where), 3), dtype=np.int64) for where in group.values()] for group in readers]
+    lock = threading.Lock()
+    n_blocks = -(-mc.trials // montecarlo.BLOCK_TRIALS)
+    began = shown = time.monotonic()
+    done = 0
+
+    def reduce(start, g, gains):
+        nonlocal done, shown
+        cells = [count_events(g_b, g_w, level) for (g_b, g_w), level in zip(gains, levels[g])]
+        with lock:
+            for total, cell in zip(totals[g], cells):
+                total += cell
+            # The run's last group ends a block.
+            if progress and g == len(readers) - 1:
+                done += 1
+                now = time.monotonic()
+                if done == n_blocks or now - shown >= 1.0:
+                    shown, elapsed = now, now - began
+                    print(f"[{done}/{n_blocks} blocks] {elapsed:.1f} s elapsed, "
+                          f"ETA {elapsed * (n_blocks - done) / done:.1f} s", file=sys.stderr)
+        return tap[2](start, dict(zip(readers[0], gains))) if tap is not None and g == 0 else None
+
+    results = simulate_group(mc, [(surface, list(group)) for surface, group in groups.items()], reduce)
     counts: list[dict] = [{} for _ in points]
-    tapped, lock = [], threading.Lock()
-    for number, (surface, readers) in enumerate(groups.items(), start=1):
-        levels = [event_levels(points[i][1:3] for i in where) for where in readers.values()]
-        totals = [np.zeros((len(where), 3), dtype=np.int64) for where in readers.values()]
-        watch = tap[2] if tap is not None and surface == tap[0] else None
-
-        def reduce(start, gains):
-            cells = [count_events(g_b, g_w, level) for (g_b, g_w), level in zip(gains, levels)]
-            with lock:
-                for total, cell in zip(totals, cells):
-                    total += cell
-            return watch and watch(start, dict(zip(readers, gains)))
-
-        seen = simulate_group(mc, surface, list(readers), reduce)
-        tapped += seen if watch else []
-        for (selection, where), total in zip(readers.items(), totals):
+    for surface, group, group_totals in zip(groups, readers, totals):
+        for (selection, where), total in zip(group.items(), group_totals):
             for i, cell in zip(where, total.tolist()):
                 counts[i][selection, surface] = cell
-        if progress:
-            print(f"[{number}/{len(groups)}] {len(readers)} Monte Carlo configs on the "
-                  f"{surface.m_x}x{surface.m_z} surface done", file=sys.stderr)
-    return counts, tapped
+    return counts, results[0] if tap is not None else []
 
 
 def _sweep_rows(points, counts, trials: int, corr: np.ndarray, geom: SurfaceGeometry) -> list[dict[str, float | None]]:
@@ -405,8 +420,8 @@ def run_sweep(
     """Evaluate closed forms and enabled empirical modes at each sweep point.
 
     Deterministic given the master seed.  Every ``(mode, m_o)`` selection
-    the sweep needs, over all points and modes, is collected first; the
-    selections on one surface then run as one group of run ``mc``, so each
+    the sweep needs, over all points and modes, is collected first and
+    grouped by surface; every group then runs in one run ``mc``, so each
     block is drawn once for all of them (see
     :func:`montecarlo.simulate_group`).  The swept link parameters only
     move the levels that each block's gains are counted against, in the
@@ -543,7 +558,7 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     def gate_sums(start, gains):
         # Each preset's gain sum and the block's share of the KS gate's sample.
         kept = [(float(np.sum(gains[key][0])), gains[key][0][: max(0, KS_TRIALS - start)].copy()) for key in fixed]
-        return kept, int(np.count_nonzero(gains[best][0] >= gains[lattice][0]))
+        return kept, _dominating_draws(gains[best][0], gains[lattice][0], scenario.m_o)
 
     counts, blocks = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], gate_sums))
 
@@ -564,6 +579,21 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     dominance = sum(dominated for _, dominated in blocks) / mc.trials
     gates.append(("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0))
     return gates
+
+
+def _dominating_draws(best: np.ndarray, lattice: np.ndarray, m_o: int) -> int:
+    """The draws whose best-port gain ``best`` is at least the lattice's, up to the rounding of their sums.
+
+    Each gain is the square of a sum of ``m_o`` non-negative terms, and at
+    ``m_o`` equal to the ports both sum the same terms in different orders.
+    A sum of ``n`` such terms lies within ``(n - 1) u / (1 - (n - 1) u)`` of
+    its exact value (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sec. 4.2), ``u`` being half the machine epsilon, so
+    its square lies within about ``(2 n - 1) u``, and two gains whose exact
+    values are equal differ by less than ``2 m_o`` epsilons, relatively.
+    """
+    slack = 2 * m_o * np.finfo(float).eps
+    return int(np.count_nonzero(best >= (1.0 - slack) * lattice))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,46 +1,60 @@
 """Trial orchestration and statistical estimation.
 
 The channel physics lives in :mod:`friscov.channel`; this module runs
-its blocks for groups of configs and turns the gains into estimates.
+its blocks for a run's groups of configs and turns the gains into
+estimates.
 
 Trials are generated in fixed-size blocks of ``BLOCK_TRIALS`` draws,
 the last block holding the remainder.  Block ``k`` uses an independent
 substream whose 64-bit seed is ``mix64(master_seed, k)`` (a
-splitmix64-style finalizer, documented at :func:`mix64`), drawn in the
-fixed layout of :func:`~friscov.channel.block_normals`: one normal per
-link, trial and column of the surface's correlation factor, whose column
-count is the correlation's numerical rank
-(:func:`~friscov.surface.psd_sqrt`).  A block's draws therefore depend on
-the master seed, the block index and the block's size -- never on the
-worker pool.  The layout's strides hold the block's size, so runs at one
-seed share every full block but not the gains of a partial last block:
-the first 4096 trials of 4500 and of 9000 trials are the same, trial
-4096 is not.  Each block is reduced on its own and the results come
-back in block order, so identical ``(master_seed, trials, configs)``
-produce bit-identical estimates regardless of worker count, at one BLAS
-thread count: the gains of a partial block can move in their last bits
-between one and two OpenBLAS threads.  Blocks are dispatched to a
-thread pool; the heavy lifting is BLAS matrix multiplication, which
-releases the GIL.
+splitmix64-style finalizer, documented at :func:`mix64`), drawn once for
+the whole run in the fixed layout of
+:func:`~friscov.channel.block_normals`: one standard normal per rank,
+link, trial and real or imaginary part, indexed ``[rank, link, trial,
+re/im]``, where the rank ``R`` is the largest numerical rank of the
+run's surface correlations (:func:`~friscov.surface.psd_sqrt`).  A
+surface of rank ``r`` correlates its ``(ports, r)`` factor against the
+first ``r`` rank rows.  The rank axis leads, so those rows are the
+normals that a draw of rank ``r`` alone would give: a surface's draws
+depend on the master seed, the block index and the block's size --
+never on the other surfaces of the run or on the worker pool.  The
+layout's strides hold the block's size, so runs at one seed share every
+full block but not the gains of a partial last block: the first 4096
+trials of 4500 and of 9000 trials are the same, trial 4096 is not.
+Each block is reduced on its own and the results come back in block
+order, so identical ``(master_seed, trials, configs)`` produce
+bit-identical estimates regardless of worker count and of what else
+runs beside them, at one BLAS thread count: the gains of a partial block
+can move in their last bits between one and two OpenBLAS threads.
+Blocks are dispatched to a thread pool; the heavy lifting is BLAS matrix
+multiplication, which releases the GIL.
+
+Surfaces that share a run share their normals, rank row for rank row:
+common random numbers (Asmussen & Glynn, *Stochastic Simulation*, 2007,
+ch. V).  Each cell's marginal law is that of an independent draw, and
+the differences between surfaces, such as the fluid surface against an
+RIS grid of its own, are positively correlated, so they are estimated
+with less noise than from independent draws.
 
 After its draw, a block is correlated, ranked, gathered and cascaded in
-tiles of ``TILE_TRIALS`` trials, so the working set follows the tile,
-not the block.  Tile edges fall at multiples of ``TILE_TRIALS`` from the
-block's start and the last tile absorbs the remainder, so a block of
-fewer than ``2 * TILE_TRIALS`` trials is one tile.  The tile size is not
-part of the reproducibility contract.  On the reference 12x12 surface
-the gains are bit for bit those of one tile per block; on a small
-surface the last trial of a block can move by an ulp (see
-:func:`_block_gains`).
+tiles of ``TILE_TRIALS`` trials, one surface after another, so the
+working set follows the tile, not the block.  Tile edges fall at
+multiples of ``TILE_TRIALS`` from the block's start and the last tile
+absorbs the remainder, so a block of fewer than ``2 * TILE_TRIALS``
+trials is one tile.  The tile size is not part of the reproducibility
+contract.  On the reference 12x12 surface the gains are bit for bit
+those of one tile per block; on a small surface the last trial of a
+block can move by an ulp (see :func:`_block_gains`).
 
-A group is one run (:class:`MCConfig`) on one surface and a list of
-``(mode, m_o)`` selections (:func:`simulate_group`): each block is drawn
-and correlated once for the whole group, and each selection takes the
-ports and phases of its :class:`~friscov.channel.Mode` from it.  A
-selection's gains are the same whatever else is in its group.  Nothing
-is cached and no gain outlives its block: the caller's reducer turns
-each block's gains into what it keeps, typically the event counts of
-:func:`count_events`, which the estimators read.
+A run is one :class:`MCConfig` and a list of groups, each a surface and
+its ``(mode, m_o)`` selections (:func:`simulate_group`): each block is
+drawn once for the run and correlated once per surface, and each
+selection takes the ports and phases of its
+:class:`~friscov.channel.Mode` from its surface's fading vectors.
+Nothing is cached and no gain outlives its block: the caller's reducer
+turns each group's gains into what it keeps, typically the event counts
+of :func:`count_events`, which the estimators read, before the next
+group's tiles run.
 
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
@@ -50,6 +64,7 @@ probabilities live).
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -145,18 +160,17 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _block_gains(factor: np.ndarray, members: list, master_seed: int, block_index: int, count: int) -> list:
-    """The gains of the ``count`` trials of block ``block_index``, one ``(g_b, g_w)`` per selection.
+def _block_gains(factor: np.ndarray, members: list, z: np.ndarray, count: int) -> list:
+    """The gains of the ``count`` trials of one block on one surface, one ``(g_b, g_w)`` per selection.
 
-    ``members`` is :func:`_group_members` of the selections.  The block's
-    normals are drawn at once; the rest runs one tile at a time.  The last
+    ``factor`` is the surface's correlation factor, ``members`` is
+    :func:`_group_members` of its selections and ``z`` the block's normals
+    in the factor's rank.  The block runs one tile at a time.  The last
     tile absorbs the remainder because OpenBLAS computes the last columns
     of a product with kernels chosen by its width: a short tail tile moved
     the last bits of gains on the reference surface.  The block's own last
     columns still move on some small surfaces.
     """
-    rng = np.random.default_rng(mix64(master_seed, block_index))
-    z = block_normals(rng, factor.shape[1], count)
     outputs = [(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
     edges = [k * TILE_TRIALS for k in range(max(1, count // TILE_TRIALS))] + [count]
     for lo, hi in zip(edges, edges[1:]):
@@ -213,50 +227,75 @@ def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) ->
 
 
 def simulate_group(
-    mc: MCConfig, geom: SurfaceGeometry, selections: Sequence[tuple[Mode, int]], reduce: Callable
-) -> list:
-    """``reduce(start, gains)`` of each block of run ``mc`` on ``geom``, in block order.
+    mc: MCConfig, groups: Sequence[tuple[SurfaceGeometry, Sequence[tuple[Mode, int]]]], reduce: Callable
+) -> list[list]:
+    """``reduce(start, g, gains)`` of each block of run ``mc`` and each ``(surface, selections)`` group ``g``.
 
-    ``start`` is the block's first trial and ``gains`` its per-trial
-    cascaded gains, one ``(g_b, g_w)`` pair per ``(mode, m_o)`` selection;
-    ``reduce`` runs in the block's worker and the gains are dropped with
-    the block.  ``m_o`` is the number of active ports per draw: the best
-    ``m_o`` of each draw for ``Mode.FRIS``, the surface's default preset of
-    ``m_o`` ports (:func:`~friscov.surface.default_fixed_preset`)
-    otherwise; each ``mode`` must be a :class:`~friscov.channel.Mode` and
-    each ``m_o`` an ``int`` in ``[1, geom.num_elements]``.  Each block is
-    drawn once, and each of its tiles is correlated over every port once.
-    The fluid selections share one ranking of a tile's top ``max(m_o)``
-    ports and one cascade of those rows, each reading its own prefix
-    length; each preset's rows are gathered, and their cascade terms
-    formed, once per tile for every selection that reads them (``FIXED``
-    sums the terms, then ``RIS`` phases them in place).  So the group costs
-    one RNG pass per block and one correlating product and one ranking per
-    tile, and a selection's gains depend neither on the other selections in
-    its group nor on ``mc.workers``.  The gains of a block depend on the
-    master seed, the block index and the block's size, so runs at one seed
-    agree on every full block (see the module docstring).
+    Returns one list per group of its results, in block order.  ``start``
+    is the block's first trial and ``gains`` the per-trial cascaded gains
+    of group ``g``, one ``(g_b, g_w)`` pair per ``(mode, m_o)`` selection;
+    ``reduce`` runs in the block's worker, once per group in group order,
+    and each group's gains are dropped before the next group's tiles run.
+    ``m_o`` is the number of active ports per draw: the best ``m_o`` of
+    each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
+    ports (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
+    ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
+    ``int`` in ``[1, surface.num_elements]``.
+
+    Each block is drawn once for the whole run, in the largest rank of the
+    run's surfaces, and each surface reads the first rows of its rank
+    (:func:`~friscov.channel.block_normals`).  Each of a surface's tiles is
+    correlated over every port once.  The fluid selections of a surface
+    share one ranking of a tile's top ``max(m_o)`` ports and one cascade of
+    those rows, each reading its own prefix length; each preset's rows are
+    gathered, and their cascade terms formed, once per tile for every
+    selection that reads them (``FIXED`` sums the terms, then ``RIS``
+    phases them in place).  So the run costs one RNG pass per block and one
+    correlating product and one ranking per tile and surface, and a
+    selection's gains depend neither on what else is in its run nor on
+    ``mc.workers``.  The gains of a block depend on the master seed, the
+    block index and the block's size, so runs at one seed agree on every
+    full block (see the module docstring).  With workers, at most two
+    blocks per worker are in flight at once.
     """
-    selections = list(selections)
-    if not selections:
+    surfaces = [(_group_members(list(selections), geom), psd_sqrt(correlation_matrix(geom)))
+                for geom, selections in groups]
+    if not surfaces:
         return []
-    members = _group_members(selections, geom)
-    factor = psd_sqrt(correlation_matrix(geom))
+    rank = max(factor.shape[1] for _, factor in surfaces)
     n_blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    results: list[list] = [[] for _ in surfaces]
 
-    def run(block_index: int):
+    def run(block_index: int) -> list:
         start = block_index * BLOCK_TRIALS
         count = min(BLOCK_TRIALS, mc.trials - start)
-        return reduce(start, _block_gains(factor, members, mc.master_seed, block_index, count))
+        z = block_normals(np.random.default_rng(mix64(mc.master_seed, block_index)), rank, count)
+        return [reduce(start, g, _block_gains(factor, members, z[: factor.shape[1]], count))
+                for g, (members, factor) in enumerate(surfaces)]
+
+    def keep(block: list) -> None:
+        for kept, value in zip(results, block):
+            kept.append(value)
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
     if mc.workers == 1 or n_blocks == 1:
-        return [run(k) for k in range(n_blocks)]
+        for k in range(n_blocks):
+            keep(run(k))
+        return results
     # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
     from concurrent.futures import ThreadPoolExecutor
 
+    # A bounded window of submitted blocks, each pending future about 1.6 KB:
+    # submitting them all at once holds memory in proportion to the trials.
+    window: deque = deque()
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        return list(pool.map(run, range(n_blocks)))
+        for k in range(n_blocks):
+            if len(window) == 2 * mc.workers:
+                keep(window.popleft().result())
+            window.append(pool.submit(run, k))
+        for future in window:
+            keep(future.result())
+    return results
 
 
 def event_levels(points: Iterable[tuple[ScenarioConfig, float]]) -> np.ndarray:

@@ -12,7 +12,16 @@ class Gains(NamedTuple):
     g_w: np.ndarray
 
 
+def run_gains(mc, groups) -> list[list[Gains]]:
+    """Each group's gains over the whole run, one :class:`Gains` per selection.
+
+    :func:`simulate_group` with a reducer that keeps every block.
+    """
+    runs = simulate_group(mc, groups, lambda start, g, gains: gains)
+    return [[Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*blocks)] for blocks in runs]
+
+
 def whole_gains(mc, geom, selections) -> list[Gains]:
-    """Each selection's gains over the whole run: :func:`simulate_group` with a reducer that keeps every block."""
-    blocks = simulate_group(mc, geom, selections, lambda start, gains: gains)
-    return [Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]
+    """Each selection's gains over the whole run on ``geom`` alone."""
+    [gains] = run_gains(mc, [(geom, selections)])
+    return gains

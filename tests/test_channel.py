@@ -95,8 +95,8 @@ class TestSampleCorrelatedFading:
         edges = (0, 1, 512, 1_000)
         tiles = np.concatenate([correlated_tile(root, z, lo, hi) for lo, hi in zip(edges, edges[1:])], axis=2)
         assert np.allclose(tiles, whole, rtol=1e-13, atol=1e-13)
-        # [link, rank, trial, re/im]: trial 7 reads columns 14 and 15.
-        assert np.allclose(whole[:, :, 7], (z[:, :, 14] + 1j * z[:, :, 15]) @ root.T, rtol=1e-13, atol=1e-13)
+        # [rank, link, trial, re/im]: trial 7 reads columns 14 and 15.
+        assert np.allclose(whole[:, :, 7], (z[:, :, 14] + 1j * z[:, :, 15]).T @ root.T, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("start, stop", [(-1, 3), (3, 3), (4, 3), (0, 11), (10, 11)])
     def test_tile_outside_the_block_rejected(self, start, stop):
@@ -108,6 +108,18 @@ class TestSampleCorrelatedFading:
         z = block_normals(np.random.default_rng(0), 3, 10)
         with pytest.raises(DomainError):
             correlated_tile(np.ones((4, 2)), z, 0, 10)
+
+    @pytest.mark.parametrize("trials", [1, 513, 4_096])
+    def test_a_lower_rank_reads_a_prefix_of_a_higher_ranks_normals(self, ref_corr, trials):
+        # The rank axis leads, so a rank-r draw is the first r rows of a
+        # rank-R draw from the same state, and a factor of rank r correlates
+        # that prefix to the bits of its own draw.
+        root = psd_sqrt(ref_corr)
+        rank = root.shape[1]
+        own = block_normals(np.random.default_rng(47), rank, trials)
+        shared = block_normals(np.random.default_rng(47), rank + 9, trials)
+        assert np.array_equal(own, shared[:rank])
+        assert np.array_equal(correlated_tile(root, own, 0, trials), correlated_tile(root, shared[:rank], 0, trials))
 
 
 class TestSelectPorts:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from friscov import (
     outage_probability,
     simulate_group,
 )
-from friscov import cli
+from friscov import cli, montecarlo
 from friscov.cli import (
     CSV_COLUMNS,
     MAX_PORTS,
@@ -241,16 +242,46 @@ class TestRunSweep:
         result = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,))
         assert [row["swept_value"] for row in result.rows] == [16.0, 36.0]
 
-    def test_progress_reports_each_group(self, capsys):
-        # m_o = 4 pairs its RIS grid with the fluid surface's draws; m_o = 7
-        # needs a grid of its own, so the sweep runs two groups.
+    def test_progress_reports_each_group(self, monkeypatch, capsys):
+        # Progress comes per block of the whole run, at most once a second by
+        # the clock, and after the last block.  m_o = 4 pairs its RIS grid with
+        # the fluid surface's draws; m_o = 7 needs a grid of its own, so a
+        # block ends with the second surface.  The clock reads 0.375 s later
+        # at each block's end, so every third block and the last report.
+        readings = iter(np.arange(12) * 0.375)
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: float(next(readings))))
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 100)
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000)
         spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2)
         run_sweep(scenario, geom, mc, spec, modes=(Mode.FRIS, Mode.RIS), progress=True)
         lines = capsys.readouterr().err.splitlines()
-        assert [line.split()[0] for line in lines] == ["[1/2]", "[2/2]"]
-        assert lines[0].endswith(f"3 Monte Carlo configs on the {geom.m_x}x{geom.m_z} surface done")
+        assert [line.split()[0] for line in lines] == ["[3/10", "[6/10", "[9/10", "[10/10"]
+        assert lines[0] == "[3/10 blocks] 1.1 s elapsed, ETA 2.6 s"
+        assert lines[-1] == "[10/10 blocks] 3.8 s elapsed, ETA 0.0 s"
+
+    def test_m_o_sweep_draws_once_per_block(self, monkeypatch):
+        # m_o = 4 pairs its RIS grid with the fluid surface; 7 and 10 run on
+        # grids of their own.  The three surfaces read one draw per block,
+        # made in the largest rank of the three (the 12x12 surface's 33).
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        scenario, geom, mc, _ = load_config(None)
+        spec = SweepSpec(variable="m_o", start=4.0, stop=10.0, points=3)
+        points = cli._sweep_points(scenario, geom, spec, tuple(Mode))
+        assert len({surface for *_, configs in points for _, surface in configs.values()}) == 3
+        run_sweep(scenario, geom, dataclasses.replace(mc, trials=5_000), spec)
+        assert draws == [(33, 3, 2 * 4_096), (33, 3, 2 * 904)]
 
     def test_unknown_mode_rejected(self, small_run):
         scenario, geom, mc, spec, _ = small_run
@@ -468,10 +499,11 @@ class TestMain:
         # large share of the work: each is 8 outages and nothing else.
         from concurrent.futures import ThreadPoolExecutor
 
-        def racing_group(mc, geom, selections, reduce):
+        def racing_group(mc, groups, reduce):
+            [(_, selections)] = groups
             gains = [(np.zeros(8), np.zeros(8)) for _ in selections]
             with ThreadPoolExecutor(max_workers=8) as pool:
-                return list(pool.map(lambda k: reduce(8 * k, gains), range(mc.trials // 8)))
+                return [list(pool.map(lambda k: reduce(8 * k, 0, gains), range(mc.trials // 8)))]
 
         monkeypatch.setattr(cli, "simulate_group", racing_group)
         scenario, geom, mc, _ = load_config(None)
@@ -504,16 +536,16 @@ class TestMain:
     # at every power, and an unpaired 10-element grid across the m_o sweep.
     @pytest.mark.parametrize("config, digest", [
         pytest.param("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
-                     "581aeba37a0fb88a46adc0e1b48becfbd3066ba4f542499e247f61eae55105a1", id="p_a_dbm"),
+                     "1a5a332a307767b4f6ec3ee863c0609b6323a757d8dcc1cc9cbff2c3ebb99f76", id="p_a_dbm"),
         pytest.param("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
                      "scenario.p_a_dbm = -50\n",
-                     "7b19a3fba0cf423f1f64c0f8ff0db90e172401dd6ee17914d57753a8a15f25eb", id="m_o"),
+                     "952b61fe0eed260ed9d45519e1d4b3791b3e12fd8004a4abe2f2a420336fedd8", id="m_o"),
         pytest.param("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
                      "sweep.points = 4\n",
-                     "68f3dc82a22dd2a1ace0e196fcb2f9dd97dd83dcec9a890f4c25b09fdfc0c463", id="p_a_dbm-ris_m_hat_16"),
+                     "4d3542709278fe254981bff811b3b1cb7caa44e1283fb682a52b74e1508e5b16", id="p_a_dbm-ris_m_hat_16"),
         pytest.param("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
                      "sweep.points = 5\n",
-                     "26eb2f244bb0fccfaae6c4ed819c9a408ca5f822dc2c9edeac9349804a3e1c4a", id="m_o-ris_m_hat_10"),
+                     "bc9fef73db024d76681676b0de95134c63c29ed5a77bd289e0e4cb4d2777e39b", id="m_o-ris_m_hat_10"),
     ])
     def test_golden_csv_bytes(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config + "mc.trials = 5000\n")
@@ -527,7 +559,7 @@ class TestMain:
         assert main(["validate", "--trials", "5000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "83624c84191c2ac6a39841dca458afc4a92559f4aa9249d947db4eca37728344"
+            "bb253a923315a234f48f72b49549feb50a695886c6df85c8c5ce9e8e3ae0cc2d"
         )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -556,6 +588,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("-> FAIL") == verdicts.count(False) and out.count("-> PASS") == verdicts.count(True)
 
+    def test_dominance_gate_passes_when_both_select_every_port(self):
+        # At m_o = ports the fluid surface and the lattice sum the same terms
+        # in different orders, so their gains differ only by rounding.
+        scenario, geom, mc, spec = load_config(None)
+        ports = geom.num_elements
+        gates = _run_validate(dataclasses.replace(scenario, m_o=ports), geom, dataclasses.replace(mc, trials=300), spec)
+        [(label, measured, tolerance, passed)] = [gate for gate in gates if "dominance" in gate[0]]
+        assert (measured, tolerance, passed) == (1.0, 1.0, True)
+        best, lattice = whole_gains(dataclasses.replace(mc, trials=300), geom, [(Mode.FRIS, ports), (Mode.RIS, ports)])
+        assert not np.array_equal(best.g_b, lattice.g_b)
+        assert cli._dominating_draws(best.g_b, lattice.g_b, ports) == 300
+        # A lattice gain 1e-9 above the best one, relatively, is no rounding.
+        assert cli._dominating_draws(best.g_b, lattice.g_b * (1.0 + 1e-9), ports) == 0
+
     # The m_o sweep runs at -50 dBm, where the closed form and the preset's
     # gains both move with m_o.
     @pytest.mark.parametrize("config", [
@@ -574,14 +620,14 @@ class TestMain:
     def test_validate_draws_each_block_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(mc, geom, selections, reduce):
-            calls.append((mc, geom, list(selections)))
-            return simulate_group(mc, geom, selections, reduce)
+        def counting(mc, groups, reduce):
+            calls.append((mc, list(groups)))
+            return simulate_group(mc, groups, reduce)
 
         monkeypatch.setattr(cli, "simulate_group", counting)
         main(["validate", "--trials", "1000"])
         _, geom, mc, _ = load_config(None)
-        [(run, surface, selections)] = calls
+        [(run, [(surface, selections)])] = calls
         assert run == dataclasses.replace(mc, trials=1000)
         assert surface == geom and len(set(selections)) == len(selections)
         assert set(selections) == {(Mode.FIXED, 16), (Mode.FIXED, 36), (Mode.FRIS, 36), (Mode.RIS, 36)}

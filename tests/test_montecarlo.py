@@ -11,6 +11,7 @@ from friscov import (
     MCConfig,
     Mode,
     ScenarioConfig,
+    SurfaceGeometry,
     compound_probability,
     cop,
     correlation_matrix,
@@ -31,9 +32,9 @@ from friscov import (
 )
 from friscov import montecarlo
 from friscov.analytics import missed_level, outage_level
-from friscov.channel import best_product_order, block_normals, cascade, correlated_tile
+from friscov.channel import best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
 from friscov.montecarlo import BLOCK_TRIALS, count_events, event_levels, mix64, wilson_interval
-from gains import Gains, whole_gains
+from gains import Gains, run_gains, whole_gains
 
 
 def fixed_static(geom, trials=20_000, seed=1, m_o=36, workers=1) -> Gains:
@@ -97,8 +98,8 @@ class TestSubstreams:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_block_is_reduced_once_in_block_order(self, ref_geom, workers):
         mc = MCConfig(trials=3 * BLOCK_TRIALS + 7, master_seed=1, workers=workers)
-        blocks = simulate_group(mc, ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)],
-                                lambda start, gains: (start, [g_b.size for g_b, g_w in gains]))
+        [blocks] = simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)])],
+                                  lambda start, g, gains: (start, [g_b.size for g_b, g_w in gains]))
         assert blocks == [(k * BLOCK_TRIALS, [n, n]) for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
 
 
@@ -273,6 +274,26 @@ class TestGroups:
                     assert np.array_equal(gains.g_b, alone[j].g_b), selections[j]
                     assert np.array_equal(gains.g_w, alone[j].g_w), selections[j]
 
+    def test_gains_do_not_depend_on_the_run(self, ref_geom):
+        # Surfaces of rank 33 (12x12), 24 (3x9) and 12 (1x97) share one draw
+        # per block, each reading the first rows of its rank, so each gives
+        # the gains of a run of its own.  4097 trials: one full block and a
+        # one-trial block.
+        grids = {m_hat: ris_grid_geometry(ref_geom, m_hat) for m_hat in (27, 97)}
+        assert [(grid.m_x, grid.m_z) for grid in grids.values()] == [(3, 9), (1, 97)]
+        groups = [(ref_geom, group_selections((16, 144)))] + [(grid, [(Mode.RIS, m_hat), (Mode.FRIS, 5)])
+                                                             for m_hat, grid in grids.items()]
+        assert [psd_sqrt(correlation_matrix(geom)).shape[1] for geom, _ in groups] == [33, 24, 12]
+        alone = [run_gains(MCConfig(trials=4_097, master_seed=5), [group])[0] for group in groups]
+        for workers in (1, 2):
+            mc = MCConfig(trials=4_097, master_seed=5, workers=workers)
+            for order in ([0, 1, 2], [2, 1, 0], [1, 2]):
+                together = run_gains(mc, [groups[g] for g in order])
+                for g, run in zip(order, together):
+                    for selection, gains, own in zip(groups[g][1], run, alone[g]):
+                        assert np.array_equal(gains.g_b, own.g_b), (workers, order, g, selection)
+                        assert np.array_equal(gains.g_w, own.g_w), (workers, order, g, selection)
+
     def test_prefix_sums_match_a_cascade_per_m_o(self, ref_geom):
         # Every fluid m_o of the group is read off one ranking and one running
         # sum; each must equal a cascade over its own top rows of the block.
@@ -324,7 +345,8 @@ class TestGroups:
         for run_trials, group, bound in groups:
             tracemalloc.start()
             try:
-                simulate_group(MCConfig(trials=run_trials, master_seed=1), ref_geom, group, lambda start, gains: None)
+                simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, group)],
+                               lambda start, g, gains: None)
                 ratio = tracemalloc.get_traced_memory()[1] / normals
             finally:
                 tracemalloc.stop()
@@ -332,24 +354,48 @@ class TestGroups:
 
     def test_counted_memory_is_flat_in_trials(self, ref_geom):
         # Each block is counted at 25 power levels in its worker and dropped,
-        # so 16 blocks peak where 2 do: only their counts accumulate.
+        # so 16 blocks peak where 2 do: only their counts accumulate.  In a
+        # run of three surfaces, each surface's gains are counted before the
+        # next surface's tiles run.
         cfgs = [dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm)) for dbm in np.linspace(-60, -10, 25)]
         levels = event_levels((cfg, optimal_threshold(cfg)) for cfg in cfgs)
+        grids = [(ris_grid_geometry(ref_geom, m_hat), [(Mode.RIS, m_hat)]) for m_hat in (27, 97)]
 
-        def peak(blocks: int) -> int:
+        def peak(groups, blocks: int) -> int:
             tracemalloc.start()
             try:
-                simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), ref_geom,
-                               group_selections((36,)), lambda start, gains: [count_events(*g, levels) for g in gains])
+                simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), groups,
+                               lambda start, g, gains: [count_events(*pair, levels) for pair in gains])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        two, sixteen = peak(2), peak(16)
-        assert sixteen <= 1.02 * two, (two, sixteen)
+        for groups in ([(ref_geom, group_selections((36,)))], [(ref_geom, group_selections((36,))), *grids]):
+            two, sixteen = peak(groups, 2), peak(groups, 16)
+            assert sixteen <= 1.02 * two, (len(groups), two, sixteen)
+
+    def test_pool_memory_is_flat_in_blocks(self, monkeypatch):
+        # Two workers keep at most four blocks in flight, so a block adds only
+        # its result's 8-byte slot in the returned list; a pending future
+        # holds about 1.6 KB, so submitting every block at once would not fit.
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
+        geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
+
+        def peak(blocks: int) -> int:
+            tracemalloc.start()
+            try:
+                simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])],
+                               lambda start, g, gains: None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # the pool's first import
+        few, many = peak(200), peak(1_600)
+        assert many - few <= 16 * (1_600 - 200), (few, many)
 
     def test_empty_group(self, ref_geom):
-        assert simulate_group(MCConfig(trials=10, master_seed=1), ref_geom, [], lambda start, gains: gains) == []
+        assert simulate_group(MCConfig(trials=10, master_seed=1), [], lambda start, g, gains: gains) == []
 
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):

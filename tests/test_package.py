@@ -12,7 +12,7 @@ import sys
 from friscov import MCConfig, Mode, SurfaceGeometry, correlation_matrix, psd_sqrt, simulate_group
 geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)
 psd_sqrt(correlation_matrix(geom))
-simulate_group(MCConfig(trials=64, master_seed=1), geom, [(mode, 36) for mode in Mode], lambda start, gains: None)
+simulate_group(MCConfig(trials=64, master_seed=1), [(geom, [(mode, 36) for mode in Mode])], lambda start, g, gains: None)
 print(sorted(name for name in sys.modules if name.partition(".")[0] in {"scipy", "mpmath", "hypothesis"}))
 """
 
