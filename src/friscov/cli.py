@@ -24,7 +24,6 @@ import math
 import os
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,8 +98,8 @@ MAX_SWEEP_POINTS = 10**6
 
 # A run simulates about 200k trials a second per config on the reference
 # surface, so a billion trials take hours.  A pool of workers keeps at most
-# two blocks per worker in flight, and a run keeps an 8-byte result slot per
-# block and surface: 2 MB a surface at this limit.
+# two blocks per worker in flight, and a run keeps nothing per block: each
+# block is added to the run's totals as it arrives.
 MAX_TRIALS = 10**9
 
 # The KS gate of validate compares the first this many gains of each preset
@@ -331,19 +330,19 @@ def _sweep_points(scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSp
     return points
 
 
-def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> tuple[list[dict], list]:
+def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> list[dict]:
     """Event counts of run ``mc``: ``counts[i][key]`` for each ``(selection, surface)`` key of point ``i``.
 
     One :func:`simulate_group` call runs every surface's group, so each
-    block is drawn once for all of them; its workers add each block's
-    :func:`count_events`, at the levels of the points that read a
-    selection, to the group's integer totals, in any order.  ``tap =
-    (surface, selections, reduce)`` adds ``selections`` to the group on
-    ``surface`` and hands its blocks to ``reduce(start, gains)`` too,
-    ``gains`` keyed by selection; its results come back second, in block
-    order.  With ``progress``, a ``[k/n blocks]`` line with the elapsed
-    time and an ETA goes to stderr at most once a second, and after the
-    last block.
+    block is drawn once for all of them; its workers take each block's
+    :func:`count_events` at the levels of the points that read a
+    selection, and this thread adds them to the group's integer totals in
+    block order.  ``tap = (surface, selections, reduce, fold)`` adds
+    ``selections`` to the group on ``surface`` and hands its blocks to
+    ``reduce(start, gains)`` too, in the block's worker, ``gains`` keyed by
+    selection; each result goes to ``fold`` on this thread, in block order.
+    With ``progress``, a ``[k/n blocks]`` line with the elapsed time and an
+    ETA goes to stderr at most once a second, and after the last block.
     """
     groups: dict[SurfaceGeometry, dict[tuple[Mode, int], list[int]]] = {}
     if tap is not None:
@@ -354,34 +353,31 @@ def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> tuple[l
     readers = list(groups.values())
     levels = [[event_levels(points[i][1:3] for i in where) for where in group.values()] for group in readers]
     totals = [[np.zeros((len(where), 3), dtype=np.int64) for where in group.values()] for group in readers]
-    lock = threading.Lock()
-    n_blocks = -(-mc.trials // montecarlo.BLOCK_TRIALS)
-    began = shown = time.monotonic()
-    done = 0
 
     def reduce(start, g, gains):
-        nonlocal done, shown
         cells = [count_events(g_b, g_w, level) for (g_b, g_w), level in zip(gains, levels[g])]
-        with lock:
-            for total, cell in zip(totals[g], cells):
-                total += cell
-            # The run's last group ends a block.
-            if progress and g == len(readers) - 1:
-                done += 1
-                now = time.monotonic()
-                if done == n_blocks or now - shown >= 1.0:
-                    shown, elapsed = now, now - began
-                    print(f"[{done}/{n_blocks} blocks] {elapsed:.1f} s elapsed, "
-                          f"ETA {elapsed * (n_blocks - done) / done:.1f} s", file=sys.stderr)
-        return tap[2](start, dict(zip(readers[0], gains))) if tap is not None and g == 0 else None
+        return cells, tap[2](start, dict(zip(readers[0], gains))) if tap is not None and g == 0 else None
 
-    results = simulate_group(mc, [(surface, list(group)) for surface, group in groups.items()], reduce)
+    n_blocks = -(-mc.trials // montecarlo.BLOCK_TRIALS)
+    began = shown = time.monotonic()
+    blocks = simulate_group(mc, [(surface, list(group)) for surface, group in groups.items()], reduce)
+    for done, block in enumerate(blocks, 1):
+        for group_totals, (cells, _) in zip(totals, block):
+            for total, cell in zip(group_totals, cells):
+                total += cell
+        if tap is not None:
+            tap[3](block[0][1])
+        now = time.monotonic()
+        if progress and (done == n_blocks or now - shown >= 1.0):
+            shown, elapsed = now, now - began
+            print(f"[{done}/{n_blocks} blocks] {elapsed:.1f} s elapsed, "
+                  f"ETA {elapsed * (n_blocks - done) / done:.1f} s", file=sys.stderr)
     counts: list[dict] = [{} for _ in points]
     for surface, group, group_totals in zip(groups, readers, totals):
         for (selection, where), total in zip(group.items(), group_totals):
             for i, cell in zip(where, total.tolist()):
                 counts[i][selection, surface] = cell
-    return counts, results[0] if tap is not None else []
+    return counts
 
 
 def _sweep_rows(points, counts, trials: int, corr: np.ndarray, geom: SurfaceGeometry) -> list[dict[str, float | None]]:
@@ -428,7 +424,7 @@ def run_sweep(
     block's worker, so no gain outlives its block.
     """
     points = _sweep_points(scenario, geom, spec, modes)
-    counts, _ = _simulate(mc, points, progress)
+    counts = _simulate(mc, points, progress)
     return SweepResult(spec.variable, _sweep_rows(points, counts, mc.trials, correlation_matrix(geom), geom))
 
 
@@ -554,21 +550,31 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     points = _sweep_points(scenario, geom, spec, (Mode.FIXED,))
     fixed = [(Mode.FIXED, m_o) for m_o in (16, 36) if m_o <= geom.num_elements]
     best, lattice = (Mode.FRIS, scenario.m_o), (Mode.RIS, scenario.m_o)
+    sums, sample, dominated = [0.0] * len(fixed), np.empty((len(fixed), min(KS_TRIALS, mc.trials))), 0
 
     def gate_sums(start, gains):
         # Each preset's gain sum and the block's share of the KS gate's sample.
         kept = [(float(np.sum(gains[key][0])), gains[key][0][: max(0, KS_TRIALS - start)].copy()) for key in fixed]
-        return kept, _dominating_draws(gains[best][0], gains[lattice][0], scenario.m_o)
+        return start, kept, _dominating_draws(gains[best][0], gains[lattice][0], scenario.m_o)
 
-    counts, blocks = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], gate_sums))
+    def fold(block):
+        # Added in block order, on this thread.
+        nonlocal dominated
+        start, kept, draws = block
+        for j, (total, head) in enumerate(kept):
+            sums[j] += total
+            sample[j, start : start + head.size] = head
+        dominated += draws
+
+    counts = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], gate_sums, fold))
 
     corr = correlation_matrix(geom)
     gates = []
     for j, (_, m_o) in enumerate(fixed):
         fit = _gamma_fit(corr, geom, m_o)
-        rel = abs(sum(kept[j][0] for kept, _ in blocks) / mc.trials - fit.mean) / fit.mean
+        rel = abs(sums[j] / mc.trials - fit.mean) / fit.mean
         gates.append((f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02))
-        ks = ks_distance(np.concatenate([kept[j][1] for kept, _ in blocks]), fit)
+        ks = ks_distance(sample[j], fit)
         gates.append((f"KS distance to compound Gamma-exponential law (m_o={m_o})", ks, 0.05, ks <= 0.05))
 
     rows = _sweep_rows(points, counts, mc.trials, corr, geom)
@@ -576,7 +582,7 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
         gap = max(abs(row[f"analytic_{metric}"] - row[f"fixed_{metric}"]) for row in rows)
         gates.append((f"max |analytic - empirical| {event} over sweep", gap, 0.02, gap <= 0.02))
 
-    dominance = sum(dominated for _, dominated in blocks) / mc.trials
+    dominance = dominated / mc.trials
     gates.append(("per-draw best-product dominance over fixed sublattice", dominance, 1.0, dominance >= 1.0))
     return gates
 

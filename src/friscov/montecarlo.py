@@ -21,8 +21,8 @@ never on the other surfaces of the run or on the worker pool.  The
 layout's strides hold the block's size, so runs at one seed share every
 full block but not the gains of a partial last block: the first 4096
 trials of 4500 and of 9000 trials are the same, trial 4096 is not.
-Each block is reduced on its own and the results come back in block
-order, so identical ``(master_seed, trials, configs)`` produce
+Each block is reduced on its own and its results reach the caller in
+block order, so identical ``(master_seed, trials, configs)`` produce
 bit-identical estimates regardless of worker count and of what else
 runs beside them, at one BLAS thread count: the gains of a partial block
 can move in their last bits between one and two OpenBLAS threads.
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,10 +228,11 @@ def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) ->
 
 def simulate_group(
     mc: MCConfig, groups: Sequence[tuple[SurfaceGeometry, Sequence[tuple[Mode, int]]]], reduce: Callable
-) -> list[list]:
-    """``reduce(start, g, gains)`` of each block of run ``mc`` and each ``(surface, selections)`` group ``g``.
+) -> Iterator[list]:
+    """Yield each block of run ``mc``, in block order, as the list of ``reduce(start, g, gains)`` over groups ``g``.
 
-    Returns one list per group of its results, in block order.  ``start``
+    Lazy: nothing runs until the iterator is advanced, and no groups yield
+    no blocks.  ``groups`` holds ``(surface, selections)`` pairs; ``start``
     is the block's first trial and ``gains`` the per-trial cascaded gains
     of group ``g``, one ``(g_b, g_w)`` pair per ``(mode, m_o)`` selection;
     ``reduce`` runs in the block's worker, once per group in group order,
@@ -256,15 +257,14 @@ def simulate_group(
     ``mc.workers``.  The gains of a block depend on the master seed, the
     block index and the block's size, so runs at one seed agree on every
     full block (see the module docstring).  With workers, at most two
-    blocks per worker are in flight at once.
+    blocks per worker are in flight, and closing the iterator waits for them.
     """
     surfaces = [(_group_members(list(selections), geom), psd_sqrt(correlation_matrix(geom)))
                 for geom, selections in groups]
     if not surfaces:
-        return []
+        return
     rank = max(factor.shape[1] for _, factor in surfaces)
     n_blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    results: list[list] = [[] for _ in surfaces]
 
     def run(block_index: int) -> list:
         start = block_index * BLOCK_TRIALS
@@ -273,15 +273,10 @@ def simulate_group(
         return [reduce(start, g, _block_gains(factor, members, z[: factor.shape[1]], count))
                 for g, (members, factor) in enumerate(surfaces)]
 
-    def keep(block: list) -> None:
-        for kept, value in zip(results, block):
-            kept.append(value)
-
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
     if mc.workers == 1 or n_blocks == 1:
-        for k in range(n_blocks):
-            keep(run(k))
-        return results
+        yield from map(run, range(n_blocks))
+        return
     # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -291,11 +286,10 @@ def simulate_group(
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
         for k in range(n_blocks):
             if len(window) == 2 * mc.workers:
-                keep(window.popleft().result())
+                yield window.popleft().result()
             window.append(pool.submit(run, k))
         for future in window:
-            keep(future.result())
-    return results
+            yield future.result()
 
 
 def event_levels(points: Iterable[tuple[ScenarioConfig, float]]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 
 # The gains of a partial block can move in their last bits between one and
 # two OpenBLAS threads, and the golden digests pin them at one.  OpenBLAS
@@ -12,6 +13,15 @@ import numpy as np
 import pytest
 
 from friscov import SurfaceGeometry, correlation_matrix
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started running, such as a worker pool never shut down."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture(scope="session")

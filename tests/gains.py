@@ -17,8 +17,8 @@ def run_gains(mc, groups) -> list[list[Gains]]:
 
     :func:`simulate_group` with a reducer that keeps every block.
     """
-    runs = simulate_group(mc, groups, lambda start, g, gains: gains)
-    return [[Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*blocks)] for blocks in runs]
+    blocks = simulate_group(mc, groups, lambda start, g, gains: gains)
+    return [[Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*runs)] for runs in zip(*blocks)]
 
 
 def whole_gains(mc, geom, selections) -> list[Gains]:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from friscov import (
     DomainError,
     Mode,
     ScenarioConfig,
+    SurfaceGeometry,
     correlation_matrix,
     dbm_to_watt,
     default_fixed_preset,
@@ -242,17 +244,19 @@ class TestRunSweep:
         result = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,))
         assert [row["swept_value"] for row in result.rows] == [16.0, 36.0]
 
-    def test_progress_reports_each_group(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_reports_blocks_in_order(self, monkeypatch, capsys, workers):
         # Progress comes per block of the whole run, at most once a second by
-        # the clock, and after the last block.  m_o = 4 pairs its RIS grid with
-        # the fluid surface's draws; m_o = 7 needs a grid of its own, so a
-        # block ends with the second surface.  The clock reads 0.375 s later
-        # at each block's end, so every third block and the last report.
+        # the clock, and after the last block, at any worker count.  m_o = 4
+        # pairs its RIS grid with the fluid surface's draws; m_o = 7 needs a
+        # grid of its own, so a block holds two surfaces.  The clock reads
+        # 0.375 s later as each block arrives, so every third block and the
+        # last report.
         readings = iter(np.arange(12) * 0.375)
         monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: float(next(readings))))
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 100)
         scenario, geom, mc, _ = load_config(None)
-        mc = dataclasses.replace(mc, trials=1_000)
+        mc = dataclasses.replace(mc, trials=1_000, workers=workers)
         spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2)
         run_sweep(scenario, geom, mc, spec, modes=(Mode.FRIS, Mode.RIS), progress=True)
         lines = capsys.readouterr().err.splitlines()
@@ -491,32 +495,6 @@ class TestMain:
         cfg = write_config(tmp_path, "scenario.p0 = 0.9\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
 
-    def test_counts_add_up_under_contended_workers(self, monkeypatch):
-        # Eight threads on fewer cores, switching every microsecond, each add a
-        # block's counts at 1,000 levels to the shared totals; numpy adds arrays
-        # that large without holding the interpreter lock, so a lost update
-        # would leave a total short.  Blocks of 8 zero gains keep the adds a
-        # large share of the work: each is 8 outages and nothing else.
-        from concurrent.futures import ThreadPoolExecutor
-
-        def racing_group(mc, groups, reduce):
-            [(_, selections)] = groups
-            gains = [(np.zeros(8), np.zeros(8)) for _ in selections]
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                return [list(pool.map(lambda k: reduce(8 * k, 0, gains), range(mc.trials // 8)))]
-
-        monkeypatch.setattr(cli, "simulate_group", racing_group)
-        scenario, geom, mc, _ = load_config(None)
-        cfg = dataclasses.replace(scenario, p_a=dbm_to_watt(-45.0))
-        points = [(0.0, cfg, optimal_threshold(cfg), {Mode.FIXED: ((Mode.FIXED, 36), geom)})] * 1_000
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            counts, _ = cli._simulate(dataclasses.replace(mc, trials=8 * 400), points)
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(cells == {((Mode.FIXED, 36), geom): [8 * 400, 0, 0]} for cells in counts)
-
     def test_worker_count_does_not_change_csv_bytes(self, tmp_path):
         # 9,000 trials: two full blocks and a partial one, so three workers
         # run them in a pool.
@@ -616,6 +594,32 @@ class TestMain:
         for metric, event in (("op", "outage"), ("cop", "covertness outage"), ("psuc", "success")):
             gap = max(abs(row[f"analytic_{metric}"] - row[f"fixed_{metric}"]) for row in rows)
             assert measured[f"max |analytic - empirical| {event} over sweep"] == gap
+
+    def test_validate_memory_is_flat_in_blocks(self, monkeypatch):
+        # Each block's gate sums, KS share and dominance count are added up as
+        # the block arrives, so 800 blocks peak where 100 do.  Blocks of 8
+        # trials on a 4x4 surface keep the run short and the per-block
+        # results a large share of its memory: one kept per block would add
+        # some 300 B each.
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
+        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
+        monkeypatch.setattr(cli, "KS_TRIALS", 8)
+        scenario, _, mc, spec = load_config(None)
+        scenario, spec = dataclasses.replace(scenario, m_o=16), dataclasses.replace(spec, points=2)
+        geom = SurfaceGeometry(4, 4, 2.0, 2.0, 0.125)
+
+        def peak(blocks: int) -> int:
+            tracemalloc.start()
+            try:
+                gates = _run_validate(scenario, geom, dataclasses.replace(mc, trials=8 * blocks), spec)
+                assert len(gates) == 6
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call allocations
+        few, many = peak(100), peak(800)
+        assert many - few <= 8_192, (few, many)
 
     def test_validate_draws_each_block_once(self, monkeypatch, capsys):
         calls = []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -98,9 +99,10 @@ class TestSubstreams:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_block_is_reduced_once_in_block_order(self, ref_geom, workers):
         mc = MCConfig(trials=3 * BLOCK_TRIALS + 7, master_seed=1, workers=workers)
-        [blocks] = simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)])],
-                                  lambda start, g, gains: (start, [g_b.size for g_b, g_w in gains]))
-        assert blocks == [(k * BLOCK_TRIALS, [n, n]) for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
+        groups = [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)]), (ref_geom, [(Mode.RIS, 16)])]
+        blocks = simulate_group(mc, groups, lambda start, g, gains: (start, g, [g_b.size for g_b, g_w in gains]))
+        assert list(blocks) == [[(k * BLOCK_TRIALS, 0, [n, n]), (k * BLOCK_TRIALS, 1, [n])]
+                                for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
 
 
 class TestMCConfigValidation:
@@ -345,11 +347,13 @@ class TestGroups:
         for run_trials, group, bound in groups:
             tracemalloc.start()
             try:
-                simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, group)],
-                               lambda start, g, gains: None)
+                blocks = simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, group)],
+                                        lambda start, g, gains: None)
+                reduced = sum(len(block) for block in blocks)
                 ratio = tracemalloc.get_traced_memory()[1] / normals
             finally:
                 tracemalloc.stop()
+            assert reduced == run_trials // BLOCK_TRIALS
             assert ratio <= bound, (len(group), run_trials, group[-1], ratio)
 
     def test_counted_memory_is_flat_in_trials(self, ref_geom):
@@ -364,8 +368,9 @@ class TestGroups:
         def peak(groups, blocks: int) -> int:
             tracemalloc.start()
             try:
-                simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), groups,
-                               lambda start, g, gains: [count_events(*pair, levels) for pair in gains])
+                run = simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), groups,
+                                     lambda start, g, gains: [count_events(*pair, levels) for pair in gains])
+                assert sum(len(block) for block in run) == blocks * len(groups)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -375,27 +380,59 @@ class TestGroups:
             assert sixteen <= 1.02 * two, (len(groups), two, sixteen)
 
     def test_pool_memory_is_flat_in_blocks(self, monkeypatch):
-        # Two workers keep at most four blocks in flight, so a block adds only
-        # its result's 8-byte slot in the returned list; a pending future
-        # holds about 1.6 KB, so submitting every block at once would not fit.
+        # Two workers keep at most four blocks in flight and the caller takes
+        # each block as it comes, so the run keeps nothing per block.  The
+        # peak moves by a few KB with how the workers' temporaries overlap;
+        # an 8-byte slot per block would add 24 KB, and a pending future per
+        # block (about 1.6 KB each) far more.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
         geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
 
         def peak(blocks: int) -> int:
             tracemalloc.start()
             try:
-                simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])],
-                               lambda start, g, gains: None)
+                run = simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2),
+                                     [(geom, [(Mode.FIXED, 4)])], lambda start, g, gains: None)
+                assert sum(len(block) for block in run) == blocks
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(4)  # the pool's first import
-        few, many = peak(200), peak(1_600)
-        assert many - few <= 16 * (1_600 - 200), (few, many)
+        few, many = peak(200), peak(3_200)
+        assert many - few <= 12_288, (few, many)
+
+    @pytest.mark.parametrize("end", ["close", "raise"])
+    def test_pool_ends_with_the_iterator(self, monkeypatch, end):
+        # Two workers: the first block comes back with four submitted.  Closing
+        # the iterator then waits for the three in flight and runs no more;
+        # an exception out of reduce at the third block reaches the caller
+        # once the three after it are done.  Either way the pool's threads end.
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
+        geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
+        threads = threading.active_count()
+        reduced = []
+
+        def reduce(start, g, gains):
+            reduced.append((start, threading.current_thread() is threading.main_thread()))
+            if end == "raise" and start == 16:
+                raise RuntimeError("reduce failed")
+            return start
+
+        blocks = simulate_group(MCConfig(trials=8 * 100, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])],
+                                reduce)
+        if end == "close":
+            assert next(blocks) == [0]
+            blocks.close()
+        else:
+            with pytest.raises(RuntimeError, match="reduce failed"):
+                for _ in blocks:
+                    pass
+        assert threading.active_count() == threads
+        assert sorted(reduced) == [(8 * k, False) for k in range(4 if end == "close" else 6)]
 
     def test_empty_group(self, ref_geom):
-        assert simulate_group(MCConfig(trials=10, master_seed=1), [], lambda start, g, gains: gains) == []
+        assert list(simulate_group(MCConfig(trials=10, master_seed=1), [], lambda start, g, gains: gains)) == []
 
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):
