@@ -45,6 +45,7 @@ from .surface import (
     correlation_matrix,
     default_fixed_preset,
     psd_sqrt,
+    surface_factor,
 )
 
 __version__ = "0.1.0"
@@ -59,5 +60,5 @@ __all__ = [
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
     "estimate_success", "ks_distance", "simulate_group",
     "bessel_j0",
-    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset", "psd_sqrt",
+    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset", "psd_sqrt", "surface_factor",
 ]

@@ -95,7 +95,7 @@ def correlated_tile(factor: np.ndarray, z: np.ndarray, start: int, stop: int) ->
     """Fading vectors ``a, b, c`` of trials ``start:stop`` of a block, stacked as ``(3, ports, stop - start)``.
 
     ``factor`` is a real ``(ports, rank)`` factor of the port correlation
-    (:func:`~friscov.surface.psd_sqrt`) and ``z`` the block's normals of
+    (:func:`~friscov.surface.surface_factor`) and ``z`` the block's normals of
     that rank (:func:`block_normals`, or the first ``rank`` rows of a
     higher rank's).  Each link is ``factor @ h``, so its covariance is
     ``factor @ factor.T``.  ``factor`` is real and a complex array views as

@@ -12,7 +12,7 @@ the whole run in the fixed layout of
 :func:`~friscov.channel.block_normals`: one standard normal per rank,
 link, trial and real or imaginary part, indexed ``[rank, link, trial,
 re/im]``, where the rank ``R`` is the largest numerical rank of the
-run's surface correlations (:func:`~friscov.surface.psd_sqrt`).  A
+run's surface factors (:func:`~friscov.surface.surface_factor`).  A
 surface of rank ``r`` correlates its ``(ports, r)`` factor against the
 first ``r`` rank rows.  The rank axis leads, so those rows are the
 normals that a draw of rank ``r`` alone would give: a surface's draws
@@ -73,7 +73,7 @@ import numpy as np
 from .analytics import GammaFit, ScenarioConfig, compound_probability, fa_probability, missed_level, outage_level
 from .channel import Mode, best_product_order, block_normals, cascade, correlated_tile
 from .errors import DomainError
-from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset, psd_sqrt
+from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 
 # Trials per substream block. Part of the reproducibility contract:
 # changing it changes which substream a trial belongs to.
@@ -259,7 +259,7 @@ def simulate_group(
     full block (see the module docstring).  With workers, at most two
     blocks per worker are in flight, and closing the iterator waits for them.
     """
-    surfaces = [(_group_members(list(selections), geom), psd_sqrt(correlation_matrix(geom)))
+    surfaces = [(_group_members(list(selections), geom), surface_factor(geom))
                 for geom, selections in groups]
     if not surfaces:
         return

@@ -8,11 +8,11 @@ and ``d_z = w_z * wavelength / m_z``.
 
 Under rich isotropic scattering the fading correlation between two
 ports separated by distance d is ``J0(2 pi d / wavelength)`` (the
-classic Clarke/Jakes model), which defines the dense symmetric
-correlation matrix built by :func:`correlation_matrix`.  Its low-rank
-pivoted-Cholesky factor (:func:`psd_sqrt`) feeds the correlated channel
-sampler, and :func:`default_fixed_preset` picks the active ports of the
-fixed surfaces as an index array.
+classic Clarke/Jakes model), so one table of J0 at the grid's row and
+column offsets holds every correlation.  The channel sampler's low-rank
+pivoted-Cholesky factor (:func:`surface_factor`) and the correlation over
+a preset of :func:`default_fixed_preset` (:func:`correlation_matrix`) are
+read off it; :func:`psd_sqrt` factors a dense matrix the same way.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 from .errors import DomainError, NotPSDError
 from .specfun import bessel_j0
 
-# An eigenvalue of a correlation matrix below -PSD_CLAMP_REL * max_eig
-# marks genuinely indefinite input; one above it is rounding noise, left
-# in the residual that the pivoted Cholesky factor of psd_sqrt drops.
+# An entry of corr - L @ L.T above PSD_CLAMP_REL * max|corr| marks input that
+# is not PSD: the residual of PSD input is bounded entrywise by its diagonal,
+# which psd_sqrt's pivoted Cholesky factor L leaves at most 5e-10 * max|corr|.
 PSD_CLAMP_REL = 1e-8
 
 # The widest aperture, in wavelengths along each axis: the correlation then
@@ -80,28 +80,62 @@ class SurfaceGeometry:
         return self.w_z * self.wavelength / self.m_z
 
 
-def correlation_matrix(geom: SurfaceGeometry) -> np.ndarray:
-    """Dense spatial correlation matrix of the port grid.
+def _offset_table(geom: SurfaceGeometry) -> np.ndarray:
+    """``(m_z, m_x)`` table of J0 at the grid's (row, column) offsets (``np.hypot`` rounds some distances otherwise)."""
+    distance = [[math.hypot(geom.d_x * dc, geom.d_z * dr) for dc in range(geom.m_x)] for dr in range(geom.m_z)]
+    return bessel_j0(2.0 * math.pi / geom.wavelength * np.array(distance))
 
-    Entry (i, j) equals ``J0(2 pi d_ij / wavelength)`` with ``d_ij`` the
-    inter-port distance.  Exactly symmetric with unit diagonal by
-    construction: entries are looked up from a table of the J0 values
-    at the grid's distinct (row-offset, column-offset) pairs, evaluated
-    in one call.  The offset distances come from ``math.hypot``
-    (``np.hypot`` rounds some of them differently).
+
+def correlation_matrix(geom: SurfaceGeometry, ports: np.ndarray | None = None) -> np.ndarray:
+    """``J0(2 pi d / wavelength)`` of each pair of ``ports`` (default: all) at distance ``d``, from the offset table."""
+    index = np.arange(geom.num_elements) if ports is None else np.asarray(ports)
+    if index.ndim != 1 or index.dtype.kind not in "iu" or not np.all((index >= 0) & (index < geom.num_elements)):
+        raise DomainError(f"ports must be a 1-D array of port indices in [0, {geom.num_elements})")
+    rows, cols = np.divmod(index, geom.m_x)
+    table = _offset_table(geom)
+    return table[np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])]
+
+
+def _pivoted_cholesky(diagonal: np.ndarray, column, scale: float) -> np.ndarray:
+    """Pivoted Cholesky factor, by :func:`psd_sqrt`'s rules, of the matrix of ``diagonal`` and ``scale = max|entry|``.
+
+    ``column(rest, pivot)`` returns entries ``(rest, pivot)``, ``rest`` masking the ports not yet pivoted.  Columns
+    grow by doubling, not to ``(ports, ports)``; ``factor[rest, :rank]`` is a copy, so no bit depends on them.
     """
-    m_x, m_z = geom.m_x, geom.m_z
-    scale = 2.0 * math.pi / geom.wavelength
-    distance = np.array(
-        [[math.hypot(geom.d_x * dc, geom.d_z * dr) for dc in range(m_x)] for dr in range(m_z)]
-    )
-    table = bessel_j0(scale * distance)
-    idx = np.arange(geom.num_elements)
-    rows = idx // m_x
-    cols = idx % m_x
-    drow = np.abs(rows[:, None] - rows[None, :])
-    dcol = np.abs(cols[:, None] - cols[None, :])
-    return table[drow, dcol]
+    ports = diagonal.size
+    factor = np.zeros((ports, min(ports, 64)))
+    residual = diagonal.copy()
+    rest = np.ones(ports, dtype=bool)
+    rank = 0
+    while rank < ports:
+        live = np.where(rest, residual, -np.inf)
+        top = live.max()
+        if top <= 5e-10 * scale:
+            break
+        pivot = int(np.argmax(live >= top - 1e-10 * scale))
+        rest[pivot] = False
+        root = math.sqrt(residual[pivot])
+        if rank == factor.shape[1]:
+            factor = np.hstack([factor, np.zeros_like(factor)])
+        factor[pivot, rank] = root
+        update = column(rest, pivot) - factor[rest, :rank] @ factor[pivot, :rank]
+        factor[rest, rank] = update / root
+        residual[rest] -= factor[rest, rank] ** 2
+        rank += 1
+    return factor[:, :rank].copy()
+
+
+def surface_factor(geom: SurfaceGeometry) -> np.ndarray:
+    """``psd_sqrt(correlation_matrix(geom))``, bit for bit, each pivot column read off the J0 table.
+
+    No ``(ports, ports)`` array is built.  J0 of a planar distance is the covariance of an isotropic field, PSD in
+    exact arithmetic, so no PSD check runs.
+    """
+    table = _offset_table(geom)
+    rows, cols = np.divmod(np.arange(geom.num_elements), geom.m_x)
+    return _pivoted_cholesky(np.full(geom.num_elements, table[0, 0]),
+                             lambda rest, p: table[np.abs(rows[rest] - rows[p]), np.abs(cols[rest] - cols[p])],
+                             np.max(np.abs(table)))
 
 
 def psd_sqrt(corr: np.ndarray) -> np.ndarray:
@@ -121,50 +155,28 @@ def psd_sqrt(corr: np.ndarray) -> np.ndarray:
     spatial degrees of freedom the surface resolves: 33 of the 144 ports
     of the 12x12 reference surface.  The factor depends on no eigenvector
     basis (the correlation of a square grid has exactly degenerate
-    eigenpairs), so the same input always gives the same bits.
+    eigenpairs), so the same input always gives the same bits.  It is the
+    reference of :func:`surface_factor`, which runs use.
 
     Raises:
         NotPSDError: empty, non-finite, asymmetric or indefinite input
-            (an eigenvalue below ``-PSD_CLAMP_REL * max_eig``).
+            (an entry of ``corr - L @ L.T`` above ``PSD_CLAMP_REL * s``).
     """
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise NotPSDError(f"expected a square matrix, got shape {corr.shape}")
-    ports = corr.shape[0]
-    if ports == 0:
+    if corr.shape[0] == 0:
         raise NotPSDError("matrix is empty")
     if not np.all(np.isfinite(corr)):
         raise NotPSDError("matrix has a non-finite entry")
     scale = np.max(np.abs(corr))
     if not np.all(np.abs(corr - corr.T) <= 1e-12 * max(scale, 1.0)):
         raise NotPSDError("matrix is not symmetric")
-    eigvals = np.linalg.eigvalsh(corr)
-    max_eig = float(eigvals[-1])
-    if max_eig < 0.0:
-        raise NotPSDError(f"matrix is negative definite (max eigenvalue {max_eig})")
-    if float(eigvals[0]) < -PSD_CLAMP_REL * max(max_eig, 1e-300):
-        raise NotPSDError(
-            f"eigenvalue {eigvals[0]} below clamping tolerance "
-            f"{-PSD_CLAMP_REL * max_eig}; input is not PSD"
-        )
-    factor = np.zeros((ports, ports))
-    residual = np.diag(corr).copy()
-    rest = np.ones(ports, dtype=bool)
-    rank = 0
-    while rank < ports:
-        live = np.where(rest, residual, -np.inf)
-        top = live.max()
-        if top <= 5e-10 * scale:
-            break
-        pivot = int(np.argmax(live >= top - 1e-10 * scale))
-        rest[pivot] = False
-        root = math.sqrt(residual[pivot])
-        factor[pivot, rank] = root
-        column = corr[rest, pivot] - factor[rest, :rank] @ factor[pivot, :rank]
-        factor[rest, rank] = column / root
-        residual[rest] -= factor[rest, rank] ** 2
-        rank += 1
-    return factor[:, :rank].copy()
+    factor = _pivoted_cholesky(np.diag(corr), lambda rest, pivot: corr[rest, pivot], scale)
+    misfit = float(np.max(np.abs(corr - factor @ factor.T)))
+    if misfit > PSD_CLAMP_REL * scale:
+        raise NotPSDError(f"factor misses an entry by {misfit:g} > {PSD_CLAMP_REL * scale:g}; input is not PSD")
+    return factor
 
 
 def default_fixed_preset(geom: SurfaceGeometry, m_o: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from friscov import (
     SurfaceGeometry,
     correlation_matrix,
     default_fixed_preset,
-    psd_sqrt,
+    surface_factor,
 )
 from friscov.channel import _polar, _running_sums, best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
 from friscov.cli import _mode_config
@@ -47,7 +47,7 @@ def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int)
 def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> tuple[np.ndarray, ...]:
     """The fading vectors ``simulate_group`` draws for its first block."""
     rng = np.random.default_rng(mix64(master_seed, 0))
-    return correlated_fading(psd_sqrt(correlation_matrix(geom)), rng, trials)
+    return correlated_fading(surface_factor(geom), rng, trials)
 
 
 class TestSampleCorrelatedFading:
@@ -61,7 +61,7 @@ class TestSampleCorrelatedFading:
         geom = SurfaceGeometry(6, 6, 1.0, 1.0, 0.125)
         corr = correlation_matrix(geom)
         n = 50_000
-        for v in correlated_fading(psd_sqrt(corr), np.random.default_rng(43), n):
+        for v in correlated_fading(surface_factor(geom), np.random.default_rng(43), n):
             cov = v @ v.conj().T / n
             assert np.linalg.norm(cov - corr) <= 0.05 * corr.shape[0]
 
@@ -86,10 +86,10 @@ class TestSampleCorrelatedFading:
             cov = v @ v.conj().T / n
             assert np.max(np.abs(cov - factor @ factor.T)) <= 0.05 * np.max(np.abs(factor @ factor.T))
 
-    def test_tiles_are_column_ranges_of_the_block(self, ref_corr):
+    def test_tiles_are_column_ranges_of_the_block(self, ref_geom):
         # The block's normals are read in place: trial k of any tile is trial
         # k of the block, whatever the tile's edges.
-        root = psd_sqrt(ref_corr)
+        root = surface_factor(ref_geom)
         z = block_normals(np.random.default_rng(46), root.shape[1], 1_000)
         whole = correlated_tile(root, z, 0, 1_000)
         edges = (0, 1, 512, 1_000)
@@ -110,11 +110,11 @@ class TestSampleCorrelatedFading:
             correlated_tile(np.ones((4, 2)), z, 0, 10)
 
     @pytest.mark.parametrize("trials", [1, 513, 4_096])
-    def test_a_lower_rank_reads_a_prefix_of_a_higher_ranks_normals(self, ref_corr, trials):
+    def test_a_lower_rank_reads_a_prefix_of_a_higher_ranks_normals(self, ref_geom, trials):
         # The rank axis leads, so a rank-r draw is the first r rows of a
         # rank-R draw from the same state, and a factor of rank r correlates
         # that prefix to the bits of its own draw.
-        root = psd_sqrt(ref_corr)
+        root = surface_factor(ref_geom)
         rank = root.shape[1]
         own = block_normals(np.random.default_rng(47), rank, trials)
         shared = block_normals(np.random.default_rng(47), rank + 9, trials)
@@ -404,15 +404,15 @@ class TestWillieGain:
 
 
 class TestDrawChannel:
-    def test_deterministic_given_stream_state(self, ref_corr):
-        root = psd_sqrt(ref_corr)
+    def test_deterministic_given_stream_state(self, ref_geom):
+        root = surface_factor(ref_geom)
         first, second = (correlated_fading(root, np.random.default_rng(77), 64) for _ in range(2))
         for u, v in zip(first, second):
             assert np.array_equal(u, v)
         assert np.array_equal(best_product_order(*first[:2]), best_product_order(*second[:2]))
 
-    def test_best_product_dominates_fixed_per_draw(self, ref_corr, ref_geom):
-        a, b, c = correlated_fading(psd_sqrt(ref_corr), np.random.default_rng(0), 20)
+    def test_best_product_dominates_fixed_per_draw(self, ref_geom):
+        a, b, c = correlated_fading(surface_factor(ref_geom), np.random.default_rng(0), 20)
         rows = best_product_order(a, b)[:36]
         best = cascade([True], *(np.take_along_axis(v, rows, axis=0) for v in (a, b, c)))[0][0]
         preset = default_fixed_preset(ref_geom, 36)

@@ -15,7 +15,6 @@ from friscov import (
     SurfaceGeometry,
     compound_probability,
     cop,
-    correlation_matrix,
     dbm_to_watt,
     default_fixed_preset,
     estimate_cop,
@@ -27,9 +26,9 @@ from friscov import (
     md_probability,
     optimal_threshold,
     outage_probability,
-    psd_sqrt,
     simulate_group,
     success_probability,
+    surface_factor,
 )
 from friscov import montecarlo
 from friscov.analytics import missed_level, outage_level
@@ -285,7 +284,7 @@ class TestGroups:
         assert [(grid.m_x, grid.m_z) for grid in grids.values()] == [(3, 9), (1, 97)]
         groups = [(ref_geom, group_selections((16, 144)))] + [(grid, [(Mode.RIS, m_hat), (Mode.FRIS, 5)])
                                                              for m_hat, grid in grids.items()]
-        assert [psd_sqrt(correlation_matrix(geom)).shape[1] for geom, _ in groups] == [33, 24, 12]
+        assert [surface_factor(geom).shape[1] for geom, _ in groups] == [33, 24, 12]
         alone = [run_gains(MCConfig(trials=4_097, master_seed=5), [group])[0] for group in groups]
         for workers in (1, 2):
             mc = MCConfig(trials=4_097, master_seed=5, workers=workers)
@@ -302,7 +301,7 @@ class TestGroups:
         trials = 4_097  # a full block and a one-trial block
         group = [(Mode.FRIS, m_o) for m_o in range(1, 145)]
         samples = whole_gains(MCConfig(trials=trials, master_seed=5), ref_geom, group)
-        root = psd_sqrt(correlation_matrix(ref_geom))
+        root = surface_factor(ref_geom)
         for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
             count = min(BLOCK_TRIALS, trials - start)
             z = block_normals(np.random.default_rng(mix64(5, block)), root.shape[1], count)

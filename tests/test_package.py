@@ -10,9 +10,9 @@ import friscov
 # modules of the test-only packages.
 _ONE_BLOCK = """
 import sys
-from friscov import MCConfig, Mode, SurfaceGeometry, correlation_matrix, psd_sqrt, simulate_group
+from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group, surface_factor
 geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)
-psd_sqrt(correlation_matrix(geom))
+surface_factor(geom)
 run = simulate_group(MCConfig(trials=64, master_seed=1), [(geom, [(mode, 36) for mode in Mode])], lambda start, g, gains: None)
 print(sum(len(block) for block in run))
 print(sorted(name for name in sys.modules if name.partition(".")[0] in {"scipy", "mpmath", "hypothesis"}))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from friscov import (
     correlation_matrix,
     default_fixed_preset,
     psd_sqrt,
+    surface_factor,
 )
 from friscov.channel import ris_grid_geometry
 
@@ -61,7 +63,8 @@ class TestCorrelationMatrix:
     def test_entries_are_j0_of_the_port_distance(self, grids):
         # Bit-equal to J0 of the port distance measured with math.hypot, on
         # the rows of the four corner ports: together they hold every
-        # offset, of either sign along each axis.
+        # offset, of either sign along each axis.  The block over a set of
+        # ports (a preset, or the corners) is those rows and columns.
         for m_x, m_z in grids:
             geom = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0, wavelength=0.125)
             n = geom.num_elements
@@ -69,7 +72,18 @@ class TestCorrelationMatrix:
             distance = np.array([[math.hypot(geom.d_x * (i % m_x - j % m_x), geom.d_z * (i // m_x - j // m_x))
                                   for j in range(n)] for i in corners])
             expected = bessel_j0(2.0 * math.pi / geom.wavelength * distance)
-            assert np.array_equal(correlation_matrix(geom)[corners], expected), (m_x, m_z)
+            whole = correlation_matrix(geom)
+            assert np.array_equal(whole[corners], expected), (m_x, m_z)
+            for ports in (corners, default_fixed_preset(geom, (n + 1) // 2)):
+                assert np.array_equal(correlation_matrix(geom, ports), whole[np.ix_(ports, ports)]), (m_x, m_z)
+
+    @pytest.mark.parametrize("ports", [[-1, 0], [140, 150], [[0, 1]], [0.0, 1.0]],
+                             ids=["negative", "beyond-the-grid", "2-D", "float"])
+    def test_ports_outside_the_grid_rejected(self, ref_geom, ports):
+        # Port 150 would sit on a 13th row; with port 140 both offsets are
+        # still inside the table, so only the check stops it.
+        with pytest.raises(DomainError):
+            correlation_matrix(ref_geom, ports)
 
 
 # Every grid up to 16x16, and the RIS grids of an m_o sweep on the
@@ -98,8 +112,9 @@ class TestPsdSqrt:
         assert np.linalg.norm(root @ root.T - ref_corr) <= 1e-10 * dim
 
     def test_random_psd_matrices(self):
+        # At full rank 70 the factor outgrows its first 64 columns.
         rng = np.random.default_rng(5)
-        for dim in (2, 7, 20):
+        for dim in (2, 7, 20, 70):
             factor = rng.standard_normal((dim, dim))
             mat = factor @ factor.T
             root = psd_sqrt(mat)
@@ -110,13 +125,20 @@ class TestPsdSqrt:
             psd_sqrt(np.array([[1.0, 0.2], [0.0, 1.0]]))
 
     def test_indefinite_rejected(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # Eigenvalues -1 and 3, then 1, 1 and -1.  Pivoting stops on the
+        # permutation's residual diagonal of zeros at rank 1, so only its
+        # off-diagonal misfit of 1 shows it is not PSD.
+        for mat in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]):
+            with pytest.raises(NotPSDError):
+                psd_sqrt(np.array(mat))
 
-    @pytest.mark.parametrize("grids", [ALL_GRIDS, M_O_SWEEP_RIS_GRIDS], ids=["up-to-16x16", "m_o-sweep-ris"])
+    @pytest.mark.parametrize("grids", [ALL_GRIDS, M_O_SWEEP_RIS_GRIDS, [(32, 32)]],
+                             ids=["up-to-16x16", "m_o-sweep-ris", "32x32"])
     def test_factor_reproduces_every_surface(self, grids):
+        # The run's factor, read off the J0 table, is the dense reference's.
         for m_x, m_z in grids:
-            corr = correlation_matrix(SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0, wavelength=0.125))
+            geom = SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0, wavelength=0.125)
+            corr = correlation_matrix(geom)
             dim = corr.shape[0]
             root = psd_sqrt(corr)
             assert root.ndim == 2 and root.shape[0] == dim and 1 <= root.shape[1] <= dim, (m_x, m_z)
@@ -124,6 +146,21 @@ class TestPsdSqrt:
             # A PSD residual is bounded entrywise by its diagonal, which
             # pivoting leaves at most 5e-10.
             assert np.max(np.abs(root @ root.T - corr)) <= 5e-10, (m_x, m_z)
+            assert np.array_equal(surface_factor(geom), root), (m_x, m_z)
+
+    def test_factor_at_max_ports_is_small(self):
+        # A 64x64 grid: the dense matrix alone is 128 MB, its factor about
+        # 1.1 MB, since the 2x2-wavelength aperture, not the port count,
+        # sets the rank.
+        geom = SurfaceGeometry(m_x=64, m_z=64, w_x=2.0, w_z=2.0, wavelength=0.125)
+        tracemalloc.start()
+        try:
+            root = surface_factor(geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+        assert root.shape[0] == 4096 and 33 <= root.shape[1] <= 35
 
     def test_reference_rank(self, ref_corr):
         # 144 ports over 2x2 wavelengths resolve 33 spatial degrees of freedom.
