@@ -2,13 +2,13 @@
 
 Arrays hold one column per trial: fading vectors are ``(ports, trials)``
 and gains ``(trials,)``.  A block is three correlated fading vectors
-per trial (:func:`block_normals`: ``rank`` normals per link and trial,
-rank-major, correlated by the surface's ``(ports, rank)`` factor one
-column tile at a time by :func:`correlated_tile`), an active-port
-selection, and the cascaded power gains toward the receiver and the
-warden (:func:`cascade`).  A surface of rank ``r`` reads the first ``r``
-rank rows of a block's normals, so surfaces of any ranks can share one
-draw.
+per trial (:func:`block_normals`: one draw per tile of ``rank`` normals
+per link and trial, rank-major, correlated by the surface's ``(ports,
+rank)`` factor one tile at a time by :func:`correlated_tile`), an
+active-port selection, and the cascaded power gains toward the receiver
+and the warden (:func:`cascade`).  A surface of rank ``r`` reads the
+first ``r`` rank rows of each tile's normals, so surfaces of any ranks
+can share one draw.
 
 The paper compares three surfaces, one :class:`Mode` each:
 
@@ -74,47 +74,50 @@ class Mode(enum.Enum):
     RIS = "ris"
 
 
-def block_normals(rng: np.random.Generator, rank: int, trials: int) -> np.ndarray:
-    """The standard normals of one block, ``(rank, 3, 2 * trials)``, scaled by ``1 / sqrt(2)``.
+def block_normals(rngs: Sequence[np.random.Generator], rank: int, width: int) -> np.ndarray:
+    """The standard normals of one block, ``(tiles, rank, 3, 2 * width)``, scaled by ``1 / sqrt(2)``.
 
-    Fixed draw layout: one ``standard_normal`` call indexed [rank, link,
-    trial, re/im], links ordered transmitter, receiver, warden side.
-    Read in pairs along the last axis, each ``(rank, link, trial)`` is a
-    circularly-symmetric complex normal of unit variance.  The same
-    generator state gives bit-identical normals.  The rank axis leads, so
-    the normals of a lower rank ``r`` are the first ``r`` rows of any
-    higher rank's: ``block_normals(rng, r, n)`` equals
-    ``block_normals(rng, R, n)[:r]`` for ``r <= R`` from the same state.
+    Tile ``k`` of the block is one ``standard_normal`` draw of
+    ``rngs[k]``, written in place and indexed [rank, link, trial, re/im],
+    links ordered transmitter, receiver, warden side: the same bits as a
+    draw of that shape.  Read in pairs along the last axis, each ``(rank,
+    link, trial)`` is a circularly-symmetric complex normal of unit
+    variance.  The rank axis leads within a tile, so the normals of a
+    lower rank ``r`` are the first ``r`` rows of any higher rank's:
+    ``block_normals(rngs, r, n)`` equals ``block_normals(rngs, R, n)[:, :r]``
+    for ``r <= R`` from the same states.
     """
-    z = rng.standard_normal((rank, 3, 2 * trials))
+    z = np.empty((len(rngs), rank, 3, 2 * width))
+    for rng, tile in zip(rngs, z):
+        rng.standard_normal(out=tile)
     z *= 1.0 / math.sqrt(2.0)
     return z
 
 
-def correlated_tile(factor: np.ndarray, z: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Fading vectors ``a, b, c`` of trials ``start:stop`` of a block, stacked as ``(3, ports, stop - start)``.
+def correlated_tile(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Fading vectors ``a, b, c`` of one tile, stacked as ``(3, ports, width)``.
 
     ``factor`` is a real ``(ports, rank)`` factor of the port correlation
-    (:func:`~friscov.surface.surface_factor`) and ``z`` the block's normals of
-    that rank (:func:`block_normals`, or the first ``rank`` rows of a
-    higher rank's).  Each link is ``factor @ h``, so its covariance is
-    ``factor @ factor.T``.  ``factor`` is real and a complex array views as
-    its interleaved real and imaginary parts, so one real product of
-    ``factor`` and a strided view of ``z``'s columns, written by ``out=``
-    straight into the complex tile, correlates all three links without
-    copying the normals.  The view's strides hold the block's size, not
-    its rank, so a prefix of a higher rank's normals is read as its own
-    draw would be.
+    (:func:`~friscov.surface.surface_factor`) and ``z`` one tile's
+    ``(rank, 3, 2 * width)`` normals of that rank (a tile of
+    :func:`block_normals`, or its first ``rank`` rows of a higher rank).
+    Each link is ``factor @ h``, so its covariance is ``factor @
+    factor.T``.  ``factor`` is real and a complex array views as its
+    interleaved real and imaginary parts, so one real product of
+    ``factor`` and a strided view of ``z``, written by ``out=`` straight
+    into the complex tile, correlates all three links without copying the
+    normals.  The view's strides hold the tile's width, not its rank, so a
+    prefix of a higher rank's normals is read as its own draw would be.
     """
     if factor.ndim != 2 or factor.shape[1] > factor.shape[0] or np.iscomplexobj(factor):
         raise DomainError(
             f"expected a real (ports, rank) factor with rank <= ports, got {factor.dtype} of shape {factor.shape}"
         )
     ports, rank = factor.shape
-    if z.shape[:2] != (rank, 3) or not 0 <= start < stop <= z.shape[2] // 2:
-        raise DomainError(f"trials {start}:{stop} do not fit normals of shape {z.shape} for rank {rank}")
-    tile = np.empty((3, ports, stop - start), dtype=complex)
-    np.matmul(factor, z[:, :, 2 * start : 2 * stop].swapaxes(0, 1), out=tile.view(float))
+    if z.ndim != 3 or z.shape[:2] != (rank, 3) or z.shape[2] % 2:
+        raise DomainError(f"expected a tile of normals of shape ({rank}, 3, 2 * width), got {z.shape}")
+    tile = np.empty((3, ports, z.shape[2] // 2), dtype=complex)
+    np.matmul(factor, z.swapaxes(0, 1), out=tile.view(float))
     return tile
 
 

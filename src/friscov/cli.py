@@ -111,7 +111,8 @@ KS_TRIALS = 100_000
 MAX_PORTS = 4096
 
 # Each worker thread holds a block of normals (6.5 MB on the reference
-# surface) while it runs, and a pool starts up to this many threads.
+# surface) while it runs, and a pool starts up to this many threads.  The
+# worker count changes no gain: each tile has its own substream.
 MAX_WORKERS = 64
 
 
@@ -642,6 +643,8 @@ def main(argv=None) -> int:
                 print(f"[GATE] {label}: measured={measured:.6g} tolerance={tolerance:.6g} -> {verdict}")
             code = 0 if all(passed for *_, passed in gates) else 1
         else:
+            if args.log_y and not args.plot:
+                raise ConfigError("--log-y sets the plot's axis and needs --plot")
             modes = tuple(Mode) if args.mode == "all" else (Mode(args.mode),)
             out_dir = Path(args.out)
             try:

@@ -4,29 +4,32 @@ The channel physics lives in :mod:`friscov.channel`; this module runs
 its blocks for a run's groups of configs and turns the gains into
 estimates.
 
-Trials are generated in fixed-size blocks of ``BLOCK_TRIALS`` draws,
-the last block holding the remainder.  Block ``k`` uses an independent
-substream whose 64-bit seed is ``mix64(master_seed, k)`` (a
-splitmix64-style finalizer, documented at :func:`mix64`), drawn once for
-the whole run in the fixed layout of
-:func:`~friscov.channel.block_normals`: one standard normal per rank,
-link, trial and real or imaginary part, indexed ``[rank, link, trial,
-re/im]``, where the rank ``R`` is the largest numerical rank of the
-run's surface factors (:func:`~friscov.surface.surface_factor`).  A
-surface of rank ``r`` correlates its ``(ports, r)`` factor against the
-first ``r`` rank rows.  The rank axis leads, so those rows are the
-normals that a draw of rank ``r`` alone would give: a surface's draws
-depend on the master seed, the block index and the block's size --
-never on the other surfaces of the run or on the worker pool.  The
-layout's strides hold the block's size, so runs at one seed share every
-full block but not the gains of a partial last block: the first 4096
-trials of 4500 and of 9000 trials are the same, trial 4096 is not.
-Each block is reduced on its own and its results reach the caller in
-block order, so identical ``(master_seed, trials, configs)`` produce
-bit-identical estimates regardless of worker count and of what else
-runs beside them, at one BLAS thread count: the gains of a partial block
-can move in their last bits between one and two OpenBLAS threads.
-Blocks are dispatched to a thread pool; the heavy lifting is BLAS matrix
+Trials are drawn in tiles of ``TILE_TRIALS``.  Tile ``k``, trials
+``k * TILE_TRIALS`` to ``(k + 1) * TILE_TRIALS - 1``, has its own
+generator, seeded ``mix64(master_seed, k)`` (a splitmix64-style
+finalizer, documented at :func:`mix64`), and is drawn once for the whole
+run in the fixed layout of :func:`~friscov.channel.block_normals`: one
+standard normal per rank, link, trial and real or imaginary part,
+indexed ``[rank, link, trial, re/im]``, where the rank ``R`` is the
+largest numerical rank of the run's surface factors
+(:func:`~friscov.surface.surface_factor`).  A surface of rank ``r``
+correlates its ``(ports, r)`` factor against the first ``r`` rank rows,
+which are the normals that a draw of rank ``r`` alone would give.  Every
+tile is correlated, ranked and cascaded at its full width, a partial
+last tile too, which keeps its first trials.  This is the
+reproducibility contract: a trial's gains depend on the master seed,
+``TILE_TRIALS``, the trial's index, its surface and its selection, and
+on nothing else -- not on the trial count, the other surfaces of the
+run, ``BLOCK_TRIALS``, the worker count or the number of BLAS threads.
+A run of ``n`` trials is the first ``n`` trials of every longer run at
+its seed, so its estimates are those of that prefix.
+
+Tiles are scheduled in blocks of ``BLOCK_TRIALS`` trials, a multiple of
+``TILE_TRIALS``, the last block holding the remainder.  A block's tiles
+are drawn into one array and run one after another, one surface after
+another, so the working set follows the tile.  Each block is reduced on
+its own and its results reach the caller in block order.  Blocks are
+dispatched to a thread pool; the heavy lifting is BLAS matrix
 multiplication, which releases the GIL.
 
 Surfaces that share a run share their normals, rank row for rank row:
@@ -35,16 +38,6 @@ ch. V).  Each cell's marginal law is that of an independent draw, and
 the differences between surfaces, such as the fluid surface against an
 RIS grid of its own, are positively correlated, so they are estimated
 with less noise than from independent draws.
-
-After its draw, a block is correlated, ranked, gathered and cascaded in
-tiles of ``TILE_TRIALS`` trials, one surface after another, so the
-working set follows the tile, not the block.  Tile edges fall at
-multiples of ``TILE_TRIALS`` from the block's start and the last tile
-absorbs the remainder, so a block of fewer than ``2 * TILE_TRIALS``
-trials is one tile.  The tile size is not part of the reproducibility
-contract.  On the reference 12x12 surface the gains are bit for bit
-those of one tile per block; on a small surface the last trial of a
-block can move by an ulp (see :func:`_block_gains`).
 
 A run is one :class:`MCConfig` and a list of groups, each a surface and
 its ``(mode, m_o)`` selections (:func:`simulate_group`): each block is
@@ -75,13 +68,13 @@ from .channel import Mode, best_product_order, block_normals, cascade, correlate
 from .errors import DomainError
 from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 
-# Trials per substream block. Part of the reproducibility contract:
-# changing it changes which substream a trial belongs to.
-BLOCK_TRIALS = 4096
-
-# Trials per tile of a block's kernel; bounds its working set.  Not part of
-# the reproducibility contract (see the module docstring).
+# Trials per substream tile, which also bounds the kernel's working set.
+# Part of the reproducibility contract: changing it changes every gain.
 TILE_TRIALS = 512
+
+# Trials per block: the unit of the reducer and of the worker pool, a
+# multiple of TILE_TRIALS.  Not part of the reproducibility contract.
+BLOCK_TRIALS = 4096
 
 # Levels compared at once by count_events: 64 boolean rows of 4096 trials.
 _LEVEL_ROWS = 64
@@ -91,7 +84,7 @@ _WILSON_Z = 1.959963984540054
 
 
 def mix64(master_seed: int, index: int) -> int:
-    """Derive the 64-bit substream seed for block ``index``.
+    """Derive the 64-bit substream seed for tile ``index``.
 
     splitmix64 finalizer applied to ``master_seed + (index + 1) *
     0x9E3779B97F4A7C15`` (all arithmetic mod 2**64).
@@ -161,29 +154,27 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _block_gains(factor: np.ndarray, members: list, z: np.ndarray, count: int) -> list:
-    """The gains of the ``count`` trials of one block on one surface, one ``(g_b, g_w)`` per selection.
+    """The gains of the first ``count`` trials of one block on one surface, one ``(g_b, g_w)`` per selection.
 
     ``factor`` is the surface's correlation factor, ``members`` is
-    :func:`_group_members` of its selections and ``z`` the block's normals
-    in the factor's rank.  The block runs one tile at a time.  The last
-    tile absorbs the remainder because OpenBLAS computes the last columns
-    of a product with kernels chosen by its width: a short tail tile moved
-    the last bits of gains on the reference surface.  The block's own last
-    columns still move on some small surfaces.
+    :func:`_group_members` of its selections and ``z`` the block's tiles of
+    normals in the factor's rank.  The block runs one tile at a time, each
+    at its full width; a partial last tile keeps its first trials, so no
+    gain depends on how many trials follow it.
     """
     outputs = [(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
-    edges = [k * TILE_TRIALS for k in range(max(1, count // TILE_TRIALS))] + [count]
-    for lo, hi in zip(edges, edges[1:]):
-        abc = correlated_tile(factor, z, lo, hi)
-        n = hi - lo
+    width = z.shape[-1] // 2
+    for lo, normals in zip(range(0, count, width), z):
+        abc = correlated_tile(factor, normals)
+        n = min(width, count - lo)
         for rows, readers in members:
             if rows is None:
                 # One ranking and one running sum serve every fluid m_o of the group.
                 lengths = [m_o for *_, m_o in readers]
                 top = best_product_order(abc[0], abc[1], max(lengths))
                 # Flat indices gather the three links in one pass.
-                top *= n
-                top += np.arange(n)
+                top *= width
+                top += np.arange(width)
                 selected = np.take(abc.reshape(3, -1), top, axis=1)
                 del top
                 gains = zip(*cascade([True], *selected, lengths)[0])
@@ -193,8 +184,8 @@ def _block_gains(factor: np.ndarray, members: list, z: np.ndarray, count: int) -
                 selected = abc[:, rows]
                 gains = cascade([mode is not Mode.FIXED for _, mode, _ in readers], *selected)
             for (j, *_), (g_b, g_w) in zip(readers, gains):
-                outputs[j][0][lo:hi] = g_b
-                outputs[j][1][lo:hi] = g_w
+                outputs[j][0][lo : lo + n] = g_b[:n]
+                outputs[j][1][lo : lo + n] = g_w[:n]
             del selected, gains
         del abc
     return outputs
@@ -243,7 +234,7 @@ def simulate_group(
     ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
     ``int`` in ``[1, surface.num_elements]``.
 
-    Each block is drawn once for the whole run, in the largest rank of the
+    Each tile is drawn once for the whole run, in the largest rank of the
     run's surfaces, and each surface reads the first rows of its rank
     (:func:`~friscov.channel.block_normals`).  Each of a surface's tiles is
     correlated over every port once.  The fluid selections of a surface
@@ -251,26 +242,29 @@ def simulate_group(
     those rows, each reading its own prefix length; each preset's rows are
     gathered, and their cascade terms formed, once per tile for every
     selection that reads them (``FIXED`` sums the terms, then ``RIS``
-    phases them in place).  So the run costs one RNG pass per block and one
-    correlating product and one ranking per tile and surface, and a
-    selection's gains depend neither on what else is in its run nor on
-    ``mc.workers``.  The gains of a block depend on the master seed, the
-    block index and the block's size, so runs at one seed agree on every
-    full block (see the module docstring).  With workers, at most two
-    blocks per worker are in flight, and closing the iterator waits for them.
+    phases them in place).  So the run costs one RNG pass per tile and one
+    correlating product and one ranking per tile and surface, and the gains
+    keep the contract of the module docstring.  With workers, at most two
+    blocks per worker are in flight, and closing the iterator waits for
+    them.  Raises :class:`~friscov.errors.DomainError` unless every block
+    starts on a tile's edge (``BLOCK_TRIALS`` a multiple of ``TILE_TRIALS``).
     """
     surfaces = [(_group_members(list(selections), geom), surface_factor(geom))
                 for geom, selections in groups]
     if not surfaces:
         return
+    tile, block = TILE_TRIALS, BLOCK_TRIALS
+    if block % tile:
+        raise DomainError(f"BLOCK_TRIALS = {block} is not a multiple of TILE_TRIALS = {tile}")
     rank = max(factor.shape[1] for _, factor in surfaces)
-    n_blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    n_blocks = -(-mc.trials // block)
 
     def run(block_index: int) -> list:
-        start = block_index * BLOCK_TRIALS
-        count = min(BLOCK_TRIALS, mc.trials - start)
-        z = block_normals(np.random.default_rng(mix64(mc.master_seed, block_index)), rank, count)
-        return [reduce(start, g, _block_gains(factor, members, z[: factor.shape[1]], count))
+        start = block_index * block
+        count = min(block, mc.trials - start)
+        tiles = range(start // tile, start // tile - (-count // tile))
+        z = block_normals([np.random.default_rng(mix64(mc.master_seed, k)) for k in tiles], rank, tile)
+        return [reduce(start, g, _block_gains(factor, members, z[:, : factor.shape[1]], count))
                 for g, (members, factor) in enumerate(surfaces)]
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.

@@ -2,9 +2,10 @@ import os
 import sys
 import threading
 
-# The gains of a partial block can move in their last bits between one and
-# two OpenBLAS threads, and the golden digests pin them at one.  OpenBLAS
-# reads this once, when numpy loads it.
+# The gains do not depend on the OpenBLAS thread count (a test compares one
+# and two in subprocesses).  One thread per process keeps the worker-pool
+# tests from oversubscribing the cores, as perfbench does.  OpenBLAS reads
+# this once, when numpy loads it.
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could pin OpenBLAS to one thread")
 os.environ["OPENBLAS_NUM_THREADS"] = "1"

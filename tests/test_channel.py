@@ -17,7 +17,7 @@ from friscov import (
 )
 from friscov.channel import _polar, _running_sums, best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
 from friscov.cli import _mode_config
-from friscov.montecarlo import mix64
+from friscov.montecarlo import TILE_TRIALS, mix64
 from gains import whole_gains
 
 # Six ports, small enough to check a config's rows by hand.
@@ -40,14 +40,18 @@ def random_block(seed: int, ports: int, trials: int) -> list[np.ndarray]:
 
 
 def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """One block's fading vectors ``(3, ports, trials)``, correlated as a single tile."""
-    return correlated_tile(factor, block_normals(rng, factor.shape[1], trials), 0, trials)
+    """The fading vectors ``(3, ports, trials)`` of one tile of ``trials`` trials drawn from ``rng``."""
+    [z] = block_normals([rng], factor.shape[1], trials)
+    return correlated_tile(factor, z)
 
 
-def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> tuple[np.ndarray, ...]:
-    """The fading vectors ``simulate_group`` draws for its first block."""
+def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> np.ndarray:
+    """The fading vectors ``simulate_group`` draws for the first ``trials <= TILE_TRIALS`` trials of a run.
+
+    They are the first columns of the run's first tile, correlated at its full width.
+    """
     rng = np.random.default_rng(mix64(master_seed, 0))
-    return correlated_fading(surface_factor(geom), rng, trials)
+    return correlated_fading(surface_factor(geom), rng, TILE_TRIALS)[:, :, :trials]
 
 
 class TestSampleCorrelatedFading:
@@ -73,7 +77,7 @@ class TestSampleCorrelatedFading:
         # not 2-D (twice), complex, more columns than rows
         for factor in (np.ones(3), np.ones((1, 3, 2)), np.ones((3, 2), dtype=complex), np.ones((2, 3))):
             with pytest.raises(DomainError):
-                correlated_tile(factor, np.zeros((3, 2, 2)), 0, 1)
+                correlated_tile(factor, np.zeros((2, 3, 2)))
 
     def test_low_rank_factor(self):
         # A (ports, rank) factor gives (3, ports, trials) links whose
@@ -86,40 +90,42 @@ class TestSampleCorrelatedFading:
             cov = v @ v.conj().T / n
             assert np.max(np.abs(cov - factor @ factor.T)) <= 0.05 * np.max(np.abs(factor @ factor.T))
 
-    def test_tiles_are_column_ranges_of_the_block(self, ref_geom):
-        # The block's normals are read in place: trial k of any tile is trial
-        # k of the block, whatever the tile's edges.
-        root = surface_factor(ref_geom)
-        z = block_normals(np.random.default_rng(46), root.shape[1], 1_000)
-        whole = correlated_tile(root, z, 0, 1_000)
-        edges = (0, 1, 512, 1_000)
-        tiles = np.concatenate([correlated_tile(root, z, lo, hi) for lo, hi in zip(edges, edges[1:])], axis=2)
-        assert np.allclose(tiles, whole, rtol=1e-13, atol=1e-13)
-        # [rank, link, trial, re/im]: trial 7 reads columns 14 and 15.
-        assert np.allclose(whole[:, :, 7], (z[:, :, 14] + 1j * z[:, :, 15]).T @ root.T, rtol=1e-13, atol=1e-13)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 3), (3, 3), (4, 3), (0, 11), (10, 11)])
-    def test_tile_outside_the_block_rejected(self, start, stop):
-        z = block_normals(np.random.default_rng(0), 2, 10)
-        with pytest.raises(DomainError):
-            correlated_tile(np.ones((4, 2)), z, start, stop)
-
-    def test_normals_must_match_the_factor_rank(self):
-        z = block_normals(np.random.default_rng(0), 3, 10)
-        with pytest.raises(DomainError):
-            correlated_tile(np.ones((4, 2)), z, 0, 10)
-
-    @pytest.mark.parametrize("trials", [1, 513, 4_096])
-    def test_a_lower_rank_reads_a_prefix_of_a_higher_ranks_normals(self, ref_geom, trials):
-        # The rank axis leads, so a rank-r draw is the first r rows of a
-        # rank-R draw from the same state, and a factor of rank r correlates
-        # that prefix to the bits of its own draw.
+    def test_each_tile_is_a_draw_of_its_own_generator(self, ref_geom):
+        # Tile k of a block holds the bits of one draw of rngs[k], scaled, in
+        # the layout [rank, link, trial, re/im]: trial 7 reads columns 14 and 15.
         root = surface_factor(ref_geom)
         rank = root.shape[1]
-        own = block_normals(np.random.default_rng(47), rank, trials)
-        shared = block_normals(np.random.default_rng(47), rank + 9, trials)
-        assert np.array_equal(own, shared[:rank])
-        assert np.array_equal(correlated_tile(root, own, 0, trials), correlated_tile(root, shared[:rank], 0, trials))
+        z = block_normals([np.random.default_rng(seed) for seed in (46, 47)], rank, 100)
+        assert z.shape == (2, rank, 3, 200)
+        for seed, tile in zip((46, 47), z):
+            own = np.random.default_rng(seed).standard_normal((rank, 3, 200)) * (1.0 / math.sqrt(2.0))
+            assert np.array_equal(tile, own)
+        whole = correlated_tile(root, z[1])
+        assert np.allclose(whole[:, :, 7], (z[1, :, :, 14] + 1j * z[1, :, :, 15]).T @ root.T, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 5), (2, 2, 4), (2, 3, 4, 1)],
+                             ids=["2-D", "odd-width", "two-links", "4-D"])
+    def test_tile_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(DomainError):
+            correlated_tile(np.ones((4, 2)), np.zeros(shape))
+
+    def test_normals_must_match_the_factor_rank(self):
+        [z] = block_normals([np.random.default_rng(0)], 3, 10)
+        with pytest.raises(DomainError):
+            correlated_tile(np.ones((4, 2)), z)
+
+    @pytest.mark.parametrize("width", [1, 513, 4_096])
+    def test_a_lower_rank_reads_a_prefix_of_a_higher_ranks_normals(self, ref_geom, width):
+        # The rank axis leads within a tile, so a rank-r draw is the first r
+        # rows of a rank-R draw from the same states, and a factor of rank r
+        # correlates that prefix to the bits of its own draw.
+        root = surface_factor(ref_geom)
+        rank = root.shape[1]
+        own = block_normals([np.random.default_rng(seed) for seed in (47, 48)], rank, width)
+        shared = block_normals([np.random.default_rng(seed) for seed in (47, 48)], rank + 9, width)
+        assert np.array_equal(own, shared[:, :rank])
+        for k in range(2):
+            assert np.array_equal(correlated_tile(root, own[k]), correlated_tile(root, shared[k, :rank]))
 
 
 class TestSelectPorts:

@@ -255,6 +255,7 @@ class TestRunSweep:
         readings = iter(np.arange(12) * 0.375)
         monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: float(next(readings))))
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 100)
+        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 100)
         scenario, geom, mc, _ = load_config(None)
         mc = dataclasses.replace(mc, trials=1_000, workers=workers)
         spec = SweepSpec(variable="m_o", start=4.0, stop=7.0, points=2)
@@ -266,8 +267,9 @@ class TestRunSweep:
 
     def test_m_o_sweep_draws_once_per_block(self, monkeypatch):
         # m_o = 4 pairs its RIS grid with the fluid surface; 7 and 10 run on
-        # grids of their own.  The three surfaces read one draw per block,
-        # made in the largest rank of the three (the 12x12 surface's 33).
+        # grids of their own.  The three surfaces read one draw per tile,
+        # made in the largest rank of the three (the 12x12 surface's 33), at
+        # the tile's full width: ten tiles for 5,000 trials.
         draws = []
         default_rng = np.random.default_rng
 
@@ -275,9 +277,9 @@ class TestRunSweep:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
 
-            def standard_normal(self, shape):
-                draws.append(shape)
-                return self.rng.standard_normal(shape)
+            def standard_normal(self, *, out):
+                draws.append(out.shape)
+                return self.rng.standard_normal(out=out)
 
         monkeypatch.setattr(np.random, "default_rng", Counting)
         scenario, geom, mc, _ = load_config(None)
@@ -285,7 +287,7 @@ class TestRunSweep:
         points = cli._sweep_points(scenario, geom, spec, tuple(Mode))
         assert len({surface for *_, configs in points for _, surface in configs.values()}) == 3
         run_sweep(scenario, geom, dataclasses.replace(mc, trials=5_000), spec)
-        assert draws == [(33, 3, 2 * 4_096), (33, 3, 2 * 904)]
+        assert draws == [(33, 3, 2 * 512)] * 10
 
     def test_unknown_mode_rejected(self, small_run):
         scenario, geom, mc, spec, _ = small_run
@@ -376,6 +378,13 @@ class TestMain:
         assert (out_dir / "sweep.csv").exists()
         assert (out_dir / "plot.svg").exists()
         assert len((out_dir / "sweep.csv").read_text().splitlines()) == 4
+
+    def test_log_y_without_plot_is_a_config_error(self, tmp_path, capsys):
+        # --log-y only sets the plot's axis, so alone it would do nothing.
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--log-y", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "config error: --log-y sets the plot's axis and needs --plot\n"
+        assert not out_dir.exists()
 
     # Each swept variable is out of its domain at one end of the sweep:
     # m_o off the surface, an infinite power, a negative threshold offset,
@@ -507,23 +516,23 @@ class TestMain:
             outputs.append((out_dir / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    # sha256 of sweep.csv at seed 1 and 5,000 trials (one full block and
+    # sha256 of sweep.csv at seed 1 and 5,000 trials (nine full tiles and
     # a partial one).  The m_o sweep covers RIS points paired with the
     # fluid surface's draws (4, 16) and unpaired grids (7, 10, 13).  The
     # ris.m_hat configs pin a fixed baseline grid: a paired 4x4 sublattice
     # at every power, and an unpaired 10-element grid across the m_o sweep.
     @pytest.mark.parametrize("config, digest", [
         pytest.param("sweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\nsweep.points = 4\n",
-                     "1a5a332a307767b4f6ec3ee863c0609b6323a757d8dcc1cc9cbff2c3ebb99f76", id="p_a_dbm"),
+                     "400f191474bcf9637e960640665dad6447033b1b09fb3067d84b11ebf7a0182b", id="p_a_dbm"),
         pytest.param("sweep.variable = m_o\nsweep.start = 4\nsweep.stop = 16\nsweep.points = 5\n"
                      "scenario.p_a_dbm = -50\n",
-                     "952b61fe0eed260ed9d45519e1d4b3791b3e12fd8004a4abe2f2a420336fedd8", id="m_o"),
+                     "0e7d72a394fc456f95f0b8e03c367d2235d0ca770e93afeea571d0294fa0e575", id="m_o"),
         pytest.param("ris.m_hat = 16\nsweep.variable = p_a_dbm\nsweep.start = -55\nsweep.stop = -30\n"
                      "sweep.points = 4\n",
-                     "4d3542709278fe254981bff811b3b1cb7caa44e1283fb682a52b74e1508e5b16", id="p_a_dbm-ris_m_hat_16"),
+                     "6674dd12dcb7492fc569ada9ea2a2a0ce8975e937d454140730a9b1987c1de74", id="p_a_dbm-ris_m_hat_16"),
         pytest.param("ris.m_hat = 10\nsweep.variable = m_o\nsweep.start = 4\nsweep.stop = 36\n"
                      "sweep.points = 5\n",
-                     "bc9fef73db024d76681676b0de95134c63c29ed5a77bd289e0e4cb4d2777e39b", id="m_o-ris_m_hat_10"),
+                     "98749935b5f2442c1bb0fc5010d9559bf624432d22b5d0bf5a3c45ba0870a46f", id="m_o-ris_m_hat_10"),
     ])
     def test_golden_csv_bytes(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config + "mc.trials = 5000\n")
@@ -534,10 +543,13 @@ class TestMain:
     def test_golden_validate_stdout(self, capsys):
         # sha256 of the validate report at seed 1 and 5,000 trials: every
         # gate config, the fluid m_o = 36 ranking included, in one group.
-        assert main(["validate", "--trials", "5000", "--seed", "1"]) == 0
+        # Both mean-gain gates fail here: at 5,000 trials their 2% tolerance
+        # is 1.3 standard errors of the mean.  Every gate passes at 20,000
+        # trials (test_validate_passes_every_gate).
+        assert main(["validate", "--trials", "5000", "--seed", "1"]) == 1
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bb253a923315a234f48f72b49549feb50a695886c6df85c8c5ce9e8e3ae0cc2d"
+            "a448a53a4e9ec15405e87717ba2e6a5c5dc50faeead0bcbc23c823d1dbf4ae23"
         )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -33,7 +36,7 @@ from friscov import (
 from friscov import montecarlo
 from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
-from friscov.montecarlo import BLOCK_TRIALS, count_events, event_levels, mix64, wilson_interval
+from friscov.montecarlo import BLOCK_TRIALS, TILE_TRIALS, count_events, event_levels, mix64, wilson_interval
 from gains import Gains, run_gains, whole_gains
 
 
@@ -86,14 +89,45 @@ class TestSubstreams:
         b = fixed_static(ref_geom, trials=5_000, seed=2)
         assert not np.array_equal(a.g_b, b.g_b)
 
-    def test_full_blocks_do_not_depend_on_the_trial_count(self, ref_geom):
-        # A block's draws depend on its size, so runs at one seed share their
-        # full blocks but not the gains of a partial one.
-        short = fixed_static(ref_geom, trials=4_500)
-        long = fixed_static(ref_geom, trials=9_000)
-        assert np.array_equal(short.g_b[:BLOCK_TRIALS], long.g_b[:BLOCK_TRIALS])
-        assert np.array_equal(short.g_w[:BLOCK_TRIALS], long.g_w[:BLOCK_TRIALS])
-        assert short.g_b[BLOCK_TRIALS] != long.g_b[BLOCK_TRIALS]
+    def test_a_run_is_a_prefix_of_every_longer_run(self, ref_geom):
+        # Each tile draws from its own substream and runs at its full width,
+        # a partial last tile too, so a run of n trials is the first n trials
+        # of a longer run, on every surface and in every mode.
+        groups = [(geom, [(mode, m_o) for mode in Mode]) for geom, m_o in
+                  ((ref_geom, 36), (ris_grid_geometry(ref_geom, 27), 9), (ris_grid_geometry(ref_geom, 97), 97))]
+        long = run_gains(MCConfig(trials=9_000, master_seed=1), groups)
+        for trials in (1, 511, 513, 4_097, 5_001):
+            short = run_gains(MCConfig(trials=trials, master_seed=1), groups)
+            for (geom, selections), run, whole in zip(groups, short, long):
+                for selection, gains, full in zip(selections, run, whole):
+                    assert np.array_equal(gains.g_b, full.g_b[:trials]), (trials, geom.m_x, selection)
+                    assert np.array_equal(gains.g_w, full.g_w[:trials]), (trials, geom.m_x, selection)
+
+    def test_gains_do_not_depend_on_the_blas_threads(self):
+        # A fresh interpreter per thread count: OpenBLAS reads it once, when
+        # numpy loads.  5001 trials end in a partial tile.
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        script = (
+            "import hashlib\n"
+            "from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group\n"
+            "from friscov.channel import ris_grid_geometry\n"
+            "geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)\n"
+            "groups = [(g, [(mode, 9) for mode in Mode]) for g in (geom, ris_grid_geometry(geom, 27))]\n"
+            "digest = hashlib.sha256()\n"
+            "for block in simulate_group(MCConfig(trials=5_001, master_seed=3), groups, lambda start, g, gains: gains):\n"
+            "    for gains in block:\n"
+            "        for g_b, g_w in gains:\n"
+            "            digest.update(g_b.tobytes() + g_w.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_block_is_reduced_once_in_block_order(self, ref_geom, workers):
@@ -262,8 +296,7 @@ def group_selections(m_os=(1, 2, 16, 144)) -> list[tuple[Mode, int]]:
 
 class TestGroups:
     def test_gains_do_not_depend_on_the_group(self, ref_geom):
-        # 4097 trials: one full block and a one-trial block, whose products
-        # take numpy's matrix-vector path.
+        # 4097 trials: one full block and a one-trial block.
         selections = group_selections()
         alone = [whole_gains(MCConfig(trials=4_097, master_seed=5), ref_geom, [pick])[0] for pick in selections]
         preset = [j for j, (mode, _) in enumerate(selections) if mode is not Mode.FRIS]
@@ -297,33 +330,43 @@ class TestGroups:
 
     def test_prefix_sums_match_a_cascade_per_m_o(self, ref_geom):
         # Every fluid m_o of the group is read off one ranking and one running
-        # sum; each must equal a cascade over its own top rows of the block.
-        trials = 4_097  # a full block and a one-trial block
+        # sum; each must equal a cascade over its own top rows of the tile.
+        trials = 4_097  # eight full tiles and a one-trial tile
         group = [(Mode.FRIS, m_o) for m_o in range(1, 145)]
         samples = whole_gains(MCConfig(trials=trials, master_seed=5), ref_geom, group)
         root = surface_factor(ref_geom)
-        for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-            count = min(BLOCK_TRIALS, trials - start)
-            z = block_normals(np.random.default_rng(mix64(5, block)), root.shape[1], count)
-            a, b, c = correlated_tile(root, z, 0, count)
+        for tile, start in enumerate(range(0, trials, TILE_TRIALS)):
+            count = min(TILE_TRIALS, trials - start)
+            [z] = block_normals([np.random.default_rng(mix64(5, tile))], root.shape[1], TILE_TRIALS)
+            a, b, c = correlated_tile(root, z)
             ranked = [np.take_along_axis(v, best_product_order(a, b), axis=0) for v in (a, b, c)]
             for (_, m_o), gains in zip(group, samples):
                 g_b, g_w = cascade([True], *(v[:m_o] for v in ranked))[0]
-                assert np.array_equal(gains.g_b[start : start + count], g_b), (m_o, block)
-                assert np.array_equal(gains.g_w[start : start + count], g_w), (m_o, block)
+                assert np.array_equal(gains.g_b[start : start + count], g_b[:count]), (m_o, tile)
+                assert np.array_equal(gains.g_w[start : start + count], g_w[:count]), (m_o, tile)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("trials", [1, 511, 512, 513, 1_025, 4_097, 5_001])
-    def test_gains_do_not_depend_on_the_tiling(self, ref_geom, monkeypatch, trials, workers):
-        # Tile edges at multiples of TILE_TRIALS, the last tile absorbing the
-        # remainder, give the gains of one tile per block bit for bit.
-        mc = MCConfig(trials=trials, master_seed=5, workers=workers)
-        selections = group_selections((1, 2, 16, 36, 144))
-        tiled = whole_gains(mc, ref_geom, selections)
-        monkeypatch.setattr(montecarlo, "TILE_TRIALS", BLOCK_TRIALS)
-        for selection, gains, whole in zip(selections, tiled, whole_gains(mc, ref_geom, selections)):
-            assert np.array_equal(gains.g_b, whole.g_b), selection
-            assert np.array_equal(gains.g_w, whole.g_w), selection
+    @pytest.mark.parametrize("block", [512, 1_024, 8_192])
+    @pytest.mark.parametrize("trials", [513, 9_001])
+    def test_gains_do_not_depend_on_the_block_size(self, ref_geom, monkeypatch, trials, block, workers):
+        # The block is the unit of the reducer and of the pool, not of the
+        # draws: a run gives the same gains in blocks of any multiple of the
+        # tile, at any worker count.  Both runs end in a partial tile.
+        groups = [(ref_geom, group_selections((1, 2, 16, 36, 144))),
+                  (ris_grid_geometry(ref_geom, 27), group_selections((9, 27)))]
+        default = run_gains(MCConfig(trials=trials, master_seed=5), groups)
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block)
+        blocked = run_gains(MCConfig(trials=trials, master_seed=5, workers=workers), groups)
+        for (geom, selections), run, whole in zip(groups, blocked, default):
+            for selection, gains, own in zip(selections, run, whole):
+                assert np.array_equal(gains.g_b, own.g_b), (geom.m_x, selection)
+                assert np.array_equal(gains.g_w, own.g_w), (geom.m_x, selection)
+
+    def test_blocks_start_on_tile_edges(self, ref_geom, monkeypatch):
+        # A block that starts inside a tile would draw that tile's substream again.
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 100)
+        with pytest.raises(DomainError, match="multiple of TILE_TRIALS"):
+            fixed_static(ref_geom, trials=1_000)
 
     def test_block_memory_is_bounded(self, ref_geom):
         # The kernel draws a block's rank-33 normals (0.23 times the normals
@@ -385,6 +428,7 @@ class TestGroups:
         # an 8-byte slot per block would add 24 KB, and a pending future per
         # block (about 1.6 KB each) far more.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
+        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
         geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
 
         def peak(blocks: int) -> int:
@@ -408,6 +452,7 @@ class TestGroups:
         # an exception out of reduce at the third block reaches the caller
         # once the three after it are done.  Either way the pool's threads end.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
+        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
         geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
         threads = threading.active_count()
         reduced = []
