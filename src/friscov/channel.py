@@ -1,14 +1,14 @@
 """Channel physics of the cascaded fading link, batched over trials.
 
 Arrays hold one column per trial: fading vectors are ``(ports, trials)``
-and gains ``(trials,)``.  A block is three correlated fading vectors
-per trial (:func:`block_normals`: one draw per tile of ``rank`` normals
-per link and trial, rank-major, correlated by the surface's ``(ports,
-rank)`` factor one tile at a time by :func:`correlated_tile`), an
-active-port selection, and the cascaded power gains toward the receiver
-and the warden (:func:`cascade`).  A surface of rank ``r`` reads the
-first ``r`` rank rows of each tile's normals, so surfaces of any ranks
-can share one draw.
+and gains ``(trials,)``.  A tile is three correlated fading vectors per
+trial (:func:`tile_normals`: one draw of ``rank`` normals per link and
+trial, rank-major, correlated by the surface's ``(ports, rank)`` factor
+by :func:`correlated_tile`, each into the caller's buffer if it passes
+one), an active-port selection, and the cascaded power gains toward the
+receiver and the warden (:func:`cascade`).  A surface of rank ``r``
+reads the first ``r`` rank rows of a tile's normals, so surfaces of any
+ranks can share one draw.
 
 The paper compares three surfaces, one :class:`Mode` each:
 
@@ -74,39 +74,41 @@ class Mode(enum.Enum):
     RIS = "ris"
 
 
-def block_normals(rngs: Sequence[np.random.Generator], rank: int, width: int) -> np.ndarray:
-    """The standard normals of one block, ``(tiles, rank, 3, 2 * width)``, scaled by ``1 / sqrt(2)``.
+def tile_normals(rng: np.random.Generator, rank: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The standard normals of one tile, ``(rank, 3, 2 * width)``, scaled by ``1 / sqrt(2)``.
 
-    Tile ``k`` of the block is one ``standard_normal`` draw of
-    ``rngs[k]``, written in place and indexed [rank, link, trial, re/im],
-    links ordered transmitter, receiver, warden side: the same bits as a
-    draw of that shape.  Read in pairs along the last axis, each ``(rank,
-    link, trial)`` is a circularly-symmetric complex normal of unit
-    variance.  The rank axis leads within a tile, so the normals of a
-    lower rank ``r`` are the first ``r`` rows of any higher rank's:
-    ``block_normals(rngs, r, n)`` equals ``block_normals(rngs, R, n)[:, :r]``
-    for ``r <= R`` from the same states.
+    One ``standard_normal`` draw of ``rng``, written in place into ``out``
+    (a new array by default) and indexed [rank, link, trial, re/im], links
+    ordered transmitter, receiver, warden side: the same bits as a draw of
+    that shape.  Read in pairs along the last axis, each ``(rank, link,
+    trial)`` is a circularly-symmetric complex normal of unit variance.
+    The rank axis leads, so the normals of a lower rank ``r`` are the first
+    ``r`` rows of any higher rank's: ``tile_normals(rng, r, n)`` equals
+    ``tile_normals(rng, R, n)[:r]`` for ``r <= R`` from the same state.
     """
-    z = np.empty((len(rngs), rank, 3, 2 * width))
-    for rng, tile in zip(rngs, z):
-        rng.standard_normal(out=tile)
-    z *= 1.0 / math.sqrt(2.0)
-    return z
+    if out is None:
+        out = np.empty((rank, 3, 2 * width))
+    elif out.shape != (rank, 3, 2 * width):
+        raise DomainError(f"expected an out array of shape ({rank}, 3, {2 * width}), got {out.shape}")
+    rng.standard_normal(out=out)
+    out *= 1.0 / math.sqrt(2.0)
+    return out
 
 
-def correlated_tile(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+def correlated_tile(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fading vectors ``a, b, c`` of one tile, stacked as ``(3, ports, width)``.
 
     ``factor`` is a real ``(ports, rank)`` factor of the port correlation
     (:func:`~friscov.surface.surface_factor`) and ``z`` one tile's
-    ``(rank, 3, 2 * width)`` normals of that rank (a tile of
-    :func:`block_normals`, or its first ``rank`` rows of a higher rank).
-    Each link is ``factor @ h``, so its covariance is ``factor @
-    factor.T``.  ``factor`` is real and a complex array views as its
-    interleaved real and imaginary parts, so one real product of
-    ``factor`` and a strided view of ``z``, written by ``out=`` straight
-    into the complex tile, correlates all three links without copying the
-    normals.  The view's strides hold the tile's width, not its rank, so a
+    ``(rank, 3, 2 * width)`` normals of that rank (:func:`tile_normals`,
+    or their first ``rank`` rows of a higher rank).  The vectors are
+    written into ``out``, a C-contiguous complex ``(3, ports, width)``
+    array, or into a new one by default.  Each link is ``factor @ h``, so
+    its covariance is ``factor @ factor.T``.  ``factor`` is real and a
+    complex array views as its interleaved real and imaginary parts, so
+    one real product of ``factor`` and a strided view of ``z``, written by
+    ``out=`` straight into the complex tile, correlates all three links
+    without copying the normals.  The view's strides hold the tile's width, not its rank, so a
     prefix of a higher rank's normals is read as its own draw would be.
     """
     if factor.ndim != 2 or factor.shape[1] > factor.shape[0] or np.iscomplexobj(factor):
@@ -116,9 +118,13 @@ def correlated_tile(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
     ports, rank = factor.shape
     if z.ndim != 3 or z.shape[:2] != (rank, 3) or z.shape[2] % 2:
         raise DomainError(f"expected a tile of normals of shape ({rank}, 3, 2 * width), got {z.shape}")
-    tile = np.empty((3, ports, z.shape[2] // 2), dtype=complex)
-    np.matmul(factor, z.swapaxes(0, 1), out=tile.view(float))
-    return tile
+    shape = (3, ports, z.shape[2] // 2)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise DomainError(f"expected a C-contiguous complex out array of shape {shape}, got {out.dtype} {out.shape}")
+    np.matmul(factor, z.swapaxes(0, 1), out=out.view(float))
+    return out
 
 
 # The sort key of a +inf product, before its port goes in: the inverted bits of +inf.

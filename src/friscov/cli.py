@@ -110,9 +110,11 @@ KS_TRIALS = 100_000
 # entries: about 100 MB at this limit, a 64x64 grid.  Ranking grows with n too.
 MAX_PORTS = 4096
 
-# Each worker thread holds a block of normals (6.5 MB on the reference
-# surface) while it runs, and a pool starts up to this many threads.  The
-# worker count changes no gain: each tile has its own substream.
+# Each worker thread holds one tile's working set while it runs (6.4 MB on
+# the reference surface at m_o = 36: the tile's normals, its fading vectors
+# and their ranking and cascade) and its block's outputs, 16 B per trial and
+# selection, and a pool starts up to this many threads.  The worker count
+# changes no gain: each tile has its own substream.
 MAX_WORKERS = 64
 
 

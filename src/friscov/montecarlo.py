@@ -8,7 +8,7 @@ Trials are drawn in tiles of ``TILE_TRIALS``.  Tile ``k``, trials
 ``k * TILE_TRIALS`` to ``(k + 1) * TILE_TRIALS - 1``, has its own
 generator, seeded ``mix64(master_seed, k)`` (a splitmix64-style
 finalizer, documented at :func:`mix64`), and is drawn once for the whole
-run in the fixed layout of :func:`~friscov.channel.block_normals`: one
+run in the fixed layout of :func:`~friscov.channel.tile_normals`: one
 standard normal per rank, link, trial and real or imaginary part,
 indexed ``[rank, link, trial, re/im]``, where the rank ``R`` is the
 largest numerical rank of the run's surface factors
@@ -25,12 +25,15 @@ A run of ``n`` trials is the first ``n`` trials of every longer run at
 its seed, so its estimates are those of that prefix.
 
 Tiles are scheduled in blocks of ``BLOCK_TRIALS`` trials, a multiple of
-``TILE_TRIALS``, the last block holding the remainder.  A block's tiles
-are drawn into one array and run one after another, one surface after
-another, so the working set follows the tile.  Each block is reduced on
-its own and its results reach the caller in block order.  Blocks are
-dispatched to a thread pool; the heavy lifting is BLAS matrix
-multiplication, which releases the GIL.
+``TILE_TRIALS``, the last block holding the remainder.  A block runs one
+tile at a time: the tile is drawn into one buffer held for the block,
+then correlated into a second, sized for the run's largest surface, and
+ranked and cascaded, for every surface in group order, before the next
+tile is drawn.  So the working set follows the tile, not the block; what
+follows the block is its outputs, 16 B per trial and selection of every
+group at once.  Each block is reduced on its own and its results reach
+the caller in block order.  Blocks are dispatched to a thread pool; the
+heavy lifting is BLAS matrix multiplication, which releases the GIL.
 
 Surfaces that share a run share their normals, rank row for rank row:
 common random numbers (Asmussen & Glynn, *Stochastic Simulation*, 2007,
@@ -40,14 +43,14 @@ RIS grid of its own, are positively correlated, so they are estimated
 with less noise than from independent draws.
 
 A run is one :class:`MCConfig` and a list of groups, each a surface and
-its ``(mode, m_o)`` selections (:func:`simulate_group`): each block is
+its ``(mode, m_o)`` selections (:func:`simulate_group`): each tile is
 drawn once for the run and correlated once per surface, and each
 selection takes the ports and phases of its
 :class:`~friscov.channel.Mode` from its surface's fading vectors.
-Nothing is cached and no gain outlives its block: the caller's reducer
-turns each group's gains into what it keeps, typically the event counts
-of :func:`count_events`, which the estimators read, before the next
-group's tiles run.
+Nothing is cached and no gain outlives its block: once the block's last
+tile has run, the caller's reducer turns each group's gains into what it
+keeps, typically the event counts of :func:`count_events`, which the
+estimators read.
 
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import GammaFit, ScenarioConfig, compound_probability, fa_probability, missed_level, outage_level
-from .channel import Mode, best_product_order, block_normals, cascade, correlated_tile
+from .channel import Mode, best_product_order, cascade, correlated_tile, tile_normals
 from .errors import DomainError
 from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 
@@ -73,7 +76,9 @@ from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 TILE_TRIALS = 512
 
 # Trials per block: the unit of the reducer and of the worker pool, a
-# multiple of TILE_TRIALS.  Not part of the reproducibility contract.
+# multiple of TILE_TRIALS.  Not part of the reproducibility contract.  A
+# block holds one tile's working set and its outputs, 16 B per trial and
+# selection of every group.
 BLOCK_TRIALS = 4096
 
 # Levels compared at once by count_events: 64 boolean rows of 4096 trials.
@@ -153,42 +158,36 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _block_gains(factor: np.ndarray, members: list, z: np.ndarray, count: int) -> list:
-    """The gains of the first ``count`` trials of one block on one surface, one ``(g_b, g_w)`` per selection.
+def _tile_gains(abc: np.ndarray, members: list, outputs: list, lo: int, n: int) -> None:
+    """Write one tile's gains on one surface into trials ``lo`` to ``lo + n - 1`` of ``outputs``.
 
-    ``factor`` is the surface's correlation factor, ``members`` is
-    :func:`_group_members` of its selections and ``z`` the block's tiles of
-    normals in the factor's rank.  The block runs one tile at a time, each
-    at its full width; a partial last tile keeps its first trials, so no
-    gain depends on how many trials follow it.
+    ``abc`` is the tile's fading vectors (:func:`~friscov.channel.correlated_tile`)
+    at its full width, ``members`` is :func:`_group_members` of the
+    surface's selections and ``outputs`` holds one block-length ``(g_b,
+    g_w)`` per selection.  A partial last tile keeps its first ``n``
+    trials, so no gain depends on how many trials follow it.
     """
-    outputs = [(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
-    width = z.shape[-1] // 2
-    for lo, normals in zip(range(0, count, width), z):
-        abc = correlated_tile(factor, normals)
-        n = min(width, count - lo)
-        for rows, readers in members:
-            if rows is None:
-                # One ranking and one running sum serve every fluid m_o of the group.
-                lengths = [m_o for *_, m_o in readers]
-                top = best_product_order(abc[0], abc[1], max(lengths))
-                # Flat indices gather the three links in one pass.
-                top *= width
-                top += np.arange(width)
-                selected = np.take(abc.reshape(3, -1), top, axis=1)
-                del top
-                gains = zip(*cascade([True], *selected, lengths)[0])
-            else:
-                # One gather and one set of terms per preset, shared by its readers
-                # and dropped before the next.
-                selected = abc[:, rows]
-                gains = cascade([mode is not Mode.FIXED for _, mode, _ in readers], *selected)
-            for (j, *_), (g_b, g_w) in zip(readers, gains):
-                outputs[j][0][lo : lo + n] = g_b[:n]
-                outputs[j][1][lo : lo + n] = g_w[:n]
-            del selected, gains
-        del abc
-    return outputs
+    width = abc.shape[-1]
+    for rows, readers in members:
+        if rows is None:
+            # One ranking and one running sum serve every fluid m_o of the group.
+            lengths = [m_o for *_, m_o in readers]
+            top = best_product_order(abc[0], abc[1], max(lengths))
+            # Flat indices gather the three links in one pass.
+            top *= width
+            top += np.arange(width)
+            selected = np.take(abc.reshape(3, -1), top, axis=1)
+            del top
+            gains = zip(*cascade([True], *selected, lengths)[0])
+        else:
+            # One gather and one set of terms per preset, shared by its readers
+            # and dropped before the next.
+            selected = abc[:, rows]
+            gains = cascade([mode is not Mode.FIXED for _, mode, _ in readers], *selected)
+        for (j, *_), (g_b, g_w) in zip(readers, gains):
+            outputs[j][0][lo : lo + n] = g_b[:n]
+            outputs[j][1][lo : lo + n] = g_w[:n]
+        del selected, gains
 
 
 def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) -> list[tuple[object, list]]:
@@ -227,26 +226,29 @@ def simulate_group(
     is the block's first trial and ``gains`` the per-trial cascaded gains
     of group ``g``, one ``(g_b, g_w)`` pair per ``(mode, m_o)`` selection;
     ``reduce`` runs in the block's worker, once per group in group order,
-    and each group's gains are dropped before the next group's tiles run.
+    after the block's last tile: every group's gains of the block coexist
+    until then, 16 B per trial and selection.
     ``m_o`` is the number of active ports per draw: the best ``m_o`` of
     each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
     ports (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
     ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
     ``int`` in ``[1, surface.num_elements]``.
 
-    Each tile is drawn once for the whole run, in the largest rank of the
-    run's surfaces, and each surface reads the first rows of its rank
-    (:func:`~friscov.channel.block_normals`).  Each of a surface's tiles is
-    correlated over every port once.  The fluid selections of a surface
-    share one ranking of a tile's top ``max(m_o)`` ports and one cascade of
-    those rows, each reading its own prefix length; each preset's rows are
-    gathered, and their cascade terms formed, once per tile for every
-    selection that reads them (``FIXED`` sums the terms, then ``RIS``
-    phases them in place).  So the run costs one RNG pass per tile and one
-    correlating product and one ranking per tile and surface, and the gains
-    keep the contract of the module docstring.  With workers, at most two
-    blocks per worker are in flight, and closing the iterator waits for
-    them.  Raises :class:`~friscov.errors.DomainError` unless every block
+    A block runs tile by tile.  Each tile is drawn once for the whole run,
+    in the largest rank of the run's surfaces, and each surface, in group
+    order, reads the first rows of its rank
+    (:func:`~friscov.channel.tile_normals`) before the next tile is drawn.
+    Each of a surface's tiles is correlated over every port once, into a
+    buffer held for the block and sized for the largest surface.  The fluid
+    selections of a surface share one ranking of a tile's top ``max(m_o)``
+    ports and one cascade of those rows, each reading its own prefix
+    length; each preset's rows are gathered, and their cascade terms
+    formed, once per tile for every selection that reads them (``FIXED``
+    sums the terms, then ``RIS`` phases them in place).  So the run costs
+    one RNG pass per tile and one correlating product and one ranking per
+    tile and surface, and the gains keep the contract of the module
+    docstring.  With workers, at most two blocks per worker are in flight,
+    and closing the iterator waits for them.  Raises :class:`~friscov.errors.DomainError` unless every block
     starts on a tile's edge (``BLOCK_TRIALS`` a multiple of ``TILE_TRIALS``).
     """
     surfaces = [(_group_members(list(selections), geom), surface_factor(geom))
@@ -257,15 +259,26 @@ def simulate_group(
     if block % tile:
         raise DomainError(f"BLOCK_TRIALS = {block} is not a multiple of TILE_TRIALS = {tile}")
     rank = max(factor.shape[1] for _, factor in surfaces)
+    ports = max(factor.shape[0] for _, factor in surfaces)
     n_blocks = -(-mc.trials // block)
 
     def run(block_index: int) -> list:
         start = block_index * block
         count = min(block, mc.trials - start)
-        tiles = range(start // tile, start // tile - (-count // tile))
-        z = block_normals([np.random.default_rng(mix64(mc.master_seed, k)) for k in tiles], rank, tile)
-        return [reduce(start, g, _block_gains(factor, members, z[:, : factor.shape[1]], count))
-                for g, (members, factor) in enumerate(surfaces)]
+        outputs = [[(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
+                   for members, _ in surfaces]
+        # One tile's normals and one tile's fading vectors, reused by every tile
+        # and surface of the block: a fresh pair per tile costs page faults.
+        z = np.empty((rank, 3, 2 * tile))
+        fading = np.empty(3 * ports * tile, dtype=complex)
+        for lo in range(0, count, tile):
+            tile_normals(np.random.default_rng(mix64(mc.master_seed, (start + lo) // tile)), rank, tile, out=z)
+            for (members, factor), out in zip(surfaces, outputs):
+                abc = fading[: 3 * factor.shape[0] * tile].reshape(3, -1, tile)
+                correlated_tile(factor, z[: factor.shape[1]], out=abc)
+                _tile_gains(abc, members, out, lo, min(tile, count - lo))
+        del z, fading, abc  # before the reducers allocate their own temporaries
+        return [reduce(start, g, out) for g, out in enumerate(outputs)]
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
     if mc.workers == 1 or n_blocks == 1:

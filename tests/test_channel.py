@@ -15,7 +15,15 @@ from friscov import (
     default_fixed_preset,
     surface_factor,
 )
-from friscov.channel import _polar, _running_sums, best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
+from friscov.channel import (
+    _polar,
+    _running_sums,
+    best_product_order,
+    cascade,
+    correlated_tile,
+    ris_grid_geometry,
+    tile_normals,
+)
 from friscov.cli import _mode_config
 from friscov.montecarlo import TILE_TRIALS, mix64
 from gains import whole_gains
@@ -41,8 +49,7 @@ def random_block(seed: int, ports: int, trials: int) -> list[np.ndarray]:
 
 def correlated_fading(factor: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
     """The fading vectors ``(3, ports, trials)`` of one tile of ``trials`` trials drawn from ``rng``."""
-    [z] = block_normals([rng], factor.shape[1], trials)
-    return correlated_tile(factor, z)
+    return correlated_tile(factor, tile_normals(rng, factor.shape[1], trials))
 
 
 def first_block(geom: SurfaceGeometry, master_seed: int, trials: int) -> np.ndarray:
@@ -91,17 +98,21 @@ class TestSampleCorrelatedFading:
             assert np.max(np.abs(cov - factor @ factor.T)) <= 0.05 * np.max(np.abs(factor @ factor.T))
 
     def test_each_tile_is_a_draw_of_its_own_generator(self, ref_geom):
-        # Tile k of a block holds the bits of one draw of rngs[k], scaled, in
-        # the layout [rank, link, trial, re/im]: trial 7 reads columns 14 and 15.
+        # A tile holds the bits of one draw of its generator, scaled, in the
+        # layout [rank, link, trial, re/im]: trial 7 reads columns 14 and 15.
+        # Drawn into ``out``, it holds the same bits in the caller's array.
         root = surface_factor(ref_geom)
         rank = root.shape[1]
-        z = block_normals([np.random.default_rng(seed) for seed in (46, 47)], rank, 100)
-        assert z.shape == (2, rank, 3, 200)
-        for seed, tile in zip((46, 47), z):
+        buffer = np.empty((rank, 3, 200))
+        for seed in (46, 47):
+            z = tile_normals(np.random.default_rng(seed), rank, 100)
+            assert z.shape == (rank, 3, 200)
             own = np.random.default_rng(seed).standard_normal((rank, 3, 200)) * (1.0 / math.sqrt(2.0))
-            assert np.array_equal(tile, own)
-        whole = correlated_tile(root, z[1])
-        assert np.allclose(whole[:, :, 7], (z[1, :, :, 14] + 1j * z[1, :, :, 15]).T @ root.T, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(z, own)
+            assert tile_normals(np.random.default_rng(seed), rank, 100, out=buffer) is buffer
+            assert np.array_equal(buffer, own)
+        whole = correlated_tile(root, z)
+        assert np.allclose(whole[:, :, 7], (z[:, :, 14] + 1j * z[:, :, 15]).T @ root.T, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 5), (2, 2, 4), (2, 3, 4, 1)],
                              ids=["2-D", "odd-width", "two-links", "4-D"])
@@ -110,22 +121,46 @@ class TestSampleCorrelatedFading:
             correlated_tile(np.ones((4, 2)), np.zeros(shape))
 
     def test_normals_must_match_the_factor_rank(self):
-        [z] = block_normals([np.random.default_rng(0)], 3, 10)
+        z = tile_normals(np.random.default_rng(0), 3, 10)
         with pytest.raises(DomainError):
             correlated_tile(np.ones((4, 2)), z)
 
     @pytest.mark.parametrize("width", [1, 513, 4_096])
     def test_a_lower_rank_reads_a_prefix_of_a_higher_ranks_normals(self, ref_geom, width):
         # The rank axis leads within a tile, so a rank-r draw is the first r
-        # rows of a rank-R draw from the same states, and a factor of rank r
+        # rows of a rank-R draw from the same state, and a factor of rank r
         # correlates that prefix to the bits of its own draw.
         root = surface_factor(ref_geom)
         rank = root.shape[1]
-        own = block_normals([np.random.default_rng(seed) for seed in (47, 48)], rank, width)
-        shared = block_normals([np.random.default_rng(seed) for seed in (47, 48)], rank + 9, width)
-        assert np.array_equal(own, shared[:, :rank])
-        for k in range(2):
-            assert np.array_equal(correlated_tile(root, own[k]), correlated_tile(root, shared[k, :rank]))
+        for seed in (47, 48):
+            own = tile_normals(np.random.default_rng(seed), rank, width)
+            shared = tile_normals(np.random.default_rng(seed), rank + 9, width)
+            assert np.array_equal(own, shared[:rank])
+            assert np.array_equal(correlated_tile(root, own), correlated_tile(root, shared[:rank]))
+
+    def test_out_buffers_hold_the_same_bits(self, ref_geom):
+        # A run correlates every surface of a tile into the leading entries of
+        # one buffer sized for its largest surface; the bits are those of a
+        # fresh array.
+        factors = [surface_factor(geom) for geom in (ref_geom, ris_grid_geometry(ref_geom, 27))]
+        z = tile_normals(np.random.default_rng(49), max(f.shape[1] for f in factors), 64)
+        buffer = np.empty(3 * max(f.shape[0] for f in factors) * 64, dtype=complex)
+        for factor in factors:
+            out = buffer[: 3 * factor.shape[0] * 64].reshape(3, -1, 64)
+            assert correlated_tile(factor, z[: factor.shape[1]], out=out) is out
+            assert np.array_equal(out, correlated_tile(factor, z[: factor.shape[1]]))
+
+    @pytest.mark.parametrize("out", [np.empty((3, 4, 5), dtype=complex), np.empty((3, 4, 6)),
+                                     np.empty((3, 4, 12), dtype=complex)[:, :, ::2]],
+                             ids=["shape", "real", "strided"])
+    def test_out_of_the_wrong_layout_rejected(self, out):
+        z = tile_normals(np.random.default_rng(0), 2, 6)
+        with pytest.raises(DomainError):
+            correlated_tile(np.ones((4, 2)), z, out=out)
+
+    def test_normals_out_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DomainError):
+            tile_normals(np.random.default_rng(0), 2, 6, out=np.empty((3, 3, 12)))
 
 
 class TestSelectPorts:

@@ -35,7 +35,7 @@ from friscov import (
 )
 from friscov import montecarlo
 from friscov.analytics import missed_level, outage_level
-from friscov.channel import best_product_order, block_normals, cascade, correlated_tile, ris_grid_geometry
+from friscov.channel import best_product_order, cascade, correlated_tile, ris_grid_geometry, tile_normals
 from friscov.montecarlo import BLOCK_TRIALS, TILE_TRIALS, count_events, event_levels, mix64, wilson_interval
 from gains import Gains, run_gains, whole_gains
 
@@ -337,7 +337,7 @@ class TestGroups:
         root = surface_factor(ref_geom)
         for tile, start in enumerate(range(0, trials, TILE_TRIALS)):
             count = min(TILE_TRIALS, trials - start)
-            [z] = block_normals([np.random.default_rng(mix64(5, tile))], root.shape[1], TILE_TRIALS)
+            z = tile_normals(np.random.default_rng(mix64(5, tile)), root.shape[1], TILE_TRIALS)
             a, b, c = correlated_tile(root, z)
             ranked = [np.take_along_axis(v, best_product_order(a, b), axis=0) for v in (a, b, c)]
             for (_, m_o), gains in zip(group, samples):
@@ -369,21 +369,22 @@ class TestGroups:
             fixed_static(ref_geom, trials=1_000)
 
     def test_block_memory_is_bounded(self, ref_geom):
-        # The kernel draws a block's rank-33 normals (0.23 times the normals
-        # of a full-rank draw over the 144 ports) and correlates, ranks,
-        # gathers and cascades them one 512-trial tile at a time, so its
-        # peak follows the tile: about 0.5x for the three compared surfaces
-        # at m_o = 36 and 0.6x at m_o = 144, where the fluid surface gathers
-        # every row of a tile.  The sweep-ports group reads 12 presets; it
+        # The unit is a block's normals at full rank over the 144 ports.  The
+        # kernel draws one 512-trial tile of rank-33 normals at a time (0.03x)
+        # into a buffer held for the block, correlates it into a second
+        # (0.13x), then ranks, gathers and cascades it, so its peak follows
+        # the tile: about 0.23x for the three compared surfaces at m_o = 36
+        # and 0.43x at m_o = 144, where the fluid surface gathers every row
+        # of a tile.  The sweep-ports group reads 12 presets (0.49x); it
         # stays there only if each gather is dropped before the next.  Five
         # blocks stay under the bound of one.
         trials = BLOCK_TRIALS
         sweep_m_os = [4, 16, 27, 39, 51, 62, 74, 86, 97, 109, 121, 132, 144]
         groups = [
-            (trials, group_selections((36,)), 0.75),
-            (5 * trials, group_selections((36,)), 0.75),
-            (trials, group_selections((144,)), 1.0),
-            (trials, [(mode, m_o) for m_o in sweep_m_os for mode in (Mode.FRIS, Mode.FIXED)], 1.0),
+            (trials, group_selections((36,)), 0.3),
+            (5 * trials, group_selections((36,)), 0.3),
+            (trials, group_selections((144,)), 0.5),
+            (trials, [(mode, m_o) for m_o in sweep_m_os for mode in (Mode.FRIS, Mode.FIXED)], 0.6),
         ]
         normals = 3 * 2 * ref_geom.num_elements * trials * 8
         for run_trials, group, bound in groups:
@@ -398,11 +399,48 @@ class TestGroups:
             assert reduced == run_trials // BLOCK_TRIALS
             assert ratio <= bound, (len(group), run_trials, group[-1], ratio)
 
+    @staticmethod
+    def _peak(geom, group, trials: int, workers: int = 1) -> int:
+        tracemalloc.start()
+        try:
+            run = simulate_group(MCConfig(trials=trials, master_seed=1, workers=workers), [(geom, group)],
+                                 lambda start, g, gains: None)
+            assert sum(len(block) for block in run) == -(-trials // montecarlo.BLOCK_TRIALS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_follow_the_block(self, ref_geom, monkeypatch):
+        # A block draws and runs one tile at a time, so a 16-tile block peaks
+        # where a one-tile block does, plus its longer outputs: 16 B per trial
+        # and selection, here 360 KiB.  The slack covers small Python objects.
+        group = group_selections((36,))
+        trials = 8_192
+        peaks = {}
+        for block in (512, trials):
+            monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block)
+            peaks[block] = self._peak(ref_geom, group, trials)
+        outputs = 16 * (trials - 512) * len(group)
+        assert peaks[trials] <= peaks[512] + outputs + 65_536, peaks
+
+    def test_each_worker_adds_at_most_one_tile_working_set(self, ref_geom):
+        # Each worker holds one tile's normals and fading vectors, the tile's
+        # temporaries and its block's outputs, so three workers more add at
+        # most three one-tile working sets (the peak of a one-tile run) and
+        # three blocks of outputs.  The slack covers the pool's threads and
+        # futures, once the pool is imported.
+        group = group_selections((36,))
+        self._peak(ref_geom, group, 2 * BLOCK_TRIALS, workers=2)  # the pool's first import
+        working_set = self._peak(ref_geom, group, TILE_TRIALS) + 16 * BLOCK_TRIALS * len(group)
+        one, four = (self._peak(ref_geom, group, 8 * BLOCK_TRIALS, workers) for workers in (1, 4))
+        assert four - one <= 3 * working_set + 524_288, (one, four, working_set)
+
     def test_counted_memory_is_flat_in_trials(self, ref_geom):
         # Each block is counted at 25 power levels in its worker and dropped,
         # so 16 blocks peak where 2 do: only their counts accumulate.  In a
-        # run of three surfaces, each surface's gains are counted before the
-        # next surface's tiles run.
+        # run of three surfaces, a block's tiles run through every surface
+        # before its gains are counted, so the three surfaces' outputs (16 B
+        # per trial and selection) coexist for one block, not for the run.
         cfgs = [dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm)) for dbm in np.linspace(-60, -10, 25)]
         levels = event_levels((cfg, optimal_threshold(cfg)) for cfg in cfgs)
         grids = [(ris_grid_geometry(ref_geom, m_hat), [(Mode.RIS, m_hat)]) for m_hat in (27, 97)]
