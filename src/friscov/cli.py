@@ -19,6 +19,7 @@ error (an unusable ``--out`` included), 3 runtime/numerical error, 141
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -99,7 +100,7 @@ MAX_SWEEP_POINTS = 10**6
 # A run simulates about 200k trials a second per config on the reference
 # surface, so a billion trials take hours.  A pool of workers keeps at most
 # two blocks per worker in flight, and a run keeps nothing per block: each
-# block is added to the run's totals as it arrives.
+# block's gains are counted into the run's totals as it arrives, then dropped.
 MAX_TRIALS = 10**9
 
 # The KS gate of validate compares the first this many gains of each preset
@@ -112,9 +113,10 @@ MAX_PORTS = 4096
 
 # Each worker thread holds one tile's working set while it runs (6.4 MB on
 # the reference surface at m_o = 36: the tile's normals, its fading vectors
-# and their ranking and cascade) and its block's outputs, 16 B per trial and
-# selection, and a pool starts up to this many threads.  The worker count
-# changes no gain: each tile has its own substream.
+# and their ranking and cascade) and its block's gains, 16 B per trial and
+# selection, which a finished block holds until the caller takes it; at most
+# 2 x workers blocks are in flight, and a pool starts up to this many threads.
+# The worker count changes no gain: each tile has its own substream.
 MAX_WORKERS = 64
 
 
@@ -333,15 +335,16 @@ def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> list[di
     """Event counts of run ``mc``: ``counts[i][key]`` for each ``(selection, surface)`` key of point ``i``.
 
     One :func:`simulate_group` call runs every surface's group, so each
-    block is drawn once for all of them; its workers take each block's
-    :func:`count_events` at the levels of the points that read a
-    selection, and this thread adds them to the group's integer totals in
-    block order.  ``tap = (surface, selections, reduce, fold)`` adds
-    ``selections`` to the group on ``surface`` and hands its blocks to
-    ``reduce(start, gains)`` too, in the block's worker, ``gains`` keyed by
-    selection; each result goes to ``fold`` on this thread, in block order.
-    With ``progress``, a ``[k/n blocks]`` line with the elapsed time and an
-    ETA goes to stderr at most once a second, and after the last block.
+    block is drawn once for all of them.  This thread takes each block's
+    :func:`count_events` at the levels of the points that read a selection
+    and adds them to the group's integer totals, in block order.  ``tap =
+    (surface, selections, fold)`` adds ``selections`` to the group on
+    ``surface`` and hands each block to ``fold(start, gains)`` too,
+    ``gains`` keyed by selection.  Each block's gains are dropped before
+    the next block runs, and the run is closed however this returns, so a
+    ``fold`` that raises leaves no worker running.  With ``progress``, a
+    ``[k/n blocks]`` line with the elapsed time and an ETA goes to stderr
+    at most once a second, and after the last block.
     """
     groups: dict[SurfaceGeometry, dict[tuple[Mode, int], list[int]]] = {}
     if tap is not None:
@@ -353,24 +356,25 @@ def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> list[di
     levels = [[event_levels(points[i][1:3] for i in where) for where in group.values()] for group in readers]
     totals = [[np.zeros((len(where), 3), dtype=np.int64) for where in group.values()] for group in readers]
 
-    def reduce(start, g, gains):
-        cells = [count_events(g_b, g_w, level) for (g_b, g_w), level in zip(gains, levels[g])]
-        return cells, tap[2](start, dict(zip(readers[0], gains))) if tap is not None and g == 0 else None
-
-    n_blocks = -(-mc.trials // montecarlo.BLOCK_TRIALS)
-    began = shown = time.monotonic()
-    blocks = simulate_group(mc, [(surface, list(group)) for surface, group in groups.items()], reduce)
-    for done, block in enumerate(blocks, 1):
-        for group_totals, (cells, _) in zip(totals, block):
-            for total, cell in zip(group_totals, cells):
-                total += cell
+    def count(start, gains):
+        for group, group_levels, group_totals in zip(gains, levels, totals):
+            for (g_b, g_w), level, total in zip(group, group_levels, group_totals):
+                total += count_events(g_b, g_w, level)
         if tap is not None:
-            tap[3](block[0][1])
-        now = time.monotonic()
-        if progress and (done == n_blocks or now - shown >= 1.0):
-            shown, elapsed = now, now - began
-            print(f"[{done}/{n_blocks} blocks] {elapsed:.1f} s elapsed, "
-                  f"ETA {elapsed * (n_blocks - done) / done:.1f} s", file=sys.stderr)
+            tap[2](start, dict(zip(readers[0], gains[0])))
+
+    n_blocks, done = -(-mc.trials // montecarlo.BLOCK_TRIALS), 0
+    began = shown = time.monotonic()
+    with contextlib.closing(simulate_group(mc, list(zip(groups, map(list, readers))))) as blocks:
+        for start, gains in blocks:
+            count(start, gains)
+            del gains  # the loop would rebind it only after the next block has run
+            done += 1
+            now = time.monotonic()
+            if progress and (done == n_blocks or now - shown >= 1.0):
+                shown, elapsed = now, now - began
+                print(f"[{done}/{n_blocks} blocks] {elapsed:.1f} s elapsed, "
+                      f"ETA {elapsed * (n_blocks - done) / done:.1f} s", file=sys.stderr)
     counts: list[dict] = [{} for _ in points]
     for surface, group, group_totals in zip(groups, readers, totals):
         for (selection, where), total in zip(group.items(), group_totals):
@@ -417,8 +421,8 @@ def run_sweep(
     grouped by surface; every group then runs in one run ``mc``, so each
     block is drawn once for all of them (see
     :func:`montecarlo.simulate_group`).  The swept link parameters only
-    move the levels that each block's gains are counted against, in the
-    block's worker, so no gain outlives its block.
+    move the levels that each block's gains are counted against as the
+    block arrives, so no gain outlives its block.
     """
     points = _sweep_points(scenario, geom, spec, modes)
     counts = _simulate(mc, points, progress)
@@ -549,21 +553,17 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
     best, lattice = (Mode.FRIS, scenario.m_o), (Mode.RIS, scenario.m_o)
     sums, sample, dominated = [0.0] * len(fixed), np.empty((len(fixed), min(KS_TRIALS, mc.trials))), 0
 
-    def gate_sums(start, gains):
-        # Each preset's gain sum and the block's share of the KS gate's sample.
-        kept = [(float(np.sum(gains[key][0])), gains[key][0][: max(0, KS_TRIALS - start)].copy()) for key in fixed]
-        return start, kept, _dominating_draws(gains[best][0], gains[lattice][0], scenario.m_o)
-
-    def fold(block):
-        # Added in block order, on this thread.
+    def fold(start, gains):
+        # Each preset's gain sum and the block's share of the KS gate's sample,
+        # and the draws where the ranking dominates, added in block order.
         nonlocal dominated
-        start, kept, draws = block
-        for j, (total, head) in enumerate(kept):
-            sums[j] += total
+        for j, key in enumerate(fixed):
+            sums[j] += float(np.sum(gains[key][0]))
+            head = gains[key][0][: max(0, KS_TRIALS - start)]
             sample[j, start : start + head.size] = head
-        dominated += draws
+        dominated += _dominating_draws(gains[best][0], gains[lattice][0], scenario.m_o)
 
-    counts = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], gate_sums, fold))
+    counts = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], fold))
 
     gates = []
     for j, (_, m_o) in enumerate(fixed):

@@ -31,9 +31,9 @@ then correlated into a second, sized for the run's largest surface, and
 ranked and cascaded, for every surface in group order, before the next
 tile is drawn.  So the working set follows the tile, not the block; what
 follows the block is its outputs, 16 B per trial and selection of every
-group at once.  Each block is reduced on its own and its results reach
-the caller in block order.  Blocks are dispatched to a thread pool; the
-heavy lifting is BLAS matrix multiplication, which releases the GIL.
+group at once, which reach the caller in block order.  Blocks are
+dispatched to a thread pool; the heavy lifting is BLAS matrix
+multiplication, which releases the GIL.
 
 Surfaces that share a run share their normals, rank row for rank row:
 common random numbers (Asmussen & Glynn, *Stochastic Simulation*, 2007,
@@ -47,10 +47,10 @@ its ``(mode, m_o)`` selections (:func:`simulate_group`): each tile is
 drawn once for the run and correlated once per surface, and each
 selection takes the ports and phases of its
 :class:`~friscov.channel.Mode` from its surface's fading vectors.
-Nothing is cached and no gain outlives its block: once the block's last
-tile has run, the caller's reducer turns each group's gains into what it
-keeps, typically the event counts of :func:`count_events`, which the
-estimators read.
+Nothing is cached: once the block's last tile has run, its gains go to
+the caller, which keeps what it reads of them, typically the event
+counts of :func:`count_events` that the estimators read, and drops them
+before it takes the next block.
 
 Estimates of outage, covertness outage, and success probability carry
 Wilson 95% confidence intervals (valid near 0/1, where outage
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,7 @@ from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 # Part of the reproducibility contract: changing it changes every gain.
 TILE_TRIALS = 512
 
-# Trials per block: the unit of the reducer and of the worker pool, a
+# Trials per block: the unit of the caller's fold and of the worker pool, a
 # multiple of TILE_TRIALS.  Not part of the reproducibility contract.  A
 # block holds one tile's working set and its outputs, 16 B per trial and
 # selection of every group.
@@ -217,17 +217,16 @@ def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) ->
 
 
 def simulate_group(
-    mc: MCConfig, groups: Sequence[tuple[SurfaceGeometry, Sequence[tuple[Mode, int]]]], reduce: Callable
-) -> Iterator[list]:
-    """Yield each block of run ``mc``, in block order, as the list of ``reduce(start, g, gains)`` over groups ``g``.
+    mc: MCConfig, groups: Sequence[tuple[SurfaceGeometry, Sequence[tuple[Mode, int]]]]
+) -> Iterator[tuple[int, list]]:
+    """Yield each block of run ``mc`` as ``(start, gains)``, in block order.
 
     Lazy: nothing runs until the iterator is advanced, and no groups yield
     no blocks.  ``groups`` holds ``(surface, selections)`` pairs; ``start``
-    is the block's first trial and ``gains`` the per-trial cascaded gains
-    of group ``g``, one ``(g_b, g_w)`` pair per ``(mode, m_o)`` selection;
-    ``reduce`` runs in the block's worker, once per group in group order,
-    after the block's last tile: every group's gains of the block coexist
-    until then, 16 B per trial and selection.
+    is the block's first trial and ``gains[g]`` the per-trial cascaded
+    gains of group ``g`` over the block, one ``(g_b, g_w)`` pair per
+    ``(mode, m_o)`` selection: every group's gains of the block, 16 B per
+    trial and selection, held until the caller drops them.
     ``m_o`` is the number of active ports per draw: the best ``m_o`` of
     each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
     ports (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
@@ -248,7 +247,8 @@ def simulate_group(
     one RNG pass per tile and one correlating product and one ranking per
     tile and surface, and the gains keep the contract of the module
     docstring.  With workers, at most two blocks per worker are in flight,
-    and closing the iterator waits for them.  Raises :class:`~friscov.errors.DomainError` unless every block
+    a finished one holding its gains until the caller takes it, and
+    closing the iterator waits for them.  Raises :class:`~friscov.errors.DomainError` unless every block
     starts on a tile's edge (``BLOCK_TRIALS`` a multiple of ``TILE_TRIALS``).
     """
     surfaces = [(_group_members(list(selections), geom), surface_factor(geom))
@@ -262,7 +262,7 @@ def simulate_group(
     ports = max(factor.shape[0] for _, factor in surfaces)
     n_blocks = -(-mc.trials // block)
 
-    def run(block_index: int) -> list:
+    def run(block_index: int) -> tuple[int, list]:
         start = block_index * block
         count = min(block, mc.trials - start)
         outputs = [[(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
@@ -277,8 +277,7 @@ def simulate_group(
                 abc = fading[: 3 * factor.shape[0] * tile].reshape(3, -1, tile)
                 correlated_tile(factor, z[: factor.shape[1]], out=abc)
                 _tile_gains(abc, members, out, lo, min(tile, count - lo))
-        del z, fading, abc  # before the reducers allocate their own temporaries
-        return [reduce(start, g, out) for g, out in enumerate(outputs)]
+        return start, outputs
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
     if mc.workers == 1 or n_blocks == 1:
@@ -287,16 +286,17 @@ def simulate_group(
     # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
     from concurrent.futures import ThreadPoolExecutor
 
-    # A bounded window of submitted blocks, each pending future about 1.6 KB:
+    # A bounded window of submitted blocks, a finished one holding its gains:
     # submitting them all at once holds memory in proportion to the trials.
+    # A block leaves the window as it is yielded, so no future keeps its gains.
     window: deque = deque()
     with ThreadPoolExecutor(max_workers=mc.workers) as pool:
         for k in range(n_blocks):
             if len(window) == 2 * mc.workers:
                 yield window.popleft().result()
             window.append(pool.submit(run, k))
-        for future in window:
-            yield future.result()
+        while window:
+            yield window.popleft().result()
 
 
 def event_levels(points: Iterable[tuple[ScenarioConfig, float]]) -> np.ndarray:

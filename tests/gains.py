@@ -15,9 +15,9 @@ class Gains(NamedTuple):
 def run_gains(mc, groups) -> list[list[Gains]]:
     """Each group's gains over the whole run, one :class:`Gains` per selection.
 
-    :func:`simulate_group` with a reducer that keeps every block.
+    :func:`simulate_group`'s blocks, every one kept and joined.
     """
-    blocks = simulate_group(mc, groups, lambda start, g, gains: gains)
+    blocks = [gains for _, gains in simulate_group(mc, groups)]
     return [[Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*runs)] for runs in zip(*blocks)]
 
 

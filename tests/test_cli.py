@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -288,6 +289,53 @@ class TestRunSweep:
         assert len({surface for *_, configs in points for _, surface in configs.values()}) == 3
         run_sweep(scenario, geom, dataclasses.replace(mc, trials=5_000), spec)
         assert draws == [(33, 3, 2 * 512)] * 10
+
+    def test_the_caller_holds_one_block_of_gains_at_a_time(self):
+        # The m_o sweep of 13 points holds 39 selections' gains a block, 2.5 MB
+        # at 16 B per trial and selection.  Each block is counted and dropped
+        # before the next one runs, so four blocks peak where one does; a
+        # block's gains still held while the next one runs would add them all.
+        scenario, geom, mc, _ = load_config(None)
+        scenario = dataclasses.replace(scenario, p_a=dbm_to_watt(-50.0))
+        spec = SweepSpec(variable="m_o", start=4.0, stop=144.0, points=13)
+
+        def peak(blocks: int) -> int:
+            tracemalloc.start()
+            try:
+                run_sweep(scenario, geom, dataclasses.replace(mc, trials=blocks * montecarlo.BLOCK_TRIALS), spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations
+        one, four = peak(1), peak(4)
+        assert four - one <= 262_144, (one, four)
+
+    def test_a_failing_fold_ends_the_pool(self, monkeypatch):
+        # Two workers, and a tap whose fold fails at the third block.  Every
+        # fold runs on the caller's thread.  The run is closed as the error
+        # leaves _simulate, so no worker outlives the test (the conftest
+        # check), though the test holds the traceback and with it _simulate's
+        # frame.
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
+        monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
+        scenario, _, mc, spec = load_config(None)
+        scenario, spec = dataclasses.replace(scenario, m_o=16), dataclasses.replace(spec, points=2)
+        geom = SurfaceGeometry(4, 4, 2.0, 2.0, 0.125)
+        points = cli._sweep_points(scenario, geom, spec, (Mode.FIXED,))
+        folded = []
+
+        def fold(start, gains):
+            folded.append((start, list(gains), threading.current_thread() is threading.main_thread()))
+            if len(folded) == 3:
+                raise RuntimeError("fold failed")
+
+        run = dataclasses.replace(mc, trials=8 * 100, workers=2)
+        with pytest.raises(RuntimeError, match="fold failed") as failed:
+            cli._simulate(run, points, tap=(geom, [(Mode.FRIS, 16)], fold))
+        # The tap's selections come first in their group, the sweep's join them.
+        assert folded == [(8 * k, [(Mode.FRIS, 16), (Mode.FIXED, 16)], True) for k in range(3)]
+        assert failed.traceback[-1].name == "fold"
 
     def test_unknown_mode_rejected(self, small_run):
         scenario, geom, mc, spec, _ = small_run
@@ -636,9 +684,9 @@ class TestMain:
     def test_validate_draws_each_block_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(mc, groups, reduce):
+        def counting(mc, groups):
             calls.append((mc, list(groups)))
-            return simulate_group(mc, groups, reduce)
+            return simulate_group(mc, groups)
 
         monkeypatch.setattr(cli, "simulate_group", counting)
         main(["validate", "--trials", "1000"])

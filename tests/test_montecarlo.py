@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ class TestSubstreams:
             "geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)\n"
             "groups = [(g, [(mode, 9) for mode in Mode]) for g in (geom, ris_grid_geometry(geom, 27))]\n"
             "digest = hashlib.sha256()\n"
-            "for block in simulate_group(MCConfig(trials=5_001, master_seed=3), groups, lambda start, g, gains: gains):\n"
+            "for start, block in simulate_group(MCConfig(trials=5_001, master_seed=3), groups):\n"
             "    for gains in block:\n"
             "        for g_b, g_w in gains:\n"
             "            digest.update(g_b.tobytes() + g_w.tobytes())\n"
@@ -130,12 +131,12 @@ class TestSubstreams:
         assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_each_block_is_reduced_once_in_block_order(self, ref_geom, workers):
+    def test_each_block_is_yielded_once_in_block_order(self, ref_geom, workers):
         mc = MCConfig(trials=3 * BLOCK_TRIALS + 7, master_seed=1, workers=workers)
         groups = [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)]), (ref_geom, [(Mode.RIS, 16)])]
-        blocks = simulate_group(mc, groups, lambda start, g, gains: (start, g, [g_b.size for g_b, g_w in gains]))
-        assert list(blocks) == [[(k * BLOCK_TRIALS, 0, [n, n]), (k * BLOCK_TRIALS, 1, [n])]
-                                for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
+        blocks = starmap(lambda start, gains: (start, [[g_b.size for g_b, g_w in group] for group in gains]),
+                         simulate_group(mc, groups))
+        assert list(blocks) == [(k * BLOCK_TRIALS, [[n, n], [n]]) for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
 
 
 class TestMCConfigValidation:
@@ -349,7 +350,7 @@ class TestGroups:
     @pytest.mark.parametrize("block", [512, 1_024, 8_192])
     @pytest.mark.parametrize("trials", [513, 9_001])
     def test_gains_do_not_depend_on_the_block_size(self, ref_geom, monkeypatch, trials, block, workers):
-        # The block is the unit of the reducer and of the pool, not of the
+        # The block is the unit of the caller's fold and of the pool, not of the
         # draws: a run gives the same gains in blocks of any multiple of the
         # tile, at any worker count.  Both runs end in a partial tile.
         groups = [(ref_geom, group_selections((1, 2, 16, 36, 144))),
@@ -390,22 +391,20 @@ class TestGroups:
         for run_trials, group, bound in groups:
             tracemalloc.start()
             try:
-                blocks = simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, group)],
-                                        lambda start, g, gains: None)
-                reduced = sum(len(block) for block in blocks)
+                blocks = simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, group)])
+                yielded = sum(starmap(lambda start, gains: len(gains), blocks))
                 ratio = tracemalloc.get_traced_memory()[1] / normals
             finally:
                 tracemalloc.stop()
-            assert reduced == run_trials // BLOCK_TRIALS
+            assert yielded == run_trials // BLOCK_TRIALS
             assert ratio <= bound, (len(group), run_trials, group[-1], ratio)
 
     @staticmethod
     def _peak(geom, group, trials: int, workers: int = 1) -> int:
         tracemalloc.start()
         try:
-            run = simulate_group(MCConfig(trials=trials, master_seed=1, workers=workers), [(geom, group)],
-                                 lambda start, g, gains: None)
-            assert sum(len(block) for block in run) == -(-trials // montecarlo.BLOCK_TRIALS)
+            run = simulate_group(MCConfig(trials=trials, master_seed=1, workers=workers), [(geom, group)])
+            assert sum(starmap(lambda start, gains: len(gains), run)) == -(-trials // montecarlo.BLOCK_TRIALS)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,7 +427,9 @@ class TestGroups:
         # temporaries and its block's outputs, so three workers more add at
         # most three one-tile working sets (the peak of a one-tile run) and
         # three blocks of outputs.  The slack covers the pool's threads and
-        # futures, once the pool is imported.
+        # futures, once the pool is imported.  Finished blocks also wait for
+        # the caller with their outputs, up to four more here (0.8 MB); the
+        # workers' tile peaks do not all coincide, so they fit the bound.
         group = group_selections((36,))
         self._peak(ref_geom, group, 2 * BLOCK_TRIALS, workers=2)  # the pool's first import
         working_set = self._peak(ref_geom, group, TILE_TRIALS) + 16 * BLOCK_TRIALS * len(group)
@@ -436,7 +437,7 @@ class TestGroups:
         assert four - one <= 3 * working_set + 524_288, (one, four, working_set)
 
     def test_counted_memory_is_flat_in_trials(self, ref_geom):
-        # Each block is counted at 25 power levels in its worker and dropped,
+        # Each block is counted at 25 power levels as it arrives and dropped,
         # so 16 blocks peak where 2 do: only their counts accumulate.  In a
         # run of three surfaces, a block's tiles run through every surface
         # before its gains are counted, so the three surfaces' outputs (16 B
@@ -448,9 +449,9 @@ class TestGroups:
         def peak(groups, blocks: int) -> int:
             tracemalloc.start()
             try:
-                run = simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), groups,
-                                     lambda start, g, gains: [count_events(*pair, levels) for pair in gains])
-                assert sum(len(block) for block in run) == blocks * len(groups)
+                run = simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), groups)
+                cells = starmap(lambda start, gains: [[count_events(*pair, levels) for pair in g] for g in gains], run)
+                assert sum(map(len, cells)) == blocks * len(groups)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -472,9 +473,8 @@ class TestGroups:
         def peak(blocks: int) -> int:
             tracemalloc.start()
             try:
-                run = simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2),
-                                     [(geom, [(Mode.FIXED, 4)])], lambda start, g, gains: None)
-                assert sum(len(block) for block in run) == blocks
+                run = simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])])
+                assert sum(starmap(lambda start, gains: len(gains), run)) == blocks
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -485,36 +485,39 @@ class TestGroups:
 
     @pytest.mark.parametrize("end", ["close", "raise"])
     def test_pool_ends_with_the_iterator(self, monkeypatch, end):
-        # Two workers: the first block comes back with four submitted.  Closing
-        # the iterator then waits for the three in flight and runs no more;
-        # an exception out of reduce at the third block reaches the caller
-        # once the three after it are done.  Either way the pool's threads end.
+        # Two workers, one tile a block: the first block comes back with four
+        # submitted.  Closing the iterator then waits for the three in flight
+        # and draws no more tiles; an exception in the third block's kernel
+        # reaches the caller once the three after it are done.  Either way the
+        # pool's threads end, and every tile is drawn in a worker.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
         geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
         threads = threading.active_count()
-        reduced = []
+        tiles = {mix64(1, k): k for k in range(100)}
+        drawn = []
 
-        def reduce(start, g, gains):
-            reduced.append((start, threading.current_thread() is threading.main_thread()))
-            if end == "raise" and start == 16:
-                raise RuntimeError("reduce failed")
-            return start
+        def drawing(rng, *args, **kwargs):
+            k = tiles[rng.bit_generator.seed_seq.entropy]
+            drawn.append((k, threading.current_thread() is threading.main_thread()))
+            if end == "raise" and k == 2:
+                raise RuntimeError("kernel failed")
+            return tile_normals(rng, *args, **kwargs)
 
-        blocks = simulate_group(MCConfig(trials=8 * 100, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])],
-                                reduce)
+        monkeypatch.setattr(montecarlo, "tile_normals", drawing)
+        blocks = simulate_group(MCConfig(trials=8 * 100, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])])
         if end == "close":
-            assert next(blocks) == [0]
+            assert next(blocks)[0] == 0
             blocks.close()
         else:
-            with pytest.raises(RuntimeError, match="reduce failed"):
+            with pytest.raises(RuntimeError, match="kernel failed"):
                 for _ in blocks:
                     pass
         assert threading.active_count() == threads
-        assert sorted(reduced) == [(8 * k, False) for k in range(4 if end == "close" else 6)]
+        assert sorted(drawn) == [(k, False) for k in range(4 if end == "close" else 6)]
 
     def test_empty_group(self, ref_geom):
-        assert list(simulate_group(MCConfig(trials=10, master_seed=1), [], lambda start, g, gains: gains)) == []
+        assert list(simulate_group(MCConfig(trials=10, master_seed=1), [])) == []
 
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):

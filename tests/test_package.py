@@ -6,15 +6,15 @@ from pathlib import Path
 import friscov
 
 # A block of the three compared surfaces, from the correlation factor on:
-# what a sweep runs.  Prints the number of groups reduced and the loaded
+# what a sweep runs.  Prints the number of groups yielded and the loaded
 # modules of the test-only packages.
 _ONE_BLOCK = """
 import sys
 from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group, surface_factor
 geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)
 surface_factor(geom)
-run = simulate_group(MCConfig(trials=64, master_seed=1), [(geom, [(mode, 36) for mode in Mode])], lambda start, g, gains: None)
-print(sum(len(block) for block in run))
+run = simulate_group(MCConfig(trials=64, master_seed=1), [(geom, [(mode, 36) for mode in Mode])])
+print(sum(len(gains) for start, gains in run))
 print(sorted(name for name in sys.modules if name.partition(".")[0] in {"scipy", "mpmath", "hypothesis"}))
 """
 
