@@ -97,10 +97,12 @@ CSV_COLUMNS: tuple[str, ...] = (
 # million points already take gigabytes and several minutes.
 MAX_SWEEP_POINTS = 10**6
 
-# A run simulates about 200k trials a second per config on the reference
-# surface, so a billion trials take hours.  A pool of workers keeps at most
-# two blocks per worker in flight, and a run keeps nothing per block: each
-# block's gains are counted into the run's totals as it arrives, then dropped.
+# A run simulates about 285k trials a second on the reference surface for the
+# fluid surface alone and 435k for a preset (a 2-core box, one BLAS thread,
+# drawing ahead), so a billion trials take about an hour.  A pool of workers
+# keeps at most two blocks per worker in flight, and a run keeps nothing per
+# block: each block's gains are counted into the run's totals as it arrives,
+# then dropped.
 MAX_TRIALS = 10**9
 
 # The KS gate of validate compares the first this many gains of each preset
@@ -116,6 +118,9 @@ MAX_PORTS = 4096
 # and their ranking and cascade) and its block's gains, 16 B per trial and
 # selection, which a finished block holds until the caller takes it; at most
 # 2 x workers blocks are in flight, and a pool starts up to this many threads.
+# A pool's blocks draw their tiles inline; only a serial run, beside a CPU
+# that no BLAS thread runs on, holds a second tile of normals (0.8 MB) and
+# one helper thread that draws it ahead.
 # The worker count changes no gain: each tile has its own substream.
 MAX_WORKERS = 64
 

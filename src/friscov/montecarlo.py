@@ -26,14 +26,19 @@ its seed, so its estimates are those of that prefix.
 
 Tiles are scheduled in blocks of ``BLOCK_TRIALS`` trials, a multiple of
 ``TILE_TRIALS``, the last block holding the remainder.  A block runs one
-tile at a time: the tile is drawn into one buffer held for the block,
-then correlated into a second, sized for the run's largest surface, and
-ranked and cascaded, for every surface in group order, before the next
-tile is drawn.  So the working set follows the tile, not the block; what
-follows the block is its outputs, 16 B per trial and selection of every
-group at once, which reach the caller in block order.  Blocks are
-dispatched to a thread pool; the heavy lifting is BLAS matrix
-multiplication, which releases the GIL.
+tile at a time: the tile's normals, in a buffer held for the block, are
+correlated into a second, sized for the run's largest surface, then
+ranked and cascaded, for every surface in group order.  Where a serial
+run has a CPU to spare beside its BLAS threads, a helper thread draws
+the next tile into a second normals buffer while the block runs this
+one, and the two swap; otherwise the block draws each tile itself
+before running it.  The draw releases the GIL and no tile's
+normals depend on another's, so both ways give the same bits.  So the
+working set follows the tile, not the block; what follows the block is
+its outputs, 16 B per trial and selection of every group at once, which
+reach the caller in block order.  Blocks are dispatched to a thread
+pool; the heavy lifting is BLAS matrix multiplication, which releases
+the GIL too.
 
 Surfaces that share a run share their normals, rank row for rank row:
 common random numbers (Asmussen & Glynn, *Stochastic Simulation*, 2007,
@@ -59,10 +64,15 @@ probabilities live).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -216,6 +226,31 @@ def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) ->
     return members
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads() -> int:
+    """The threads numpy's bundled OpenBLAS runs a product on.
+
+    Where it cannot say (another BLAS, or OpenBLAS outside numpy's wheel),
+    one per CPU, OpenBLAS's default.
+    """
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                query = getattr(lib, symbol)
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query()
+    return os.cpu_count() or 1
+
+
 def simulate_group(
     mc: MCConfig, groups: Sequence[tuple[SurfaceGeometry, Sequence[tuple[Mode, int]]]]
 ) -> Iterator[tuple[int, list]]:
@@ -236,12 +271,18 @@ def simulate_group(
     A block runs tile by tile.  Each tile is drawn once for the whole run,
     in the largest rank of the run's surfaces, and each surface, in group
     order, reads the first rows of its rank
-    (:func:`~friscov.channel.tile_normals`) before the next tile is drawn.
-    Each of a surface's tiles is correlated over every port once, into a
-    buffer held for the block and sized for the largest surface.  The fluid
-    selections of a surface share one ranking of a tile's top ``max(m_o)``
-    ports and one cascade of those rows, each reading its own prefix
-    length; each preset's rows are gathered, and their cascade terms
+    (:func:`~friscov.channel.tile_normals`).  A block draws its first tile
+    itself.  On the serial path (one worker or one block), if BLAS runs
+    on fewer threads than the process has CPUs, a helper thread draws
+    each next tile into a second normals buffer while the block runs the
+    current one, and the block joins it before it swaps the buffers, even
+    when the kernel raises; the helper's own exception is raised on the
+    block's thread.  Otherwise, and in a pool, the block draws each tile
+    before running it.  Each of a surface's tiles is correlated over every port once,
+    into a buffer held for the block and sized for the largest surface.
+    The fluid selections of a surface share one ranking of a tile's top
+    ``max(m_o)`` ports and one cascade of those rows, each reading its own
+    prefix length; each preset's rows are gathered, and their cascade terms
     formed, once per tile for every selection that reads them (``FIXED``
     sums the terms, then ``RIS`` phases them in place).  So the run costs
     one RNG pass per tile and one correlating product and one ranking per
@@ -262,6 +303,21 @@ def simulate_group(
     ports = max(factor.shape[0] for _, factor in surfaces)
     n_blocks = -(-mc.trials // block)
 
+    serial = mc.workers == 1 or n_blocks == 1
+    # Draw ahead only on the serial path, beside a CPU that no BLAS thread
+    # runs on: a helper that shared a core with a block's thread or a BLAS
+    # thread made the default sweep slower, not faster.
+    ahead = serial and _blas_threads() < _cpus()
+
+    def draw(k: int, out: np.ndarray) -> None:
+        tile_normals(np.random.default_rng(mix64(mc.master_seed, k)), rank, tile, out=out)
+
+    def draw_ahead(k: int, out: np.ndarray, failed: list) -> None:
+        try:
+            draw(k, out)
+        except BaseException as exc:
+            failed.append(exc)  # a Thread drops its target's exception: the block's thread raises it
+
     def run(block_index: int) -> tuple[int, list]:
         start = block_index * block
         count = min(block, mc.trials - start)
@@ -271,16 +327,34 @@ def simulate_group(
         # and surface of the block: a fresh pair per tile costs page faults.
         z = np.empty((rank, 3, 2 * tile))
         fading = np.empty(3 * ports * tile, dtype=complex)
+        # Drawing ahead, a helper thread draws tile k + 1 into a second buffer
+        # while the block runs tile k.
+        following = np.empty_like(z) if ahead and count > tile else None
+        failed: list = []
         for lo in range(0, count, tile):
-            tile_normals(np.random.default_rng(mix64(mc.master_seed, (start + lo) // tile)), rank, tile, out=z)
-            for (members, factor), out in zip(surfaces, outputs):
-                abc = fading[: 3 * factor.shape[0] * tile].reshape(3, -1, tile)
-                correlated_tile(factor, z[: factor.shape[1]], out=abc)
-                _tile_gains(abc, members, out, lo, min(tile, count - lo))
+            k = (start + lo) // tile
+            if following is None or lo == 0:
+                draw(k, z)
+            helper = None
+            if following is not None and lo + tile < count:
+                helper = threading.Thread(target=draw_ahead, args=(k + 1, following, failed))
+                helper.start()
+            try:
+                for (members, factor), out in zip(surfaces, outputs):
+                    abc = fading[: 3 * factor.shape[0] * tile].reshape(3, -1, tile)
+                    correlated_tile(factor, z[: factor.shape[1]], out=abc)
+                    _tile_gains(abc, members, out, lo, min(tile, count - lo))
+            finally:
+                if helper is not None:
+                    helper.join()
+            if failed:
+                raise failed[0]
+            if helper is not None:
+                z, following = following, z
         return start, outputs
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
-    if mc.workers == 1 or n_blocks == 1:
+    if serial:
         yield from map(run, range(n_blocks))
         return
     # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.

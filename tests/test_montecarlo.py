@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import starmap
 
@@ -413,6 +414,9 @@ class TestGroups:
         # A block draws and runs one tile at a time, so a 16-tile block peaks
         # where a one-tile block does, plus its longer outputs: 16 B per trial
         # and selection, here 360 KiB.  The slack covers small Python objects.
+        # A one-tile block has no tile to draw ahead, so both draw inline; what
+        # drawing ahead adds is TestDrawAhead's.
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         group = group_selections((36,))
         trials = 8_192
         peaks = {}
@@ -422,7 +426,7 @@ class TestGroups:
         outputs = 16 * (trials - 512) * len(group)
         assert peaks[trials] <= peaks[512] + outputs + 65_536, peaks
 
-    def test_each_worker_adds_at_most_one_tile_working_set(self, ref_geom):
+    def test_each_worker_adds_at_most_one_tile_working_set(self, ref_geom, monkeypatch):
         # Each worker holds one tile's normals and fading vectors, the tile's
         # temporaries and its block's outputs, so three workers more add at
         # most three one-tile working sets (the peak of a one-tile run) and
@@ -430,6 +434,10 @@ class TestGroups:
         # futures, once the pool is imported.  Finished blocks also wait for
         # the caller with their outputs, up to four more here (0.8 MB); the
         # workers' tile peaks do not all coincide, so they fit the bound.
+        # A pool's blocks draw inline; the serial runs are pinned to draw
+        # inline too, so the difference is the workers'.  What drawing ahead
+        # adds to a serial run is TestDrawAhead's.
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         group = group_selections((36,))
         self._peak(ref_geom, group, 2 * BLOCK_TRIALS, workers=2)  # the pool's first import
         working_set = self._peak(ref_geom, group, TILE_TRIALS) + 16 * BLOCK_TRIALS * len(group)
@@ -522,6 +530,145 @@ class TestGroups:
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):
             whole_gains(MCConfig(trials=10, master_seed=1), ref_geom, [(Mode.FIXED, 36), (Mode.FIXED, 145)])
+
+
+@pytest.fixture
+def draw_ahead(monkeypatch):
+    """Force drawing ahead on or off, whatever CPUs the machine has."""
+    return lambda on: monkeypatch.setattr(montecarlo, "_cpus", lambda: 1_000 if on else 1)
+
+
+class TestDrawAhead:
+    @staticmethod
+    def _watch(monkeypatch, seed: int, tiles: int) -> tuple[list, set]:
+        """Record each tile's draw as ``(k, thread)`` and the threads that run the kernel."""
+        index = {mix64(seed, k): k for k in range(tiles)}
+        drawn, kernels = [], set()
+
+        def drawing(rng, *args, **kwargs):
+            drawn.append((index[rng.bit_generator.seed_seq.entropy], threading.current_thread()))
+            return tile_normals(rng, *args, **kwargs)
+
+        def kernel(*args):
+            kernels.add(threading.current_thread())
+            return tile_gains(*args)
+
+        tile_gains = montecarlo._tile_gains
+        monkeypatch.setattr(montecarlo, "tile_normals", drawing)
+        monkeypatch.setattr(montecarlo, "_tile_gains", kernel)
+        return drawn, kernels
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 511, 513, 4_097, 9_000])
+    def test_draw_ahead_changes_no_bit(self, ref_geom, monkeypatch, draw_ahead, trials, workers):
+        # A block draws its first tile itself; drawing ahead, which only a
+        # serial run (one worker or one block) does, a helper thread draws
+        # each of its later tiles, else the block draws them too.  The 1x97
+        # RIS grid (rank 12) reads a prefix of the rank-33 draw.
+        groups = [(ref_geom, [(mode, 36) for mode in Mode]), (ris_grid_geometry(ref_geom, 97), [(Mode.RIS, 97)])]
+        mc = MCConfig(trials=trials, master_seed=3, workers=workers)
+        tiles = -(-trials // TILE_TRIALS)
+        serial = workers == 1 or trials <= BLOCK_TRIALS
+        runs = {}
+        for on in (True, False):
+            draw_ahead(on)
+            with monkeypatch.context() as patch:
+                drawn, kernels = self._watch(patch, 3, tiles)
+                runs[on] = run_gains(mc, groups)
+            assert sorted(k for k, _ in drawn) == list(range(tiles))
+            for k, thread in drawn:
+                first = k % (BLOCK_TRIALS // TILE_TRIALS) == 0
+                assert (thread in kernels) is (first or not (on and serial)), (on, k)
+        for run, inline in zip(runs[True], runs[False]):
+            for gains, own in zip(run, inline):
+                assert np.array_equal(gains.g_b, own.g_b)
+                assert np.array_equal(gains.g_w, own.g_w)
+
+    @pytest.mark.parametrize("blas, cpus, workers, trials, ahead", [
+        pytest.param(1, 2, 1, 2 * BLOCK_TRIALS, True, id="serial-spare-cpu"),
+        pytest.param(2, 2, 1, 2 * BLOCK_TRIALS, False, id="blas-on-every-cpu"),
+        pytest.param(1, 1, 1, 2 * BLOCK_TRIALS, False, id="one-cpu"),
+        pytest.param(1, 8, 2, 2 * BLOCK_TRIALS, False, id="pool"),
+        pytest.param(1, 8, 2, BLOCK_TRIALS, True, id="one-block-at-two-workers"),
+    ])
+    def test_who_draws_ahead(self, ref_geom, monkeypatch, blas, cpus, workers, trials, ahead):
+        # Only a serial run draws ahead, and only beside a CPU that no BLAS
+        # thread runs on.
+        monkeypatch.setattr(montecarlo, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        drawn, kernels = self._watch(monkeypatch, 1, trials // TILE_TRIALS)
+        run_gains(MCConfig(trials=trials, master_seed=1, workers=workers), [(ref_geom, [(Mode.FIXED, 36)])])
+        assert any(thread not in kernels for _, thread in drawn) is ahead
+
+    def test_blas_threads_reads_the_pinned_count(self):
+        # tests/conftest.py pins OpenBLAS to one thread; a BLAS that cannot
+        # say counts one thread per CPU.
+        assert montecarlo._blas_threads() in (1, os.cpu_count())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_draw_reaches_the_caller(self, ref_geom, monkeypatch, draw_ahead, workers):
+        # Block 1's third tile, drawn by a helper at one worker and inline by
+        # the pool at two: its exception reaches the caller, and no thread
+        # outlives the run (the conftest checks).
+        draw_ahead(True)
+        error = RuntimeError("draw failed")
+        index = {mix64(1, k): k for k in range(24)}
+
+        def drawing(rng, *args, **kwargs):
+            if index[rng.bit_generator.seed_seq.entropy] == BLOCK_TRIALS // TILE_TRIALS + 2:
+                raise error
+            return tile_normals(rng, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "tile_normals", drawing)
+        mc = MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1, workers=workers)
+        with pytest.raises(RuntimeError) as raised:
+            list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
+        assert raised.value is error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_kernel_waits_for_the_helper(self, ref_geom, monkeypatch, draw_ahead, workers):
+        # The kernel fails while the helper is still drawing the next tile:
+        # every draw that began has ended when the exception reaches the
+        # caller, and no helper outlives the run (the conftest checks).  One
+        # block runs serially, so it draws ahead at two workers too.
+        draw_ahead(True)
+        per_block = BLOCK_TRIALS // TILE_TRIALS
+        index = {mix64(1, k): k for k in range(per_block)}
+        ahead, began, ended = threading.Event(), [], []
+
+        def drawing(rng, *args, **kwargs):
+            k = index[rng.bit_generator.seed_seq.entropy]
+            began.append(k)
+            if k % per_block:  # drawn ahead
+                ahead.set()
+                time.sleep(0.05)
+            out = tile_normals(rng, *args, **kwargs)
+            ended.append(k)
+            return out
+
+        def kernel(*args):
+            assert ahead.wait(timeout=10)
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(montecarlo, "tile_normals", drawing)
+        monkeypatch.setattr(montecarlo, "_tile_gains", kernel)
+        mc = MCConfig(trials=BLOCK_TRIALS, master_seed=1, workers=workers)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
+        assert sorted(ended) == sorted(began)
+        assert 1 in ended
+
+    def test_draw_ahead_adds_one_buffer(self, ref_geom, monkeypatch, draw_ahead):
+        # A 16-tile block draws ahead into one second buffer of normals, reused
+        # by every tile: rank 33 x 3 links x 2 x TILE_TRIALS doubles (811 KiB).
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 16 * TILE_TRIALS)
+        group = group_selections((36,))
+        peaks = {}
+        for on in (True, False):
+            draw_ahead(on)
+            peaks[on] = TestGroups._peak(ref_geom, group, 16 * TILE_TRIALS)
+        rank = surface_factor(ref_geom).shape[1]
+        assert peaks[True] - peaks[False] <= rank * 3 * 2 * TILE_TRIALS * 8 + 65_536, peaks
 
 
 class TestKsDistance:
