@@ -97,20 +97,21 @@ CSV_COLUMNS: tuple[str, ...] = (
 # million points already take gigabytes and several minutes.
 MAX_SWEEP_POINTS = 10**6
 
-# A run simulates about 285k trials a second on the reference surface for the
-# fluid surface alone and 435k for a preset (a 2-core box, one BLAS thread,
-# drawing ahead), so a billion trials take about an hour.  A pool of workers
-# keeps at most two blocks per worker in flight, and a run keeps nothing per
-# block: each block's gains are counted into the run's totals as it arrives,
-# then dropped.
+# A run simulates about 315k trials a second on the reference surface for the
+# fluid surface alone and 335k for a preset (a 2-core box, one BLAS thread,
+# a helper thread drawing and correlating), so a billion trials take about
+# an hour.  A pool of workers keeps at most two blocks per worker in flight,
+# and a run keeps nothing per block: each block's gains are counted into the
+# run's totals as it arrives, then dropped.
 MAX_TRIALS = 10**9
 
 # The KS gate of validate compares the first this many gains of each preset
 # with the closed form's law.
 KS_TRIALS = 100_000
 
-# A tile of a surface of n ports holds 3 x n x TILE_TRIALS complex fading
-# entries: about 100 MB at this limit, a 64x64 grid.  Ranking grows with n too.
+# A block of a surface of n ports holds 3 x n x TILE_TRIALS complex fading
+# entries, one tile or two half-tile panels: about 100 MB at this limit, a
+# 64x64 grid.  Ranking grows with n too.
 MAX_PORTS = 4096
 
 # Each worker thread holds one tile's working set while it runs (6.4 MB on
@@ -118,9 +119,10 @@ MAX_PORTS = 4096
 # and their ranking and cascade) and its block's gains, 16 B per trial and
 # selection, which a finished block holds until the caller takes it; at most
 # 2 x workers blocks are in flight, and a pool starts up to this many threads.
-# A pool's blocks draw their tiles inline; only a serial run, beside a CPU
-# that no BLAS thread runs on, holds a second tile of normals (0.8 MB) and
-# one helper thread that draws it ahead.
+# A pool's blocks draw and correlate their tiles inline; only a serial run,
+# beside a CPU that no BLAS thread runs on, has one helper thread per block
+# that draws and correlates them, into the same tile of fading vectors split
+# in two half-tile slots.
 # The worker count changes no gain: each tile has its own substream.
 MAX_WORKERS = 64
 

@@ -15,30 +15,47 @@ largest numerical rank of the run's surface factors
 (:func:`~friscov.surface.surface_factor`).  A surface of rank ``r``
 correlates its ``(ports, r)`` factor against the first ``r`` rank rows,
 which are the normals that a draw of rank ``r`` alone would give.  Every
-tile is correlated, ranked and cascaded at its full width, a partial
-last tile too, which keeps its first trials.  This is the
+tile is drawn at its full width and runs in panels of its trials, halves
+of it or the whole tile (see below): each panel that holds a trial of
+the run is correlated, ranked and cascaded at its full width, a partial
+last one too, which keeps its first trials.  This is the
 reproducibility contract: a trial's gains depend on the master seed,
 ``TILE_TRIALS``, the trial's index, its surface and its selection, and
 on nothing else -- not on the trial count, the other surfaces of the
-run, ``BLOCK_TRIALS``, the worker count or the number of BLAS threads.
-A run of ``n`` trials is the first ``n`` trials of every longer run at
-its seed, so its estimates are those of that prefix.
+run, the panels, ``BLOCK_TRIALS``, the worker count or the number of
+BLAS threads.  A run of ``n`` trials is the first ``n`` trials of every
+longer run at its seed, so its estimates are those of that prefix.
+
+The contract holds on one machine, under one BLAS kernel and one numpy
+SIMD level: there the bits are the same across panels, workers and BLAS
+threads.  Each fading entry is one sum over the factor's rank, taken in
+an order that OpenBLAS's kernel fixes, not the number of columns or
+threads that share the product; ranking and cascading work trial by
+trial, rounded as numpy's SIMD loops round.  Another kernel (say
+``OPENBLAS_CORETYPE=Haswell`` where SkylakeX is native) or SIMD level
+may move the last bits of the fading vectors, and with them a gain or
+a ranking: its estimates agree within sampling error, its bytes need
+not.
 
 Tiles are scheduled in blocks of ``BLOCK_TRIALS`` trials, a multiple of
-``TILE_TRIALS``, the last block holding the remainder.  A block runs one
-tile at a time: the tile's normals, in a buffer held for the block, are
-correlated into a second, sized for the run's largest surface, then
-ranked and cascaded, for every surface in group order.  Where a serial
-run has a CPU to spare beside its BLAS threads, a helper thread draws
-the next tile into a second normals buffer while the block runs this
-one, and the two swap; otherwise the block draws each tile itself
-before running it.  The draw releases the GIL and no tile's
-normals depend on another's, so both ways give the same bits.  So the
-working set follows the tile, not the block; what follows the block is
-its outputs, 16 B per trial and selection of every group at once, which
-reach the caller in block order.  Blocks are dispatched to a thread
-pool; the heavy lifting is BLAS matrix multiplication, which releases
-the GIL too.
+``TILE_TRIALS``, the last block holding the remainder.  A block holds
+one array, freed with it: one tile's normals and a ring of panel-sized
+fading buffers (slots), each sized for the run's largest surface.  It
+runs one tile at a time: the tile is drawn into the normals, and each
+of its panels is correlated for every surface in group order into a
+slot, then ranked and cascaded.  Where a serial run has a CPU to spare
+beside its BLAS threads, a helper thread draws each tile and correlates
+each (half-tile panel, surface) into a ring of two slots, and the
+block's thread only ranks, cascades and writes the gains of each filled
+slot, then hands it back.  Otherwise the block's thread does all of it
+with one slot, in panels of the whole tile: halves would only add calls.
+The draw and the product release the GIL, and no panel's bits depend on
+the thread that computed them or on its width, so both ways give the
+same bits.  So the working set follows the tile, not the block; what
+follows the block is its outputs, 16 B per trial and selection of every
+group at once, which reach the caller in block order.  Blocks are
+dispatched to a thread pool; the heavy lifting is BLAS matrix
+multiplication, which releases the GIL too.
 
 Surfaces that share a run share their normals, rank row for rank row:
 common random numbers (Asmussen & Glynn, *Stochastic Simulation*, 2007,
@@ -49,10 +66,10 @@ with less noise than from independent draws.
 
 A run is one :class:`MCConfig` and a list of groups, each a surface and
 its ``(mode, m_o)`` selections (:func:`simulate_group`): each tile is
-drawn once for the run and correlated once per surface, and each
+drawn once for the run and each panel correlated once per surface, and each
 selection takes the ports and phases of its
 :class:`~friscov.channel.Mode` from its surface's fading vectors.
-Nothing is cached: once the block's last tile has run, its gains go to
+Nothing is cached: once the block's last panel has run, its gains go to
 the caller, which keeps what it reads of them, typically the event
 counts of :func:`count_events` that the estimators read, and drops them
 before it takes the next block.
@@ -66,6 +83,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 import threading
@@ -83,12 +101,15 @@ from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 
 # Trials per substream tile, which also bounds the kernel's working set.
 # Part of the reproducibility contract: changing it changes every gain.
+# Beside a helper thread, a tile runs in two panels of half of it.
 TILE_TRIALS = 512
 
 # Trials per block: the unit of the caller's fold and of the worker pool, a
 # multiple of TILE_TRIALS.  Not part of the reproducibility contract.  A
-# block holds one tile's working set and its outputs, 16 B per trial and
-# selection of every group.
+# block holds one tile's normals, one tile of fading vectors (two half-tile
+# slots beside a helper thread that draws and correlates, one whole-tile
+# slot where its own thread does), a panel's temporaries and its outputs,
+# 16 B per trial and selection of every group.
 BLOCK_TRIALS = 4096
 
 # Levels compared at once by count_events: 64 boolean rows of 4096 trials.
@@ -168,13 +189,13 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _tile_gains(abc: np.ndarray, members: list, outputs: list, lo: int, n: int) -> None:
-    """Write one tile's gains on one surface into trials ``lo`` to ``lo + n - 1`` of ``outputs``.
+def _panel_gains(abc: np.ndarray, members: list, outputs: list, lo: int, n: int) -> None:
+    """Write one panel's gains on one surface into trials ``lo`` to ``lo + n - 1`` of ``outputs``.
 
-    ``abc`` is the tile's fading vectors (:func:`~friscov.channel.correlated_tile`)
+    ``abc`` is the panel's fading vectors (:func:`~friscov.channel.correlated_tile`)
     at its full width, ``members`` is :func:`_group_members` of the
     surface's selections and ``outputs`` holds one block-length ``(g_b,
-    g_w)`` per selection.  A partial last tile keeps its first ``n``
+    g_w)`` per selection.  A partial last panel keeps its first ``n``
     trials, so no gain depends on how many trials follow it.
     """
     width = abc.shape[-1]
@@ -268,29 +289,35 @@ def simulate_group(
     ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
     ``int`` in ``[1, surface.num_elements]``.
 
-    A block runs tile by tile.  Each tile is drawn once for the whole run,
-    in the largest rank of the run's surfaces, and each surface, in group
-    order, reads the first rows of its rank
-    (:func:`~friscov.channel.tile_normals`).  A block draws its first tile
-    itself.  On the serial path (one worker or one block), if BLAS runs
-    on fewer threads than the process has CPUs, a helper thread draws
-    each next tile into a second normals buffer while the block runs the
-    current one, and the block joins it before it swaps the buffers, even
-    when the kernel raises; the helper's own exception is raised on the
-    block's thread.  Otherwise, and in a pool, the block draws each tile
-    before running it.  Each of a surface's tiles is correlated over every port once,
-    into a buffer held for the block and sized for the largest surface.
-    The fluid selections of a surface share one ranking of a tile's top
-    ``max(m_o)`` ports and one cascade of those rows, each reading its own
-    prefix length; each preset's rows are gathered, and their cascade terms
-    formed, once per tile for every selection that reads them (``FIXED``
-    sums the terms, then ``RIS`` phases them in place).  So the run costs
-    one RNG pass per tile and one correlating product and one ranking per
-    tile and surface, and the gains keep the contract of the module
-    docstring.  With workers, at most two blocks per worker are in flight,
-    a finished one holding its gains until the caller takes it, and
-    closing the iterator waits for them.  Raises :class:`~friscov.errors.DomainError` unless every block
-    starts on a tile's edge (``BLOCK_TRIALS`` a multiple of ``TILE_TRIALS``).
+    A block runs tile by tile, and each tile panel by panel.  Each tile is
+    drawn once for the whole run, in the largest rank of the run's
+    surfaces, into one normals buffer held for the block, and each
+    surface, in group order, reads the first rows of its rank
+    (:func:`~friscov.channel.tile_normals`).  Each panel is correlated
+    over every port once per surface, from a column view of the normals
+    (:func:`~friscov.channel.correlated_tile`), into a slot sized for the
+    largest surface; the block's normals and slots are one array.  On the
+    serial path (one worker or one block), if BLAS runs on fewer threads
+    than the process has CPUs, a helper thread does the draws and the
+    products of half-tile panels into a ring of two slots, a slot ahead of
+    the block's thread, which ranks, cascades and writes each slot's gains
+    and then hands the slot back.  The block's thread stops and joins the
+    helper before the block returns, even when the kernel raises; the
+    helper's own exception is raised on the block's thread.  Otherwise,
+    and in a pool, the block's thread draws, correlates and runs each tile
+    in turn as one panel, in one slot.  The fluid selections of a surface
+    share one ranking of a panel's top ``max(m_o)`` ports and one cascade
+    of those rows, each reading its own prefix length; each preset's rows
+    are gathered, and their cascade terms formed, once per panel for every
+    selection that reads them (``FIXED`` sums the terms, then ``RIS``
+    phases them in place).  So the run costs one RNG pass per tile and one
+    correlating product and one ranking per panel and surface, and the
+    gains keep the contract of the module docstring.  With workers, at
+    most two blocks per worker are in flight, a finished one holding its
+    gains until the caller takes it, and closing the iterator waits for
+    them.  Raises :class:`~friscov.errors.DomainError` unless every block
+    starts on a tile's edge (``BLOCK_TRIALS`` a multiple of
+    ``TILE_TRIALS``).
     """
     surfaces = [(_group_members(list(selections), geom), surface_factor(geom))
                 for geom, selections in groups]
@@ -304,53 +331,86 @@ def simulate_group(
     n_blocks = -(-mc.trials // block)
 
     serial = mc.workers == 1 or n_blocks == 1
-    # Draw ahead only on the serial path, beside a CPU that no BLAS thread
-    # runs on: a helper that shared a core with a block's thread or a BLAS
-    # thread made the default sweep slower, not faster.
+    # A helper thread only on the serial path, beside a CPU that no BLAS
+    # thread runs on: one that shared a core with the block's thread or a
+    # BLAS thread made the default sweep slower, not faster.
     ahead = serial and _blas_threads() < _cpus()
+    # Trials per panel, the unit of correlation and of the kernel: half a
+    # tile beside a helper, so that it correlates one while the block's
+    # thread ranks the other; a whole tile inline, where halves made a plain
+    # CLI run's validate 5% slower.
+    panel = -(-tile // 2) if ahead else tile
 
-    def draw(k: int, out: np.ndarray) -> None:
-        tile_normals(np.random.default_rng(mix64(mc.master_seed, k)), rank, tile, out=out)
+    def correlate(start: int, count: int, z: np.ndarray, slots: Iterator[np.ndarray]) -> Iterator[tuple]:
+        """Block ``start``'s panels, surface by surface, as ``(lo, surface index, fading vectors)``.
 
-    def draw_ahead(k: int, out: np.ndarray, failed: list) -> None:
+        Draws each tile into ``z`` and correlates each (panel, surface) into
+        the next buffer of ``slots``, stopping early if ``slots`` runs out.
+        """
+        for lo in range(0, count, tile):
+            tile_normals(np.random.default_rng(mix64(mc.master_seed, (start + lo) // tile)), rank, tile, out=z)
+            for p0 in range(0, min(tile, count - lo), panel):
+                width = min(panel, tile - p0)
+                for s, (_, factor) in enumerate(surfaces):
+                    slot = next(slots, None)
+                    if slot is None:
+                        return
+                    abc = slot[: 3 * factor.shape[0] * width].reshape(3, -1, width)
+                    correlated_tile(factor, z[: factor.shape[1], :, 2 * p0 : 2 * (p0 + width)], out=abc)
+                    yield lo + p0, s, abc
+
+    def correlate_ahead(panels: Iterator[tuple], ready) -> None:
         try:
-            draw(k, out)
+            for item in panels:
+                ready.put(item)
         except BaseException as exc:
-            failed.append(exc)  # a Thread drops its target's exception: the block's thread raises it
+            ready.put(exc)  # a Thread drops its target's exception: the block's thread raises it
+        else:
+            ready.put(None)
 
     def run(block_index: int) -> tuple[int, list]:
         start = block_index * block
         count = min(block, mc.trials - start)
         outputs = [[(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
                    for members, _ in surfaces]
-        # One tile's normals and one tile's fading vectors, reused by every tile
-        # and surface of the block: a fresh pair per tile costs page faults.
-        z = np.empty((rank, 3, 2 * tile))
-        fading = np.empty(3 * ports * tile, dtype=complex)
-        # Drawing ahead, a helper thread draws tile k + 1 into a second buffer
-        # while the block runs tile k.
-        following = np.empty_like(z) if ahead and count > tile else None
-        failed: list = []
-        for lo in range(0, count, tile):
-            k = (start + lo) // tile
-            if following is None or lo == 0:
-                draw(k, z)
-            helper = None
-            if following is not None and lo + tile < count:
-                helper = threading.Thread(target=draw_ahead, args=(k + 1, following, failed))
-                helper.start()
-            try:
-                for (members, factor), out in zip(surfaces, outputs):
-                    abc = fading[: 3 * factor.shape[0] * tile].reshape(3, -1, tile)
-                    correlated_tile(factor, z[: factor.shape[1]], out=abc)
-                    _tile_gains(abc, members, out, lo, min(tile, count - lo))
-            finally:
-                if helper is not None:
-                    helper.join()
-            if failed:
-                raise failed[0]
-            if helper is not None:
-                z, following = following, z
+        # One tile's normals and a ring of panel-sized fading buffers, sized
+        # for the largest surface: one array, reused by every tile and surface
+        # of the block and freed with it.  Its free raises glibc's mmap
+        # threshold above the kernel's temporaries, so they reuse the heap.
+        ring = 2 if ahead else 1
+        buffer = np.empty(rank * 3 * tile + ring * 3 * ports * panel, dtype=complex)
+        z = buffer[: rank * 3 * tile].view(float).reshape(rank, 3, 2 * tile)
+        slots = buffer[rank * 3 * tile :].reshape(ring, -1)
+
+        def kernel(lo: int, s: int, abc: np.ndarray) -> None:
+            _panel_gains(abc, surfaces[s][0], outputs[s], lo, min(abc.shape[-1], count - lo))
+
+        if not ahead:
+            for item in correlate(start, count, z, itertools.repeat(slots[0])):
+                kernel(*item)
+            return start, outputs
+        # Imported here: only a run with a helper needs it.
+        from queue import SimpleQueue
+
+        # The helper takes a token before it correlates item i into slot i % 2:
+        # one per slot at the start, then one per item the block's thread has
+        # run, so a slot is rewritten only once its gains are out.  None, put
+        # when the block ends or fails, stops it.
+        free, ready = SimpleQueue(), SimpleQueue()
+        for _ in range(ring):
+            free.put(True)
+        claims = (slots[i % ring] for i, _ in enumerate(iter(free.get, None)))
+        helper = threading.Thread(target=correlate_ahead, args=(correlate(start, count, z, claims), ready))
+        helper.start()
+        try:
+            for item in iter(ready.get, None):
+                if isinstance(item, BaseException):
+                    raise item
+                kernel(*item)
+                free.put(True)
+        finally:
+            free.put(None)
+            helper.join()
         return start, outputs
 
     # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.

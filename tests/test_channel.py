@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestSampleCorrelatedFading:
             assert np.array_equal(correlated_tile(root, own), correlated_tile(root, shared[:rank]))
 
     def test_out_buffers_hold_the_same_bits(self, ref_geom):
-        # A run correlates every surface of a tile into the leading entries of
+        # A run correlates every surface of a panel into the leading entries of
         # one buffer sized for its largest surface; the bits are those of a
         # fresh array.
         factors = [surface_factor(geom) for geom in (ref_geom, ris_grid_geometry(ref_geom, 27))]
@@ -149,6 +150,43 @@ class TestSampleCorrelatedFading:
             out = buffer[: 3 * factor.shape[0] * 64].reshape(3, -1, 64)
             assert correlated_tile(factor, z[: factor.shape[1]], out=out) is out
             assert np.array_equal(out, correlated_tile(factor, z[: factor.shape[1]]))
+
+    @pytest.mark.parametrize("panel", [TILE_TRIALS // 2, 200], ids=["half-tile", "partial-last-panel"])
+    def test_panels_hold_the_bits_of_the_whole_tile(self, ref_geom, panel):
+        # A run correlates each tile in panels of its trials, each on its own:
+        # every panel holds the bits of the same columns of the whole-tile
+        # product, on the 12x12 surface, every RIS grid on it and a few other
+        # grids.  Panels of 200 trials leave a partial last one of 112.
+        grids = [ris_grid_geometry(ref_geom, m) for m in range(1, ref_geom.num_elements + 1)]
+        others = [SurfaceGeometry(m_x, m_z, 1.5, 1.0, 0.125) for m_x, m_z in [(1, 2), (3, 5), (8, 8), (16, 4)]]
+        factors = [surface_factor(geom) for geom in dict.fromkeys([ref_geom, *grids, *others])]
+        z = tile_normals(np.random.default_rng(50), max(f.shape[1] for f in factors), TILE_TRIALS)
+        for factor in factors:
+            rank = factor.shape[1]
+            whole = correlated_tile(factor, z[:rank])
+            for lo in range(0, TILE_TRIALS, panel):
+                hi = min(lo + panel, TILE_TRIALS)
+                part = correlated_tile(factor, z[:rank, :, 2 * lo : 2 * hi])
+                assert np.array_equal(part, whole[:, :, lo:hi]), (factor.shape, lo)
+
+    def test_a_panel_reads_its_normals_in_place(self, ref_geom):
+        # A panel is a strided column view of the tile's normals; correlating
+        # it into a buffer allocates nothing near the size of a copy of them.
+        factor = surface_factor(ref_geom)
+        panel = TILE_TRIALS // 2
+        z = tile_normals(np.random.default_rng(51), factor.shape[1], TILE_TRIALS)
+        view = z[:, :, 2 * panel :]
+        assert not view.flags.c_contiguous and np.shares_memory(view, z)
+        out = np.empty((3, ref_geom.num_elements, panel), dtype=complex)
+        correlated_tile(factor, view, out=out)  # numpy's first product in this shape
+        tracemalloc.start()
+        try:
+            assert correlated_tile(factor, view, out=out) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < view.nbytes // 8, (peak, view.nbytes)
+        assert np.array_equal(out, correlated_tile(factor, np.ascontiguousarray(view)))
 
     @pytest.mark.parametrize("out", [np.empty((3, 4, 5), dtype=complex), np.empty((3, 4, 6)),
                                      np.empty((3, 4, 12), dtype=complex)[:, :, ::2]],

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -92,9 +93,10 @@ class TestSubstreams:
         assert not np.array_equal(a.g_b, b.g_b)
 
     def test_a_run_is_a_prefix_of_every_longer_run(self, ref_geom):
-        # Each tile draws from its own substream and runs at its full width,
-        # a partial last tile too, so a run of n trials is the first n trials
-        # of a longer run, on every surface and in every mode.
+        # Each tile draws from its own substream at its full width and runs
+        # in panels (halves beside a helper thread, else the whole tile), each
+        # at its full width, a partial last one too, so a run of n trials is
+        # the first n trials of a longer run, on every surface and mode.
         groups = [(geom, [(mode, m_o) for mode in Mode]) for geom, m_o in
                   ((ref_geom, 36), (ris_grid_geometry(ref_geom, 27), 9), (ris_grid_geometry(ref_geom, 97), 97))]
         long = run_gains(MCConfig(trials=9_000, master_seed=1), groups)
@@ -373,13 +375,14 @@ class TestGroups:
     def test_block_memory_is_bounded(self, ref_geom):
         # The unit is a block's normals at full rank over the 144 ports.  The
         # kernel draws one 512-trial tile of rank-33 normals at a time (0.03x)
-        # into a buffer held for the block, correlates it into a second
-        # (0.13x), then ranks, gathers and cascades it, so its peak follows
-        # the tile: about 0.23x for the three compared surfaces at m_o = 36
-        # and 0.43x at m_o = 144, where the fluid surface gathers every row
-        # of a tile.  The sweep-ports group reads 12 presets (0.49x); it
-        # stays there only if each gather is dropped before the next.  Five
-        # blocks stay under the bound of one.
+        # into a buffer held for the block, correlates it (0.13x) tile by
+        # tile, or half-tile panel by panel beside a helper thread, then
+        # ranks, gathers and cascades each, so its peak follows the tile:
+        # about 0.23x for the three compared surfaces at m_o = 36 and 0.43x
+        # at m_o = 144, where the fluid surface gathers every row of a tile
+        # (panels: 0.23x and 0.30x).  The sweep-ports group reads 12 presets
+        # (0.49x; panels: 0.36x); it stays there only if each gather is
+        # dropped before the next.  Five blocks stay under the bound of one.
         trials = BLOCK_TRIALS
         sweep_m_os = [4, 16, 27, 39, 51, 62, 74, 86, 97, 109, 121, 132, 144]
         groups = [
@@ -414,8 +417,8 @@ class TestGroups:
         # A block draws and runs one tile at a time, so a 16-tile block peaks
         # where a one-tile block does, plus its longer outputs: 16 B per trial
         # and selection, here 360 KiB.  The slack covers small Python objects.
-        # A one-tile block has no tile to draw ahead, so both draw inline; what
-        # drawing ahead adds is TestDrawAhead's.
+        # Both are pinned to run inline; what a helper thread adds is
+        # TestDrawAhead's.
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         group = group_selections((36,))
         trials = 8_192
@@ -434,9 +437,9 @@ class TestGroups:
         # futures, once the pool is imported.  Finished blocks also wait for
         # the caller with their outputs, up to four more here (0.8 MB); the
         # workers' tile peaks do not all coincide, so they fit the bound.
-        # A pool's blocks draw inline; the serial runs are pinned to draw
-        # inline too, so the difference is the workers'.  What drawing ahead
-        # adds to a serial run is TestDrawAhead's.
+        # A pool's blocks run inline; the serial runs are pinned to run inline
+        # too, so the difference is the workers'.  What a helper thread adds
+        # to a serial run is TestDrawAhead's.
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         group = group_selections((36,))
         self._peak(ref_geom, group, 2 * BLOCK_TRIALS, workers=2)  # the pool's first import
@@ -534,37 +537,45 @@ class TestGroups:
 
 @pytest.fixture
 def draw_ahead(monkeypatch):
-    """Force drawing ahead on or off, whatever CPUs the machine has."""
+    """Force the helper thread on or off, whatever CPUs the machine has."""
     return lambda on: monkeypatch.setattr(montecarlo, "_cpus", lambda: 1_000 if on else 1)
 
 
 class TestDrawAhead:
     @staticmethod
-    def _watch(monkeypatch, seed: int, tiles: int) -> tuple[list, set]:
-        """Record each tile's draw as ``(k, thread)`` and the threads that run the kernel."""
+    def _watch(monkeypatch, seed: int, tiles: int) -> tuple[list, list, set]:
+        """Record each tile's draw as ``(k, thread)``, each correlation's thread and the threads that run the kernel."""
         index = {mix64(seed, k): k for k in range(tiles)}
-        drawn, kernels = [], set()
+        drawn, correlated, kernels = [], [], set()
 
         def drawing(rng, *args, **kwargs):
             drawn.append((index[rng.bit_generator.seed_seq.entropy], threading.current_thread()))
             return tile_normals(rng, *args, **kwargs)
 
+        def correlating(*args, **kwargs):
+            correlated.append(threading.current_thread())
+            return correlated_tile(*args, **kwargs)
+
         def kernel(*args):
             kernels.add(threading.current_thread())
-            return tile_gains(*args)
+            return panel_gains(*args)
 
-        tile_gains = montecarlo._tile_gains
+        panel_gains = montecarlo._panel_gains
         monkeypatch.setattr(montecarlo, "tile_normals", drawing)
-        monkeypatch.setattr(montecarlo, "_tile_gains", kernel)
-        return drawn, kernels
+        monkeypatch.setattr(montecarlo, "correlated_tile", correlating)
+        monkeypatch.setattr(montecarlo, "_panel_gains", kernel)
+        return drawn, correlated, kernels
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("trials", [1, 511, 513, 4_097, 9_000])
+    @pytest.mark.parametrize("trials", [1, 255, 257, 511, 513, 4_097, 9_000])
     def test_draw_ahead_changes_no_bit(self, ref_geom, monkeypatch, draw_ahead, trials, workers):
-        # A block draws its first tile itself; drawing ahead, which only a
-        # serial run (one worker or one block) does, a helper thread draws
-        # each of its later tiles, else the block draws them too.  The 1x97
-        # RIS grid (rank 12) reads a prefix of the rank-33 draw.
+        # Only a serial run (one worker or one block) starts a helper; it then
+        # draws every tile and correlates every half-tile panel of each
+        # block, and the block's thread does neither.  255 trials fill part
+        # of the first panel, 257 reach into the second, and a panel that
+        # holds no trial of the run is not correlated.  Without a helper a
+        # panel is the whole tile.  The 1x97 RIS grid (rank 12) reads a
+        # prefix of the rank-33 draw.
         groups = [(ref_geom, [(mode, 36) for mode in Mode]), (ris_grid_geometry(ref_geom, 97), [(Mode.RIS, 97)])]
         mc = MCConfig(trials=trials, master_seed=3, workers=workers)
         tiles = -(-trials // TILE_TRIALS)
@@ -573,12 +584,13 @@ class TestDrawAhead:
         for on in (True, False):
             draw_ahead(on)
             with monkeypatch.context() as patch:
-                drawn, kernels = self._watch(patch, 3, tiles)
+                drawn, correlated, kernels = self._watch(patch, 3, tiles)
                 runs[on] = run_gains(mc, groups)
+            helper = on and serial
             assert sorted(k for k, _ in drawn) == list(range(tiles))
-            for k, thread in drawn:
-                first = k % (BLOCK_TRIALS // TILE_TRIALS) == 0
-                assert (thread in kernels) is (first or not (on and serial)), (on, k)
+            assert len(correlated) == (-(-trials // (TILE_TRIALS // 2)) if helper else tiles) * len(groups)
+            for thread in [thread for _, thread in drawn] + correlated:
+                assert (thread in kernels) is not helper, on
         for run, inline in zip(runs[True], runs[False]):
             for gains, own in zip(run, inline):
                 assert np.array_equal(gains.g_b, own.g_b)
@@ -592,13 +604,14 @@ class TestDrawAhead:
         pytest.param(1, 8, 2, BLOCK_TRIALS, True, id="one-block-at-two-workers"),
     ])
     def test_who_draws_ahead(self, ref_geom, monkeypatch, blas, cpus, workers, trials, ahead):
-        # Only a serial run draws ahead, and only beside a CPU that no BLAS
-        # thread runs on.
+        # Only a serial run starts a helper, and only beside a CPU that no
+        # BLAS thread runs on.
         monkeypatch.setattr(montecarlo, "_blas_threads", lambda: blas)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
-        drawn, kernels = self._watch(monkeypatch, 1, trials // TILE_TRIALS)
+        drawn, correlated, kernels = self._watch(monkeypatch, 1, trials // TILE_TRIALS)
         run_gains(MCConfig(trials=trials, master_seed=1, workers=workers), [(ref_geom, [(Mode.FIXED, 36)])])
         assert any(thread not in kernels for _, thread in drawn) is ahead
+        assert any(thread not in kernels for thread in correlated) is ahead
 
     def test_blas_threads_reads_the_pinned_count(self):
         # tests/conftest.py pins OpenBLAS to one thread; a BLAS that cannot
@@ -607,7 +620,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_draw_reaches_the_caller(self, ref_geom, monkeypatch, draw_ahead, workers):
-        # Block 1's third tile, drawn by a helper at one worker and inline by
+        # Block 1's third tile, drawn by the helper at one worker and inline by
         # the pool at two: its exception reaches the caller, and no thread
         # outlives the run (the conftest checks).
         draw_ahead(True)
@@ -626,11 +639,33 @@ class TestDrawAhead:
         assert raised.value is error
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_correlation_reaches_the_caller(self, ref_geom, monkeypatch, draw_ahead, workers):
+        # The fifth panel's correlation and every one after it fail, on the
+        # helper at one worker and in the pool at two: the exception reaches
+        # the caller, and no thread outlives the run (the conftest checks).
+        draw_ahead(True)
+        error = RuntimeError("correlation failed")
+        calls = itertools.count()
+
+        def correlating(*args, **kwargs):
+            if next(calls) >= 4:
+                raise error
+            return correlated_tile(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "correlated_tile", correlating)
+        mc = MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1, workers=workers)
+        with pytest.raises(RuntimeError) as raised:
+            list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
+        assert raised.value is error
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_kernel_waits_for_the_helper(self, ref_geom, monkeypatch, draw_ahead, workers):
-        # The kernel fails while the helper is still drawing the next tile:
-        # every draw that began has ended when the exception reaches the
-        # caller, and no helper outlives the run (the conftest checks).  One
-        # block runs serially, so it draws ahead at two workers too.
+        # The helper correlates tile 0's two panels into the ring and draws
+        # tile 1 while the kernel runs the first panel.  The kernel fails
+        # during that draw: every draw that began has ended when the exception
+        # reaches the caller, no later tile is drawn, and no helper outlives
+        # the run (the conftest checks).  One block runs serially, so it has a
+        # helper at two workers too.
         draw_ahead(True)
         per_block = BLOCK_TRIALS // TILE_TRIALS
         index = {mix64(1, k): k for k in range(per_block)}
@@ -639,7 +674,7 @@ class TestDrawAhead:
         def drawing(rng, *args, **kwargs):
             k = index[rng.bit_generator.seed_seq.entropy]
             began.append(k)
-            if k % per_block:  # drawn ahead
+            if k:
                 ahead.set()
                 time.sleep(0.05)
             out = tile_normals(rng, *args, **kwargs)
@@ -651,24 +686,85 @@ class TestDrawAhead:
             raise RuntimeError("kernel failed")
 
         monkeypatch.setattr(montecarlo, "tile_normals", drawing)
-        monkeypatch.setattr(montecarlo, "_tile_gains", kernel)
+        monkeypatch.setattr(montecarlo, "_panel_gains", kernel)
         mc = MCConfig(trials=BLOCK_TRIALS, master_seed=1, workers=workers)
         with pytest.raises(RuntimeError, match="kernel failed"):
             list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
-        assert sorted(ended) == sorted(began)
-        assert 1 in ended
+        assert sorted(ended) == sorted(began) == [0, 1]
 
-    def test_draw_ahead_adds_one_buffer(self, ref_geom, monkeypatch, draw_ahead):
-        # A 16-tile block draws ahead into one second buffer of normals, reused
-        # by every tile: rank 33 x 3 links x 2 x TILE_TRIALS doubles (811 KiB).
+    def test_no_slot_is_rewritten_before_its_gains_are_out(self, ref_geom, monkeypatch, draw_ahead):
+        # A kernel that yields the interpreter before it reads its slot, with
+        # threads switched every microsecond: the helper, which correlates
+        # far faster, must still wait for each slot it reuses, so the gains
+        # are those of a run without it.
+        groups = [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 16)]), (ris_grid_geometry(ref_geom, 97), [(Mode.RIS, 97)])]
+        mc = MCConfig(trials=3_000, master_seed=5)
+        draw_ahead(False)
+        inline = run_gains(mc, groups)
+        draw_ahead(True)
+        panel_gains = montecarlo._panel_gains
+
+        def slow(*args):
+            time.sleep(0.0005)
+            return panel_gains(*args)
+
+        monkeypatch.setattr(montecarlo, "_panel_gains", slow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = run_gains(mc, groups)
+        finally:
+            sys.setswitchinterval(interval)
+        for run, own in zip(shared, inline):
+            for gains, alone in zip(run, own):
+                assert np.array_equal(gains.g_b, alone.g_b)
+                assert np.array_equal(gains.g_w, alone.g_w)
+
+    @pytest.mark.parametrize("end", ["close", "interrupt"])
+    def test_an_ended_run_leaves_no_helper(self, ref_geom, monkeypatch, draw_ahead, end):
+        # A serial run of three blocks, each with its own helper.  Closed once
+        # the first block is out, it starts no second helper; interrupted in
+        # the kernel of block 1's third panel (a KeyboardInterrupt, as a
+        # signal raises it), it joins block 1's helper before the interrupt
+        # reaches the caller.  Either way every thread the run started has
+        # ended, and no tile past the helper's ring is drawn.
+        draw_ahead(True)
+        threads = threading.active_count()
+        per_block = BLOCK_TRIALS // TILE_TRIALS
+        drawn, correlated, kernels = self._watch(monkeypatch, 1, 3 * per_block)
+        panels = itertools.count()
+        panel_gains = montecarlo._panel_gains
+
+        def interrupted(*args):
+            if end == "interrupt" and next(panels) == 2 * per_block + 2:
+                raise KeyboardInterrupt
+            return panel_gains(*args)
+
+        monkeypatch.setattr(montecarlo, "_panel_gains", interrupted)
+        blocks = simulate_group(MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1), [(ref_geom, [(Mode.FIXED, 36)])])
+        if end == "close":
+            assert next(blocks)[0] == 0
+            blocks.close()
+            assert sorted(k for k, _ in drawn) == list(range(per_block))
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                list(blocks)
+            assert per_block + 1 <= max(k for k, _ in drawn) <= per_block + 2
+        assert threading.active_count() == threads
+
+    def test_the_helper_adds_no_buffer(self, ref_geom, monkeypatch, draw_ahead):
+        # A 16-tile block holds one tile of normals and one tile of fading
+        # vectors either way: with a helper, a ring of two half-tile slots;
+        # inline, one whole-tile slot.  So the helper adds less than one slot
+        # (3 links x 144 ports x half a tile of complex entries, 1.7 MiB):
+        # only its thread and queues, and the panels' temporaries are halves.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 16 * TILE_TRIALS)
         group = group_selections((36,))
         peaks = {}
         for on in (True, False):
             draw_ahead(on)
             peaks[on] = TestGroups._peak(ref_geom, group, 16 * TILE_TRIALS)
-        rank = surface_factor(ref_geom).shape[1]
-        assert peaks[True] - peaks[False] <= rank * 3 * 2 * TILE_TRIALS * 8 + 65_536, peaks
+        assert peaks[True] <= peaks[False] + 65_536, peaks
 
 
 class TestKsDistance:
