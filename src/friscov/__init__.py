@@ -28,7 +28,6 @@ from .errors import (
     DegenerateFitError,
     DomainError,
     FriscovError,
-    NotPSDError,
 )
 from .montecarlo import (
     EstimateWithCI,
@@ -44,7 +43,6 @@ from .surface import (
     SurfaceGeometry,
     correlation_matrix,
     default_fixed_preset,
-    psd_sqrt,
     surface_factor,
 )
 
@@ -56,9 +54,9 @@ __all__ = [
     "optimal_threshold", "outage_probability", "path_loss", "success_probability",
     "Mode",
     "ConfigError", "DegenerateFitError", "DomainError",
-    "FriscovError", "NotPSDError",
+    "FriscovError",
     "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
     "estimate_success", "ks_distance", "simulate_group",
     "bessel_j0",
-    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset", "psd_sqrt", "surface_factor",
+    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset", "surface_factor",
 ]

@@ -192,7 +192,7 @@ def _parse_value(key: str, raw: str, lineno: int | None):
 
 def _read_pairs(path) -> dict[str, tuple[str, int]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     pairs: dict[str, tuple[str, int]] = {}

@@ -9,10 +9,6 @@ class DomainError(FriscovError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class NotPSDError(DomainError):
-    """A matrix that must be positive semidefinite is not, beyond tolerance."""
-
-
 class DegenerateFitError(DomainError):
     """Moment matching was attempted on an input with no usable moments."""
 

@@ -9,10 +9,10 @@ and ``d_z = w_z * wavelength / m_z``.
 Under rich isotropic scattering the fading correlation between two
 ports separated by distance d is ``J0(2 pi d / wavelength)`` (the
 classic Clarke/Jakes model), so one table of J0 at the grid's row and
-column offsets holds every correlation.  The channel sampler's low-rank
-pivoted-Cholesky factor (:func:`surface_factor`) and the correlation over
-a preset of :func:`default_fixed_preset` (:func:`correlation_matrix`) are
-read off it; :func:`psd_sqrt` factors a dense matrix the same way.
+column offsets holds every correlation.  The sampler's pivoted-Cholesky
+factor of the surface (:func:`surface_factor`) and the correlation over
+a preset of :func:`default_fixed_preset` (:func:`correlation_matrix`)
+are read off it.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotPSDError
+from .errors import DomainError
 from .specfun import bessel_j0
-
-# An entry of corr - L @ L.T above PSD_CLAMP_REL * max|corr| marks input that
-# is not PSD: the residual of PSD input is bounded entrywise by its diagonal,
-# which psd_sqrt's pivoted Cholesky factor L leaves at most 5e-10 * max|corr|.
-PSD_CLAMP_REL = 1e-8
 
 # The widest aperture, in wavelengths along each axis: the correlation then
 # evaluates J0 below 2 pi sqrt(2) * 1e4 (about 8.9e4), inside its range.
@@ -86,9 +81,9 @@ def _offset_table(geom: SurfaceGeometry) -> np.ndarray:
     return bessel_j0(2.0 * math.pi / geom.wavelength * np.array(distance))
 
 
-def correlation_matrix(geom: SurfaceGeometry, ports: np.ndarray | None = None) -> np.ndarray:
-    """``J0(2 pi d / wavelength)`` of each pair of ``ports`` (default: all) at distance ``d``, from the offset table."""
-    index = np.arange(geom.num_elements) if ports is None else np.asarray(ports)
+def correlation_matrix(geom: SurfaceGeometry, ports: np.ndarray) -> np.ndarray:
+    """``J0(2 pi d / wavelength)`` of each pair of ``ports`` at distance ``d``, from the offset table."""
+    index = np.asarray(ports)
     if index.ndim != 1 or index.dtype.kind not in "iu" or not np.all((index >= 0) & (index < geom.num_elements)):
         raise DomainError(f"ports must be a 1-D array of port indices in [0, {geom.num_elements})")
     rows, cols = np.divmod(index, geom.m_x)
@@ -96,15 +91,30 @@ def correlation_matrix(geom: SurfaceGeometry, ports: np.ndarray | None = None) -
     return table[np.abs(rows[:, None] - rows[None, :]), np.abs(cols[:, None] - cols[None, :])]
 
 
-def _pivoted_cholesky(diagonal: np.ndarray, column, scale: float) -> np.ndarray:
-    """Pivoted Cholesky factor, by :func:`psd_sqrt`'s rules, of the matrix of ``diagonal`` and ``scale = max|entry|``.
+def surface_factor(geom: SurfaceGeometry) -> np.ndarray:
+    """Pivoted Cholesky factor ``L``, ``(ports, rank)``, of the whole surface's correlation, read off the J0 table.
 
-    ``column(rest, pivot)`` returns entries ``(rest, pivot)``, ``rest`` masking the ports not yet pivoted.  Columns
-    grow by doubling, not to ``(ports, ports)``; ``factor[rest, :rank]`` is a copy, so no bit depends on them.
+    On ``s``, the largest ``|J0|`` of the table, each step pivots on the
+    lowest-index port whose residual diagonal lies within ``1e-10 * s`` of
+    the largest, and pivoting stops once every residual is at most
+    ``5e-10 * s``.  So port 0 pivots first, and column ``k`` is zero on the
+    rows of the first ``k`` pivots.  Both margins sit far above J0's
+    rounding: the rank and pivot order (the layout of the normals each
+    trial reads) hold under noise of 1e-13, 30 times J0's error, on every
+    surface tested.  J0 of a planar distance is PSD (an isotropic field's
+    covariance), so no check runs, and ``L @ L.T`` matches each entry
+    within ``5e-10 * s``; ``rank`` counts the resolved degrees of freedom,
+    33 of 144 on the 12x12 reference surface.  No eigenvector basis enters
+    (a square grid's eigenpairs are exactly degenerate), so a surface
+    always gives the same bits.  No ``(ports, ports)`` array is built;
+    columns grow by doubling, which moves no bit.
     """
-    ports = diagonal.size
+    table = _offset_table(geom)
+    scale = np.max(np.abs(table))
+    ports = geom.num_elements
+    rows, cols = np.divmod(np.arange(ports), geom.m_x)
     factor = np.zeros((ports, min(ports, 64)))
-    residual = diagonal.copy()
+    residual = np.full(ports, table[0, 0])
     rest = np.ones(ports, dtype=bool)
     rank = 0
     while rank < ports:
@@ -118,65 +128,11 @@ def _pivoted_cholesky(diagonal: np.ndarray, column, scale: float) -> np.ndarray:
         if rank == factor.shape[1]:
             factor = np.hstack([factor, np.zeros_like(factor)])
         factor[pivot, rank] = root
-        update = column(rest, pivot) - factor[rest, :rank] @ factor[pivot, :rank]
-        factor[rest, rank] = update / root
+        column = table[np.abs(rows[rest] - rows[pivot]), np.abs(cols[rest] - cols[pivot])]
+        factor[rest, rank] = (column - factor[rest, :rank] @ factor[pivot, :rank]) / root
         residual[rest] -= factor[rest, rank] ** 2
         rank += 1
     return factor[:, :rank].copy()
-
-
-def surface_factor(geom: SurfaceGeometry) -> np.ndarray:
-    """``psd_sqrt(correlation_matrix(geom))``, bit for bit, each pivot column read off the J0 table.
-
-    No ``(ports, ports)`` array is built.  J0 of a planar distance is the covariance of an isotropic field, PSD in
-    exact arithmetic, so no PSD check runs.
-    """
-    table = _offset_table(geom)
-    rows, cols = np.divmod(np.arange(geom.num_elements), geom.m_x)
-    return _pivoted_cholesky(np.full(geom.num_elements, table[0, 0]),
-                             lambda rest, p: table[np.abs(rows[rest] - rows[p]), np.abs(cols[rest] - cols[p])],
-                             np.max(np.abs(table)))
-
-
-def psd_sqrt(corr: np.ndarray) -> np.ndarray:
-    """Real factor ``L`` of shape ``(ports, rank)`` with ``L @ L.T == corr``.
-
-    Built by pivoted Cholesky on ``s = max|corr|``: each step pivots on the
-    lowest-index port whose residual diagonal lies within ``1e-10 * s`` of
-    the largest, and pivoting stops once every residual diagonal is at
-    most ``5e-10 * s``.  So the first pivot of a unit-diagonal matrix is
-    port 0, and column ``k`` holds zeros on the rows of the first ``k``
-    pivots.  Both margins sit far above the rounding of J0: near-ties of a
-    symmetric grid go to the lower index, and the rank and pivot order
-    (the layout of the normals each trial reads) hold under perturbations
-    of 1e-13, 30 times J0's error, on every surface tested.  A PSD
-    residual is bounded entrywise by its diagonal, so ``L @ L.T`` matches
-    ``corr`` within ``5e-10 * s`` in every entry, and ``rank`` counts the
-    spatial degrees of freedom the surface resolves: 33 of the 144 ports
-    of the 12x12 reference surface.  The factor depends on no eigenvector
-    basis (the correlation of a square grid has exactly degenerate
-    eigenpairs), so the same input always gives the same bits.  It is the
-    reference of :func:`surface_factor`, which runs use.
-
-    Raises:
-        NotPSDError: empty, non-finite, asymmetric or indefinite input
-            (an entry of ``corr - L @ L.T`` above ``PSD_CLAMP_REL * s``).
-    """
-    corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise NotPSDError(f"expected a square matrix, got shape {corr.shape}")
-    if corr.shape[0] == 0:
-        raise NotPSDError("matrix is empty")
-    if not np.all(np.isfinite(corr)):
-        raise NotPSDError("matrix has a non-finite entry")
-    scale = np.max(np.abs(corr))
-    if not np.all(np.abs(corr - corr.T) <= 1e-12 * max(scale, 1.0)):
-        raise NotPSDError("matrix is not symmetric")
-    factor = _pivoted_cholesky(np.diag(corr), lambda rest, pivot: corr[rest, pivot], scale)
-    misfit = float(np.max(np.abs(corr - factor @ factor.T)))
-    if misfit > PSD_CLAMP_REL * scale:
-        raise NotPSDError(f"factor misses an entry by {misfit:g} > {PSD_CLAMP_REL * scale:g}; input is not PSD")
-    return factor
 
 
 def default_fixed_preset(geom: SurfaceGeometry, m_o: int) -> np.ndarray:

@@ -33,4 +33,4 @@ def ref_geom() -> SurfaceGeometry:
 
 @pytest.fixture(scope="session")
 def ref_corr(ref_geom) -> np.ndarray:
-    return correlation_matrix(ref_geom)
+    return correlation_matrix(ref_geom, np.arange(ref_geom.num_elements))

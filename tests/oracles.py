@@ -1,13 +1,19 @@
-"""Independent high-precision oracles for the special functions.
+"""Independent oracles for the package's special functions and surface factor.
 
-Each is coded in mpmath, in arbitrary precision, from a defining
-expansion or a closed form that shares nothing with the
-double-precision implementation under test.
+The special-function oracles are coded in mpmath, in arbitrary
+precision, from a defining expansion or a closed form that shares
+nothing with the double-precision implementation under test.
+:func:`psd_sqrt` is not mpmath: it is a dense double-precision pivoted
+Cholesky, the reference that ``friscov.surface_factor`` must equal bit
+for bit on a surface's whole correlation matrix.  It reads each pivot
+column from the matrix, not from the J0 table, and shares no code with
+the package.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 
 
 def oracle_bessel_j0(x: float) -> float:
@@ -71,3 +77,59 @@ def oracle_first_j0_zero() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# An entry of corr - L @ L.T above PSD_CLAMP_REL * max|corr| marks input that
+# is not PSD: the residual of PSD input is bounded entrywise by its diagonal,
+# which psd_sqrt's pivoted Cholesky factor L leaves at most 5e-10 * max|corr|.
+PSD_CLAMP_REL = 1e-8
+
+
+class NotPSDError(ValueError):
+    """A matrix handed to :func:`psd_sqrt` is not positive semidefinite, beyond tolerance."""
+
+
+def psd_sqrt(corr) -> np.ndarray:
+    """Real factor ``L`` of shape ``(ports, rank)`` with ``L @ L.T == corr``, by ``surface_factor``'s rules.
+
+    Pivoted Cholesky on ``s = max|corr|``: each step pivots on the
+    lowest-index port whose residual diagonal lies within ``1e-10 * s`` of
+    the largest, and pivoting stops once every residual diagonal is at
+    most ``5e-10 * s``.  Each pivot column is read from ``corr`` itself.
+
+    Raises:
+        NotPSDError: empty, non-finite, asymmetric or indefinite input
+            (an entry of ``corr - L @ L.T`` above ``PSD_CLAMP_REL * s``).
+    """
+    corr = np.asarray(corr, dtype=float)
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+        raise NotPSDError(f"expected a square matrix, got shape {corr.shape}")
+    if corr.shape[0] == 0:
+        raise NotPSDError("matrix is empty")
+    if not np.all(np.isfinite(corr)):
+        raise NotPSDError("matrix has a non-finite entry")
+    scale = np.max(np.abs(corr))
+    if not np.all(np.abs(corr - corr.T) <= 1e-12 * max(scale, 1.0)):
+        raise NotPSDError("matrix is not symmetric")
+    ports = corr.shape[0]
+    factor = np.zeros((ports, ports))
+    residual = np.diag(corr).copy()
+    rest = np.ones(ports, dtype=bool)
+    rank = 0
+    while rank < ports:
+        live = np.where(rest, residual, -np.inf)
+        top = live.max()
+        if top <= 5e-10 * scale:
+            break
+        pivot = int(np.argmax(live >= top - 1e-10 * scale))
+        rest[pivot] = False
+        root = math.sqrt(residual[pivot])
+        factor[pivot, rank] = root
+        factor[rest, rank] = (corr[rest, pivot] - factor[rest, :rank] @ factor[pivot, :rank]) / root
+        residual[rest] -= factor[rest, rank] ** 2
+        rank += 1
+    factor = factor[:, :rank].copy()
+    misfit = float(np.max(np.abs(corr - factor @ factor.T)))
+    if misfit > PSD_CLAMP_REL * scale:
+        raise NotPSDError(f"factor misses an entry by {misfit:g} > {PSD_CLAMP_REL * scale:g}; input is not PSD")
+    return factor

@@ -71,7 +71,7 @@ class TestSampleCorrelatedFading:
 
     def test_general_covariance(self):
         geom = SurfaceGeometry(6, 6, 1.0, 1.0, 0.125)
-        corr = correlation_matrix(geom)
+        corr = correlation_matrix(geom, np.arange(geom.num_elements))
         n = 50_000
         for v in correlated_fading(surface_factor(geom), np.random.default_rng(43), n):
             cov = v @ v.conj().T / n
@@ -545,9 +545,10 @@ class TestRisBaseline:
         assert selection == (Mode.RIS, m_hat)
         assert (surface == geom) == paired
         if paired:
-            baseline_corr = correlation_matrix(ris_grid_geometry(geom, m_hat))
+            baseline = ris_grid_geometry(geom, m_hat)
+            baseline_corr = correlation_matrix(baseline, np.arange(baseline.num_elements))
             ports = default_fixed_preset(geom, m_hat)
-            preset_corr = correlation_matrix(geom)[np.ix_(ports, ports)]
+            preset_corr = correlation_matrix(geom, np.arange(geom.num_elements))[np.ix_(ports, ports)]
             assert np.max(np.abs(baseline_corr - preset_corr)) <= 1e-12
         else:
             assert surface == ris_grid_geometry(geom, m_hat)

@@ -103,6 +103,14 @@ class TestLoadConfig:
         load_config(path)
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # An editor that saves UTF-8 with a byte order mark puts U+FEFF before the first key.
+        path = write_config(tmp_path, "\ufeffmc.trials = 777\nmc.seed = 5\n")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfmc.trials")
+        _, _, mc, _ = load_config(path)
+        assert (mc.trials, mc.master_seed) == (777, 5)
+        assert capsys.readouterr().err == ""
+
     def test_prior_sum_violation_names_constraint(self, tmp_path):
         path = write_config(tmp_path, "scenario.p0 = 0.6\nscenario.p1 = 0.5\n")
         with pytest.raises(ConfigError, match=r"p0 \+ p1"):
@@ -188,7 +196,7 @@ class TestRunSweep:
     def test_rows_match_direct_module_calls(self, small_run):
         scenario, geom, mc, spec, result = small_run
         ports = default_fixed_preset(geom, scenario.m_o)
-        corr_fit = gamma_moment_match(correlation_matrix(geom)[np.ix_(ports, ports)])
+        corr_fit = gamma_moment_match(correlation_matrix(geom, np.arange(geom.num_elements))[np.ix_(ports, ports)])
         # The counts of the whole run's gains: the sweep's sum of per-block counts.
         [gains] = whole_gains(mc, geom, [(Mode.FIXED, scenario.m_o)])
         for row, value in zip(result.rows, spec.values()):
