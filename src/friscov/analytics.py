@@ -44,6 +44,9 @@ def dbm_to_watt(dbm: float) -> float:
 class ScenarioConfig:
     """All link and system parameters of one scenario.
 
+    The warden's two hypotheses are exhaustive, so their priors sum to
+    one: only ``p0`` is set, and :attr:`p1` is ``1 - p0``.
+
     Attributes:
         d_af: transmitter-to-surface distance, meters.
         d_fb: surface-to-receiver distance, meters.
@@ -53,8 +56,7 @@ class ScenarioConfig:
         r_b: target rate at the receiver, bits/s/Hz.
         sigma2_b: receiver noise power, watts.
         sigma2_w: warden noise power, watts.
-        p0: prior probability of the silence hypothesis.
-        p1: prior probability of the transmission hypothesis.
+        p0: prior probability of the silence hypothesis, in [0, 1].
         mu_offset: detector threshold offset above the noise floor, watts.
         p_a: transmit power, watts.
         m_o: active ports per draw (see :func:`~friscov.montecarlo.simulate_group`).
@@ -70,7 +72,6 @@ class ScenarioConfig:
     sigma2_b: float = 1e-12
     sigma2_w: float = 1e-12
     p0: float = 0.5
-    p1: float = 0.5
     mu_offset: float = 1e-12
     p_a: float = 1e-3
     m_o: int = 36
@@ -85,13 +86,8 @@ class ScenarioConfig:
                 raise DomainError(f"{name} must be a positive finite real, got {value!r}")
         if not (isinstance(self.r_b, (int, float)) and math.isfinite(self.r_b) and self.r_b >= 0):
             raise DomainError(f"r_b must be a non-negative finite real, got {self.r_b!r}")
-        for name in ("p0", "p1"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-        # One-sided: a prior mass above 1 would give probabilities above 1.
-        if not 1.0 - 1e-12 <= self.p0 + self.p1 <= 1.0:
-            raise DomainError(f"priors must satisfy p0 + p1 = 1, got {self.p0} + {self.p1}")
+        if not (isinstance(self.p0, (int, float)) and 0.0 <= self.p0 <= 1.0):
+            raise DomainError(f"p0 must lie in [0, 1], got {self.p0!r}")
         if not (isinstance(self.m_o, int) and self.m_o >= 1):
             raise DomainError(f"m_o must be a positive integer, got {self.m_o!r}")
         if not (isinstance(self.m_hat, int) and self.m_hat >= 0):
@@ -115,6 +111,11 @@ class ScenarioConfig:
                            ("detection threshold mu_offset / (p_a * L_af * L_fw)", self.mu_offset / budget_w)):
             if not math.isfinite(gain):
                 raise DomainError(f"the {name} overflows a float")
+
+    @property
+    def p1(self) -> float:
+        """Prior probability of the transmission hypothesis, ``1 - p0``."""
+        return 1.0 - self.p0
 
     @property
     def loss_af(self) -> float:

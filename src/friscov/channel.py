@@ -307,5 +307,5 @@ def ris_grid_geometry(geom: SurfaceGeometry, m_hat: int) -> SurfaceGeometry:
         if best is None or penalty < best[0]:
             best = (penalty, gx, gz)
     _, gx, gz = best
-    return SurfaceGeometry(m_x=gx, m_z=gz, w_x=geom.w_x, w_z=geom.w_z, wavelength=geom.wavelength)
+    return SurfaceGeometry(m_x=gx, m_z=gz, w_x=geom.w_x, w_z=geom.w_z)
 

@@ -35,13 +35,13 @@ from . import analytics, montecarlo
 from .analytics import GammaFit, ScenarioConfig, dbm_to_watt
 from .channel import Mode, ris_grid_geometry
 from .errors import ConfigError, DomainError, FriscovError
-from .montecarlo import (MCConfig, count_events, estimate_cop, estimate_op, estimate_success, event_levels, ks_distance,
-                         simulate_group)
+from .montecarlo import (MAX_WORKERS, MCConfig, count_events, estimate_cop, estimate_op, estimate_success, event_levels,
+                         ks_distance, simulate_group)
 from .surface import SurfaceGeometry, correlation_matrix, default_fixed_preset
 
 _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
 # Scenario fields read straight from their keys; the others are derived.
-_SCENARIO_KEYS = ("d_af", "d_fb", "d_fw", "alpha", "rho0", "r_b", "p0", "p1")
+_SCENARIO_KEYS = ("d_af", "d_fb", "d_fw", "alpha", "rho0", "r_b", "p0")
 _MODES = tuple(mode.value for mode in Mode)
 
 # key -> (parser, default); the default 0 for ris.m_hat means "match the
@@ -51,7 +51,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "surface.m_z": ("int", 12),
     "surface.w_x": ("float", 2.0),
     "surface.w_z": ("float", 2.0),
-    "surface.wavelength": ("float", 0.125),
     "scenario.d_af": ("float", 50.0),
     "scenario.d_fb": ("float", 100.0),
     "scenario.d_fw": ("float", 100.0),
@@ -61,7 +60,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "scenario.sigma2_b_dbm": ("float", -90.0),
     "scenario.sigma2_w_dbm": ("float", -90.0),
     "scenario.p0": ("float", 0.5),
-    "scenario.p1": ("float", 0.5),
     "scenario.mu_factor": ("float", 1.0),
     "scenario.p_a_dbm": ("float", 0.0),
     "selection.m_o": ("int", 36),
@@ -113,18 +111,6 @@ KS_TRIALS = 100_000
 # entries, one tile or two half-tile panels: about 100 MB at this limit, a
 # 64x64 grid.  Ranking grows with n too.
 MAX_PORTS = 4096
-
-# Each worker thread holds one tile's working set while it runs (6.4 MB on
-# the reference surface at m_o = 36: the tile's normals, its fading vectors
-# and their ranking and cascade) and its block's gains, 16 B per trial and
-# selection, which a finished block holds until the caller takes it; at most
-# 2 x workers blocks are in flight, and a pool starts up to this many threads.
-# A pool's blocks draw and correlate their tiles inline; only a serial run,
-# beside a CPU that no BLAS thread runs on, has one helper thread per block
-# that draws and correlates them, into the same tile of fading vectors split
-# in two half-tile slots.
-# The worker count changes no gain: each tile has its own substream.
-MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -238,7 +224,7 @@ def load_config(path=None) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, S
 
 def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig, SweepSpec]:
     try:
-        geom = SurfaceGeometry(*(resolved[f"surface.{key}"] for key in ("m_x", "m_z", "w_x", "w_z", "wavelength")))
+        geom = SurfaceGeometry(*(resolved[f"surface.{key}"] for key in ("m_x", "m_z", "w_x", "w_z")))
     except DomainError as exc:
         raise ConfigError(str(exc), field="surface") from exc
     if geom.num_elements > MAX_PORTS:

@@ -112,6 +112,18 @@ TILE_TRIALS = 512
 # 16 B per trial and selection of every group.
 BLOCK_TRIALS = 4096
 
+# Each worker thread holds one tile's working set while it runs (6.4 MB on
+# the reference surface at m_o = 36: the tile's normals, its fading vectors
+# and their ranking and cascade) and its block's gains, 16 B per trial and
+# selection, which a finished block holds until the caller takes it; at most
+# 2 x workers blocks are in flight, and a pool starts up to this many threads.
+# A pool's blocks draw and correlate their tiles inline; only a serial run,
+# beside a CPU that no BLAS thread runs on, has one helper thread per block
+# that draws and correlates them, into the same tile of fading vectors split
+# in two half-tile slots.
+# The worker count changes no gain: each tile has its own substream.
+MAX_WORKERS = 64
+
 # Levels compared at once by count_events: 64 boolean rows of 4096 trials.
 _LEVEL_ROWS = 64
 
@@ -137,7 +149,7 @@ def mix64(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """One Monte Carlo run: its trial count, master seed and worker count.
+    """One Monte Carlo run: its trial count, master seed and worker count (at most ``MAX_WORKERS``).
 
     What the run simulates is passed beside it, as the ``(mode, m_o)``
     selections of :func:`simulate_group`.
@@ -154,6 +166,8 @@ class MCConfig:
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
+        if self.workers > MAX_WORKERS:
+            raise DomainError(f"a run uses at most {MAX_WORKERS} workers, got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,17 @@
 The reconfigurable surface is a uniform m_x-by-m_z grid of candidate
 reflecting ports spanning an aperture of w_x-by-w_z wavelengths.  Ports
 are indexed row-major: port ``i`` sits at column ``i % m_x`` and row
-``i // m_x``, with physical spacings ``d_x = w_x * wavelength / m_x``
-and ``d_z = w_z * wavelength / m_z``.
+``i // m_x``, with spacings ``d_x = w_x / m_x`` and ``d_z = w_z / m_z``
+in wavelengths.
 
 Under rich isotropic scattering the fading correlation between two
-ports separated by distance d is ``J0(2 pi d / wavelength)`` (the
-classic Clarke/Jakes model), so one table of J0 at the grid's row and
-column offsets holds every correlation.  The sampler's pivoted-Cholesky
-factor of the surface (:func:`surface_factor`) and the correlation over
-a preset of :func:`default_fixed_preset` (:func:`correlation_matrix`)
-are read off it.
+ports ``d`` wavelengths apart is ``J0(2 pi d)`` (the classic
+Clarke/Jakes model), so one table of J0 at the grid's row and column
+offsets holds every correlation.  The carrier wavelength itself enters
+nowhere: the aperture is given in wavelengths.  The sampler's
+pivoted-Cholesky factor of the surface (:func:`surface_factor`) and the
+correlation over a preset of :func:`default_fixed_preset`
+(:func:`correlation_matrix`) are read off it.
 """
 
 from __future__ import annotations
@@ -32,32 +33,30 @@ MAX_APERTURE_WAVELENGTHS = 1e4
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
-    """Uniform planar port grid.
+    """Uniform planar port grid over an aperture measured in wavelengths.
 
     Attributes:
         m_x: ports per row (> 0).
         m_z: ports per column (> 0).
         w_x: aperture width in wavelengths (> 0, at most ``MAX_APERTURE_WAVELENGTHS``).
         w_z: aperture height in wavelengths (> 0, at most ``MAX_APERTURE_WAVELENGTHS``).
-        wavelength: carrier wavelength in meters (> 0).
     """
 
     m_x: int
     m_z: int
     w_x: float
     w_z: float
-    wavelength: float
 
     def __post_init__(self):
         if not (isinstance(self.m_x, int) and isinstance(self.m_z, int)):
             raise DomainError("m_x and m_z must be integers")
         if self.m_x < 1 or self.m_z < 1:
             raise DomainError(f"grid dimensions must be >= 1, got {self.m_x}x{self.m_z}")
-        for name in ("w_x", "w_z", "wavelength"):
+        for name in ("w_x", "w_z"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-            if name != "wavelength" and value > MAX_APERTURE_WAVELENGTHS:
+            if value > MAX_APERTURE_WAVELENGTHS:
                 raise DomainError(f"{name} must be at most {MAX_APERTURE_WAVELENGTHS:g} wavelengths, got {value!r}")
 
     @property
@@ -66,23 +65,23 @@ class SurfaceGeometry:
 
     @property
     def d_x(self) -> float:
-        """Physical inter-port spacing along a row, meters."""
-        return self.w_x * self.wavelength / self.m_x
+        """Inter-port spacing along a row, wavelengths."""
+        return self.w_x / self.m_x
 
     @property
     def d_z(self) -> float:
-        """Physical inter-port spacing along a column, meters."""
-        return self.w_z * self.wavelength / self.m_z
+        """Inter-port spacing along a column, wavelengths."""
+        return self.w_z / self.m_z
 
 
 def _offset_table(geom: SurfaceGeometry) -> np.ndarray:
     """``(m_z, m_x)`` table of J0 at the grid's (row, column) offsets (``np.hypot`` rounds some distances otherwise)."""
     distance = [[math.hypot(geom.d_x * dc, geom.d_z * dr) for dc in range(geom.m_x)] for dr in range(geom.m_z)]
-    return bessel_j0(2.0 * math.pi / geom.wavelength * np.array(distance))
+    return bessel_j0(2.0 * math.pi * np.array(distance))
 
 
 def correlation_matrix(geom: SurfaceGeometry, ports: np.ndarray) -> np.ndarray:
-    """``J0(2 pi d / wavelength)`` of each pair of ``ports`` at distance ``d``, from the offset table."""
+    """``J0(2 pi d)`` of each pair of ``ports`` ``d`` wavelengths apart, from the offset table."""
     index = np.asarray(ports)
     if index.ndim != 1 or index.dtype.kind not in "iu" or not np.all((index >= 0) & (index < geom.num_elements)):
         raise DomainError(f"ports must be a 1-D array of port indices in [0, {geom.num_elements})")

@@ -39,18 +39,22 @@ class TestUnits:
 
 class TestScenarioConfig:
     def test_prior_sum_enforced(self):
-        with pytest.raises(DomainError):
-            scenario(p0=0.6, p1=0.5)
-
-    def test_prior_sum_just_above_one_rejected(self):
-        # it would give probabilities above 1
-        with pytest.raises(DomainError, match=r"p0 \+ p1"):
-            ScenarioConfig(p0=0.5, p1=0.5000000000001)
+        # p1 is no field but the rest of p0, so no pair of priors can break the sum.
+        with pytest.raises(TypeError):
+            ScenarioConfig(p0=0.6, p1=0.5)
+        with pytest.raises(TypeError):
+            scenario(p1=0.5)
 
     def test_priors_that_sum_to_one_are_accepted(self):
-        scenario(p0=0.3333333333333333, p1=0.6666666666666666)
+        # A prior mass above 1 would give probabilities above 1.
         for k in range(1001):
-            scenario(p0=k / 1000, p1=(1000 - k) / 1000)
+            cfg = scenario(p0=k / 1000)
+            assert cfg.p1 == 1.0 - cfg.p0 and 0.0 <= cfg.p1 <= 1.0 and cfg.p0 + cfg.p1 <= 1.0, k
+
+    @pytest.mark.parametrize("p0", [-0.1, 1.0000000000001, math.nan])
+    def test_prior_out_of_range_rejected(self, p0):
+        with pytest.raises(DomainError, match="p0"):
+            scenario(p0=p0)
 
     # The closed form divides by both link budgets and evaluates the gain
     # CDF at both thresholds.
@@ -290,7 +294,7 @@ class TestDetectionProbabilities:
 
 class TestCop:
     def test_below_noise_floor_is_p1_exactly(self):
-        cfg = scenario(p0=0.3, p1=0.7)
+        cfg = scenario(p0=0.3)
         zeta = cfg.sigma2_w
         assert cop(cfg, fa_probability(cfg, zeta), 0.0) == cfg.p1
 
@@ -312,7 +316,8 @@ class TestCop:
         # With p_fa = fa_probability(cfg, zeta), cop is p1 at or below the
         # noise floor (where the warden never misses) and p0 + p1 * (1 - p_md)
         # above it.
-        cfg = scenario(p0=p0, p1=p1)
+        cfg = scenario(p0=p0)
+        assert cfg.p1 == pytest.approx(p1, rel=1e-15)
         for zeta in (0.5 * cfg.sigma2_w, cfg.sigma2_w):
             assert math.isclose(cop(cfg, fa_probability(cfg, zeta), 0.0), cfg.p1,
                                 rel_tol=1e-12, abs_tol=1e-15)
@@ -367,7 +372,7 @@ class TestErrorAndSuccess:
         # decoding under silence.  A threshold far above every gain: a certain
         # miss, so success is decoding under transmission.  Zero rate: never
         # in outage, so success is the missed detection.
-        cfg = scenario(p_a=dbm_to_watt(-45.0), p0=0.3, p1=0.7)
+        cfg = scenario(p_a=dbm_to_watt(-45.0), p0=0.3)
         no_outage = 1.0 - outage_probability(fit36, cfg)
         assert success_probability(fit36, cfg, cfg.sigma2_w) == pytest.approx(cfg.p0 * no_outage, rel=1e-13)
         assert success_probability(fit36, cfg, 1.0) == pytest.approx(cfg.p1 * no_outage, rel=1e-13)

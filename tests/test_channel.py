@@ -30,7 +30,7 @@ from friscov.montecarlo import TILE_TRIALS, mix64
 from gains import whole_gains
 
 # Six ports, small enough to check a config's rows by hand.
-SMALL = SurfaceGeometry(3, 2, 1.0, 1.0, 0.125)
+SMALL = SurfaceGeometry(3, 2, 1.0, 1.0)
 
 
 def col(*values) -> np.ndarray:
@@ -70,7 +70,7 @@ class TestSampleCorrelatedFading:
             assert np.max(np.abs(cov - np.eye(dim))) <= 0.05
 
     def test_general_covariance(self):
-        geom = SurfaceGeometry(6, 6, 1.0, 1.0, 0.125)
+        geom = SurfaceGeometry(6, 6, 1.0, 1.0)
         corr = correlation_matrix(geom, np.arange(geom.num_elements))
         n = 50_000
         for v in correlated_fading(surface_factor(geom), np.random.default_rng(43), n):
@@ -158,7 +158,7 @@ class TestSampleCorrelatedFading:
         # product, on the 12x12 surface, every RIS grid on it and a few other
         # grids.  Panels of 200 trials leave a partial last one of 112.
         grids = [ris_grid_geometry(ref_geom, m) for m in range(1, ref_geom.num_elements + 1)]
-        others = [SurfaceGeometry(m_x, m_z, 1.5, 1.0, 0.125) for m_x, m_z in [(1, 2), (3, 5), (8, 8), (16, 4)]]
+        others = [SurfaceGeometry(m_x, m_z, 1.5, 1.0) for m_x, m_z in [(1, 2), (3, 5), (8, 8), (16, 4)]]
         factors = [surface_factor(geom) for geom in dict.fromkeys([ref_geom, *grids, *others])]
         z = tile_normals(np.random.default_rng(50), max(f.shape[1] for f in factors), TILE_TRIALS)
         for factor in factors:
@@ -475,7 +475,7 @@ class TestWillieGain:
         # so re-phasing toward the receiver does not move the warden's
         # mean gain (the phases are independent of the warden's fading);
         # both modes read all 8 ports, the default preset of 8
-        geom = SurfaceGeometry(8, 1, 40.0, 1.0, 0.125)
+        geom = SurfaceGeometry(8, 1, 40.0, 1.0)
         mc = MCConfig(trials=200_000, master_seed=3)
         coherent, static = whole_gains(mc, geom, [(Mode.RIS, 8), (Mode.FIXED, 8)])
         ratio = coherent.g_w.mean() / static.g_w.mean()
@@ -540,7 +540,7 @@ class TestRisBaseline:
         # the baseline runs on the fluid surface's draws only where the
         # preset it reads occupies the grid's positions, so that the
         # correlation matrices (hence the gain distributions) coincide
-        geom = SurfaceGeometry(m_x, m_z, 2.0, 2.0, 0.125)
+        geom = SurfaceGeometry(m_x, m_z, 2.0, 2.0)
         selection, surface = _mode_config(Mode.RIS, geom, ScenarioConfig(m_o=1, m_hat=m_hat))
         assert selection == (Mode.RIS, m_hat)
         assert (surface == geom) == paired

@@ -59,8 +59,7 @@ def write_config(tmp_path, text, name="run.cfg"):
 class TestLoadConfig:
     def test_defaults_without_a_file(self):
         scenario, geom, mc, spec = load_config(None)
-        assert geom.wavelength == 0.125
-        assert (geom.m_x, geom.m_z) == (12, 12)
+        assert (geom.m_x, geom.m_z, geom.w_x, geom.w_z) == (12, 12, 2.0, 2.0)
         assert scenario.d_af == 50.0 and scenario.d_fb == 100.0 and scenario.d_fw == 100.0
         assert scenario.alpha == 2.1 and scenario.r_b == 0.1
         assert scenario.sigma2_b == pytest.approx(1e-12, rel=1e-12)
@@ -103,6 +102,13 @@ class TestLoadConfig:
         load_config(path)
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_wavelength_and_p1_are_unknown_keys(self, tmp_path, capsys):
+        # Neither sets anything the model reads, so a file that still sets them runs as if it did not.
+        path = write_config(tmp_path, "surface.wavelength = 0.1\nscenario.p1 = 0.4\n")
+        assert load_config(path) == load_config(None)
+        err = capsys.readouterr().err
+        assert "unknown config key 'surface.wavelength'" in err and "unknown config key 'scenario.p1'" in err
+
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
         # An editor that saves UTF-8 with a byte order mark puts U+FEFF before the first key.
         path = write_config(tmp_path, "\ufeffmc.trials = 777\nmc.seed = 5\n")
@@ -111,30 +117,24 @@ class TestLoadConfig:
         assert (mc.trials, mc.master_seed) == (777, 5)
         assert capsys.readouterr().err == ""
 
-    def test_prior_sum_violation_names_constraint(self, tmp_path):
-        path = write_config(tmp_path, "scenario.p0 = 0.6\nscenario.p1 = 0.5\n")
-        with pytest.raises(ConfigError, match=r"p0 \+ p1"):
-            load_config(path)
-
     def test_m_o_exceeding_port_count(self, tmp_path):
         path = write_config(tmp_path, "selection.m_o = 200\n")
         with pytest.raises(ConfigError, match="selection.m_o"):
             load_config(path)
 
-    # A valid value other than the default for every key, each alone, with
-    # the keys it needs to stay valid (also set on the other side).  p0
-    # stays within the priors' 1e-12 slack, and a sweep over mu_factor or
-    # m_o needs ends that both allow.
+    # A valid value other than the default, and other than the small sweep
+    # of test_every_model_key_moves_a_cell, for every key, each alone, with
+    # the keys it needs to stay valid (also set on the other side).  A sweep
+    # over mu_factor or m_o needs ends that both allow.
     _NON_DEFAULTS = {
         "surface.m_x": ("10", ""), "surface.m_z": ("10", ""), "surface.w_x": ("3.0", ""),
-        "surface.w_z": ("3.0", ""), "surface.wavelength": ("0.1", ""), "scenario.d_af": ("60", ""),
+        "surface.w_z": ("3.0", ""), "scenario.d_af": ("60", ""),
         "scenario.d_fb": ("90", ""), "scenario.d_fw": ("110", ""), "scenario.alpha": ("2.2", ""),
         "scenario.rho0": ("0.5", ""), "scenario.r_b": ("0.2", ""), "scenario.sigma2_b_dbm": ("-80", ""),
-        "scenario.sigma2_w_dbm": ("-80", ""), "scenario.p0": ("0.4999999999999", ""),
-        "scenario.p1": ("0.4999999999999", ""), "scenario.mu_factor": ("2.0", ""),
+        "scenario.sigma2_w_dbm": ("-80", ""), "scenario.p0": ("0.3", ""), "scenario.mu_factor": ("2.0", ""),
         "scenario.p_a_dbm": ("-10", ""), "selection.m_o": ("16", ""), "ris.m_hat": ("16", ""),
         "mc.trials": ("500", ""), "mc.seed": ("2", ""), "mc.workers": ("2", ""),
-        "sweep.variable": ("mu_factor", "sweep.start = 1\nsweep.stop = 2\n"), "sweep.start": ("-50", ""),
+        "sweep.variable": ("mu_factor", "sweep.start = 1\nsweep.stop = 2\n"), "sweep.start": ("-45", ""),
         "sweep.stop": ("-20", ""), "sweep.points": ("10", ""),
     }
 
@@ -144,6 +144,31 @@ class TestLoadConfig:
         changed = write_config(tmp_path, f"{key} = {value}\n{needs}", name="changed.cfg")
         base = write_config(tmp_path, needs, name="base.cfg")
         assert load_config(changed) != load_config(base)
+
+    def test_every_model_key_moves_a_cell(self, tmp_path):
+        # Each key set alone to its value above, from a small power sweep: a
+        # key that moves no CSV cell by more than 1e-9 is an option the model
+        # never reads.  Only the worker count and the swept power, which the
+        # sweep sets at each point, may do so; a run with other rows moved.
+        assert set(self._NON_DEFAULTS) == set(cli._SCHEMA)
+        base = "sweep.points = 3\nsweep.start = -50\nsweep.stop = -40\nmc.trials = 1024\n"
+
+        def rows(text):
+            return run_sweep(*load_config(write_config(tmp_path, text))).rows
+
+        def same(a, b):
+            return a is b is None or None not in (a, b) and abs(a - b) <= 1e-9
+
+        reference = rows(base)
+        unmoved = set()
+        for key, (value, needs) in self._NON_DEFAULTS.items():
+            settings = dict(line.split(" = ") for line in (base + needs).splitlines())
+            settings[key] = value
+            changed = rows("".join(f"{name} = {text}\n" for name, text in settings.items()))
+            if len(changed) == len(reference) and all(same(a[name], b[name]) for a, b in zip(reference, changed)
+                                                      for name in CSV_COLUMNS):
+                unmoved.add(key)
+        assert unmoved == {"mc.workers", "scenario.p_a_dbm"}
 
 
 class TestSweepSpec:
@@ -329,7 +354,7 @@ class TestRunSweep:
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
         scenario, _, mc, spec = load_config(None)
         scenario, spec = dataclasses.replace(scenario, m_o=16), dataclasses.replace(spec, points=2)
-        geom = SurfaceGeometry(4, 4, 2.0, 2.0, 0.125)
+        geom = SurfaceGeometry(4, 4, 2.0, 2.0)
         points = cli._sweep_points(scenario, geom, spec, (Mode.FIXED,))
         folded = []
 
@@ -447,8 +472,8 @@ class TestMain:
     # a power that overflows (as the sweep's end or the scenario's value).
     # A link budget that underflows to 0 or a gain threshold that
     # overflows (in the scenario or at a sweep end), a path loss that
-    # overflows, priors that sum to just over 1, and a point or trial
-    # count beyond its bound fail before any simulation too.
+    # overflows, and a point or trial count beyond its bound fail before
+    # any simulation too.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("config, field", [
         ("sweep.variable = m_o\nsweep.start = 0\nsweep.stop = 16\n", "sweep.start"),
@@ -463,16 +488,14 @@ class TestMain:
         ("sweep.start = -3200\n", "sweep.start"),
         ("scenario.d_af = 1e-300\n", "scenario"),
         ("sweep.start = -3100\n", "sweep.start"),
-        ("scenario.p1 = 0.5000000000001\nsweep.points = 3\nmc.trials = 2000\n", "scenario"),
-        ("scenario.p1 = 0.5000000000001\nsweep.start = 10\nsweep.stop = 20\n", "scenario"),
         ("sweep.points = 1000000000000\n", "sweep.points"),
         ("mc.trials = 1000000000000\n", "mc.trials"),
         ("surface.w_x = 20000\n", "surface"),
         ("surface.m_x = 100000\nsurface.m_z = 100000\n", "surface"),
     ], ids=["m_o-start", "m_o-stop", "p_a_dbm-inf", "mu_factor-negative", "p_a_dbm-overflow", "scenario-overflow",
             "alpha-underflow", "d_fw-underflow", "rho0-underflow", "p_a_dbm-underflow", "d_af-overflow",
-            "detection-threshold-overflow", "prior-sum-above-one", "prior-sum-above-one-high-power",
-            "points-beyond-bound", "trials-beyond-bound", "aperture-beyond-bound", "ports-beyond-bound"])
+            "detection-threshold-overflow", "points-beyond-bound", "trials-beyond-bound", "aperture-beyond-bound",
+            "ports-beyond-bound"])
     def test_out_of_domain_sweep_is_a_config_error(self, tmp_path, capsys, config, field):
         cfg = write_config(tmp_path, config)
         with pytest.raises(ConfigError, match=field):
@@ -557,7 +580,7 @@ class TestMain:
         assert (run.returncode, run.stderr) == (141, b"")
 
     def test_config_error_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, "scenario.p0 = 0.9\n")
+        cfg = write_config(tmp_path, "scenario.p0 = 1.5\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
 
     def test_worker_count_does_not_change_csv_bytes(self, tmp_path):
@@ -674,7 +697,7 @@ class TestMain:
         monkeypatch.setattr(cli, "KS_TRIALS", 8)
         scenario, _, mc, spec = load_config(None)
         scenario, spec = dataclasses.replace(scenario, m_o=16), dataclasses.replace(spec, points=2)
-        geom = SurfaceGeometry(4, 4, 2.0, 2.0, 0.125)
+        geom = SurfaceGeometry(4, 4, 2.0, 2.0)
 
         def peak(blocks: int) -> int:
             tracemalloc.start()

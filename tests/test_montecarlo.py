@@ -39,7 +39,8 @@ from friscov import (
 from friscov import montecarlo
 from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, cascade, correlated_tile, ris_grid_geometry, tile_normals
-from friscov.montecarlo import BLOCK_TRIALS, TILE_TRIALS, count_events, event_levels, mix64, wilson_interval
+from friscov.montecarlo import (BLOCK_TRIALS, MAX_WORKERS, TILE_TRIALS, count_events, event_levels, mix64,
+                                 wilson_interval)
 from gains import Gains, run_gains, whole_gains
 
 
@@ -115,7 +116,7 @@ class TestSubstreams:
             "import hashlib\n"
             "from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group\n"
             "from friscov.channel import ris_grid_geometry\n"
-            "geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)\n"
+            "geom = SurfaceGeometry(12, 12, 2.0, 2.0)\n"
             "groups = [(g, [(mode, 9) for mode in Mode]) for g in (geom, ris_grid_geometry(geom, 27))]\n"
             "digest = hashlib.sha256()\n"
             "for start, block in simulate_group(MCConfig(trials=5_001, master_seed=3), groups):\n"
@@ -158,6 +159,13 @@ class TestMCConfigValidation:
     def test_m_o_exceeding_ports(self, ref_geom):
         with pytest.raises(DomainError):
             fixed_static(ref_geom, trials=10, m_o=145)
+
+    def test_workers_beyond_bound_rejected(self):
+        # A pool starts up to ``workers`` threads, so a library caller is held
+        # to the bound the CLI sets; only constructed, never run.
+        assert MCConfig(trials=1, master_seed=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+        with pytest.raises(DomainError, match=f"at most {MAX_WORKERS} workers"):
+            MCConfig(trials=1, master_seed=1, workers=MAX_WORKERS + 1)
 
 
 class TestWilson:
@@ -479,7 +487,7 @@ class TestGroups:
         # block (about 1.6 KB each) far more.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
-        geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
+        geom = SurfaceGeometry(2, 2, 1.0, 1.0)
 
         def peak(blocks: int) -> int:
             tracemalloc.start()
@@ -503,7 +511,7 @@ class TestGroups:
         # pool's threads end, and every tile is drawn in a worker.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
-        geom = SurfaceGeometry(2, 2, 1.0, 1.0, 0.125)
+        geom = SurfaceGeometry(2, 2, 1.0, 1.0)
         threads = threading.active_count()
         tiles = {mix64(1, k): k for k in range(100)}
         drawn = []

@@ -11,7 +11,7 @@ import friscov
 _ONE_BLOCK = """
 import sys
 from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group, surface_factor
-geom = SurfaceGeometry(12, 12, 2.0, 2.0, 0.125)
+geom = SurfaceGeometry(12, 12, 2.0, 2.0)
 surface_factor(geom)
 run = simulate_group(MCConfig(trials=64, master_seed=1), [(geom, [(mode, 36) for mode in Mode])])
 print(sum(len(gains) for start, gains in run))
