@@ -104,7 +104,8 @@ MAX_SWEEP_POINTS = 10**6
 MAX_TRIALS = 10**9
 
 # The KS gate of validate compares the first this many gains of each preset
-# with the closed form's law.
+# with the closed form's law.  ks_distance evaluates the law at 4-6% of them
+# at this size (5-10% at 40k): about 3 ms a preset, against 40 ms for all.
 KS_TRIALS = 100_000
 
 # A block of a surface of n ports holds 3 x n x TILE_TRIALS complex fading

@@ -147,6 +147,10 @@ def mix64(master_seed: int, index: int) -> int:
     return x
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """One Monte Carlo run: its trial count, master seed and worker count (at most ``MAX_WORKERS``).
@@ -160,11 +164,12 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        # bool is an int, but True is no trial count, seed or worker count.
+        if not (_integer(self.trials) and self.trials >= 1):
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
+        if not (_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
+        if not (_integer(self.workers) and self.workers >= 1):
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
         if self.workers > MAX_WORKERS:
             raise DomainError(f"a run uses at most {MAX_WORKERS} workers, got {self.workers}")
@@ -509,20 +514,85 @@ def estimate_success(counts: Sequence[int], trials: int, cfg: ScenarioConfig, ze
     return _affine_estimate(0.0, cfg.p1, int(counts[2]), trials)
 
 
+def _ks_stride(n: int) -> int:
+    """The gap between :func:`ks_distance`'s first evaluations on ``n`` points, about ``sqrt(n) / 10``.
+
+    The supremum is of order ``1/sqrt(n)`` and a gap's bound is loose by
+    about twice the gap over ``n``, so a gap growing as ``sqrt(n)`` opens a
+    steady share of the gaps.  A tenth of ``sqrt(n)`` (7, 20 and 31 points)
+    came near the fewest levels evaluated on ``validate``'s samples at 5k,
+    40k and 100k trials.  Below 200 points every point is evaluated at once.
+    """
+    return max(1, math.isqrt(n) // 10)
+
+
 def ks_distance(samples, fit: GammaFit) -> float:
     """Kolmogorov-Smirnov distance between a gain sample and the compound law ``Q * Exp(1)`` of ``fit``.
 
-    Supremum of |empirical CDF - law's CDF| over the sample points,
-    evaluated from both one-sided limits at each point; the CDF
-    (:func:`~friscov.analytics.compound_probability`) is evaluated on the
-    whole sorted sample in one call.
+    The supremum of |empirical CDF - law's CDF| over the sample points,
+    from both one-sided limits at each: ``max((i+1)/n - F(x_i), F(x_i) -
+    i/n)`` over the sorted sample ``x_0 <= ... <= x_{n-1}``, ``F`` being
+    :func:`~friscov.analytics.compound_probability`'s CDF.
+
+    ``F`` is evaluated only where the supremum can lie.  Both CDFs are
+    monotone, so a point ``x_i`` strictly between two evaluated points
+    ``x_l`` and ``x_h`` deviates by at most ``h/n - F(x_l)`` above the law
+    and ``F(x_h) - (l+1)/n`` below it.  A first call evaluates every
+    ``k``-th point and the last (``k`` of :func:`_ks_stride`, about
+    ``sqrt(n) / 10``); a second evaluates every point of each gap whose
+    bound exceeds the largest deviation found.  No skipped point can
+    deviate by more, so the result is the maximum over all ``n`` points,
+    to the rounding of ``F``: the rounded quotients and differences keep
+    the order of their operands, and the computed ``F``, a sum of
+    positive terms each monotone in the level, keeps the order of the
+    points.  The calls take at most ``n + 2`` levels, within ``n + n/k +
+    2``: ``n`` when the sample tracks the law within ``1/n`` everywhere
+    and every gap opens, and two for the node rule below.  On
+    ``validate``'s samples they take 15-23% of ``n`` at 5k trials, 5-10%
+    at 40k and 4-6% at 100k.
+
+    ``compound_probability``'s quadrature nodes follow a call's smallest
+    positive finite level, so each call includes the sample's own and
+    evaluates ``F`` on the nodes of a whole-sample call.  The result
+    agrees with that whole-sample evaluation to 1e-13, not bit for bit:
+    OpenBLAS's GEMV rounds a call's last few levels (those past its last
+    group of four rows, under the SkylakeX kernel) otherwise than the
+    same level among more rows.  On ``validate``'s samples the supremum
+    lies away from those rows and the two are bit-equal.
+
+    Raises:
+        DomainError: if the sample is empty, or holds a negative or NaN
+            point.  ``+inf`` is a valid point: the law's CDF there is 1.
     """
-    data = np.asarray(samples, dtype=float).ravel()
-    if data.size == 0:
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size == 0:
         raise DomainError("KS distance requires a non-empty sample")
-    data = np.sort(data)
+    data = np.sort(samples)
     n = data.size
-    fitted = compound_probability(fit, below=data)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(max(np.max(upper - fitted), np.max(fitted - lower)))
+    # A sort puts a negative point first and a NaN last.
+    if not (data[0] >= 0.0 and not math.isnan(data[-1])):
+        bad = samples[~(samples >= 0.0)]
+        raise DomainError(f"KS sample must be non-negative and not NaN, got {float(bad[0])!r}")
+    # The smallest positive finite point, which sets compound_probability's nodes.
+    first = int(np.searchsorted(data, 0.0, side="right"))
+    node = data[first] if first < n and data[first] < math.inf else None
+
+    def deviations(index: np.ndarray) -> tuple[np.ndarray, float]:
+        # The law's CDF at the sorted points ``index`` and their largest deviation.
+        levels = data[index]
+        if node is None or node in levels:
+            fitted = compound_probability(fit, below=levels)
+        else:
+            fitted = compound_probability(fit, below=np.concatenate(([node], levels)))[1:]
+        return fitted, max(np.max((index + 1) / n - fitted), np.max(fitted - index / n))
+
+    stride = _ks_stride(n)
+    bracket = np.append(np.arange(0, n - 1, stride), n - 1)
+    fitted, best = deviations(bracket)
+    low, high = bracket[:-1], bracket[1:]
+    bound = np.maximum(high / n - fitted[:-1], fitted[1:] - (low + 1) / n)
+    starts = low[(bound > best) & (high - low > 1)]
+    if starts.size:
+        inner = (starts[:, None] + np.arange(1, stride)).ravel()
+        best = max(best, deviations(inner[inner < n - 1])[1])
+    return float(best)

@@ -1,4 +1,4 @@
-"""Independent oracles for the package's special functions and surface factor.
+"""Independent oracles for the package's special functions, surface factor and KS distance.
 
 The special-function oracles are coded in mpmath, in arbitrary
 precision, from a defining expansion or a closed form that shares
@@ -7,13 +7,17 @@ nothing with the double-precision implementation under test.
 Cholesky, the reference that ``friscov.surface_factor`` must equal bit
 for bit on a surface's whole correlation matrix.  It reads each pivot
 column from the matrix, not from the J0 table, and shares no code with
-the package.
+the package.  :func:`ks_distance_dense` is the whole-sample KS distance
+that ``friscov.ks_distance`` must equal while evaluating the law at only
+some of the points.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from friscov import compound_probability
 
 
 def oracle_bessel_j0(x: float) -> float:
@@ -133,3 +137,17 @@ def psd_sqrt(corr) -> np.ndarray:
     if misfit > PSD_CLAMP_REL * scale:
         raise NotPSDError(f"factor misses an entry by {misfit:g} > {PSD_CLAMP_REL * scale:g}; input is not PSD")
     return factor
+
+
+def ks_distance_dense(samples, fit) -> float:
+    """KS distance of a non-empty, non-negative ``samples`` to ``fit``'s compound law, from every point.
+
+    The law's CDF on the whole sorted sample in one call, and the larger
+    of ``(i+1)/n - F(x_i)`` and ``F(x_i) - i/n`` over every ``i``.
+    """
+    data = np.sort(np.asarray(samples, dtype=float).ravel())
+    n = data.size
+    fitted = compound_probability(fit, below=data)
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(max(np.max(upper - fitted), np.max(fitted - lower)))

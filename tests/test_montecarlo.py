@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -8,9 +9,12 @@ import threading
 import time
 import tracemalloc
 from itertools import starmap
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friscov import (
     DomainError,
@@ -36,12 +40,13 @@ from friscov import (
     success_probability,
     surface_factor,
 )
-from friscov import montecarlo
+from friscov import cli, montecarlo
 from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, cascade, correlated_tile, ris_grid_geometry, tile_normals
 from friscov.montecarlo import (BLOCK_TRIALS, MAX_WORKERS, TILE_TRIALS, count_events, event_levels, mix64,
                                  wilson_interval)
 from gains import Gains, run_gains, whole_gains
+from oracles import ks_distance_dense
 
 
 def fixed_static(geom, trials=20_000, seed=1, m_o=36, workers=1) -> Gains:
@@ -159,6 +164,16 @@ class TestMCConfigValidation:
     def test_m_o_exceeding_ports(self, ref_geom):
         with pytest.raises(DomainError):
             fixed_static(ref_geom, trials=10, m_o=145)
+
+    @pytest.mark.parametrize("field, message", [
+        ("trials", "trials must be a positive integer"),
+        ("master_seed", "master_seed must be a 64-bit unsigned integer"),
+        ("workers", "workers must be a positive integer"),
+    ])
+    def test_rejects_bool(self, field, message):
+        # bool is an int, so True would otherwise pass as 1.
+        with pytest.raises(DomainError, match=f"{message}, got True"):
+            MCConfig(**{**dict(trials=10, master_seed=1, workers=1), field: True})
 
     def test_workers_beyond_bound_rejected(self):
         # A pool starts up to ``workers`` threads, so a library caller is held
@@ -801,3 +816,100 @@ class TestKsDistance:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ks_distance([], GammaFit(1.0, 1.0))
+
+    @pytest.mark.parametrize("sample, bad", [([1.0, math.nan], "nan"), ([2.0, -0.5, math.nan], "-0.5")],
+                             ids=["nan", "negative"])
+    def test_bad_point_named(self, sample, bad):
+        # The KS sample and its first bad point, not compound_probability's
+        # ``below``.
+        with pytest.raises(DomainError, match=f"^KS sample must be non-negative and not NaN, got {bad}$"):
+            ks_distance(sample, GammaFit(2.0, 1.0))
+
+    def test_infinite_point_is_valid(self):
+        # The law's CDF at +inf is 1, to the quadrature's accuracy, so a lone
+        # +inf point deviates by 1.
+        fit = GammaFit(2.0, 1.0)
+        assert ks_distance([math.inf], fit) == pytest.approx(1.0, abs=1e-12)
+        assert ks_distance([0.5, math.inf, 2.0], fit) == ks_distance_dense([0.5, math.inf, 2.0], fit)
+
+
+def validate_samples(geom, trials: int, seed: int) -> list[tuple[np.ndarray, GammaFit]]:
+    """``validate``'s KS samples and fits on ``geom``: the gains of its FIXED presets of 16 and 36 ports."""
+    gains = whole_gains(MCConfig(trials=trials, master_seed=seed), geom, [(Mode.FIXED, 16), (Mode.FIXED, 36)])
+    return [(g.g_b, cli._gamma_fit(geom, m_o)) for g, m_o in zip(gains, (16, 36))]
+
+
+@contextlib.contextmanager
+def counted_levels():
+    """Count the levels that ``ks_distance`` passes to ``compound_probability``, in ``levels[0]``."""
+    levels = [0]
+
+    def counting(fit, above=0.0, below=math.inf):
+        levels[0] += np.size(below)
+        return compound_probability(fit, above, below)
+
+    with mock.patch.object(montecarlo, "compound_probability", counting):
+        yield levels
+
+
+@st.composite
+def ks_cases(draw):
+    """A stride, a fit and a sample of one of the shapes whose supremum lies in a different place."""
+    stride = draw(st.integers(1, 40))
+    n = max(1, draw(st.sampled_from([1, 2, stride - 1, stride, stride + 1, 7 * stride + 2]) | st.integers(1, 600)))
+    fit = GammaFit(draw(st.floats(1.0, 11.0)), draw(st.floats(0.1, 10.0)))
+    kind = draw(st.sampled_from(["law", "scaled", "zeros", "mixed zeros", "ties", "inf"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sample = rng.gamma(fit.kappa, fit.theta, size=n) * rng.exponential(size=n)
+    if kind == "scaled":  # D near 1
+        sample *= draw(st.sampled_from([1e-4, 1e4]))
+    elif kind == "zeros":
+        sample[:] = 0.0
+    elif kind == "mixed zeros":
+        sample[rng.random(sample.size) < 0.3] = 0.0
+    elif kind == "ties":
+        sample = np.round(sample, 1)
+    elif kind == "inf":
+        sample[rng.random(sample.size) < 0.2] = math.inf
+    return stride, fit, sample
+
+
+class TestKsAgreement:
+    # ks_distance evaluates the law only where the supremum can lie; the
+    # whole-sample evaluation (tests/oracles.py) is its reference.
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [5_000, 40_000])
+    def test_bit_equal_to_dense_on_validate_samples(self, ref_geom, trials, seed):
+        for sample, fit in validate_samples(ref_geom, trials, seed):
+            assert ks_distance(sample, fit) == ks_distance_dense(sample, fit)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_evaluates_a_fifth_of_validate_samples(self, ref_geom, seed):
+        # The saving itself: 6-8% of the levels at 40k trials, seeds 1-3.
+        for sample, fit in validate_samples(ref_geom, 40_000, seed):
+            with counted_levels() as levels:
+                ks_distance(sample, fit)
+            assert levels[0] <= 0.2 * sample.size, levels[0]
+
+    def test_runs_of_ties_at_every_stride(self):
+        # A run of equal points deviates most below the law at its first
+        # point, which meets the gap's bound when it follows a bracket point:
+        # a bound short by one point in 1/n misses it.
+        fit, rng = GammaFit(2.0, 1.0), np.random.default_rng(0)
+        for stride in range(1, 9):
+            for n in range(1, 4 * stride + 3):
+                for _ in range(4):
+                    sample = rng.choice(rng.gamma(2.0, 1.0, 3) * rng.exponential(size=3), n)
+                    with mock.patch.object(montecarlo, "_ks_stride", lambda size: stride):
+                        distance = ks_distance(sample, fit)
+                    assert distance == pytest.approx(ks_distance_dense(sample, fit), abs=1e-13), (stride, sample)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ks_cases())
+    def test_agrees_with_dense(self, case):
+        stride, fit, sample = case
+        with mock.patch.object(montecarlo, "_ks_stride", lambda n: stride), counted_levels() as levels:
+            distance = ks_distance(sample, fit)
+        assert distance == pytest.approx(ks_distance_dense(sample, fit), abs=1e-13)
+        assert levels[0] <= sample.size + sample.size / stride + 2
