@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, DomainError
+from .errors import DegenerateFitError, DomainError, is_integer
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -88,9 +88,9 @@ class ScenarioConfig:
             raise DomainError(f"r_b must be a non-negative finite real, got {self.r_b!r}")
         if not (isinstance(self.p0, (int, float)) and 0.0 <= self.p0 <= 1.0):
             raise DomainError(f"p0 must lie in [0, 1], got {self.p0!r}")
-        if not (isinstance(self.m_o, int) and self.m_o >= 1):
+        if not (is_integer(self.m_o) and self.m_o >= 1):
             raise DomainError(f"m_o must be a positive integer, got {self.m_o!r}")
-        if not (isinstance(self.m_hat, int) and self.m_hat >= 0):
+        if not (is_integer(self.m_hat) and self.m_hat >= 0):
             raise DomainError(f"m_hat must be a non-negative integer, got {self.m_hat!r}")
         for link in ("af", "fb", "fw"):
             try:

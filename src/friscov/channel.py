@@ -36,11 +36,11 @@ own optimum.
 A cascade forms its terms once for every phasing it returns, so
 selections that read one set of rows share them: identity phases sum
 the terms as they are, then coherent phases turn the receiver terms into
-their magnitudes and phases in place.  The sums run down the selected rows, so the gains over the
-first ``k`` rows are read off one running sum for every ``k`` (the
-prefix ``lengths`` of :func:`cascade`): one ranking and one cascade of
-a tile's top ``max(m_o)`` rows serve every fluid ``m_o`` of its run.  A
-config's gains are thus the same whatever other ``m_o`` share its run.
+their magnitudes and phases in place.  The sums run down the selected
+rows, so the gains over the first ``k`` rows are read off one running
+sum for every ``k`` (the prefix ``lengths`` of :func:`cascade`): one
+ranking and one cascade of a tile's top ``max(m_o)`` rows serve every
+fluid ``m_o`` of its surface, whatever else the run selects.
 
 The ranking is one value sort per trial of 64-bit keys that pack a
 product and its port: the inverted bits of a non-negative double order

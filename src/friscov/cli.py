@@ -272,8 +272,8 @@ def _from_resolved(resolved) -> tuple[ScenarioConfig, SurfaceGeometry, MCConfig,
     return scenario, geom, mc, spec
 
 
-def _mode_config(mode: Mode, geom: SurfaceGeometry, cfg: ScenarioConfig) -> tuple[tuple[Mode, int], SurfaceGeometry]:
-    """The ``(mode, m_o)`` selection and the surface of one compared surface in scenario ``cfg``.
+def _mode_config(mode: Mode, geom: SurfaceGeometry, cfg: ScenarioConfig) -> tuple[SurfaceGeometry, Mode, int]:
+    """The ``(surface, mode, m_o)`` selection of one compared surface in scenario ``cfg``.
 
     The fluid and fixed surfaces select ``cfg.m_o`` ports of ``geom``.  The
     RIS baseline is a grid of ``cfg.m_hat`` elements (0: ``cfg.m_o``) over
@@ -295,7 +295,7 @@ def _mode_config(mode: Mode, geom: SurfaceGeometry, cfg: ScenarioConfig) -> tupl
         rows = (ports // geom.m_x) * grid.m_z, (elements // grid.m_x) * geom.m_z
         if not (np.array_equal(*cols) and np.array_equal(*rows)):
             geom = grid
-    return (mode, m_o), geom
+    return geom, mode, m_o
 
 
 def _point_scenario(scenario: ScenarioConfig, spec: SweepSpec, value: float, ports: int) -> ScenarioConfig:
@@ -316,7 +316,7 @@ def _gamma_fit(geom: SurfaceGeometry, m_o: int) -> GammaFit:
 
 
 def _sweep_points(scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSpec, modes: tuple[Mode, ...]) -> list:
-    """Each sweep point's ``(value, scenario, detector threshold, {mode: (selection, surface)})``."""
+    """Each sweep point's ``(value, scenario, detector threshold, {mode: selection})``."""
     points = []
     for value in spec.values():
         cfg = _point_scenario(scenario, spec, value, geom.num_elements)
@@ -326,40 +326,36 @@ def _sweep_points(scenario: ScenarioConfig, geom: SurfaceGeometry, spec: SweepSp
 
 
 def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> list[dict]:
-    """Event counts of run ``mc``: ``counts[i][key]`` for each ``(selection, surface)`` key of point ``i``.
+    """Event counts of run ``mc``: ``counts[i][selection]`` for each ``(surface, mode, m_o)`` of point ``i``.
 
-    One :func:`simulate_group` call runs every surface's group, so each
+    One :func:`simulate_group` call runs every distinct selection, so each
     block is drawn once for all of them.  This thread takes each block's
     :func:`count_events` at the levels of the points that read a selection
-    and adds them to the group's integer totals, in block order.  ``tap =
-    (surface, selections, fold)`` adds ``selections`` to the group on
-    ``surface`` and hands each block to ``fold(start, gains)`` too,
-    ``gains`` keyed by selection.  Each block's gains are dropped before
-    the next block runs, and the run is closed however this returns, so a
-    ``fold`` that raises leaves no worker running.  With ``progress``, a
-    ``[k/n blocks]`` line with the elapsed time and an ETA goes to stderr
-    at most once a second, and after the last block.
+    and adds them to its integer totals, in block order.  ``tap =
+    (selections, fold)`` adds ``selections``, on any surfaces, to the run
+    and hands each block to ``fold(start, gains)`` too, ``gains`` mapping
+    each selection of the run to its ``(g_b, g_w)``.  Each block's gains
+    are dropped before the next block runs, and the run is closed however
+    this returns, so a ``fold`` that raises leaves no worker running.  With
+    ``progress``, a ``[k/n blocks]`` line with the elapsed time and an ETA
+    goes to stderr at most once a second, and after the last block.
     """
-    groups: dict[SurfaceGeometry, dict[tuple[Mode, int], list[int]]] = {}
-    if tap is not None:
-        groups[tap[0]] = {selection: [] for selection in tap[1]}
+    readers: dict[tuple, list[int]] = {selection: [] for selection in (tap[0] if tap is not None else ())}
     for i, (*_, configs) in enumerate(points):
-        for selection, surface in configs.values():
-            groups.setdefault(surface, {}).setdefault(selection, []).append(i)
-    readers = list(groups.values())
-    levels = [[event_levels(points[i][1:3] for i in where) for where in group.values()] for group in readers]
-    totals = [[np.zeros((len(where), 3), dtype=np.int64) for where in group.values()] for group in readers]
+        for selection in configs.values():
+            readers.setdefault(selection, []).append(i)
+    levels = {selection: event_levels(points[i][1:3] for i in where) for selection, where in readers.items()}
+    totals = {selection: np.zeros((len(where), 3), dtype=np.int64) for selection, where in readers.items()}
 
     def count(start, gains):
-        for group, group_levels, group_totals in zip(gains, levels, totals):
-            for (g_b, g_w), level, total in zip(group, group_levels, group_totals):
-                total += count_events(g_b, g_w, level)
+        for selection, (g_b, g_w) in zip(readers, gains):
+            totals[selection] += count_events(g_b, g_w, levels[selection])
         if tap is not None:
-            tap[2](start, dict(zip(readers[0], gains[0])))
+            tap[1](start, dict(zip(readers, gains)))
 
     n_blocks, done = -(-mc.trials // montecarlo.BLOCK_TRIALS), 0
     began = shown = time.monotonic()
-    with contextlib.closing(simulate_group(mc, list(zip(groups, map(list, readers))))) as blocks:
+    with contextlib.closing(simulate_group(mc, list(readers))) as blocks:
         for start, gains in blocks:
             count(start, gains)
             del gains  # the loop would rebind it only after the next block has run
@@ -369,12 +365,9 @@ def _simulate(mc: MCConfig, points, progress: bool = False, tap=None) -> list[di
                 shown, elapsed = now, now - began
                 print(f"[{done}/{n_blocks} blocks] {elapsed:.1f} s elapsed, "
                       f"ETA {elapsed * (n_blocks - done) / done:.1f} s", file=sys.stderr)
-    counts: list[dict] = [{} for _ in points]
-    for surface, group, group_totals in zip(groups, readers, totals):
-        for (selection, where), total in zip(group.items(), group_totals):
-            for i, cell in zip(where, total.tolist()):
-                counts[i][selection, surface] = cell
-    return counts
+    # Each selection's rows of totals follow its points in order.
+    cells = {selection: iter(total.tolist()) for selection, total in totals.items()}
+    return [{selection: next(cells[selection]) for selection in configs.values()} for *_, configs in points]
 
 
 def _sweep_rows(points, counts, trials: int, geom: SurfaceGeometry) -> list[dict[str, float | None]]:
@@ -410,10 +403,9 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate closed forms and enabled empirical modes at each sweep point.
 
-    Deterministic given the master seed.  Every ``(mode, m_o)`` selection
-    the sweep needs, over all points and modes, is collected first and
-    grouped by surface; every group then runs in one run ``mc``, so each
-    block is drawn once for all of them (see
+    Deterministic given the master seed.  Every ``(surface, mode, m_o)``
+    selection the sweep needs, over all points and modes, runs in one run
+    ``mc``, so each block is drawn once for all of them (see
     :func:`montecarlo.simulate_group`).  The swept link parameters only
     move the levels that each block's gains are counted against as the
     block arrives, so no gain outlives its block.
@@ -538,13 +530,13 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
 
     The gap gates read the closed-form and ``fixed`` cells of the sweep's
     rows, at each swept value.  The gates' own selections join the sweep's
-    ``FIXED`` selections in one group on ``geom``, so each block is drawn
-    once and leaves what the gates read: its counts, each preset's gain sum
-    and first ``KS_TRIALS`` gains, and the draws where the ranking dominates.
+    ``FIXED`` selections in one run, so each block is drawn once and leaves
+    what the gates read: its counts, each preset's gain sum and first
+    ``KS_TRIALS`` gains, and the draws where the ranking dominates.
     """
     points = _sweep_points(scenario, geom, spec, (Mode.FIXED,))
-    fixed = [(Mode.FIXED, m_o) for m_o in (16, 36) if m_o <= geom.num_elements]
-    best, lattice = (Mode.FRIS, scenario.m_o), (Mode.RIS, scenario.m_o)
+    fixed = [(geom, Mode.FIXED, m_o) for m_o in (16, 36) if m_o <= geom.num_elements]
+    best, lattice = (geom, Mode.FRIS, scenario.m_o), (geom, Mode.RIS, scenario.m_o)
     sums, sample, dominated = [0.0] * len(fixed), np.empty((len(fixed), min(KS_TRIALS, mc.trials))), 0
 
     def fold(start, gains):
@@ -557,10 +549,10 @@ def _run_validate(scenario: ScenarioConfig, geom: SurfaceGeometry, mc: MCConfig,
             sample[j, start : start + head.size] = head
         dominated += _dominating_draws(gains[best][0], gains[lattice][0], scenario.m_o)
 
-    counts = _simulate(mc, points, tap=(geom, [*fixed, best, lattice], fold))
+    counts = _simulate(mc, points, tap=([*fixed, best, lattice], fold))
 
     gates = []
-    for j, (_, m_o) in enumerate(fixed):
+    for j, (*_, m_o) in enumerate(fixed):
         fit = _gamma_fit(geom, m_o)
         rel = abs(sums[j] / mc.trials - fit.mean) / fit.mean
         gates.append((f"mean gain vs Gamma-fit mean (m_o={m_o})", rel, 0.02, rel <= 0.02))

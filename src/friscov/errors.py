@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of its counts."""
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``: ``True`` is no count, seed or size."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class FriscovError(Exception):

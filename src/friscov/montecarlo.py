@@ -1,8 +1,7 @@
 """Trial orchestration and statistical estimation.
 
 The channel physics lives in :mod:`friscov.channel`; this module runs
-its blocks for a run's groups of configs and turns the gains into
-estimates.
+its blocks for a run's selections and turns the gains into estimates.
 
 Trials are drawn in tiles of ``TILE_TRIALS``.  Tile ``k``, trials
 ``k * TILE_TRIALS`` to ``(k + 1) * TILE_TRIALS - 1``, has its own
@@ -21,9 +20,9 @@ the run is correlated, ranked and cascaded at its full width, a partial
 last one too, which keeps its first trials.  This is the
 reproducibility contract: a trial's gains depend on the master seed,
 ``TILE_TRIALS``, the trial's index, its surface and its selection, and
-on nothing else -- not on the trial count, the other surfaces of the
-run, the panels, ``BLOCK_TRIALS``, the worker count or the number of
-BLAS threads.  A run of ``n`` trials is the first ``n`` trials of every
+on nothing else -- not on the trial count, the run's other surfaces and
+selections or their order, the panels, ``BLOCK_TRIALS``, the worker
+count or the number of BLAS threads.  A run of ``n`` trials is the first ``n`` trials of every
 longer run at its seed, so its estimates are those of that prefix.
 
 The contract holds on one machine, under one BLAS kernel and one numpy
@@ -42,20 +41,21 @@ Tiles are scheduled in blocks of ``BLOCK_TRIALS`` trials, a multiple of
 one array, freed with it: one tile's normals and a ring of panel-sized
 fading buffers (slots), each sized for the run's largest surface.  It
 runs one tile at a time: the tile is drawn into the normals, and each
-of its panels is correlated for every surface in group order into a
-slot, then ranked and cascaded.  Where a serial run has a CPU to spare
-beside its BLAS threads, a helper thread draws each tile and correlates
-each (half-tile panel, surface) into a ring of two slots, and the
-block's thread only ranks, cascades and writes the gains of each filled
-slot, then hands it back.  Otherwise the block's thread does all of it
-with one slot, in panels of the whole tile: halves would only add calls.
+of its panels is correlated for every surface, in the order of their
+first selections, into a slot, then ranked and cascaded.  Where a serial
+run has a CPU to spare beside its BLAS threads, a helper thread draws
+each tile and correlates each (half-tile panel, surface) into a ring of
+two slots, and the block's thread only ranks, cascades and writes the
+gains of each filled slot, then hands it back.  Otherwise the block's
+thread does all of it with one slot, in panels of the whole tile: halves
+would only add calls.
 The draw and the product release the GIL, and no panel's bits depend on
 the thread that computed them or on its width, so both ways give the
 same bits.  So the working set follows the tile, not the block; what
-follows the block is its outputs, 16 B per trial and selection of every
-group at once, which reach the caller in block order.  Blocks are
-dispatched to a thread pool; the heavy lifting is BLAS matrix
-multiplication, which releases the GIL too.
+follows the block is its outputs, 16 B per trial and selection of the
+run, which reach the caller in block order.  Blocks are dispatched to a
+thread pool; the heavy lifting is BLAS matrix multiplication, which
+releases the GIL too.
 
 Surfaces that share a run share their normals, rank row for rank row:
 common random numbers (Asmussen & Glynn, *Stochastic Simulation*, 2007,
@@ -64,11 +64,11 @@ the differences between surfaces, such as the fluid surface against an
 RIS grid of its own, are positively correlated, so they are estimated
 with less noise than from independent draws.
 
-A run is one :class:`MCConfig` and a list of groups, each a surface and
-its ``(mode, m_o)`` selections (:func:`simulate_group`): each tile is
-drawn once for the run and each panel correlated once per surface, and each
-selection takes the ports and phases of its
-:class:`~friscov.channel.Mode` from its surface's fading vectors.
+A run is one :class:`MCConfig` and one flat list of ``(surface, mode,
+m_o)`` selections (:func:`simulate_group`), on any surfaces and in any
+order: each tile is drawn once for the run and each panel correlated
+once per distinct surface, and each selection takes the ports and phases
+of its :class:`~friscov.channel.Mode` from its surface's fading vectors.
 Nothing is cached: once the block's last panel has run, its gains go to
 the caller, which keeps what it reads of them, typically the event
 counts of :func:`count_events` that the estimators read, and drops them
@@ -96,7 +96,7 @@ import numpy as np
 
 from .analytics import GammaFit, ScenarioConfig, compound_probability, fa_probability, missed_level, outage_level
 from .channel import Mode, best_product_order, cascade, correlated_tile, tile_normals
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
 
 # Trials per substream tile, which also bounds the kernel's working set.
@@ -109,7 +109,7 @@ TILE_TRIALS = 512
 # block holds one tile's normals, one tile of fading vectors (two half-tile
 # slots beside a helper thread that draws and correlates, one whole-tile
 # slot where its own thread does), a panel's temporaries and its outputs,
-# 16 B per trial and selection of every group.
+# 16 B per trial and selection of the run.
 BLOCK_TRIALS = 4096
 
 # Each worker thread holds one tile's working set while it runs (6.4 MB on
@@ -147,16 +147,12 @@ def mix64(master_seed: int, index: int) -> int:
     return x
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class MCConfig:
     """One Monte Carlo run: its trial count, master seed and worker count (at most ``MAX_WORKERS``).
 
-    What the run simulates is passed beside it, as the ``(mode, m_o)``
-    selections of :func:`simulate_group`.
+    What the run simulates is passed beside it, as the ``(surface, mode,
+    m_o)`` selections of :func:`simulate_group`.
     """
 
     trials: int
@@ -164,12 +160,11 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # bool is an int, but True is no trial count, seed or worker count.
-        if not (_integer(self.trials) and self.trials >= 1):
+        if not (is_integer(self.trials) and self.trials >= 1):
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
+        if not (is_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if not (_integer(self.workers) and self.workers >= 1):
+        if not (is_integer(self.workers) and self.workers >= 1):
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
         if self.workers > MAX_WORKERS:
             raise DomainError(f"a run uses at most {MAX_WORKERS} workers, got {self.workers}")
@@ -212,15 +207,15 @@ def _panel_gains(abc: np.ndarray, members: list, outputs: list, lo: int, n: int)
     """Write one panel's gains on one surface into trials ``lo`` to ``lo + n - 1`` of ``outputs``.
 
     ``abc`` is the panel's fading vectors (:func:`~friscov.channel.correlated_tile`)
-    at its full width, ``members`` is :func:`_group_members` of the
-    surface's selections and ``outputs`` holds one block-length ``(g_b,
-    g_w)`` per selection.  A partial last panel keeps its first ``n``
-    trials, so no gain depends on how many trials follow it.
+    at its full width, ``members`` is the surface's port rows and readers
+    from :func:`_surfaces` and ``outputs`` holds one block-length ``(g_b,
+    g_w)`` per selection of the run.  A partial last panel keeps its first
+    ``n`` trials, so no gain depends on how many trials follow it.
     """
     width = abc.shape[-1]
     for rows, readers in members:
         if rows is None:
-            # One ranking and one running sum serve every fluid m_o of the group.
+            # One ranking and one running sum serve every fluid m_o of the surface.
             lengths = [m_o for *_, m_o in readers]
             top = best_product_order(abc[0], abc[1], max(lengths))
             # Flat indices gather the three links in one pass.
@@ -240,30 +235,26 @@ def _panel_gains(abc: np.ndarray, members: list, outputs: list, lo: int, n: int)
         del selected, gains
 
 
-def _group_members(selections: list[tuple[Mode, int]], geom: SurfaceGeometry) -> list[tuple[object, list]]:
-    """The port rows the group reads, each with the ``(position, mode, m_o)`` of the selections that read them.
+def _surfaces(selections: Sequence[tuple[SurfaceGeometry, Mode, int]]) -> list[tuple[list, np.ndarray]]:
+    """Each surface's port rows, each with the ``(position, mode, m_o)`` that read them, and its factor.
 
     ``None`` stands for the best ports of each draw, read by every fluid
-    selection; each preset appears once, however many selections read it.
+    selection of the surface; each preset appears once, however many read
+    it.  Surfaces and rows keep the order of their first selection.
     """
-    total = geom.num_elements
-    readers: dict[int | None, list[tuple[int, Mode, int]]] = {}
-    for j, (mode, m_o) in enumerate(selections):
+    readers: dict[SurfaceGeometry, dict[int | None, list[tuple[int, Mode, int]]]] = {}
+    for j, (geom, mode, m_o) in enumerate(selections):
         if not isinstance(mode, Mode):
             raise DomainError(f"unknown mode {mode!r}")
-        if not (isinstance(m_o, int) and 1 <= m_o <= total):
-            raise DomainError(f"m_o must be an integer in [1, {total}] (the surface's ports), got {m_o!r}")
-        readers.setdefault(None if mode is Mode.FRIS else m_o, []).append((j, mode, m_o))
-    members = []
-    for m_o, shared in readers.items():
-        if m_o is None:
-            rows = None
-        elif m_o == total:
-            rows = slice(None)  # the default preset of every port: a view, not a copy
-        else:
-            rows = default_fixed_preset(geom, m_o)
-        members.append((rows, shared))
-    return members
+        if not (is_integer(m_o) and 1 <= m_o <= geom.num_elements):
+            raise DomainError(f"m_o must be an integer in [1, {geom.num_elements}] (the surface's ports), got {m_o!r}")
+        readers.setdefault(geom, {}).setdefault(None if mode is Mode.FRIS else m_o, []).append((j, mode, m_o))
+    surfaces = []
+    for geom, members in readers.items():
+        named = {None: None, geom.num_elements: slice(None)}  # every port's preset: a view, not a copy
+        rows = [(named[k] if k in named else default_fixed_preset(geom, k), shared) for k, shared in members.items()]
+        surfaces.append((rows, surface_factor(geom)))
+    return surfaces
 
 
 def _cpus() -> int:
@@ -291,27 +282,25 @@ def _blas_threads() -> int:
     return os.cpu_count() or 1
 
 
-def simulate_group(
-    mc: MCConfig, groups: Sequence[tuple[SurfaceGeometry, Sequence[tuple[Mode, int]]]]
-) -> Iterator[tuple[int, list]]:
+def simulate_group(mc: MCConfig, selections: Iterable[tuple[SurfaceGeometry, Mode, int]]) -> Iterator[tuple[int, list]]:
     """Yield each block of run ``mc`` as ``(start, gains)``, in block order.
 
-    Lazy: nothing runs until the iterator is advanced, and no groups yield
-    no blocks.  ``groups`` holds ``(surface, selections)`` pairs; ``start``
-    is the block's first trial and ``gains[g]`` the per-trial cascaded
-    gains of group ``g`` over the block, one ``(g_b, g_w)`` pair per
-    ``(mode, m_o)`` selection: every group's gains of the block, 16 B per
-    trial and selection, held until the caller drops them.
-    ``m_o`` is the number of active ports per draw: the best ``m_o`` of
-    each draw for ``Mode.FRIS``, the surface's default preset of ``m_o``
-    ports (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
+    Lazy: nothing runs until the iterator is advanced, and no selections
+    yield no blocks.  ``selections`` is a flat sequence of ``(surface,
+    mode, m_o)``; ``start`` is the block's first trial and ``gains[j]``
+    the ``(g_b, g_w)`` per-trial cascaded gains of entry ``j`` over the
+    block: 16 B per trial and entry, held until the caller drops them.  A
+    repeated entry gets equal, separate arrays.  ``m_o`` is the number of
+    active ports per draw: the best ``m_o`` of each draw for
+    ``Mode.FRIS``, the surface's default preset of ``m_o`` ports
+    (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
     ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
-    ``int`` in ``[1, surface.num_elements]``.
+    ``int``, not a ``bool``, in ``[1, surface.num_elements]``.
 
     A block runs tile by tile, and each tile panel by panel.  Each tile is
     drawn once for the whole run, in the largest rank of the run's
     surfaces, into one normals buffer held for the block, and each
-    surface, in group order, reads the first rows of its rank
+    surface reads the first rows of its rank
     (:func:`~friscov.channel.tile_normals`).  Each panel is correlated
     over every port once per surface, from a column view of the normals
     (:func:`~friscov.channel.correlated_tile`), into a slot sized for the
@@ -338,8 +327,8 @@ def simulate_group(
     starts on a tile's edge (``BLOCK_TRIALS`` a multiple of
     ``TILE_TRIALS``).
     """
-    surfaces = [(_group_members(list(selections), geom), surface_factor(geom))
-                for geom, selections in groups]
+    selections = list(selections)
+    surfaces = _surfaces(selections)
     if not surfaces:
         return
     tile, block = TILE_TRIALS, BLOCK_TRIALS
@@ -390,8 +379,7 @@ def simulate_group(
     def run(block_index: int) -> tuple[int, list]:
         start = block_index * block
         count = min(block, mc.trials - start)
-        outputs = [[(np.empty(count), np.empty(count)) for _, readers in members for _ in readers]
-                   for members, _ in surfaces]
+        outputs = [(np.empty(count), np.empty(count)) for _ in selections]
         # One tile's normals and a ring of panel-sized fading buffers, sized
         # for the largest surface: one array, reused by every tile and surface
         # of the block and freed with it.  Its free raises glibc's mmap
@@ -402,7 +390,7 @@ def simulate_group(
         slots = buffer[rank * 3 * tile :].reshape(ring, -1)
 
         def kernel(lo: int, s: int, abc: np.ndarray) -> None:
-            _panel_gains(abc, surfaces[s][0], outputs[s], lo, min(abc.shape[-1], count - lo))
+            _panel_gains(abc, surfaces[s][0], outputs, lo, min(abc.shape[-1], count - lo))
 
         if not ahead:
             for item in correlate(start, count, z, itertools.repeat(slots[0])):

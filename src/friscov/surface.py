@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 from .specfun import bessel_j0
 
 # The widest aperture, in wavelengths along each axis: the correlation then
@@ -48,7 +48,7 @@ class SurfaceGeometry:
     w_z: float
 
     def __post_init__(self):
-        if not (isinstance(self.m_x, int) and isinstance(self.m_z, int)):
+        if not (is_integer(self.m_x) and is_integer(self.m_z)):
             raise DomainError("m_x and m_z must be integers")
         if self.m_x < 1 or self.m_z < 1:
             raise DomainError(f"grid dimensions must be >= 1, got {self.m_x}x{self.m_z}")

@@ -12,16 +12,15 @@ class Gains(NamedTuple):
     g_w: np.ndarray
 
 
-def run_gains(mc, groups) -> list[list[Gains]]:
-    """Each group's gains over the whole run, one :class:`Gains` per selection.
+def run_gains(mc, selections) -> list[Gains]:
+    """Each ``(surface, mode, m_o)`` selection's gains over the whole run, one :class:`Gains` per entry.
 
     :func:`simulate_group`'s blocks, every one kept and joined.
     """
-    blocks = [gains for _, gains in simulate_group(mc, groups)]
-    return [[Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*runs)] for runs in zip(*blocks)]
+    blocks = [gains for _, gains in simulate_group(mc, selections)]
+    return [Gains(*map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]
 
 
 def whole_gains(mc, geom, selections) -> list[Gains]:
-    """Each selection's gains over the whole run on ``geom`` alone."""
-    [gains] = run_gains(mc, [(geom, selections)])
-    return gains
+    """Each ``(mode, m_o)`` selection's gains over the whole run on ``geom`` alone."""
+    return run_gains(mc, [(geom, mode, m_o) for mode, m_o in selections])

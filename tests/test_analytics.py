@@ -78,6 +78,14 @@ class TestScenarioConfig:
         with pytest.raises(DomainError):
             scenario(**{field: value})
 
+    @pytest.mark.parametrize("field, message", [
+        ("m_o", "m_o must be a positive integer"), ("m_hat", "m_hat must be a non-negative integer"),
+    ])
+    def test_bool_port_counts_rejected(self, field, message):
+        # bool is an int, so True would otherwise pass as one port.
+        with pytest.raises(DomainError, match=f"^{message}, got True$"):
+            scenario(**{field: True})
+
 
 class TestGammaMomentMatch:
     def test_identity(self):

@@ -541,8 +541,8 @@ class TestRisBaseline:
         # preset it reads occupies the grid's positions, so that the
         # correlation matrices (hence the gain distributions) coincide
         geom = SurfaceGeometry(m_x, m_z, 2.0, 2.0)
-        selection, surface = _mode_config(Mode.RIS, geom, ScenarioConfig(m_o=1, m_hat=m_hat))
-        assert selection == (Mode.RIS, m_hat)
+        surface, *selection = _mode_config(Mode.RIS, geom, ScenarioConfig(m_o=1, m_hat=m_hat))
+        assert selection == [Mode.RIS, m_hat]
         assert (surface == geom) == paired
         if paired:
             baseline = ris_grid_geometry(geom, m_hat)

@@ -31,6 +31,7 @@ from friscov import (
     simulate_group,
 )
 from friscov import cli, montecarlo
+from friscov.channel import ris_grid_geometry
 from friscov.cli import (
     CSV_COLUMNS,
     MAX_PORTS,
@@ -245,7 +246,7 @@ class TestRunSweep:
         # best ports beat the paired sublattice on each draw, so these hold
         # exactly, not only within sampling error.
         scenario, geom, mc, spec = load_config(None)
-        assert _mode_config(Mode.RIS, geom, scenario)[1] == geom
+        assert _mode_config(Mode.RIS, geom, scenario)[0] == geom
         rows = run_sweep(scenario, geom, dataclasses.replace(mc, trials=3_000), spec).rows
         for mode in ("fris", "fixed", "ris"):
             ops = [row[f"{mode}_op"] for row in rows]
@@ -319,7 +320,7 @@ class TestRunSweep:
         scenario, geom, mc, _ = load_config(None)
         spec = SweepSpec(variable="m_o", start=4.0, stop=10.0, points=3)
         points = cli._sweep_points(scenario, geom, spec, tuple(Mode))
-        assert len({surface for *_, configs in points for _, surface in configs.values()}) == 3
+        assert len({surface for *_, configs in points for surface, *_ in configs.values()}) == 3
         run_sweep(scenario, geom, dataclasses.replace(mc, trials=5_000), spec)
         assert draws == [(33, 3, 2 * 512)] * 10
 
@@ -365,10 +366,30 @@ class TestRunSweep:
 
         run = dataclasses.replace(mc, trials=8 * 100, workers=2)
         with pytest.raises(RuntimeError, match="fold failed") as failed:
-            cli._simulate(run, points, tap=(geom, [(Mode.FRIS, 16)], fold))
-        # The tap's selections come first in their group, the sweep's join them.
-        assert folded == [(8 * k, [(Mode.FRIS, 16), (Mode.FIXED, 16)], True) for k in range(3)]
+            cli._simulate(run, points, tap=([(geom, Mode.FRIS, 16)], fold))
+        # The tap's selections come first in the run, the sweep's join them.
+        assert folded == [(8 * k, [(geom, Mode.FRIS, 16), (geom, Mode.FIXED, 16)], True) for k in range(3)]
         assert failed.traceback[-1].name == "fold"
+
+    def test_the_tap_reads_a_second_surface(self):
+        # The RIS grid of 7 elements is unpaired on the 12x12 surface, so a tap
+        # selection on it adds a second surface to the sweep's run.  Its gains,
+        # joined across blocks, are those of a run of its own, and the sweep's
+        # counts are those of the sweep alone.
+        scenario, geom, mc, spec = load_config(None)
+        mc, spec = dataclasses.replace(mc, trials=2 * montecarlo.BLOCK_TRIALS + 7), dataclasses.replace(spec, points=3)
+        grid = ris_grid_geometry(geom, 7)
+        tapped = (grid, Mode.RIS, 7)
+        assert _mode_config(Mode.RIS, geom, dataclasses.replace(scenario, m_o=7)) == tapped
+        points = cli._sweep_points(scenario, geom, spec, tuple(Mode))
+        assert all(tapped not in configs.values() for *_, configs in points)
+        blocks = []
+        counts = cli._simulate(mc, points, tap=([tapped], lambda start, gains: blocks.append((start, gains[tapped]))))
+        assert [start for start, _ in blocks] == [0, montecarlo.BLOCK_TRIALS, 2 * montecarlo.BLOCK_TRIALS]
+        [own] = whole_gains(mc, grid, [(Mode.RIS, 7)])
+        assert np.array_equal(np.concatenate([g_b for _, (g_b, _) in blocks]), own.g_b)
+        assert np.array_equal(np.concatenate([g_w for _, (_, g_w) in blocks]), own.g_w)
+        assert counts == cli._simulate(mc, points)
 
     def test_unknown_mode_rejected(self, small_run):
         scenario, geom, mc, spec, _ = small_run
@@ -715,17 +736,18 @@ class TestMain:
     def test_validate_draws_each_block_once(self, monkeypatch, capsys):
         calls = []
 
-        def counting(mc, groups):
-            calls.append((mc, list(groups)))
-            return simulate_group(mc, groups)
+        def counting(mc, selections):
+            calls.append((mc, list(selections)))
+            return simulate_group(mc, selections)
 
         monkeypatch.setattr(cli, "simulate_group", counting)
         main(["validate", "--trials", "1000"])
         _, geom, mc, _ = load_config(None)
-        [(run, [(surface, selections)])] = calls
+        [(run, selections)] = calls
         assert run == dataclasses.replace(mc, trials=1000)
-        assert surface == geom and len(set(selections)) == len(selections)
-        assert set(selections) == {(Mode.FIXED, 16), (Mode.FIXED, 36), (Mode.FRIS, 36), (Mode.RIS, 36)}
+        assert len(set(selections)) == len(selections) == 4
+        assert set(selections) == {(geom, Mode.FIXED, 16), (geom, Mode.FIXED, 36), (geom, Mode.FRIS, 36),
+                                   (geom, Mode.RIS, 36)}
 
 
 # Lines of ``key = value`` text: schema keys and others, with values that

@@ -103,15 +103,15 @@ class TestSubstreams:
         # in panels (halves beside a helper thread, else the whole tile), each
         # at its full width, a partial last one too, so a run of n trials is
         # the first n trials of a longer run, on every surface and mode.
-        groups = [(geom, [(mode, m_o) for mode in Mode]) for geom, m_o in
-                  ((ref_geom, 36), (ris_grid_geometry(ref_geom, 27), 9), (ris_grid_geometry(ref_geom, 97), 97))]
-        long = run_gains(MCConfig(trials=9_000, master_seed=1), groups)
+        selections = [(geom, mode, m_o) for geom, m_o in
+                      ((ref_geom, 36), (ris_grid_geometry(ref_geom, 27), 9), (ris_grid_geometry(ref_geom, 97), 97))
+                      for mode in Mode]
+        long = run_gains(MCConfig(trials=9_000, master_seed=1), selections)
         for trials in (1, 511, 513, 4_097, 5_001):
-            short = run_gains(MCConfig(trials=trials, master_seed=1), groups)
-            for (geom, selections), run, whole in zip(groups, short, long):
-                for selection, gains, full in zip(selections, run, whole):
-                    assert np.array_equal(gains.g_b, full.g_b[:trials]), (trials, geom.m_x, selection)
-                    assert np.array_equal(gains.g_w, full.g_w[:trials]), (trials, geom.m_x, selection)
+            short = run_gains(MCConfig(trials=trials, master_seed=1), selections)
+            for (geom, *selection), gains, full in zip(selections, short, long):
+                assert np.array_equal(gains.g_b, full.g_b[:trials]), (trials, geom.m_x, selection)
+                assert np.array_equal(gains.g_w, full.g_w[:trials]), (trials, geom.m_x, selection)
 
     def test_gains_do_not_depend_on_the_blas_threads(self):
         # A fresh interpreter per thread count: OpenBLAS reads it once, when
@@ -122,12 +122,11 @@ class TestSubstreams:
             "from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group\n"
             "from friscov.channel import ris_grid_geometry\n"
             "geom = SurfaceGeometry(12, 12, 2.0, 2.0)\n"
-            "groups = [(g, [(mode, 9) for mode in Mode]) for g in (geom, ris_grid_geometry(geom, 27))]\n"
+            "selections = [(g, mode, 9) for g in (geom, ris_grid_geometry(geom, 27)) for mode in Mode]\n"
             "digest = hashlib.sha256()\n"
-            "for start, block in simulate_group(MCConfig(trials=5_001, master_seed=3), groups):\n"
-            "    for gains in block:\n"
-            "        for g_b, g_w in gains:\n"
-            "            digest.update(g_b.tobytes() + g_w.tobytes())\n"
+            "for start, block in simulate_group(MCConfig(trials=5_001, master_seed=3), selections):\n"
+            "    for g_b, g_w in block:\n"
+            "        digest.update(g_b.tobytes() + g_w.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         digests = []
@@ -142,10 +141,9 @@ class TestSubstreams:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_block_is_yielded_once_in_block_order(self, ref_geom, workers):
         mc = MCConfig(trials=3 * BLOCK_TRIALS + 7, master_seed=1, workers=workers)
-        groups = [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 4)]), (ref_geom, [(Mode.RIS, 16)])]
-        blocks = starmap(lambda start, gains: (start, [[g_b.size for g_b, g_w in group] for group in gains]),
-                         simulate_group(mc, groups))
-        assert list(blocks) == [(k * BLOCK_TRIALS, [[n, n], [n]]) for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
+        selections = [(ref_geom, Mode.FIXED, 36), (ref_geom, Mode.FRIS, 4), (ref_geom, Mode.RIS, 16)]
+        blocks = starmap(lambda start, gains: (start, [g_b.size for g_b, g_w in gains]), simulate_group(mc, selections))
+        assert list(blocks) == [(k * BLOCK_TRIALS, [n, n, n]) for k, n in enumerate([BLOCK_TRIALS] * 3 + [7])]
 
 
 class TestMCConfigValidation:
@@ -323,10 +321,17 @@ def group_selections(m_os=(1, 2, 16, 144)) -> list[tuple[Mode, int]]:
 
 class TestGroups:
     def test_gains_do_not_depend_on_the_group(self, ref_geom):
-        # 4097 trials: one full block and a one-trial block.
+        # 4097 trials: one full block and a one-trial block.  Selections on
+        # the 12x12 surface and on a 7-element RIS grid, interleaved, with
+        # one given twice: each entry has the gains of a run of its own, and
+        # the repeated one two equal arrays that share no memory.
         selections = group_selections()
         alone = [whole_gains(MCConfig(trials=4_097, master_seed=5), ref_geom, [pick])[0] for pick in selections]
         preset = [j for j, (mode, _) in enumerate(selections) if mode is not Mode.FRIS]
+        grid = ris_grid_geometry(ref_geom, 7)
+        interleaved = [(ref_geom, Mode.FRIS, 16), (grid, Mode.RIS, 7), (ref_geom, Mode.FIXED, 144),
+                       (grid, Mode.FRIS, 3), (ref_geom, Mode.FRIS, 16), (grid, Mode.FIXED, 2), (ref_geom, Mode.RIS, 1)]
+        own = {pick: run_gains(MCConfig(trials=4_097, master_seed=5), [pick])[0] for pick in interleaved}
         for workers in (1, 2):
             mc = MCConfig(trials=4_097, master_seed=5, workers=workers)
             for picks in (range(len(selections)), preset, preset[::-1]):
@@ -334,6 +339,15 @@ class TestGroups:
                 for j, gains in zip(picks, whole_gains(mc, ref_geom, group)):
                     assert np.array_equal(gains.g_b, alone[j].g_b), selections[j]
                     assert np.array_equal(gains.g_w, alone[j].g_w), selections[j]
+            for entries in (interleaved, interleaved[::-1]):
+                run = run_gains(mc, entries)
+                assert len(run) == len(entries)
+                for pick, gains in zip(entries, run):
+                    assert np.array_equal(gains.g_b, own[pick].g_b), (workers, pick)
+                    assert np.array_equal(gains.g_w, own[pick].g_w), (workers, pick)
+            for _, gains in simulate_group(mc, interleaved):
+                for first, again in zip(gains[0], gains[4]):
+                    assert np.array_equal(first, again) and not np.shares_memory(first, again)
 
     def test_gains_do_not_depend_on_the_run(self, ref_geom):
         # Surfaces of rank 33 (12x12), 24 (3x9) and 12 (1x97) share one draw
@@ -342,18 +356,19 @@ class TestGroups:
         # one-trial block.
         grids = {m_hat: ris_grid_geometry(ref_geom, m_hat) for m_hat in (27, 97)}
         assert [(grid.m_x, grid.m_z) for grid in grids.values()] == [(3, 9), (1, 97)]
-        groups = [(ref_geom, group_selections((16, 144)))] + [(grid, [(Mode.RIS, m_hat), (Mode.FRIS, 5)])
-                                                             for m_hat, grid in grids.items()]
-        assert [surface_factor(geom).shape[1] for geom, _ in groups] == [33, 24, 12]
-        alone = [run_gains(MCConfig(trials=4_097, master_seed=5), [group])[0] for group in groups]
+        surfaces = [[(ref_geom, *pick) for pick in group_selections((16, 144))]] + [
+            [(grid, Mode.RIS, m_hat), (grid, Mode.FRIS, 5)] for m_hat, grid in grids.items()]
+        assert [surface_factor(selections[0][0]).shape[1] for selections in surfaces] == [33, 24, 12]
+        alone = [run_gains(MCConfig(trials=4_097, master_seed=5), selections) for selections in surfaces]
         for workers in (1, 2):
             mc = MCConfig(trials=4_097, master_seed=5, workers=workers)
             for order in ([0, 1, 2], [2, 1, 0], [1, 2]):
-                together = run_gains(mc, [groups[g] for g in order])
-                for g, run in zip(order, together):
-                    for selection, gains, own in zip(groups[g][1], run, alone[g]):
-                        assert np.array_equal(gains.g_b, own.g_b), (workers, order, g, selection)
-                        assert np.array_equal(gains.g_w, own.g_w), (workers, order, g, selection)
+                together = run_gains(mc, [selection for g in order for selection in surfaces[g]])
+                owns = [(g, selection, own) for g in order for selection, own in zip(surfaces[g], alone[g])]
+                assert len(together) == len(owns)
+                for gains, (g, (_, *selection), own) in zip(together, owns):
+                    assert np.array_equal(gains.g_b, own.g_b), (workers, order, g, selection)
+                    assert np.array_equal(gains.g_w, own.g_w), (workers, order, g, selection)
 
     def test_prefix_sums_match_a_cascade_per_m_o(self, ref_geom):
         # Every fluid m_o of the group is read off one ranking and one running
@@ -379,15 +394,16 @@ class TestGroups:
         # The block is the unit of the caller's fold and of the pool, not of the
         # draws: a run gives the same gains in blocks of any multiple of the
         # tile, at any worker count.  Both runs end in a partial tile.
-        groups = [(ref_geom, group_selections((1, 2, 16, 36, 144))),
-                  (ris_grid_geometry(ref_geom, 27), group_selections((9, 27)))]
-        default = run_gains(MCConfig(trials=trials, master_seed=5), groups)
+        selections = [(geom, *pick) for geom, m_os in ((ref_geom, (1, 2, 16, 36, 144)),
+                                                       (ris_grid_geometry(ref_geom, 27), (9, 27)))
+                      for pick in group_selections(m_os)]
+        default = run_gains(MCConfig(trials=trials, master_seed=5), selections)
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block)
-        blocked = run_gains(MCConfig(trials=trials, master_seed=5, workers=workers), groups)
-        for (geom, selections), run, whole in zip(groups, blocked, default):
-            for selection, gains, own in zip(selections, run, whole):
-                assert np.array_equal(gains.g_b, own.g_b), (geom.m_x, selection)
-                assert np.array_equal(gains.g_w, own.g_w), (geom.m_x, selection)
+        blocked = run_gains(MCConfig(trials=trials, master_seed=5, workers=workers), selections)
+        assert len(blocked) == len(default) == len(selections)
+        for (geom, *selection), gains, own in zip(selections, blocked, default):
+            assert np.array_equal(gains.g_b, own.g_b), (geom.m_x, selection)
+            assert np.array_equal(gains.g_w, own.g_w), (geom.m_x, selection)
 
     def test_blocks_start_on_tile_edges(self, ref_geom, monkeypatch):
         # A block that starts inside a tile would draw that tile's substream again.
@@ -418,20 +434,21 @@ class TestGroups:
         for run_trials, group, bound in groups:
             tracemalloc.start()
             try:
-                blocks = simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, group)])
+                blocks = simulate_group(MCConfig(trials=run_trials, master_seed=1), [(ref_geom, *s) for s in group])
                 yielded = sum(starmap(lambda start, gains: len(gains), blocks))
                 ratio = tracemalloc.get_traced_memory()[1] / normals
             finally:
                 tracemalloc.stop()
-            assert yielded == run_trials // BLOCK_TRIALS
+            assert yielded == run_trials // BLOCK_TRIALS * len(group)
             assert ratio <= bound, (len(group), run_trials, group[-1], ratio)
 
     @staticmethod
     def _peak(geom, group, trials: int, workers: int = 1) -> int:
         tracemalloc.start()
         try:
-            run = simulate_group(MCConfig(trials=trials, master_seed=1, workers=workers), [(geom, group)])
-            assert sum(starmap(lambda start, gains: len(gains), run)) == -(-trials // montecarlo.BLOCK_TRIALS)
+            run = simulate_group(MCConfig(trials=trials, master_seed=1, workers=workers), [(geom, *s) for s in group])
+            yielded = sum(starmap(lambda start, gains: len(gains), run))
+            assert yielded == -(-trials // montecarlo.BLOCK_TRIALS) * len(group)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,21 +495,22 @@ class TestGroups:
         # per trial and selection) coexist for one block, not for the run.
         cfgs = [dataclasses.replace(ScenarioConfig(), p_a=dbm_to_watt(dbm)) for dbm in np.linspace(-60, -10, 25)]
         levels = event_levels((cfg, optimal_threshold(cfg)) for cfg in cfgs)
-        grids = [(ris_grid_geometry(ref_geom, m_hat), [(Mode.RIS, m_hat)]) for m_hat in (27, 97)]
+        fluid = [(ref_geom, *pick) for pick in group_selections((36,))]
+        grids = [(ris_grid_geometry(ref_geom, m_hat), Mode.RIS, m_hat) for m_hat in (27, 97)]
 
-        def peak(groups, blocks: int) -> int:
+        def peak(selections, blocks: int) -> int:
             tracemalloc.start()
             try:
-                run = simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), groups)
-                cells = starmap(lambda start, gains: [[count_events(*pair, levels) for pair in g] for g in gains], run)
-                assert sum(map(len, cells)) == blocks * len(groups)
+                run = simulate_group(MCConfig(trials=blocks * BLOCK_TRIALS, master_seed=1), selections)
+                cells = starmap(lambda start, gains: [count_events(*pair, levels) for pair in gains], run)
+                assert sum(map(len, cells)) == blocks * len(selections)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        for groups in ([(ref_geom, group_selections((36,)))], [(ref_geom, group_selections((36,))), *grids]):
-            two, sixteen = peak(groups, 2), peak(groups, 16)
-            assert sixteen <= 1.02 * two, (len(groups), two, sixteen)
+        for selections in (fluid, fluid + grids):
+            two, sixteen = peak(selections, 2), peak(selections, 16)
+            assert sixteen <= 1.02 * two, (len(selections), two, sixteen)
 
     def test_pool_memory_is_flat_in_blocks(self, monkeypatch):
         # Two workers keep at most four blocks in flight and the caller takes
@@ -507,7 +525,7 @@ class TestGroups:
         def peak(blocks: int) -> int:
             tracemalloc.start()
             try:
-                run = simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])])
+                run = simulate_group(MCConfig(trials=8 * blocks, master_seed=1, workers=2), [(geom, Mode.FIXED, 4)])
                 assert sum(starmap(lambda start, gains: len(gains), run)) == blocks
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -539,7 +557,7 @@ class TestGroups:
             return tile_normals(rng, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "tile_normals", drawing)
-        blocks = simulate_group(MCConfig(trials=8 * 100, master_seed=1, workers=2), [(geom, [(Mode.FIXED, 4)])])
+        blocks = simulate_group(MCConfig(trials=8 * 100, master_seed=1, workers=2), [(geom, Mode.FIXED, 4)])
         if end == "close":
             assert next(blocks)[0] == 0
             blocks.close()
@@ -556,6 +574,12 @@ class TestGroups:
     def test_m_o_exceeding_ports_rejected_in_group(self, ref_geom):
         with pytest.raises(DomainError):
             whole_gains(MCConfig(trials=10, master_seed=1), ref_geom, [(Mode.FIXED, 36), (Mode.FIXED, 145)])
+
+    def test_bool_m_o_rejected(self):
+        # bool is an int, so True would otherwise select a one-port preset.
+        geom = SurfaceGeometry(4, 4, 2.0, 2.0)
+        with pytest.raises(DomainError, match=r"m_o must be an integer in \[1, 16\] \(the surface's ports\), got True"):
+            run_gains(MCConfig(trials=8, master_seed=1), [(geom, Mode.FIXED, True)])
 
 
 @pytest.fixture
@@ -599,7 +623,8 @@ class TestDrawAhead:
         # holds no trial of the run is not correlated.  Without a helper a
         # panel is the whole tile.  The 1x97 RIS grid (rank 12) reads a
         # prefix of the rank-33 draw.
-        groups = [(ref_geom, [(mode, 36) for mode in Mode]), (ris_grid_geometry(ref_geom, 97), [(Mode.RIS, 97)])]
+        selections = [(ref_geom, mode, 36) for mode in Mode] + [(ris_grid_geometry(ref_geom, 97), Mode.RIS, 97)]
+        surfaces = len({geom for geom, *_ in selections})
         mc = MCConfig(trials=trials, master_seed=3, workers=workers)
         tiles = -(-trials // TILE_TRIALS)
         serial = workers == 1 or trials <= BLOCK_TRIALS
@@ -608,16 +633,16 @@ class TestDrawAhead:
             draw_ahead(on)
             with monkeypatch.context() as patch:
                 drawn, correlated, kernels = self._watch(patch, 3, tiles)
-                runs[on] = run_gains(mc, groups)
+                runs[on] = run_gains(mc, selections)
             helper = on and serial
             assert sorted(k for k, _ in drawn) == list(range(tiles))
-            assert len(correlated) == (-(-trials // (TILE_TRIALS // 2)) if helper else tiles) * len(groups)
+            assert len(correlated) == (-(-trials // (TILE_TRIALS // 2)) if helper else tiles) * surfaces
             for thread in [thread for _, thread in drawn] + correlated:
                 assert (thread in kernels) is not helper, on
-        for run, inline in zip(runs[True], runs[False]):
-            for gains, own in zip(run, inline):
-                assert np.array_equal(gains.g_b, own.g_b)
-                assert np.array_equal(gains.g_w, own.g_w)
+        assert len(runs[True]) == len(runs[False]) == len(selections)
+        for gains, own in zip(runs[True], runs[False]):
+            assert np.array_equal(gains.g_b, own.g_b)
+            assert np.array_equal(gains.g_w, own.g_w)
 
     @pytest.mark.parametrize("blas, cpus, workers, trials, ahead", [
         pytest.param(1, 2, 1, 2 * BLOCK_TRIALS, True, id="serial-spare-cpu"),
@@ -632,7 +657,7 @@ class TestDrawAhead:
         monkeypatch.setattr(montecarlo, "_blas_threads", lambda: blas)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
         drawn, correlated, kernels = self._watch(monkeypatch, 1, trials // TILE_TRIALS)
-        run_gains(MCConfig(trials=trials, master_seed=1, workers=workers), [(ref_geom, [(Mode.FIXED, 36)])])
+        run_gains(MCConfig(trials=trials, master_seed=1, workers=workers), [(ref_geom, Mode.FIXED, 36)])
         assert any(thread not in kernels for _, thread in drawn) is ahead
         assert any(thread not in kernels for thread in correlated) is ahead
 
@@ -658,7 +683,7 @@ class TestDrawAhead:
         monkeypatch.setattr(montecarlo, "tile_normals", drawing)
         mc = MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1, workers=workers)
         with pytest.raises(RuntimeError) as raised:
-            list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
+            list(simulate_group(mc, [(ref_geom, Mode.FIXED, 36)]))
         assert raised.value is error
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -678,7 +703,7 @@ class TestDrawAhead:
         monkeypatch.setattr(montecarlo, "correlated_tile", correlating)
         mc = MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1, workers=workers)
         with pytest.raises(RuntimeError) as raised:
-            list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
+            list(simulate_group(mc, [(ref_geom, Mode.FIXED, 36)]))
         assert raised.value is error
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -712,7 +737,7 @@ class TestDrawAhead:
         monkeypatch.setattr(montecarlo, "_panel_gains", kernel)
         mc = MCConfig(trials=BLOCK_TRIALS, master_seed=1, workers=workers)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            list(simulate_group(mc, [(ref_geom, [(Mode.FIXED, 36)])]))
+            list(simulate_group(mc, [(ref_geom, Mode.FIXED, 36)]))
         assert sorted(ended) == sorted(began) == [0, 1]
 
     def test_no_slot_is_rewritten_before_its_gains_are_out(self, ref_geom, monkeypatch, draw_ahead):
@@ -720,10 +745,11 @@ class TestDrawAhead:
         # threads switched every microsecond: the helper, which correlates
         # far faster, must still wait for each slot it reuses, so the gains
         # are those of a run without it.
-        groups = [(ref_geom, [(Mode.FIXED, 36), (Mode.FRIS, 16)]), (ris_grid_geometry(ref_geom, 97), [(Mode.RIS, 97)])]
+        selections = [(ref_geom, Mode.FIXED, 36), (ref_geom, Mode.FRIS, 16),
+                      (ris_grid_geometry(ref_geom, 97), Mode.RIS, 97)]
         mc = MCConfig(trials=3_000, master_seed=5)
         draw_ahead(False)
-        inline = run_gains(mc, groups)
+        inline = run_gains(mc, selections)
         draw_ahead(True)
         panel_gains = montecarlo._panel_gains
 
@@ -735,13 +761,13 @@ class TestDrawAhead:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            shared = run_gains(mc, groups)
+            shared = run_gains(mc, selections)
         finally:
             sys.setswitchinterval(interval)
-        for run, own in zip(shared, inline):
-            for gains, alone in zip(run, own):
-                assert np.array_equal(gains.g_b, alone.g_b)
-                assert np.array_equal(gains.g_w, alone.g_w)
+        assert len(shared) == len(inline) == len(selections)
+        for gains, alone in zip(shared, inline):
+            assert np.array_equal(gains.g_b, alone.g_b)
+            assert np.array_equal(gains.g_w, alone.g_w)
 
     @pytest.mark.parametrize("end", ["close", "interrupt"])
     def test_an_ended_run_leaves_no_helper(self, ref_geom, monkeypatch, draw_ahead, end):
@@ -764,7 +790,7 @@ class TestDrawAhead:
             return panel_gains(*args)
 
         monkeypatch.setattr(montecarlo, "_panel_gains", interrupted)
-        blocks = simulate_group(MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1), [(ref_geom, [(Mode.FIXED, 36)])])
+        blocks = simulate_group(MCConfig(trials=3 * BLOCK_TRIALS, master_seed=1), [(ref_geom, Mode.FIXED, 36)])
         if end == "close":
             assert next(blocks)[0] == 0
             blocks.close()

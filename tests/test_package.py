@@ -6,14 +6,14 @@ from pathlib import Path
 import friscov
 
 # A block of the three compared surfaces, from the correlation factor on:
-# what a sweep runs.  Prints the number of groups yielded and the loaded
+# what a sweep runs.  Prints the number of selections yielded and the loaded
 # modules of the test-only packages.
 _ONE_BLOCK = """
 import sys
 from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group, surface_factor
 geom = SurfaceGeometry(12, 12, 2.0, 2.0)
 surface_factor(geom)
-run = simulate_group(MCConfig(trials=64, master_seed=1), [(geom, [(mode, 36) for mode in Mode])])
+run = simulate_group(MCConfig(trials=64, master_seed=1), [(geom, mode, 36) for mode in Mode])
 print(sum(len(gains) for start, gains in run))
 print(sorted(name for name in sys.modules if name.partition(".")[0] in {"scipy", "mpmath", "hypothesis"}))
 """
@@ -31,4 +31,4 @@ def test_numpy_is_the_only_runtime_dependency():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _ONE_BLOCK], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["1", "[]"]
+    assert run.stdout.split() == ["3", "[]"]

@@ -56,6 +56,12 @@ class TestGeometry:
         with pytest.raises(DomainError):
             SurfaceGeometry(**kwargs)
 
+    @pytest.mark.parametrize("m_x, m_z", [(True, 12), (12, False)])
+    def test_bool_dimensions_rejected(self, m_x, m_z):
+        # bool is an int, so True would otherwise pass as one port and False as none.
+        with pytest.raises(DomainError, match="^m_x and m_z must be integers$"):
+            SurfaceGeometry(m_x=m_x, m_z=m_z, w_x=2.0, w_z=2.0)
+
 
 class TestCorrelationMatrix:
     def test_unit_diagonal_exact(self, ref_corr):
