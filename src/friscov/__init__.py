@@ -5,58 +5,41 @@ transmitter communicating through a planar surface of selectable
 reflecting ports while a warden runs a power-threshold detector, plus a
 deterministic Monte Carlo channel simulator (correlated fading, fluid
 port selection, fixed-grid baseline) to validate them.
+
+Each export loads on first use, with the module that defines it, so
+importing the package, or its numpy-free modules (:mod:`friscov.config`,
+:mod:`friscov.errors`, :mod:`friscov.cli`), loads no numpy.
 """
 
-from .analytics import (
-    GammaFit,
-    ScenarioConfig,
-    compound_probability,
-    cop,
-    dbm_to_watt,
-    error_probability_xi,
-    fa_probability,
-    gamma_moment_match,
-    md_probability,
-    optimal_threshold,
-    outage_probability,
-    path_loss,
-    success_probability,
-)
-from .channel import Mode
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    DomainError,
-    FriscovError,
-)
-from .montecarlo import (
-    EstimateWithCI,
-    MCConfig,
-    estimate_cop,
-    estimate_op,
-    estimate_success,
-    ks_distance,
-    simulate_group,
-)
-from .specfun import bessel_j0
-from .surface import (
-    SurfaceGeometry,
-    correlation_matrix,
-    default_fixed_preset,
-    surface_factor,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GammaFit", "ScenarioConfig", "compound_probability", "cop", "dbm_to_watt",
-    "error_probability_xi", "fa_probability", "gamma_moment_match", "md_probability",
-    "optimal_threshold", "outage_probability", "path_loss", "success_probability",
-    "Mode",
-    "ConfigError", "DegenerateFitError", "DomainError",
-    "FriscovError",
-    "EstimateWithCI", "MCConfig", "estimate_cop", "estimate_op",
-    "estimate_success", "ks_distance", "simulate_group",
-    "bessel_j0",
-    "SurfaceGeometry", "correlation_matrix", "default_fixed_preset", "surface_factor",
-]
+# Each export and the module that defines it.
+_EXPORTS = {
+    "GammaFit": "analytics", "ScenarioConfig": "config", "compound_probability": "analytics", "cop": "analytics",
+    "dbm_to_watt": "config", "error_probability_xi": "analytics", "fa_probability": "analytics",
+    "gamma_moment_match": "analytics", "md_probability": "analytics", "optimal_threshold": "analytics",
+    "outage_probability": "analytics", "path_loss": "config", "success_probability": "analytics",
+    "Mode": "config",
+    "ConfigError": "errors", "DegenerateFitError": "errors", "DomainError": "errors", "FriscovError": "errors",
+    "EstimateWithCI": "montecarlo", "MCConfig": "config", "estimate_cop": "montecarlo", "estimate_op": "montecarlo",
+    "estimate_success": "montecarlo", "ks_distance": "montecarlo", "simulate_group": "montecarlo",
+    "bessel_j0": "specfun",
+    "SurfaceGeometry": "config", "correlation_matrix": "surface", "default_fixed_preset": "surface",
+    "surface_factor": "surface",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

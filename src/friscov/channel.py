@@ -56,22 +56,13 @@ by the stable ``argsort`` that enforces the lower-index rule.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 
 import numpy as np
 
+from .config import Mode, SurfaceGeometry
 from .errors import DomainError
-from .surface import SurfaceGeometry
-
-
-class Mode(enum.Enum):
-    """A compared surface; the value is its CSV column prefix."""
-
-    FRIS = "fris"
-    FIXED = "fixed"
-    RIS = "ris"
 
 
 def tile_normals(rng: np.random.Generator, rank: int, width: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -95,9 +95,10 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import GammaFit, ScenarioConfig, compound_probability, fa_probability, missed_level, outage_level
-from .channel import Mode, best_product_order, cascade, correlated_tile, tile_normals
+from .channel import best_product_order, cascade, correlated_tile, tile_normals
+from .config import MAX_WORKERS, MCConfig, Mode, SurfaceGeometry  # noqa: F401  (also importable from here)
 from .errors import DomainError, is_integer
-from .surface import SurfaceGeometry, default_fixed_preset, surface_factor
+from .surface import default_fixed_preset, surface_factor
 
 # Trials per substream tile, which also bounds the kernel's working set.
 # Part of the reproducibility contract: changing it changes every gain.
@@ -111,18 +112,6 @@ TILE_TRIALS = 512
 # slot where its own thread does), a panel's temporaries and its outputs,
 # 16 B per trial and selection of the run.
 BLOCK_TRIALS = 4096
-
-# Each worker thread holds one tile's working set while it runs (6.4 MB on
-# the reference surface at m_o = 36: the tile's normals, its fading vectors
-# and their ranking and cascade) and its block's gains, 16 B per trial and
-# selection, which a finished block holds until the caller takes it; at most
-# 2 x workers blocks are in flight, and a pool starts up to this many threads.
-# A pool's blocks draw and correlate their tiles inline; only a serial run,
-# beside a CPU that no BLAS thread runs on, has one helper thread per block
-# that draws and correlates them, into the same tile of fading vectors split
-# in two half-tile slots.
-# The worker count changes no gain: each tile has its own substream.
-MAX_WORKERS = 64
 
 # Levels compared at once by count_events: 64 boolean rows of 4096 trials.
 _LEVEL_ROWS = 64
@@ -145,29 +134,6 @@ def mix64(master_seed: int, index: int) -> int:
     x = (x * 0x94D049BB133111EB) & mask
     x ^= x >> 31
     return x
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """One Monte Carlo run: its trial count, master seed and worker count (at most ``MAX_WORKERS``).
-
-    What the run simulates is passed beside it, as the ``(surface, mode,
-    m_o)`` selections of :func:`simulate_group`.
-    """
-
-    trials: int
-    master_seed: int
-    workers: int = 1
-
-    def __post_init__(self):
-        if not (is_integer(self.trials) and self.trials >= 1):
-            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (is_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
-            raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed!r}")
-        if not (is_integer(self.workers) and self.workers >= 1):
-            raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
-        if self.workers > MAX_WORKERS:
-            raise DomainError(f"a run uses at most {MAX_WORKERS} workers, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +209,13 @@ def _surfaces(selections: Sequence[tuple[SurfaceGeometry, Mode, int]]) -> list[t
     it.  Surfaces and rows keep the order of their first selection.
     """
     readers: dict[SurfaceGeometry, dict[int | None, list[tuple[int, Mode, int]]]] = {}
-    for j, (geom, mode, m_o) in enumerate(selections):
+    for j, selection in enumerate(selections):
+        try:
+            geom, mode, m_o = selection
+        except (TypeError, ValueError):
+            geom = None
+        if not isinstance(geom, SurfaceGeometry):
+            raise DomainError(f"selection {j} is {selection!r}; expected a (surface, mode, m_o) triple")
         if not isinstance(mode, Mode):
             raise DomainError(f"unknown mode {mode!r}")
         if not (is_integer(m_o) and 1 <= m_o <= geom.num_elements):
@@ -265,6 +237,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _openblas(name: str):
+    """Function ``name`` (say ``get_num_threads``) of numpy's bundled OpenBLAS, or None where it has none."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
 @functools.cache
 def _blas_threads() -> int:
     """The threads numpy's bundled OpenBLAS runs a product on.
@@ -272,14 +254,24 @@ def _blas_threads() -> int:
     Where it cannot say (another BLAS, or OpenBLAS outside numpy's wheel),
     one per CPU, OpenBLAS's default.
     """
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        lib = ctypes.CDLL(str(path))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                query = getattr(lib, symbol)
-                query.argtypes, query.restype = [], ctypes.c_int
-                return query()
-    return os.cpu_count() or 1
+    query = _openblas("get_num_threads")
+    if query is None:
+        return os.cpu_count() or 1
+    query.argtypes, query.restype = [], ctypes.c_int
+    return query()
+
+
+def one_blas_thread() -> None:
+    """Ask numpy's bundled OpenBLAS to run each product on one thread; no change on any other BLAS.
+
+    A serial run then has a CPU to spare for its helper thread (see
+    :func:`simulate_group`).  The gains do not depend on the thread count.
+    """
+    setter = _openblas("set_num_threads")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        _blas_threads.cache_clear()
 
 
 def simulate_group(mc: MCConfig, selections: Iterable[tuple[SurfaceGeometry, Mode, int]]) -> Iterator[tuple[int, list]]:
@@ -293,9 +285,12 @@ def simulate_group(mc: MCConfig, selections: Iterable[tuple[SurfaceGeometry, Mod
     repeated entry gets equal, separate arrays.  ``m_o`` is the number of
     active ports per draw: the best ``m_o`` of each draw for
     ``Mode.FRIS``, the surface's default preset of ``m_o`` ports
-    (:func:`~friscov.surface.default_fixed_preset`) otherwise; each
-    ``mode`` must be a :class:`~friscov.channel.Mode` and each ``m_o`` an
-    ``int``, not a ``bool``, in ``[1, surface.num_elements]``.
+    (:func:`~friscov.surface.default_fixed_preset`) otherwise.  Each
+    entry must be such a triple, its surface a
+    :class:`~friscov.config.SurfaceGeometry`, its ``mode`` a
+    :class:`~friscov.config.Mode` and its ``m_o`` an ``int``, not a
+    ``bool``, in ``[1, surface.num_elements]``: a
+    :class:`~friscov.errors.DomainError` names the first entry that is not.
 
     A block runs tile by tile, and each tile panel by panel.  Each tile is
     drawn once for the whole run, in the largest rank of the run's

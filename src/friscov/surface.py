@@ -19,60 +19,12 @@ correlation over a preset of :func:`default_fixed_preset`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_APERTURE_WAVELENGTHS, SurfaceGeometry  # noqa: F401  (also importable from here)
 from .errors import DomainError, is_integer
 from .specfun import bessel_j0
-
-# The widest aperture, in wavelengths along each axis: the correlation then
-# evaluates J0 below 2 pi sqrt(2) * 1e4 (about 8.9e4), inside its range.
-MAX_APERTURE_WAVELENGTHS = 1e4
-
-
-@dataclass(frozen=True)
-class SurfaceGeometry:
-    """Uniform planar port grid over an aperture measured in wavelengths.
-
-    Attributes:
-        m_x: ports per row (> 0).
-        m_z: ports per column (> 0).
-        w_x: aperture width in wavelengths (> 0, at most ``MAX_APERTURE_WAVELENGTHS``).
-        w_z: aperture height in wavelengths (> 0, at most ``MAX_APERTURE_WAVELENGTHS``).
-    """
-
-    m_x: int
-    m_z: int
-    w_x: float
-    w_z: float
-
-    def __post_init__(self):
-        if not (is_integer(self.m_x) and is_integer(self.m_z)):
-            raise DomainError("m_x and m_z must be integers")
-        if self.m_x < 1 or self.m_z < 1:
-            raise DomainError(f"grid dimensions must be >= 1, got {self.m_x}x{self.m_z}")
-        for name in ("w_x", "w_z"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-            if value > MAX_APERTURE_WAVELENGTHS:
-                raise DomainError(f"{name} must be at most {MAX_APERTURE_WAVELENGTHS:g} wavelengths, got {value!r}")
-
-    @property
-    def num_elements(self) -> int:
-        return self.m_x * self.m_z
-
-    @property
-    def d_x(self) -> float:
-        """Inter-port spacing along a row, wavelengths."""
-        return self.w_x / self.m_x
-
-    @property
-    def d_z(self) -> float:
-        """Inter-port spacing along a column, wavelengths."""
-        return self.w_z / self.m_z
-
 
 def _offset_table(geom: SurfaceGeometry) -> np.ndarray:
     """``(m_z, m_x)`` table of J0 at the grid's (row, column) offsets (``np.hypot`` rounds some distances otherwise)."""
@@ -147,7 +99,7 @@ def default_fixed_preset(geom: SurfaceGeometry, m_o: int) -> np.ndarray:
     one port, so rounding keeps them distinct.
     """
     total = geom.num_elements
-    if not 1 <= m_o <= total:
+    if not (is_integer(m_o) and 1 <= m_o <= total):
         raise DomainError(f"m_o={m_o} out of range [1, {total}]")
     side = math.isqrt(m_o)
     if side * side == m_o and geom.m_x % side == 0 and geom.m_z % side == 0:

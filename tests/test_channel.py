@@ -25,8 +25,8 @@ from friscov.channel import (
     ris_grid_geometry,
     tile_normals,
 )
-from friscov.cli import _mode_config
 from friscov.montecarlo import TILE_TRIALS, mix64
+from friscov.runs import _mode_config
 from gains import whole_gains
 
 # Six ports, small enough to check a config's rows by hand.

@@ -30,7 +30,7 @@ from friscov import (
     outage_probability,
     simulate_group,
 )
-from friscov import cli, montecarlo
+from friscov import cli, montecarlo, runs
 from friscov.channel import ris_grid_geometry
 from friscov.cli import (
     CSV_COLUMNS,
@@ -39,15 +39,13 @@ from friscov.cli import (
     MAX_TRIALS,
     MAX_WORKERS,
     SweepSpec,
-    _mode_config,
-    _run_validate,
     emit_csv,
     emit_plot,
     load_config,
     main,
-    run_sweep,
 )
 from friscov.montecarlo import count_events, event_levels
+from friscov.runs import _mode_config, run_sweep, run_validate
 from gains import whole_gains
 
 
@@ -288,7 +286,7 @@ class TestRunSweep:
         # 0.375 s later as each block arrives, so every third block and the
         # last report.
         readings = iter(np.arange(12) * 0.375)
-        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: float(next(readings))))
+        monkeypatch.setattr(runs, "time", SimpleNamespace(monotonic=lambda: float(next(readings))))
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 100)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 100)
         scenario, geom, mc, _ = load_config(None)
@@ -319,7 +317,7 @@ class TestRunSweep:
         monkeypatch.setattr(np.random, "default_rng", Counting)
         scenario, geom, mc, _ = load_config(None)
         spec = SweepSpec(variable="m_o", start=4.0, stop=10.0, points=3)
-        points = cli._sweep_points(scenario, geom, spec, tuple(Mode))
+        points = runs._sweep_points(scenario, geom, spec, tuple(Mode))
         assert len({surface for *_, configs in points for surface, *_ in configs.values()}) == 3
         run_sweep(scenario, geom, dataclasses.replace(mc, trials=5_000), spec)
         assert draws == [(33, 3, 2 * 512)] * 10
@@ -356,7 +354,7 @@ class TestRunSweep:
         scenario, _, mc, spec = load_config(None)
         scenario, spec = dataclasses.replace(scenario, m_o=16), dataclasses.replace(spec, points=2)
         geom = SurfaceGeometry(4, 4, 2.0, 2.0)
-        points = cli._sweep_points(scenario, geom, spec, (Mode.FIXED,))
+        points = runs._sweep_points(scenario, geom, spec, (Mode.FIXED,))
         folded = []
 
         def fold(start, gains):
@@ -366,7 +364,7 @@ class TestRunSweep:
 
         run = dataclasses.replace(mc, trials=8 * 100, workers=2)
         with pytest.raises(RuntimeError, match="fold failed") as failed:
-            cli._simulate(run, points, tap=([(geom, Mode.FRIS, 16)], fold))
+            runs._simulate(run, points, tap=([(geom, Mode.FRIS, 16)], fold))
         # The tap's selections come first in the run, the sweep's join them.
         assert folded == [(8 * k, [(geom, Mode.FRIS, 16), (geom, Mode.FIXED, 16)], True) for k in range(3)]
         assert failed.traceback[-1].name == "fold"
@@ -381,15 +379,15 @@ class TestRunSweep:
         grid = ris_grid_geometry(geom, 7)
         tapped = (grid, Mode.RIS, 7)
         assert _mode_config(Mode.RIS, geom, dataclasses.replace(scenario, m_o=7)) == tapped
-        points = cli._sweep_points(scenario, geom, spec, tuple(Mode))
+        points = runs._sweep_points(scenario, geom, spec, tuple(Mode))
         assert all(tapped not in configs.values() for *_, configs in points)
         blocks = []
-        counts = cli._simulate(mc, points, tap=([tapped], lambda start, gains: blocks.append((start, gains[tapped]))))
+        counts = runs._simulate(mc, points, tap=([tapped], lambda start, gains: blocks.append((start, gains[tapped]))))
         assert [start for start, _ in blocks] == [0, montecarlo.BLOCK_TRIALS, 2 * montecarlo.BLOCK_TRIALS]
         [own] = whole_gains(mc, grid, [(Mode.RIS, 7)])
         assert np.array_equal(np.concatenate([g_b for _, (g_b, _) in blocks]), own.g_b)
         assert np.array_equal(np.concatenate([g_w for _, (_, g_w) in blocks]), own.g_w)
-        assert counts == cli._simulate(mc, points)
+        assert counts == runs._simulate(mc, points)
 
     def test_unknown_mode_rejected(self, small_run):
         scenario, geom, mc, spec, _ = small_run
@@ -436,7 +434,7 @@ class TestEmitCsv:
 
 class TestEmitPlot:
     def test_empty_result_rejected_without_file(self, tmp_path):
-        from friscov.cli import SweepResult
+        from friscov.runs import SweepResult
 
         path = tmp_path / "plot.svg"
         with pytest.raises(DomainError):
@@ -586,6 +584,24 @@ class TestMain:
         assert err.startswith("config error: --out") and err.count("\n") == 1
         assert blocker.read_text() == "not a directory"
 
+    def test_a_run_asks_for_one_blas_thread(self):
+        # A fresh interpreter whose OpenBLAS starts on two threads: a library
+        # caller keeps them, and a run of the CLI takes one before it simulates.
+        if montecarlo._openblas("set_num_threads") is None:
+            pytest.skip("numpy's wheel bundles no OpenBLAS here")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("from friscov import montecarlo\n"
+                  "from friscov.cli import main\n"
+                  "before = montecarlo._blas_threads()\n"
+                  "code = main(['validate', '--trials', '300'])\n"
+                  "print(before, montecarlo._blas_threads(), code)\n")
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        before, after, code = run.stdout.splitlines()[-1].split()
+        assert int(before) == min(2, montecarlo._cpus()) and after == "1" and code in ("0", "1")
+
     def test_closed_stdout_exits_quietly_with_sigpipe_status(self):
         # As when the reader of ``friscov validate | head -1`` has exited;
         # here it is gone before the first line.
@@ -673,7 +689,7 @@ class TestMain:
                              ids=["one-fail", "all-pass"])
     def test_validate_exit_status_follows_the_verdicts(self, monkeypatch, capsys, verdicts, code):
         records = [(f"gate {k}", 0.01 * k, 0.02, passed) for k, passed in enumerate(verdicts)]
-        monkeypatch.setattr(cli, "_run_validate", lambda *run: records)
+        monkeypatch.setattr(runs, "run_validate", lambda *run: records)
         assert main(["validate", "--trials", "1000"]) == code
         out = capsys.readouterr().out
         assert out.count("-> FAIL") == verdicts.count(False) and out.count("-> PASS") == verdicts.count(True)
@@ -683,14 +699,14 @@ class TestMain:
         # in different orders, so their gains differ only by rounding.
         scenario, geom, mc, spec = load_config(None)
         ports = geom.num_elements
-        gates = _run_validate(dataclasses.replace(scenario, m_o=ports), geom, dataclasses.replace(mc, trials=300), spec)
+        gates = run_validate(dataclasses.replace(scenario, m_o=ports), geom, dataclasses.replace(mc, trials=300), spec)
         [(label, measured, tolerance, passed)] = [gate for gate in gates if "dominance" in gate[0]]
         assert (measured, tolerance, passed) == (1.0, 1.0, True)
         best, lattice = whole_gains(dataclasses.replace(mc, trials=300), geom, [(Mode.FRIS, ports), (Mode.RIS, ports)])
         assert not np.array_equal(best.g_b, lattice.g_b)
-        assert cli._dominating_draws(best.g_b, lattice.g_b, ports) == 300
+        assert runs._dominating_draws(best.g_b, lattice.g_b, ports) == 300
         # A lattice gain 1e-9 above the best one, relatively, is no rounding.
-        assert cli._dominating_draws(best.g_b, lattice.g_b * (1.0 + 1e-9), ports) == 0
+        assert runs._dominating_draws(best.g_b, lattice.g_b * (1.0 + 1e-9), ports) == 0
 
     # The m_o sweep runs at -50 dBm, where the closed form and the preset's
     # gains both move with m_o.
@@ -702,7 +718,7 @@ class TestMain:
     def test_gap_gates_read_the_sweep_rows(self, tmp_path, config):
         scenario, geom, mc, spec = load_config(write_config(tmp_path, config + "mc.trials = 2000\n"))
         rows = run_sweep(scenario, geom, mc, spec, modes=(Mode.FIXED,)).rows
-        measured = {label: value for label, value, *_ in _run_validate(scenario, geom, mc, spec)}
+        measured = {label: value for label, value, *_ in run_validate(scenario, geom, mc, spec)}
         for metric, event in (("op", "outage"), ("cop", "covertness outage"), ("psuc", "success")):
             gap = max(abs(row[f"analytic_{metric}"] - row[f"fixed_{metric}"]) for row in rows)
             assert measured[f"max |analytic - empirical| {event} over sweep"] == gap
@@ -715,7 +731,7 @@ class TestMain:
         # some 300 B each.
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 8)
         monkeypatch.setattr(montecarlo, "TILE_TRIALS", 8)
-        monkeypatch.setattr(cli, "KS_TRIALS", 8)
+        monkeypatch.setattr(runs, "KS_TRIALS", 8)
         scenario, _, mc, spec = load_config(None)
         scenario, spec = dataclasses.replace(scenario, m_o=16), dataclasses.replace(spec, points=2)
         geom = SurfaceGeometry(4, 4, 2.0, 2.0)
@@ -723,7 +739,7 @@ class TestMain:
         def peak(blocks: int) -> int:
             tracemalloc.start()
             try:
-                gates = _run_validate(scenario, geom, dataclasses.replace(mc, trials=8 * blocks), spec)
+                gates = run_validate(scenario, geom, dataclasses.replace(mc, trials=8 * blocks), spec)
                 assert len(gates) == 6
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -740,7 +756,7 @@ class TestMain:
             calls.append((mc, list(selections)))
             return simulate_group(mc, selections)
 
-        monkeypatch.setattr(cli, "simulate_group", counting)
+        monkeypatch.setattr(runs, "simulate_group", counting)
         main(["validate", "--trials", "1000"])
         _, geom, mc, _ = load_config(None)
         [(run, selections)] = calls

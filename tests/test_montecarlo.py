@@ -40,7 +40,7 @@ from friscov import (
     success_probability,
     surface_factor,
 )
-from friscov import cli, montecarlo
+from friscov import montecarlo, runs
 from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, cascade, correlated_tile, ris_grid_geometry, tile_normals
 from friscov.montecarlo import (BLOCK_TRIALS, MAX_WORKERS, TILE_TRIALS, count_events, event_levels, mix64,
@@ -581,6 +581,15 @@ class TestGroups:
         with pytest.raises(DomainError, match=r"m_o must be an integer in \[1, 16\] \(the surface's ports\), got True"):
             run_gains(MCConfig(trials=8, master_seed=1), [(geom, Mode.FIXED, True)])
 
+    @pytest.mark.parametrize("entry", [(SurfaceGeometry(4, 4, 2.0, 2.0), [(Mode.FIXED, 16)]), Mode.FIXED,
+                                       (Mode.FIXED, SurfaceGeometry(4, 4, 2.0, 2.0), 16)],
+                             ids=["nested", "bare-mode", "out-of-order"])
+    def test_an_entry_that_is_no_selection_is_named(self, entry):
+        # As the nested per-surface form of earlier versions: each entry is one flat triple.
+        geom = SurfaceGeometry(4, 4, 2.0, 2.0)
+        with pytest.raises(DomainError, match=r"^selection 1 is .+; expected a \(surface, mode, m_o\) triple"):
+            next(simulate_group(MCConfig(trials=8, master_seed=1), [(geom, Mode.FRIS, 4), entry]))
+
 
 @pytest.fixture
 def draw_ahead(monkeypatch):
@@ -862,7 +871,7 @@ class TestKsDistance:
 def validate_samples(geom, trials: int, seed: int) -> list[tuple[np.ndarray, GammaFit]]:
     """``validate``'s KS samples and fits on ``geom``: the gains of its FIXED presets of 16 and 36 ports."""
     gains = whole_gains(MCConfig(trials=trials, master_seed=seed), geom, [(Mode.FIXED, 16), (Mode.FIXED, 36)])
-    return [(g.g_b, cli._gamma_fit(geom, m_o)) for g, m_o in zip(gains, (16, 36))]
+    return [(g.g_b, runs._gamma_fit(geom, m_o)) for g, m_o in zip(gains, (16, 36))]
 
 
 @contextlib.contextmanager

@@ -269,3 +269,9 @@ class TestDefaultFixedPreset:
     def test_out_of_range(self, ref_geom):
         with pytest.raises(DomainError):
             default_fixed_preset(ref_geom, 145)
+
+    @pytest.mark.parametrize("m_o", [True, False])
+    def test_bool_rejected(self, ref_geom, m_o):
+        # bool is an int, so True would otherwise give the one-port preset [0].
+        with pytest.raises(DomainError, match=rf"^m_o={m_o} out of range \[1, 144\]$"):
+            default_fixed_preset(ref_geom, m_o)
