@@ -81,6 +81,7 @@ probabilities live).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import itertools
@@ -261,16 +262,27 @@ def _blas_threads() -> int:
     return query()
 
 
-def one_blas_thread() -> None:
-    """Ask numpy's bundled OpenBLAS to run each product on one thread; no change on any other BLAS.
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Within the block, numpy's bundled OpenBLAS runs each product on one thread.
 
     A serial run then has a CPU to spare for its helper thread (see
-    :func:`simulate_group`).  The gains do not depend on the thread count.
+    :func:`simulate_group`).  The count OpenBLAS had is restored on exit;
+    no change on any other BLAS.  The gains do not depend on the count.
     """
     setter = _openblas("set_num_threads")
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
+    if setter is None:
+        yield
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    _blas_threads.cache_clear()  # another caller may have set the count since it was read
+    before = _blas_threads()
+    setter(1)
+    _blas_threads.cache_clear()
+    try:
+        yield
+    finally:
+        setter(before)
         _blas_threads.cache_clear()
 
 

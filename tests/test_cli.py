@@ -584,23 +584,35 @@ class TestMain:
         assert err.startswith("config error: --out") and err.count("\n") == 1
         assert blocker.read_text() == "not a directory"
 
-    def test_a_run_asks_for_one_blas_thread(self):
-        # A fresh interpreter whose OpenBLAS starts on two threads: a library
-        # caller keeps them, and a run of the CLI takes one before it simulates.
+    @pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_run_asks_for_one_blas_thread(self, variable):
+        # A fresh interpreter whose OpenBLAS runs on two threads: a run of the
+        # CLI takes one while it simulates and gives the two back when it ends,
+        # unless a variable OpenBLAS reads set the count.
         if montecarlo._openblas("set_num_threads") is None:
             pytest.skip("numpy's wheel bundles no OpenBLAS here")
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = ("from friscov import montecarlo\n"
+        env = {key: value for key, value in os.environ.items() if key not in cli._BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if variable:
+            env[variable] = "2"
+        script = ("from friscov import montecarlo, runs\n"
                   "from friscov.cli import main\n"
-                  "before = montecarlo._blas_threads()\n"
+                  "montecarlo._openblas('set_num_threads')(2)\n"
+                  "montecarlo._blas_threads.cache_clear()\n"
+                  "before, during = montecarlo._blas_threads(), []\n"
+                  "simulate = runs.simulate_group\n"
+                  "def spy(*args):\n"
+                  "    during.append(montecarlo._blas_threads())\n"
+                  "    return simulate(*args)\n"
+                  "runs.simulate_group = spy\n"
                   "code = main(['validate', '--trials', '300'])\n"
-                  "print(before, montecarlo._blas_threads(), code)\n")
+                  "print(before, *sorted(set(during)), montecarlo._blas_threads(), code)\n")
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        before, after, code = run.stdout.splitlines()[-1].split()
-        assert int(before) == min(2, montecarlo._cpus()) and after == "1" and code in ("0", "1")
+        before, during, after, code = run.stdout.splitlines()[-1].split()
+        assert before == "2" and after == "2" and code in ("0", "1")
+        assert during == ("2" if variable else "1")
 
     def test_closed_stdout_exits_quietly_with_sigpipe_status(self):
         # As when the reader of ``friscov validate | head -1`` has exited;
