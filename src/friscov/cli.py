@@ -16,13 +16,7 @@ and :mod:`friscov.config` alone.  It parses the arguments, reads and
 checks the whole configuration, prints ``show-config`` and maps errors to
 exit codes without loading numpy.  Only ``sweep`` and ``validate``, once
 every check has passed, import the numeric driver, :mod:`friscov.runs`,
-and with it numpy.  While the driver runs, :func:`main` asks numpy's
-bundled OpenBLAS for one thread (:func:`friscov.montecarlo.one_blas_thread`),
-so a serial run has a CPU to spare for its helper thread, and restores the
-previous count when the run ends; no gain depends on the thread count.  A
-count set in the environment (``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
-or ``OMP_NUM_THREADS``, the variables OpenBLAS reads) is left as it is.
-Library callers of :mod:`friscov.montecarlo` keep OpenBLAS's own count.
+and with it numpy.
 
 Exit codes: 0 success, 1 a ``validate`` gate failed, 2 configuration
 error (an unusable ``--out`` included), 3 runtime/numerical error, 141
@@ -32,7 +26,6 @@ error (an unusable ``--out`` included), 3 runtime/numerical error, 141
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
@@ -52,8 +45,6 @@ _SWEEP_VARIABLES = ("p_a_dbm", "mu_factor", "m_o")
 # Scenario fields read straight from their keys; the others are derived.
 _SCENARIO_KEYS = ("d_af", "d_fb", "d_fw", "alpha", "rho0", "r_b", "p0")
 _MODES = tuple(mode.value for mode in Mode)
-# The environment variables OpenBLAS takes its thread count from.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # key -> (parser, default); the default 0 for ris.m_hat means "match the
 # active-port count".
@@ -404,19 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _driver():
-    """The numeric driver, :mod:`friscov.runs`; within the block OpenBLAS runs on one thread
-    unless the environment sets its count."""
-    from . import montecarlo, runs
-
-    if any(os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
-        yield runs
-    else:
-        with montecarlo.one_blas_thread():
-            yield runs
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -432,8 +410,9 @@ def main(argv=None) -> int:
             for key, value in resolved.items():
                 print(f"{key} = {value}")
         elif args.command == "validate":
-            with _driver() as runs:
-                gates = runs.run_validate(scenario, geom, mc, spec)
+            from . import runs
+
+            gates = runs.run_validate(scenario, geom, mc, spec)
             for label, measured, tolerance, passed in gates:
                 verdict = "PASS" if passed else "FAIL"
                 print(f"[GATE] {label}: measured={measured:.6g} tolerance={tolerance:.6g} -> {verdict}")
@@ -447,8 +426,9 @@ def main(argv=None) -> int:
                 out_dir.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {args.out!r} is not a usable directory: {exc.strerror}") from exc
-            with _driver() as runs:
-                result = runs.run_sweep(scenario, geom, mc, spec, modes=modes, progress=True)
+            from . import runs
+
+            result = runs.run_sweep(scenario, geom, mc, spec, modes=modes, progress=True)
             emit_csv(result, out_dir / "sweep.csv")
             if args.plot:
                 emit_plot(result, out_dir / "plot.svg", log_y=args.log_y)

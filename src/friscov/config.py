@@ -194,10 +194,8 @@ class SurfaceGeometry:
 # and their ranking and cascade) and its block's gains, 16 B per trial and
 # selection, which a finished block holds until the caller takes it; at most
 # 2 x workers blocks are in flight, and a pool starts up to this many threads.
-# A pool's blocks draw and correlate their tiles inline; only a serial run,
-# beside a CPU that no BLAS thread runs on, has one helper thread per block
-# that draws and correlates them, into the same tile of fading vectors split
-# in two half-tile slots.
+# A pool's blocks draw and correlate their tiles inline; a serial run with a
+# CPU to spare has a helper thread per block that does (see simulate_group).
 # The worker count changes no gain: each tile has its own substream.
 MAX_WORKERS = 64
 

@@ -42,13 +42,20 @@ one array, freed with it: one tile's normals and a ring of panel-sized
 fading buffers (slots), each sized for the run's largest surface.  It
 runs one tile at a time: the tile is drawn into the normals, and each
 of its panels is correlated for every surface, in the order of their
-first selections, into a slot, then ranked and cascaded.  Where a serial
-run has a CPU to spare beside its BLAS threads, a helper thread draws
-each tile and correlates each (half-tile panel, surface) into a ring of
-two slots, and the block's thread only ranks, cascades and writes the
-gains of each filled slot, then hands it back.  Otherwise the block's
-thread does all of it with one slot, in panels of the whole tile: halves
-would only add calls.
+first selections, into a slot, then ranked and cascaded.
+
+Every run, serial or pooled, holds numpy's bundled OpenBLAS at one
+thread per product, from its first block until it is exhausted, closed
+or raises, and then restores the count it found, whatever the
+environment set (``OPENBLAS_NUM_THREADS`` included).  Runs that
+interleave in one thread or overlap across threads share the pin: the
+first to start saves the count and the last to end restores it.  Where
+a serial run has a CPU to spare, a helper thread draws each tile and
+correlates each (half-tile panel, surface) into a ring of two slots, and
+the block's thread only ranks, cascades and writes the gains of each
+filled slot, then hands it back.  Otherwise, and on a BLAS that cannot
+be pinned, the block's thread does all of it with one slot, in panels
+of the whole tile: halves would only add calls.
 The draw and the product release the GIL, and no panel's bits depend on
 the thread that computed them or on its width, so both ways give the
 same bits.  So the working set follows the tile, not the block; what
@@ -83,7 +90,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import itertools
 import math
 import os
@@ -248,42 +254,41 @@ def _openblas(name: str):
     return None
 
 
-@functools.cache
-def _blas_threads() -> int:
-    """The threads numpy's bundled OpenBLAS runs a product on.
-
-    Where it cannot say (another BLAS, or OpenBLAS outside numpy's wheel),
-    one per CPU, OpenBLAS's default.
-    """
-    query = _openblas("get_num_threads")
-    if query is None:
-        return os.cpu_count() or 1
-    query.argtypes, query.restype = [], ctypes.c_int
-    return query()
+# Runs open in this process, and the OpenBLAS thread count the first of them
+# found; the last to end restores it.  Module state, as the count it guards
+# is the whole process's.
+_pin_lock = threading.Lock()
+_pinned_runs = 0
+_found_threads = 0
 
 
 @contextlib.contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Within the block, numpy's bundled OpenBLAS runs each product on one thread.
+def _one_blas_thread() -> Iterator[bool]:
+    """Inside the ``with``, numpy's bundled OpenBLAS runs each product on one thread; yields whether it does.
 
-    A serial run then has a CPU to spare for its helper thread (see
-    :func:`simulate_group`).  The count OpenBLAS had is restored on exit;
-    no change on any other BLAS.  The gains do not depend on the count.
+    Runs may nest, interleave or overlap across threads: the first to
+    enter saves the count OpenBLAS had, and the last to leave restores it.
+    On another BLAS, or one without the setter, nothing changes and the
+    ``with`` gets False.  The gains do not depend on the count.
     """
+    global _pinned_runs, _found_threads
     setter = _openblas("set_num_threads")
     if setter is None:
-        yield
+        yield False
         return
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    _blas_threads.cache_clear()  # another caller may have set the count since it was read
-    before = _blas_threads()
-    setter(1)
-    _blas_threads.cache_clear()
+    # ctypes passes a Python int as a C int and reads a C int back by default.
+    with _pin_lock:
+        if not _pinned_runs:
+            _found_threads = _openblas("get_num_threads")()
+            setter(1)
+        _pinned_runs += 1
     try:
-        yield
+        yield True
     finally:
-        setter(before)
-        _blas_threads.cache_clear()
+        with _pin_lock:
+            _pinned_runs -= 1
+            if not _pinned_runs:
+                setter(_found_threads)
 
 
 def simulate_group(mc: MCConfig, selections: Iterable[tuple[SurfaceGeometry, Mode, int]]) -> Iterator[tuple[int, list]]:
@@ -311,16 +316,20 @@ def simulate_group(mc: MCConfig, selections: Iterable[tuple[SurfaceGeometry, Mod
     (:func:`~friscov.channel.tile_normals`).  Each panel is correlated
     over every port once per surface, from a column view of the normals
     (:func:`~friscov.channel.correlated_tile`), into a slot sized for the
-    largest surface; the block's normals and slots are one array.  On the
-    serial path (one worker or one block), if BLAS runs on fewer threads
-    than the process has CPUs, a helper thread does the draws and the
-    products of half-tile panels into a ring of two slots, a slot ahead of
-    the block's thread, which ranks, cascades and writes each slot's gains
-    and then hands the slot back.  The block's thread stops and joins the
-    helper before the block returns, even when the kernel raises; the
-    helper's own exception is raised on the block's thread.  Otherwise,
-    and in a pool, the block's thread draws, correlates and runs each tile
-    in turn as one panel, in one slot.  The fluid selections of a surface
+    largest surface; the block's normals and slots are one array.  From
+    its first block until it is exhausted, closed or raises, the run holds
+    numpy's bundled OpenBLAS at one thread, even where
+    ``OPENBLAS_NUM_THREADS`` asks for more, and then restores the count it
+    found; runs that interleave or overlap in one process restore it when
+    the last of them ends.  On the serial path (one worker or one block),
+    with that pin in effect and a CPU to spare, a helper thread does the
+    draws and the products of half-tile panels into a ring of two slots, a
+    slot ahead of the block's thread, which ranks, cascades and writes each
+    slot's gains and then hands the slot back.  The block's thread stops
+    and joins the helper before the block returns, even when the kernel
+    raises; the helper's own exception is raised on the block's thread.
+    Otherwise, and in a pool, the block's thread draws, correlates and
+    runs each tile in turn as one panel, in one slot.  The fluid selections of a surface
     share one ranking of a panel's top ``max(m_o)`` ports and one cascade
     of those rows, each reading its own prefix length; each preset's rows
     are gathered, and their cascade terms formed, once per panel for every
@@ -346,105 +355,106 @@ def simulate_group(mc: MCConfig, selections: Iterable[tuple[SurfaceGeometry, Mod
     n_blocks = -(-mc.trials // block)
 
     serial = mc.workers == 1 or n_blocks == 1
-    # A helper thread only on the serial path, beside a CPU that no BLAS
-    # thread runs on: one that shared a core with the block's thread or a
-    # BLAS thread made the default sweep slower, not faster.
-    ahead = serial and _blas_threads() < _cpus()
-    # Trials per panel, the unit of correlation and of the kernel: half a
-    # tile beside a helper, so that it correlates one while the block's
-    # thread ranks the other; a whole tile inline, where halves made a plain
-    # CLI run's validate 5% slower.
-    panel = -(-tile // 2) if ahead else tile
+    with _one_blas_thread() as pinned:
+        # A helper thread only on the serial path, with BLAS on one thread and
+        # a CPU to spare: one that shared a core with the block's thread or a
+        # BLAS thread made the default sweep slower, not faster.
+        ahead = serial and pinned and _cpus() > 1
+        # Trials per panel, the unit of correlation and of the kernel: half a
+        # tile beside a helper, so that it correlates one while the block's
+        # thread ranks the other; a whole tile inline, where halves made a plain
+        # CLI run's validate 5% slower.
+        panel = -(-tile // 2) if ahead else tile
 
-    def correlate(start: int, count: int, z: np.ndarray, slots: Iterator[np.ndarray]) -> Iterator[tuple]:
-        """Block ``start``'s panels, surface by surface, as ``(lo, surface index, fading vectors)``.
+        def correlate(start: int, count: int, z: np.ndarray, slots: Iterator[np.ndarray]) -> Iterator[tuple]:
+            """Block ``start``'s panels, surface by surface, as ``(lo, surface index, fading vectors)``.
 
-        Draws each tile into ``z`` and correlates each (panel, surface) into
-        the next buffer of ``slots``, stopping early if ``slots`` runs out.
-        """
-        for lo in range(0, count, tile):
-            tile_normals(np.random.default_rng(mix64(mc.master_seed, (start + lo) // tile)), rank, tile, out=z)
-            for p0 in range(0, min(tile, count - lo), panel):
-                width = min(panel, tile - p0)
-                for s, (_, factor) in enumerate(surfaces):
-                    slot = next(slots, None)
-                    if slot is None:
-                        return
-                    abc = slot[: 3 * factor.shape[0] * width].reshape(3, -1, width)
-                    correlated_tile(factor, z[: factor.shape[1], :, 2 * p0 : 2 * (p0 + width)], out=abc)
-                    yield lo + p0, s, abc
+            Draws each tile into ``z`` and correlates each (panel, surface) into
+            the next buffer of ``slots``, stopping early if ``slots`` runs out.
+            """
+            for lo in range(0, count, tile):
+                tile_normals(np.random.default_rng(mix64(mc.master_seed, (start + lo) // tile)), rank, tile, out=z)
+                for p0 in range(0, min(tile, count - lo), panel):
+                    width = min(panel, tile - p0)
+                    for s, (_, factor) in enumerate(surfaces):
+                        slot = next(slots, None)
+                        if slot is None:
+                            return
+                        abc = slot[: 3 * factor.shape[0] * width].reshape(3, -1, width)
+                        correlated_tile(factor, z[: factor.shape[1], :, 2 * p0 : 2 * (p0 + width)], out=abc)
+                        yield lo + p0, s, abc
 
-    def correlate_ahead(panels: Iterator[tuple], ready) -> None:
-        try:
-            for item in panels:
-                ready.put(item)
-        except BaseException as exc:
-            ready.put(exc)  # a Thread drops its target's exception: the block's thread raises it
-        else:
-            ready.put(None)
+        def correlate_ahead(panels: Iterator[tuple], ready) -> None:
+            try:
+                for item in panels:
+                    ready.put(item)
+            except BaseException as exc:
+                ready.put(exc)  # a Thread drops its target's exception: the block's thread raises it
+            else:
+                ready.put(None)
 
-    def run(block_index: int) -> tuple[int, list]:
-        start = block_index * block
-        count = min(block, mc.trials - start)
-        outputs = [(np.empty(count), np.empty(count)) for _ in selections]
-        # One tile's normals and a ring of panel-sized fading buffers, sized
-        # for the largest surface: one array, reused by every tile and surface
-        # of the block and freed with it.  Its free raises glibc's mmap
-        # threshold above the kernel's temporaries, so they reuse the heap.
-        ring = 2 if ahead else 1
-        buffer = np.empty(rank * 3 * tile + ring * 3 * ports * panel, dtype=complex)
-        z = buffer[: rank * 3 * tile].view(float).reshape(rank, 3, 2 * tile)
-        slots = buffer[rank * 3 * tile :].reshape(ring, -1)
+        def run(block_index: int) -> tuple[int, list]:
+            start = block_index * block
+            count = min(block, mc.trials - start)
+            outputs = [(np.empty(count), np.empty(count)) for _ in selections]
+            # One tile's normals and a ring of panel-sized fading buffers, sized
+            # for the largest surface: one array, reused by every tile and surface
+            # of the block and freed with it.  Its free raises glibc's mmap
+            # threshold above the kernel's temporaries, so they reuse the heap.
+            ring = 2 if ahead else 1
+            buffer = np.empty(rank * 3 * tile + ring * 3 * ports * panel, dtype=complex)
+            z = buffer[: rank * 3 * tile].view(float).reshape(rank, 3, 2 * tile)
+            slots = buffer[rank * 3 * tile :].reshape(ring, -1)
 
-        def kernel(lo: int, s: int, abc: np.ndarray) -> None:
-            _panel_gains(abc, surfaces[s][0], outputs, lo, min(abc.shape[-1], count - lo))
+            def kernel(lo: int, s: int, abc: np.ndarray) -> None:
+                _panel_gains(abc, surfaces[s][0], outputs, lo, min(abc.shape[-1], count - lo))
 
-        if not ahead:
-            for item in correlate(start, count, z, itertools.repeat(slots[0])):
-                kernel(*item)
-            return start, outputs
-        # Imported here: only a run with a helper needs it.
-        from queue import SimpleQueue
+            if not ahead:
+                for item in correlate(start, count, z, itertools.repeat(slots[0])):
+                    kernel(*item)
+                return start, outputs
+            # Imported here: only a run with a helper needs it.
+            from queue import SimpleQueue
 
-        # The helper takes a token before it correlates item i into slot i % 2:
-        # one per slot at the start, then one per item the block's thread has
-        # run, so a slot is rewritten only once its gains are out.  None, put
-        # when the block ends or fails, stops it.
-        free, ready = SimpleQueue(), SimpleQueue()
-        for _ in range(ring):
-            free.put(True)
-        claims = (slots[i % ring] for i, _ in enumerate(iter(free.get, None)))
-        helper = threading.Thread(target=correlate_ahead, args=(correlate(start, count, z, claims), ready))
-        helper.start()
-        try:
-            for item in iter(ready.get, None):
-                if isinstance(item, BaseException):
-                    raise item
-                kernel(*item)
+            # The helper takes a token before it correlates item i into slot i % 2:
+            # one per slot at the start, then one per item the block's thread has
+            # run, so a slot is rewritten only once its gains are out.  None, put
+            # when the block ends or fails, stops it.
+            free, ready = SimpleQueue(), SimpleQueue()
+            for _ in range(ring):
                 free.put(True)
-        finally:
-            free.put(None)
-            helper.join()
-        return start, outputs
+            claims = (slots[i % ring] for i, _ in enumerate(iter(free.get, None)))
+            helper = threading.Thread(target=correlate_ahead, args=(correlate(start, count, z, claims), ready))
+            helper.start()
+            try:
+                for item in iter(ready.get, None):
+                    if isinstance(item, BaseException):
+                        raise item
+                    kernel(*item)
+                    free.put(True)
+            finally:
+                free.put(None)
+                helper.join()
+            return start, outputs
 
-    # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
-    if serial:
-        yield from map(run, range(n_blocks))
-        return
-    # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
-    from concurrent.futures import ThreadPoolExecutor
+        # Serial on purpose: a one-thread pool raised validate's peak RSS from 85.8 to 88.5 MB.
+        if serial:
+            yield from map(run, range(n_blocks))
+            return
+        # Imported here: the pool pulls in ``logging``, some 10 ms of every process that never uses it.
+        from concurrent.futures import ThreadPoolExecutor
 
-    # A bounded window of submitted blocks, a finished one holding its gains:
-    # submitting them all at once holds memory in proportion to the trials.
-    # A block leaves the window as it is yielded, so no future keeps its gains.
-    window: deque = deque()
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        for k in range(n_blocks):
-            if len(window) == 2 * mc.workers:
+        # A bounded window of submitted blocks, a finished one holding its gains:
+        # submitting them all at once holds memory in proportion to the trials.
+        # A block leaves the window as it is yielded, so no future keeps its gains.
+        window: deque = deque()
+        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+            for k in range(n_blocks):
+                if len(window) == 2 * mc.workers:
+                    yield window.popleft().result()
+                window.append(pool.submit(run, k))
+            while window:
                 yield window.popleft().result()
-            window.append(pool.submit(run, k))
-        while window:
-            yield window.popleft().result()
 
 
 def event_levels(points: Iterable[tuple[ScenarioConfig, float]]) -> np.ndarray:

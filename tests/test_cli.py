@@ -46,6 +46,7 @@ from friscov.cli import (
 )
 from friscov.montecarlo import count_events, event_levels
 from friscov.runs import _mode_config, run_sweep, run_validate
+from fresh import fresh_python
 from gains import whole_gains
 
 
@@ -587,32 +588,40 @@ class TestMain:
     @pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_a_run_asks_for_one_blas_thread(self, variable):
         # A fresh interpreter whose OpenBLAS runs on two threads: a run of the
-        # CLI takes one while it simulates and gives the two back when it ends,
-        # unless a variable OpenBLAS reads set the count.
+        # CLI simulates on one and gives the two back when it ends, whatever
+        # count a variable OpenBLAS reads set.
         if montecarlo._openblas("set_num_threads") is None:
             pytest.skip("numpy's wheel bundles no OpenBLAS here")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {key: value for key, value in os.environ.items() if key not in cli._BLAS_THREAD_VARIABLES}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        if variable:
-            env[variable] = "2"
-        script = ("from friscov import montecarlo, runs\n"
+        script = ("from friscov import montecarlo\n"
                   "from friscov.cli import main\n"
+                  "threads = montecarlo._openblas('get_num_threads')\n"
                   "montecarlo._openblas('set_num_threads')(2)\n"
-                  "montecarlo._blas_threads.cache_clear()\n"
-                  "before, during = montecarlo._blas_threads(), []\n"
-                  "simulate = runs.simulate_group\n"
+                  "before, during = threads(), []\n"
+                  "kernel = montecarlo._panel_gains\n"
                   "def spy(*args):\n"
-                  "    during.append(montecarlo._blas_threads())\n"
-                  "    return simulate(*args)\n"
-                  "runs.simulate_group = spy\n"
+                  "    during.append(threads())\n"
+                  "    return kernel(*args)\n"
+                  "montecarlo._panel_gains = spy\n"
                   "code = main(['validate', '--trials', '300'])\n"
-                  "print(before, *sorted(set(during)), montecarlo._blas_threads(), code)\n")
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+                  "print(before, *sorted(set(during)), threads(), code)\n")
+        run = fresh_python("-c", script, **({variable: "2"} if variable else {}))
         assert run.returncode == 0, run.stderr
-        before, during, after, code = run.stdout.splitlines()[-1].split()
-        assert before == "2" and after == "2" and code in ("0", "1")
-        assert during == ("2" if variable else "1")
+        assert run.stdout.splitlines()[-1].split()[:3] == ["2", "1", "2"]
+
+    def test_no_byte_depends_on_the_blas_threads(self, tmp_path):
+        # The run pins one BLAS thread, but the closed form runs at the count
+        # the environment gives OpenBLAS; one thread or two, the same bytes.
+        cfg = write_config(tmp_path, "sweep.points = 3\n")
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            validate = fresh_python("-m", "friscov.cli", "validate", "--trials", "2000", OPENBLAS_NUM_THREADS=threads)
+            sweep = fresh_python("-m", "friscov.cli", "sweep", "--config", str(cfg), "--trials", "2048", "--plot",
+                                 "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+            assert validate.returncode in (0, 1) and "[GATE]" in validate.stdout, validate.stderr
+            assert sweep.returncode == 0, sweep.stderr
+            outputs[threads] = validate.stdout, (out / "sweep.csv").read_bytes(), (out / "plot.svg").read_bytes()
+        assert outputs["1"] == outputs["2"]
 
     def test_closed_stdout_exits_quietly_with_sigpipe_status(self):
         # As when the reader of ``friscov validate | head -1`` has exited;

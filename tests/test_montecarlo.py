@@ -1,10 +1,10 @@
 import contextlib
 import dataclasses
 import itertools
+import json
 import math
-import os
-import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -45,6 +45,7 @@ from friscov.analytics import missed_level, outage_level
 from friscov.channel import best_product_order, cascade, correlated_tile, ris_grid_geometry, tile_normals
 from friscov.montecarlo import (BLOCK_TRIALS, MAX_WORKERS, TILE_TRIALS, count_events, event_levels, mix64,
                                  wilson_interval)
+from fresh import fresh_python
 from gains import Gains, run_gains, whole_gains
 from oracles import ks_distance_dense
 
@@ -115,28 +116,32 @@ class TestSubstreams:
 
     def test_gains_do_not_depend_on_the_blas_threads(self):
         # A fresh interpreter per thread count: OpenBLAS reads it once, when
-        # numpy loads.  5001 trials end in a partial tile.
-        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        # numpy loads.  A run would pin one thread, so the setter is taken
+        # away and the run correlates inline on the count it found.  5001
+        # trials end in a partial tile.
         script = (
             "import hashlib\n"
-            "from friscov import MCConfig, Mode, SurfaceGeometry, simulate_group\n"
+            "from friscov import MCConfig, Mode, SurfaceGeometry, montecarlo, simulate_group\n"
             "from friscov.channel import ris_grid_geometry\n"
+            "openblas = montecarlo._openblas\n"
+            "montecarlo._openblas = lambda name: None if name == 'set_num_threads' else openblas(name)\n"
             "geom = SurfaceGeometry(12, 12, 2.0, 2.0)\n"
             "selections = [(g, mode, 9) for g in (geom, ris_grid_geometry(geom, 27)) for mode in Mode]\n"
             "digest = hashlib.sha256()\n"
             "for start, block in simulate_group(MCConfig(trials=5_001, master_seed=3), selections):\n"
             "    for g_b, g_w in block:\n"
             "        digest.update(g_b.tobytes() + g_w.tobytes())\n"
-            "print(digest.hexdigest())\n"
+            "threads = openblas('get_num_threads')\n"
+            "print(digest.hexdigest(), threads() if threads else 0)\n"
         )
-        digests = []
+        runs = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            run = fresh_python("-c", script, OPENBLAS_NUM_THREADS=threads)
             assert run.returncode == 0, run.stderr
-            digests.append(run.stdout)
-        assert digests[0] == digests[1]
+            runs[threads] = run.stdout.split()
+        assert runs["1"][0] == runs["2"][0]
+        if montecarlo._openblas("get_num_threads") and montecarlo._cpus() > 1:
+            assert (runs["1"][1], runs["2"][1]) == ("1", "2")
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_block_is_yielded_once_in_block_order(self, ref_geom, workers):
@@ -653,27 +658,24 @@ class TestDrawAhead:
             assert np.array_equal(gains.g_b, own.g_b)
             assert np.array_equal(gains.g_w, own.g_w)
 
-    @pytest.mark.parametrize("blas, cpus, workers, trials, ahead", [
-        pytest.param(1, 2, 1, 2 * BLOCK_TRIALS, True, id="serial-spare-cpu"),
-        pytest.param(2, 2, 1, 2 * BLOCK_TRIALS, False, id="blas-on-every-cpu"),
-        pytest.param(1, 1, 1, 2 * BLOCK_TRIALS, False, id="one-cpu"),
-        pytest.param(1, 8, 2, 2 * BLOCK_TRIALS, False, id="pool"),
-        pytest.param(1, 8, 2, BLOCK_TRIALS, True, id="one-block-at-two-workers"),
+    @pytest.mark.parametrize("setter, cpus, workers, trials, ahead", [
+        pytest.param(True, 2, 1, 2 * BLOCK_TRIALS, True, id="serial-spare-cpu"),
+        pytest.param(False, 2, 1, 2 * BLOCK_TRIALS, False, id="blas-on-every-cpu"),
+        pytest.param(True, 1, 1, 2 * BLOCK_TRIALS, False, id="one-cpu"),
+        pytest.param(True, 8, 2, 2 * BLOCK_TRIALS, False, id="pool"),
+        pytest.param(True, 8, 2, BLOCK_TRIALS, True, id="one-block-at-two-workers"),
     ])
-    def test_who_draws_ahead(self, ref_geom, monkeypatch, blas, cpus, workers, trials, ahead):
-        # Only a serial run starts a helper, and only beside a CPU that no
-        # BLAS thread runs on.
-        monkeypatch.setattr(montecarlo, "_blas_threads", lambda: blas)
+    def test_who_draws_ahead(self, ref_geom, monkeypatch, setter, cpus, workers, trials, ahead):
+        # Only a serial run starts a helper, and only with a CPU to spare and
+        # BLAS pinned to one thread.  A BLAS without the setter keeps its own
+        # count, one thread per CPU by default.  A stand-in for OpenBLAS
+        # makes the test independent of the BLAS numpy bundles.
+        monkeypatch.setattr(montecarlo, "_openblas", lambda name: (lambda *args: 1) if setter else None)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
         drawn, correlated, kernels = self._watch(monkeypatch, 1, trials // TILE_TRIALS)
         run_gains(MCConfig(trials=trials, master_seed=1, workers=workers), [(ref_geom, Mode.FIXED, 36)])
         assert any(thread not in kernels for _, thread in drawn) is ahead
         assert any(thread not in kernels for thread in correlated) is ahead
-
-    def test_blas_threads_reads_the_pinned_count(self):
-        # tests/conftest.py pins OpenBLAS to one thread; a BLAS that cannot
-        # say counts one thread per CPU.
-        assert montecarlo._blas_threads() in (1, os.cpu_count())
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_draw_reaches_the_caller(self, ref_geom, monkeypatch, draw_ahead, workers):
@@ -823,6 +825,169 @@ class TestDrawAhead:
             draw_ahead(on)
             peaks[on] = TestGroups._peak(ref_geom, group, 16 * TILE_TRIALS)
         assert peaks[True] <= peaks[False] + 65_536, peaks
+
+
+# A fresh interpreter whose OpenBLAS runs on two threads, unless the
+# environment sets the count: ``threads()`` reads the count, every kernel call
+# adds it to ``read``, every draw adds its thread to ``drawn``, a kernel raises
+# once ``fail`` holds an entry, and ``run(workers)`` is a run of three blocks.
+_PIN_PRELUDE = """
+import json, os, threading
+from friscov import MCConfig, Mode, SurfaceGeometry, montecarlo, simulate_group
+from friscov.channel import tile_normals
+
+threads = montecarlo._openblas("get_num_threads")
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    montecarlo._openblas("set_num_threads")(2)
+before = threads()
+read, drawn, fail = [], set(), []
+kernel = montecarlo._panel_gains
+
+
+def reading(*args):
+    read.append(threads())
+    if fail:
+        raise RuntimeError("kernel failed")
+    return kernel(*args)
+
+
+def drawing(*args, **kwargs):
+    drawn.add(threading.current_thread())
+    return tile_normals(*args, **kwargs)
+
+
+montecarlo._panel_gains, montecarlo.tile_normals = reading, drawing
+geom = SurfaceGeometry(4, 4, 2.0, 2.0)
+
+
+def run(workers=1):
+    mc = MCConfig(trials=3 * montecarlo.BLOCK_TRIALS, master_seed=1, workers=workers)
+    return simulate_group(mc, [(geom, Mode.FIXED, 16)])
+"""
+
+
+class TestBlasPin:
+    @staticmethod
+    def _fresh(script: str, **variables: str):
+        """The JSON that ``script`` prints last, run after ``_PIN_PRELUDE`` in a fresh interpreter."""
+        if montecarlo._openblas("set_num_threads") is None:
+            pytest.skip("numpy's wheel bundles no OpenBLAS here")
+        run = fresh_python("-c", _PIN_PRELUDE + textwrap.dedent(script), **variables)
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("variable", [None, "OPENBLAS_NUM_THREADS"])
+    def test_a_run_holds_one_thread_and_restores_the_count(self, variable):
+        # Serial or pooled, a library run holds one BLAS thread, where the
+        # environment asks for two too, and gives back the count it found once
+        # it is exhausted, closed at its first block or its kernel raises.  A
+        # serial run takes the helper wherever it has a CPU to spare.
+        before, cpus, helper, ends = self._fresh("""
+            ends = {}
+            for workers in (1, 2):
+                read.clear()
+                drawn.clear()
+                list(run(workers))
+                ends[f"exhausted at {workers} workers"] = sorted(set(read)), threads()
+                if workers == 1:
+                    helper = drawn != {threading.main_thread()}
+            read.clear()
+            blocks = run()
+            next(blocks)
+            blocks.close()
+            ends["closed at the first block"] = sorted(set(read)), threads()
+            read.clear()
+            fail.append(True)
+            try:
+                list(run())
+            except RuntimeError:
+                ends["raised"] = sorted(set(read)), threads()
+            print(json.dumps([before, montecarlo._cpus(), helper, ends]))
+        """, **({variable: "2"} if variable else {}))
+        assert before == 2 or variable
+        assert ends == dict.fromkeys(["exhausted at 1 workers", "exhausted at 2 workers", "closed at the first block",
+                                      "raised"], [[1], before])
+        assert helper is (cpus > 1)
+
+    def test_without_the_setter_a_run_draws_inline(self):
+        # A BLAS that cannot be pinned keeps its count, and the block's thread
+        # draws every tile, spare CPUs or not.
+        out = self._fresh("""
+            openblas = montecarlo._openblas
+            montecarlo._openblas = lambda name: None if name == "set_num_threads" else openblas(name)
+            montecarlo._cpus = lambda: 1_000
+            list(run())
+            print(json.dumps([before, sorted(set(read)), drawn == {threading.main_thread()}]))
+        """)
+        assert out == [2, [2], True]
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["first-ends-first", "second-ends-first"])
+    def test_interleaved_runs_restore_the_count(self, first):
+        # Two runs advanced in turn on one thread hold one BLAS thread while
+        # either is open, and the count comes back once both have ended.
+        out = self._fresh(f"""
+            pair = [run(), run()]
+            for _ in range(2):
+                for blocks in pair:
+                    next(blocks)
+            list(pair[{first}])
+            one_open = threads()
+            pair[{1 - first}].close()
+            print(json.dumps([before, sorted(set(read)), one_open, threads()]))
+        """)
+        assert out == [2, [1], 1, 2]
+
+    def test_overlapping_runs_on_two_threads_restore_the_count(self):
+        # The first thread's run ends while the second's is open: the second
+        # still reads one BLAS thread, and its end gives the count back.
+        out = self._fresh("""
+            both_open, first_ended, seen = threading.Barrier(2, timeout=60), threading.Event(), []
+
+            def first():
+                blocks = run()
+                next(blocks)
+                both_open.wait()
+                blocks.close()
+                first_ended.set()
+
+            def second():
+                blocks = run()
+                next(blocks)
+                both_open.wait()
+                first_ended.wait(60)
+                seen.append(threads())
+                list(blocks)
+
+            pair = [threading.Thread(target=target) for target in (first, second)]
+            for thread in pair:
+                thread.start()
+            for thread in pair:
+                thread.join(60)
+            print(json.dumps([before, sorted(set(read)), seen, any(t.is_alive() for t in pair), threads()]))
+        """)
+        assert out == [2, [1], [1], False, 2]
+
+    def test_many_threads_share_the_pin(self):
+        # Four threads, more than the cores, each start and end eight short
+        # runs with the interpreter switching threads every microsecond: a
+        # lost update of the count of open runs would let a kernel read two
+        # threads or leave the count at one.
+        out = self._fresh("""
+            import sys
+            sys.setswitchinterval(1e-6)
+
+            def runs():
+                for _ in range(8):
+                    list(simulate_group(MCConfig(trials=64, master_seed=1), [(geom, Mode.FIXED, 16)]))
+
+            pool = [threading.Thread(target=runs) for _ in range(4)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(60)
+            print(json.dumps([before, sorted(set(read)), len(read), any(t.is_alive() for t in pool), threads()]))
+        """)
+        assert out == [2, [1], 32, False, 2]
 
 
 class TestKsDistance:
